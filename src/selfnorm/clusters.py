@@ -17,13 +17,22 @@ Three cluster kinds are supported:
 * ``empirical`` -- clusters extracted as normalised blocks around threshold
   exceedances of a simulated source process (the only route shipped for SRE
   models, whose two-sided tail process has no convenient closed form).
+
+An empirical cluster is a uniform draw from a library of anchors. The library
+is simulated once per model instance, on first use, and each anchor's
+``max|Q|``, ``sum Q``, ``||Q||_1`` and ``||Q||_p^p`` are tabulated once per
+exponent p; ``cluster_functionals`` draws anchor indices and looks them up, so
+every batched functional, oracle and series draw costs a gather. A
+``table_only`` copy of the model carries that table without the blocks; it is
+what pool workers receive.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -104,6 +113,19 @@ class ClusterModel:
             object.__setattr__(self, "_library", lib)
         return lib
 
+    def table_only(self, exponents: Sequence[float]) -> "ClusterModel":
+        """A copy whose empirical library holds the per-anchor table, filled
+        for ``exponents``, but not the blocks: what a pool worker needs to draw
+        ``cluster_functionals`` at those exponents without rebuilding the
+        library. Analytic kinds are returned as they are."""
+        if self.kind != "empirical":
+            return self
+        lib = self._empirical_library()
+        lib.table(exponents)
+        copy = dataclasses.replace(self)
+        object.__setattr__(copy, "_library", dataclasses.replace(lib, segments=None))
+        return copy
+
 
 def iid_cluster(alpha: float, tail_balance=(0.5, 0.5)) -> ClusterModel:
     return ClusterModel(kind="iid", alpha=float(alpha), tail_balance=tuple(tail_balance))
@@ -152,11 +174,24 @@ def empirical_cluster(
 
 @dataclass
 class _BlockLibrary:
-    segments: np.ndarray  # (chains, seg_len)
+    """Blocks of a simulated source path around its threshold exceedances
+    (the anchors), and a table of per-anchor cluster functionals.
+
+    An anchor's own-cluster Q is a pure function of the anchor, so its
+    ``max|Q|``, ``sum Q``, ``||Q||_1`` and ``||Q||_q^q`` are computed once per
+    library (the last once per exponent q) and a draw of them is a gather.
+    """
+
+    segments: Optional[np.ndarray]  # (chains, seg_len); None in a table-only copy
     anchor_chain: np.ndarray
     anchor_pos: np.ndarray
     threshold: float
     half_width: int
+    alpha: float
+    floor_rel: float
+    run_gap: int
+    # per-anchor values: "max_abs", "sum_q", "sum_abs", and ||Q||_q^q under each exponent q
+    columns: dict = field(default_factory=dict)
 
     @classmethod
     def build(cls, model: ClusterModel) -> "_BlockLibrary":
@@ -170,7 +205,7 @@ class _BlockLibrary:
         mask[:, :h] = False
         mask[:, seg_len - h:] = False
         chain_idx, pos_idx = np.nonzero(mask)
-        return cls(rows, chain_idx, pos_idx, threshold, h)
+        return cls(rows, chain_idx, pos_idx, threshold, h, model.alpha, model.floor_rel, model.run_gap)
 
     @property
     def n_anchors(self) -> int:
@@ -178,6 +213,8 @@ class _BlockLibrary:
 
     def blocks(self, which: np.ndarray) -> np.ndarray:
         """Blocks (len(which), 2h+1) around the selected anchors."""
+        if self.segments is None:
+            raise SamplingError("a table-only copy of the block library has no blocks")
         h = self.half_width
         offs = np.arange(-h, h + 1)
         return self.segments[
@@ -190,6 +227,31 @@ class _BlockLibrary:
                 "no exceedances above the threshold; lower threshold_quantile "
                 "or enlarge sample_length"
             )
+
+    def table(self, exponents: Sequence[float]) -> dict:
+        """The per-anchor columns, with ``||Q||_q^q`` for each q in
+        ``exponents``; each column is computed once per library."""
+        base = () if "max_abs" in self.columns else ("max_abs", "sum_q", "sum_abs")
+        missing = [q for q in dict.fromkeys(exponents) if q not in self.columns]
+        if not (base or missing):
+            return self.columns
+        # anchor chunks bound the memory of the (chunk, 2h+1) blocks
+        n, h = self.n_anchors, self.half_width
+        new = {k: np.empty(n) for k in (*base, *missing)}
+        chunk = max(1, 2_000_000 // (2 * h + 1))
+        for lo in range(0, n, chunk):
+            sl = slice(lo, min(lo + chunk, n))
+            theta = _own_cluster_theta(self.blocks(np.arange(sl.start, sl.stop)), h, self.floor_rel, self.run_gap)
+            absth = np.abs(theta)
+            scale = np.sum(absth**self.alpha, axis=1) ** (1.0 / self.alpha)
+            if base:
+                new["max_abs"][sl] = absth.max(axis=1) / scale
+                new["sum_q"][sl] = theta.sum(axis=1) / scale
+                new["sum_abs"][sl] = absth.sum(axis=1) / scale
+            for q in missing:
+                new[q][sl] = np.sum(absth**q, axis=1) / scale**q
+        self.columns.update(new)
+        return self.columns
 
 
 # ---------------------------------------------------------------------------
@@ -481,28 +543,15 @@ def cluster_functionals(model: ClusterModel, count: int, p: float, seed=0, rng=N
         return out
     lib = model._empirical_library()
     lib.require_anchors()
-    h = lib.half_width
-    keys = ["max_abs", "sum_q", "sum_abs", "sum_abs_p"] + [f"sum_abs_p{q:g}" for q in extra_ps]
-    out = {k: np.empty(count) for k in keys}
-    chunk = max(1, min(count, 2_000_000 // (2 * h + 1)))
-    done = 0
-    while done < count:
-        m = min(chunk, count - done)
-        which = rng.integers(0, lib.n_anchors, size=m)
-        blocks = lib.blocks(which)
-        theta = _own_cluster_theta(blocks, h, model.floor_rel, model.run_gap)
-        absth = np.abs(theta)
-        norm_pow = np.sum(absth**model.alpha, axis=1)
-        scale = norm_pow ** (1.0 / model.alpha)
-        sl = slice(done, done + m)
-        out["max_abs"][sl] = absth.max(axis=1) / scale
-        out["sum_q"][sl] = theta.sum(axis=1) / scale
-        out["sum_abs"][sl] = absth.sum(axis=1) / scale
-        out["sum_abs_p"][sl] = np.sum(absth**p, axis=1) / scale**p
-        for q in extra_ps:
-            out[f"sum_abs_p{q:g}"][sl] = np.sum(absth**q, axis=1) / scale**q
-        done += m
-    return out
+    table = lib.table((p, *extra_ps))
+    cols = {"max_abs": table["max_abs"], "sum_q": table["sum_q"], "sum_abs": table["sum_abs"],
+            "sum_abs_p": table[p], **{f"sum_abs_p{q:g}": table[q] for q in extra_ps}}
+    # the chunked rng.integers calls are part of the draw sequence: other chunk
+    # sizes would change every empirical draw and every seeded result
+    chunk = max(1, 2_000_000 // (2 * lib.half_width + 1))
+    which = np.concatenate([rng.integers(0, lib.n_anchors, size=min(chunk, count - lo))
+                            for lo in range(0, count, chunk)] or [np.zeros(0, dtype=np.int64)])
+    return {k: col[which] for k, col in cols.items()}
 
 
 def tilted_functionals(model: ClusterModel, count: int, p: float, seed=0) -> dict:

@@ -155,7 +155,10 @@ class ExperimentConfig:
             return max(1, override)
         env = os.environ.get(WORKERS_ENV)
         if env:
-            return max(1, int(env))
+            try:
+                return max(1, int(env))
+            except ValueError:
+                raise ConfigurationError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
         return max(1, self.workers)
 
 
@@ -165,11 +168,6 @@ def load_config(path) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigurationError("config file must hold a mapping")
     return ExperimentConfig.from_dict(data)
-
-
-def save_config(config: ExperimentConfig, path) -> None:
-    with open(path, "w") as fh:
-        yaml.safe_dump(config.to_dict(), fh, sort_keys=True)
 
 
 def cluster_from_dict(d: dict) -> ClusterModel:
@@ -188,6 +186,8 @@ def cluster_from_dict(d: dict) -> ClusterModel:
             block_half_width=int(d.get("block_half_width", 200)),
             sample_length=int(d.get("sample_length", 2_000_000)),
             library_seed=int(d.get("library_seed", 0)),
+            floor_rel=float(d.get("floor_rel", 0.005)),
+            run_gap=int(d.get("run_gap", 2)),
         )
     raise ConfigurationError(f"unknown cluster kind {kind!r}")
 
@@ -202,6 +202,8 @@ def cluster_to_dict(model: ClusterModel) -> dict:
             "block_half_width": model.block_half_width,
             "sample_length": model.sample_length,
             "library_seed": model.library_seed,
+            "floor_rel": model.floor_rel,
+            "run_gap": model.run_gap,
         }
     d = {"kind": model.kind, "alpha": model.alpha,
          "q_plus": model.tail_balance[0], "q_minus": model.tail_balance[1]}
@@ -386,8 +388,7 @@ def simulate_statistics(
 
 
 def _lepage_block_worker(args) -> tuple[int, dict]:
-    cluster_dict, alpha, p, n_terms, seed, start, stop = args
-    cluster = cluster_from_dict(cluster_dict)
+    cluster, alpha, p, n_terms, seed, start, stop = args
     out = limits.sample_limit_lepage_batch(
         cluster, alpha, p, reps=stop - start, n_terms=n_terms, seed=seed, first_index=start,
     )
@@ -399,9 +400,10 @@ def sample_limit_batch_parallel(
     n_terms: int, seed: int, workers: int = 1,
 ) -> dict:
     limits._lepage_validate(cluster, alpha, p, n_terms)
-    cluster_dict = cluster_to_dict(cluster)
     blocks = _partition(reps, workers)
-    tasks = [(cluster_dict, alpha, p, n_terms, seed, start, stop) for start, stop in blocks]
+    # workers get the driver's per-anchor table, not the library's blocks
+    cluster = cluster.table_only((p,))
+    tasks = [(cluster, alpha, p, n_terms, seed, start, stop) for start, stop in blocks]
     results = _run_tasks(_lepage_block_worker, tasks, workers)
     results.sort(key=lambda t: t[0])
     return {k: np.concatenate([r[1][k] for r in results]) for k in results[0][1]}
@@ -621,12 +623,14 @@ def _run_diagnose(config: ExperimentConfig, workers: int):
 
 
 def _run_verify(config: ExperimentConfig, workers: int):
+    # one cluster model for every check, so an empirical library is built once
+    cluster = config.cluster_model()
     rows = []
     for check in config.checks:
         fn = _CHECKS.get(check)
         if fn is None:
             raise ConfigurationError(f"unknown verify check {check!r}; known: {sorted(_CHECKS)}")
-        rows.extend(fn(config, workers))
+        rows.extend(fn(config, workers, cluster))
     return rows, [("verify.csv", lambda fh, rows_=rows: Report(rows_, {}).rows_to_csv(fh))]
 
 
@@ -641,36 +645,31 @@ def _paths_mean(config: ExperimentConfig, workers: int, spec: dict, centering=No
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals)))
 
 
-def _check_greenwood(config, workers):
-    cluster = config.cluster_model()
+def _check_greenwood(config, workers, cluster):
     analytic = oracles.expected_greenwood(cluster, p=config.p, seed=_seed_for(config.seed, "oracle"))
     mc, se = _paths_mean(config, workers, {"name": "greenwood", "p": config.p}, centering="none")
     return [_mc_row(f"greenwood_p{config.p:g}", analytic, mc, se, config.z_bound)]
 
 
-def _check_ratio_max(config, workers):
-    cluster = config.cluster_model()
+def _check_ratio_max(config, workers, cluster):
     analytic = oracles.expected_ratio_max(cluster, seed=_seed_for(config.seed, "oracle"))
     mc, se = _paths_mean(config, workers, {"name": "ratio_max"})
     return [_mc_row("ratio_max", analytic, mc, se, config.z_bound)]
 
 
-def _check_ratio_student(config, workers):
-    cluster = config.cluster_model()
+def _check_ratio_student(config, workers, cluster):
     analytic = oracles.expected_ratio_student(cluster, p=config.p, seed=_seed_for(config.seed, "oracle"))
     mc, se = _paths_mean(config, workers, {"name": "studentized", "p": config.p})
     return [_mc_row(f"studentized_p{config.p:g}", analytic, mc, se, config.z_bound)]
 
 
-def _check_kurtosis(config, workers):
-    cluster = config.cluster_model()
+def _check_kurtosis(config, workers, cluster):
     analytic = oracles.expected_kurtosis_limit(cluster, seed=_seed_for(config.seed, "oracle"))
     mc, se = _paths_mean(config, workers, {"name": "kurtosis"}, centering="none")
     return [_mc_row("kurtosis", analytic, mc, se, config.z_bound)]
 
 
-def _check_extremal_index(config, workers):
-    cluster = config.cluster_model()
+def _check_extremal_index(config, workers, cluster):
     seed = _seed_for(config.seed, "cluster")
     acc = clusters.tilted_acceptance(cluster, reps=config.reps, seed=seed)
     mx = clusters.extremal_index(cluster, reps=config.reps, seed=derive_seed(seed, 1), method="cluster_max")
@@ -696,8 +695,7 @@ def _check_extremal_index(config, workers):
     return rows
 
 
-def _check_lepage_laplace(config, workers):
-    cluster = config.cluster_model()
+def _check_lepage_laplace(config, workers, cluster):
     alpha = cluster.alpha
     draws = sample_limit_batch_parallel(
         cluster, alpha, config.p, config.reps, config.n_terms, _seed_for(config.seed, "series"), workers,
@@ -714,7 +712,7 @@ def _check_lepage_laplace(config, workers):
     return rows
 
 
-def _check_gamma_identity(config, workers):
+def _check_gamma_identity(config, workers, cluster):
     xs = config.x_points or (0.5, 1.0, 4.0)
     rows = []
     for row in oracles.gamma_identity_check(config.p, xs):
@@ -723,8 +721,7 @@ def _check_gamma_identity(config, workers):
     return rows
 
 
-def _check_time_change(config, workers):
-    cluster = config.cluster_model()
+def _check_time_change(config, workers, cluster):
     report = clusters.verify_time_change(
         cluster, t=1, test_functionals=clusters.standard_functionals(),
         reps=config.reps, seed=_seed_for(config.seed, "cluster"),
@@ -739,8 +736,7 @@ def _check_time_change(config, workers):
     return rows
 
 
-def _check_self_decomposition(config, workers):
-    cluster = config.cluster_model()
+def _check_self_decomposition(config, workers, cluster):
     u = (config.u_points or (1.0,))[0]
     lam = (config.lambda_points or (1.0,))[0]
     c = 0.5

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import pickle
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 from selfnorm import (
@@ -16,11 +20,14 @@ from selfnorm import (
     sample_limit_lepage_batch,
     simulate_statistics,
 )
+from selfnorm import clusters
 from selfnorm.cli import main as cli_main
 from selfnorm.experiments import cluster_from_dict, cluster_to_dict, derive_cluster, load_config
 
 
 IID_POS_HALF = {"kind": "iid", "noise": {"kind": "pareto", "alpha": 0.5, "q_plus": 1.0, "q_minus": 0.0}}
+AR1_POS_HALF = {"kind": "ar1", "phi": 0.5, "noise": {"kind": "pareto", "alpha": 0.5, "q_plus": 1.0, "q_minus": 0.0}}
+SRE_POS = {"kind": "sre", "sre_law": {"kind": "lognormal", "alpha": 0.8, "sigma": 1.0, "b_mean": 1.0, "b_sd": 0.0}}
 
 
 def small_verify_config(**over):
@@ -71,6 +78,25 @@ class TestConfig:
             again = cluster_from_dict(d)
             assert cluster_to_dict(again) == d
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        source=st.sampled_from([AR1_POS_HALF, SRE_POS]),
+        floor_rel=st.floats(0.0, 1.0, exclude_max=True),
+        run_gap=st.integers(1, 50),
+        threshold_quantile=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        block_half_width=st.integers(1, 500),
+        sample_length=st.integers(1, 10**7),
+        library_seed=st.integers(0, 2**31),
+    )
+    def test_empirical_cluster_round_trip(self, source, floor_rel, run_gap, threshold_quantile,
+                                          block_half_width, sample_length, library_seed):
+        c = clusters.empirical_cluster(
+            cluster_from_dict({"kind": "empirical", "source": source}).source,
+            threshold_quantile=threshold_quantile, block_half_width=block_half_width,
+            sample_length=sample_length, library_seed=library_seed, floor_rel=floor_rel, run_gap=run_gap,
+        )
+        assert cluster_from_dict(cluster_to_dict(c)) == c
+
 
 class TestParallel:
     def test_serial_parallel_bit_equality(self, ar1_pos_half):
@@ -99,6 +125,58 @@ class TestParallel:
 
         b = sample_limit_batch_parallel(c, 0.5, 2.0, reps=5, n_terms=100, seed=9, workers=1)
         assert np.array_equal(a["xi"], b["xi"])
+
+
+class TestEmpiricalWorkers:
+    """An empirical cluster gives the same run at any worker count, its library
+    is built once per run, and pool workers never build one."""
+
+    CLUSTER = {"kind": "empirical", "source": AR1_POS_HALF, "sample_length": 200_000, "library_seed": 2}
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        driver = os.getpid()
+        calls = []
+        build = clusters._BlockLibrary.build.__func__
+
+        def guarded(cls, model):
+            if os.getpid() != driver:
+                raise AssertionError("a pool worker built an empirical library")
+            calls.append(model)
+            return build(cls, model)
+
+        monkeypatch.setattr(clusters._BlockLibrary, "build", classmethod(guarded))
+        return calls
+
+    def _run(self, cfg: dict, workers: int, out) -> tuple[dict, dict]:
+        run_experiment(ExperimentConfig.from_dict(cfg), out_dir=out, workers=workers)
+        root = out / cfg["name"]
+        report = json.loads((root / "report.json").read_text())
+        for timing in ("wall_time_s", "workers"):
+            report["metadata"].pop(timing)
+        files = {f.name: f.read_bytes() for f in sorted(root.iterdir()) if f.name != "report.json"}
+        return report, files
+
+    @pytest.mark.parametrize("cfg", [
+        dict(kind="limit", name="emp-limit", cluster=CLUSTER, reps=40, n_terms=300, p=2.0, seed=3),
+        dict(kind="verify", name="emp-verify", model=AR1_POS_HALF, cluster=CLUSTER, n=1000, reps=300,
+             p=2.0, checks=["extremal_index", "lepage_laplace"], n_terms=200, seed=4),
+    ], ids=["limit", "verify"])
+    def test_worker_count_invariance(self, cfg, tmp_path, builds):
+        one = self._run(cfg, 1, tmp_path / "one")
+        assert len(builds) == 1
+        two = self._run(cfg, 2, tmp_path / "two")
+        assert len(builds) == 2
+        assert one == two
+
+    def test_shipped_cluster_draws_without_blocks(self, builds):
+        c = cluster_from_dict(self.CLUSTER)
+        want = clusters.cluster_functionals(c, 3000, 2.0, seed=5)
+        shipped = pickle.loads(pickle.dumps(c.table_only((2.0,))))
+        assert shipped._library.segments is None
+        got = clusters.cluster_functionals(shipped, 3000, 2.0, seed=5)
+        assert len(builds) == 1
+        assert all(np.array_equal(want[k], got[k]) for k in want)
 
 
 class TestRunExperiment:
@@ -250,3 +328,11 @@ class TestCLI:
         assert cfg.resolved_workers(override=5) == 5
         monkeypatch.delenv("SELFNORM_WORKERS")
         assert cfg.resolved_workers() == 1
+
+    def test_bad_workers_env_exit_2(self, tmp_path, monkeypatch, capsys):
+        cfg_path = tmp_path / "cfg.yaml"
+        with open(cfg_path, "w") as fh:
+            yaml.safe_dump(small_verify_config(n=1000, reps=20).to_dict(), fh)
+        monkeypatch.setenv("SELFNORM_WORKERS", "abc")
+        assert cli_main(["verify", "--config", str(cfg_path)]) == 2
+        assert "SELFNORM_WORKERS" in capsys.readouterr().err
