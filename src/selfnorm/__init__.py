@@ -44,7 +44,6 @@ from .experiments import (
     simulate_statistics,
 )
 from .limits import (
-    GammaSeries,
     LimitSample,
     TransformGrid,
     TransformValue,

@@ -5,8 +5,7 @@ around a large value at time 0 (``|Theta_0| = 1``). The cluster process is its
 l^alpha normalisation ``Q = Theta / ||Theta||_alpha`` and satisfies
 ``sum_t |Q_t|^alpha = 1`` and ``max_t |Q_t| <= 1``. The tilted cluster is the
 max-renormalised version of Q under the ``max_t |Q_t|^alpha`` change of
-measure; it is sampled here by rejection, which is valid precisely because
-``max|Q| <= 1``.
+measure.
 
 Three cluster kinds are supported:
 
@@ -18,13 +17,21 @@ Three cluster kinds are supported:
   exceedances of a simulated source process (the only route shipped for SRE
   models, whose two-sided tail process has no convenient closed form).
 
-An empirical cluster is a uniform draw from a library of anchors. The library
-is simulated once per model instance, on first use, and each anchor's
-``max|Q|``, ``sum Q``, ``||Q||_1`` and ``||Q||_p^p`` are tabulated once per
-exponent p; ``cluster_functionals`` draws anchor indices and looks them up, so
-every batched functional, oracle and series draw costs a gather. A
-``table_only`` copy of the model carries that table without the blocks; it is
-what pool workers receive.
+Every limit law depends on the cluster only through expectations of its
+functionals ``max|Q|``, ``sum Q``, ``||Q||_1`` and ``||Q||_p^p``, under Q and
+under the tilt. ``cluster_law`` gives their law as weighted atoms: two exact
+atoms for the analytic kinds, one atom per library anchor for an empirical
+cluster. The tilted law is the same atoms reweighted exactly by
+``max|Q|^alpha``. Batched draws, the transform engine's atoms, the oracles and
+the moment estimators all read this one law; ``cluster_law`` is the only place
+where a cluster expectation depends on the kind.
+
+An empirical library is simulated once per model instance, on first use, and
+its per-anchor functionals are tabulated once per exponent p, so every draw
+costs a gather. A ``table_only`` copy of the model carries that table without
+the blocks; it is what pool workers receive. Estimates from a library report
+batch-means standard errors over its independent chains, which include the
+noise of the library itself.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, SamplingError, UnsupportedError
-from .processes import ProcessModel, _simulate_rows
+from .processes import ProcessModel, _simulate_rows, text_target
 from .rng import substream
 
 TRUNCATION_TARGET = 1e-10
@@ -475,9 +482,11 @@ def sample_cluster(model: ClusterModel, horizon: Optional[int] = None, seed: int
 
 
 def sample_tilted_cluster(model: ClusterModel, horizon: Optional[int] = None, seed: int = 0) -> TiltedClusterDraw:
-    """Rejection sampler for the tilted cluster: propose Q, accept with
+    """One whole tilted cluster path, by rejection: propose Q, accept with
     probability ``max_t |Q_t|^alpha`` (valid since ``max|Q| <= 1``), return
-    ``Q / max_t |Q_t|``."""
+    ``Q / max_t |Q_t|``. A truncated AR(1) window's max depends on how far its
+    backward extent J overshoots the horizon, which the two-atom law does not
+    hold; batched tilted functionals come from the reweighted law instead."""
     if horizon is None:
         horizon = default_horizon(model)
     rng = substream(seed)
@@ -506,101 +515,21 @@ def tilted_acceptance(model: ClusterModel, reps: int, seed: int = 0) -> Estimate
 
 
 # ---------------------------------------------------------------------------
-# batched cluster functionals (used by the series sampler, the transform
-# engine and the moment estimators)
-
-
-def cluster_functionals(model: ClusterModel, count: int, p: float, seed=0, rng=None, extra_ps=()) -> dict:
-    """Arrays of per-draw reductions of Q: ``max_abs``, ``sum_q`` (signed sum),
-    ``sum_abs`` (l1 norm) and ``sum_abs_p`` (l^p norm to the p-th power).
-
-    ``extra_ps`` requests further l^q powers on the same draws, returned under
-    keys ``sum_abs_p{q:g}``.
-    """
-    if rng is None:
-        rng = substream(seed, 11)
-    if model.kind == "iid":
-        qp = model.tail_balance[0]
-        signs = np.where(rng.random(count) < qp, 1.0, -1.0)
-        ones = np.ones(count)
-        out = {"max_abs": ones, "sum_q": signs, "sum_abs": ones.copy(), "sum_abs_p": ones.copy()}
-        for q in extra_ps:
-            out[f"sum_abs_p{q:g}"] = np.ones(count)
-        return out
-    if model.kind == "ar1_analytic":
-        phi, alpha = model.phi, model.alpha
-        r = abs(phi) ** alpha
-        scale = (1.0 - r) ** (1.0 / alpha)
-        signs = np.where(rng.random(count) < model.tail_balance[0], 1.0, -1.0)
-        out = {
-            "max_abs": np.full(count, scale),
-            "sum_q": signs * scale / (1.0 - phi),
-            "sum_abs": np.full(count, scale / (1.0 - abs(phi))),
-            "sum_abs_p": np.full(count, (1.0 - r) ** (p / alpha) / (1.0 - abs(phi) ** p)),
-        }
-        for q in extra_ps:
-            out[f"sum_abs_p{q:g}"] = np.full(count, (1.0 - r) ** (q / alpha) / (1.0 - abs(phi) ** q))
-        return out
-    lib = model._empirical_library()
-    lib.require_anchors()
-    table = lib.table((p, *extra_ps))
-    cols = {"max_abs": table["max_abs"], "sum_q": table["sum_q"], "sum_abs": table["sum_abs"],
-            "sum_abs_p": table[p], **{f"sum_abs_p{q:g}": table[q] for q in extra_ps}}
-    # the chunked rng.integers calls are part of the draw sequence: other chunk
-    # sizes would change every empirical draw and every seeded result
-    chunk = max(1, 2_000_000 // (2 * lib.half_width + 1))
-    which = np.concatenate([rng.integers(0, lib.n_anchors, size=min(chunk, count - lo))
-                            for lo in range(0, count, chunk)] or [np.zeros(0, dtype=np.int64)])
-    return {k: col[which] for k, col in cols.items()}
-
-
-def tilted_functionals(model: ClusterModel, count: int, p: float, seed=0) -> dict:
-    """Per-draw reductions of the tilted cluster, by vectorised rejection;
-    exact two-atom laws for the analytic kinds (their norms are deterministic,
-    so the tilt does not reweight)."""
-    rng = substream(seed, 13)
-    if model.kind == "iid":
-        signs = np.where(rng.random(count) < model.tail_balance[0], 1.0, -1.0)
-        ones = np.ones(count)
-        return {"sum_q": signs, "sum_abs": ones, "sum_abs_p": ones.copy()}
-    if model.kind == "ar1_analytic":
-        phi = model.phi
-        signs = np.where(rng.random(count) < model.tail_balance[0], 1.0, -1.0)
-        return {
-            "sum_q": signs / (1.0 - phi),
-            "sum_abs": np.full(count, 1.0 / (1.0 - abs(phi))),
-            "sum_abs_p": np.full(count, 1.0 / (1.0 - abs(phi) ** p)),
-        }
-    out = {k: np.empty(count) for k in ("sum_q", "sum_abs", "sum_abs_p")}
-    done = 0
-    alpha = model.alpha
-    while done < count:
-        need = count - done
-        propose = max(64, int(1.5 * need))
-        f = cluster_functionals(model, propose, p, rng=rng)
-        accept = rng.random(propose) < f["max_abs"] ** alpha
-        idx = np.nonzero(accept)[0][:need]
-        if idx.size == 0:
-            continue
-        m = f["max_abs"][idx]
-        take = idx.size
-        out["sum_q"][done: done + take] = f["sum_q"][idx] / m
-        out["sum_abs"][done: done + take] = f["sum_abs"][idx] / m
-        out["sum_abs_p"][done: done + take] = f["sum_abs_p"][idx] / m**p
-        done += take
-    return out
-
-
-# ---------------------------------------------------------------------------
-# atoms: a discrete view of the cluster law for the transform engine
+# the cluster law: weighted atoms of the cluster functionals, read by the
+# series sampler, the transform engine, the oracles and the moment estimators
 
 
 @dataclass(frozen=True)
 class ClusterAtoms:
     """Weighted atoms of (sum Q, max|Q|, ||Q||_p^p, ||Q||_1).
 
-    Exact two-atom laws for iid / ar1_analytic kinds; a Monte-Carlo sample of
-    size ``reps`` for empirical kinds.
+    ``exact`` laws are the two atoms of an analytic kind. Otherwise the atoms
+    are the anchors of an empirical library, or ``reps`` draws from them, and
+    ``group`` holds each atom's library chain. ``norms`` maps every exponent q
+    the law was built for to ``||Q||_q^q``; ``norm_p_p`` is the one at ``p``.
+    A law with ``draw_chunk > 0`` is uniform and is drawn by ``rng.integers``
+    calls of at most that many indices: the chunks are part of the draw
+    sequence, and other sizes would change every seeded empirical result.
     """
 
     alpha: float
@@ -612,58 +541,141 @@ class ClusterAtoms:
     sum_abs: np.ndarray
     exact: bool
     reps: int = 0
+    group: Optional[np.ndarray] = None
+    norms: dict = field(default_factory=dict)
+    draw_chunk: int = 0
+
+    def draw(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        """Atom indices of ``count`` independent draws from the law; a weighted
+        law is drawn by the inverse CDF of ``rng.random``."""
+        n = len(self.weights)
+        if self.draw_chunk:
+            step = self.draw_chunk
+            return np.concatenate([rng.integers(0, n, size=min(step, count - lo))
+                                   for lo in range(0, count, step)] or [np.zeros(0, dtype=np.int64)])
+        return np.minimum(np.searchsorted(np.cumsum(self.weights), rng.random(count), side="right"), n - 1)
+
+    def sample(self, count: int, rng: np.random.Generator) -> "ClusterAtoms":
+        """``count`` draws from a library law as equally weighted atoms, each
+        keeping its anchor's chain."""
+        k = self.draw(count, rng)
+        return ClusterAtoms(
+            alpha=self.alpha, p=self.p, weights=np.full(count, 1.0 / count), sum_q=self.sum_q[k],
+            max_abs=self.max_abs[k], norm_p_p=self.norm_p_p[k], sum_abs=self.sum_abs[k], exact=False,
+            reps=count, group=self.group[k], norms={q: v[k] for q, v in self.norms.items()},
+        )
+
+    def tilted(self) -> "ClusterAtoms":
+        """The tilted cluster law by exact reweighting: weights proportional to
+        ``w max|Q|^alpha``, functionals of the max-renormalised ``Q / max|Q|``."""
+        m = self.max_abs
+        w = self.weights * m**self.alpha
+        return dataclasses.replace(
+            self, weights=w / w.sum(), sum_q=self.sum_q / m, max_abs=np.ones(len(m)),
+            norm_p_p=self.norm_p_p / m**self.p, sum_abs=self.sum_abs / m,
+            norms={q: v / m**q for q, v in self.norms.items()}, draw_chunk=0,
+        )
+
+
+def cluster_law(model: ClusterModel, exponents: Sequence[float]) -> ClusterAtoms:
+    """The law of the cluster functionals, with ``||Q||_q^q`` for every q in
+    ``exponents`` (the first is ``p``).
+
+    iid and ar1_analytic clusters are exact: one atom per sign of the spike,
+    weighted by the tail balance, holding the closed-form functionals of the
+    geometric cluster ``Q_t = (1 - |phi|^alpha)^(1/alpha) phi^t``, t >= 0
+    (phi = 0 for iid). An empirical cluster has one atom per library anchor,
+    weighted 1/n_anchors, read from the library's per-anchor table.
+    """
+    qs = tuple(dict.fromkeys(exponents))
+    if model.kind == "empirical":
+        lib = model._empirical_library()
+        lib.require_anchors()
+        table = lib.table(qs)
+        n = lib.n_anchors
+        return ClusterAtoms(
+            alpha=model.alpha, p=qs[0], weights=np.full(n, 1.0 / n), sum_q=table["sum_q"],
+            max_abs=table["max_abs"], norm_p_p=table[qs[0]], sum_abs=table["sum_abs"], exact=False,
+            reps=n, group=lib.anchor_chain, norms={q: table[q] for q in qs},
+            draw_chunk=max(1, 2_000_000 // (2 * lib.half_width + 1)),
+        )
+    alpha = model.alpha
+    phi = model.phi if model.kind == "ar1_analytic" else 0.0
+    r = abs(phi) ** alpha
+    scale = (1.0 - r) ** (1.0 / alpha)
+    mag = scale / (1.0 - phi)
+    norms = {q: np.full(2, (1.0 - r) ** (q / alpha) / (1.0 - abs(phi) ** q)) for q in qs}
+    return ClusterAtoms(
+        alpha=alpha, p=qs[0], weights=np.array(model.tail_balance), sum_q=np.array([mag, -mag]),
+        max_abs=np.full(2, scale), norm_p_p=norms[qs[0]], sum_abs=np.full(2, scale / (1.0 - abs(phi))),
+        exact=True, norms=norms,
+    )
+
+
+def _law_sample(model: ClusterModel, exponents: Sequence[float], n_mc: int, seed: int) -> ClusterAtoms:
+    """The cluster law when it is exact, else ``n_mc`` draws from it on the
+    stream of ``cluster_functionals(..., seed=seed)``."""
+    law = cluster_law(model, exponents)
+    return law if law.exact else law.sample(n_mc, substream(seed, 11))
 
 
 def cluster_atoms(model: ClusterModel, p: Optional[float] = None, n_mc: int = 10_000, seed: int = 0) -> ClusterAtoms:
-    pp = model.alpha + 1.0 if p is None else float(p)
-    qp, qm = model.tail_balance
-    if model.kind == "iid":
-        return ClusterAtoms(
-            alpha=model.alpha, p=p, weights=np.array([qp, qm]),
-            sum_q=np.array([1.0, -1.0]), max_abs=np.ones(2),
-            norm_p_p=np.ones(2), sum_abs=np.ones(2), exact=True,
-        )
-    if model.kind == "ar1_analytic":
-        phi, alpha = model.phi, model.alpha
-        r = abs(phi) ** alpha
-        scale = (1.0 - r) ** (1.0 / alpha)
-        mag = scale / (1.0 - phi)
-        return ClusterAtoms(
-            alpha=alpha, p=p, weights=np.array([qp, qm]),
-            sum_q=np.array([mag, -mag]), max_abs=np.full(2, scale),
-            norm_p_p=np.full(2, (1.0 - r) ** (pp / alpha) / (1.0 - abs(phi) ** pp)),
-            sum_abs=np.full(2, scale / (1.0 - abs(phi))), exact=True,
-        )
-    f = cluster_functionals(model, n_mc, pp, seed=seed)
-    return ClusterAtoms(
-        alpha=model.alpha, p=p, weights=np.full(n_mc, 1.0 / n_mc),
-        sum_q=f["sum_q"], max_abs=f["max_abs"], norm_p_p=f["sum_abs_p"], sum_abs=f["sum_abs"],
-        exact=False, reps=n_mc,
-    )
+    """The cluster law at ``p`` (default alpha + 1): the exact atoms of an
+    analytic kind, an ``n_mc``-draw resample of an empirical library."""
+    return _law_sample(model, (model.alpha + 1.0 if p is None else float(p),), n_mc, seed)
 
 
 def tilted_atoms(model: ClusterModel, p: Optional[float] = None, n_mc: int = 10_000, seed: int = 0) -> ClusterAtoms:
-    pp = model.alpha + 1.0 if p is None else float(p)
-    qp, qm = model.tail_balance
-    if model.kind in ("iid", "ar1_analytic"):
-        if model.kind == "iid":
-            mag, l1, lpp = 1.0, 1.0, 1.0
-        else:
-            phi = model.phi
-            mag = 1.0 / (1.0 - phi)
-            l1 = 1.0 / (1.0 - abs(phi))
-            lpp = 1.0 / (1.0 - abs(phi) ** pp)
-        return ClusterAtoms(
-            alpha=model.alpha, p=p, weights=np.array([qp, qm]),
-            sum_q=np.array([mag, -mag]), max_abs=np.ones(2),
-            norm_p_p=np.full(2, lpp), sum_abs=np.full(2, l1), exact=True,
-        )
-    f = tilted_functionals(model, n_mc, pp, seed=seed)
-    return ClusterAtoms(
-        alpha=model.alpha, p=p, weights=np.full(n_mc, 1.0 / n_mc),
-        sum_q=f["sum_q"], max_abs=np.ones(n_mc), norm_p_p=f["sum_abs_p"], sum_abs=f["sum_abs"],
-        exact=False, reps=n_mc,
-    )
+    """The :func:`cluster_atoms` sample reweighted to the tilted law."""
+    return cluster_atoms(model, p, n_mc, seed).tilted()
+
+
+def cluster_functionals(model: ClusterModel, count: int, p: float, seed=0, rng=None, extra_ps=()) -> dict:
+    """Arrays of per-draw reductions of Q, drawn from :func:`cluster_law`:
+    ``max_abs``, ``sum_q`` (signed sum), ``sum_abs`` (l1 norm) and
+    ``sum_abs_p`` (l^p norm to the p-th power).
+
+    ``extra_ps`` requests further l^q powers on the same draws, returned under
+    keys ``sum_abs_p{q:g}``.
+    """
+    law = cluster_law(model, (p, *extra_ps))
+    k = law.draw(count, substream(seed, 11) if rng is None else rng)
+    out = {"max_abs": law.max_abs[k], "sum_q": law.sum_q[k], "sum_abs": law.sum_abs[k],
+           "sum_abs_p": law.norm_p_p[k]}
+    out.update({f"sum_abs_p{q:g}": law.norms[q][k] for q in extra_ps})
+    return out
+
+
+def tilted_functionals(model: ClusterModel, count: int, p: float, seed=0) -> dict:
+    """Per-draw reductions ``sum_q``, ``sum_abs`` and ``sum_abs_p`` of the
+    tilted cluster, drawn from the exactly reweighted law."""
+    law = cluster_law(model, (p,)).tilted()
+    k = law.draw(count, substream(seed, 13))
+    return {"sum_q": law.sum_q[k], "sum_abs": law.sum_abs[k], "sum_abs_p": law.norm_p_p[k]}
+
+
+def _weighted_estimate(atoms: ClusterAtoms, weight, value, method: str = "monte_carlo") -> Estimate:
+    """``sum w g v / sum w g`` over the atoms: w their weights, g ``weight``
+    and v ``value`` (scalars or per-atom arrays, real or complex).
+
+    The stderr is 0 for exact atoms. For a library sample it is the
+    batch-means stderr over the chains in ``atoms.group``: the linearised
+    residuals ``w g (v - estimate)`` are summed per chain and the chain sums
+    taken as independent (Kuensch 1989, Ann. Statist. 17:1217). Anchors of one
+    chain are dependent, so this counts the noise of the library itself,
+    which the spread of the resampled draws does not see.
+    """
+    a = atoms.weights * weight
+    total = np.sum(a)
+    est = (np.sum(a * value) / total).item()
+    if atoms.exact:
+        return Estimate(est, 0.0, 0, "closed_form")
+    resid = np.broadcast_to(a * (value - est), a.shape)
+    chains = np.count_nonzero(np.bincount(atoms.group))
+    if chains < 2:
+        return Estimate(est, math.nan, atoms.reps, method)
+    ss = sum(float(np.sum(np.bincount(atoms.group, part) ** 2)) for part in (resid.real, resid.imag))
+    return Estimate(est, math.sqrt(ss * chains / (chains - 1)) / abs(total), atoms.reps, method)
 
 
 # ---------------------------------------------------------------------------
@@ -673,18 +685,13 @@ def tilted_atoms(model: ClusterModel, p: Optional[float] = None, n_mc: int = 10_
 def extremal_index(model: ClusterModel, reps: int = 100_000, seed: int = 0, method: str = "auto") -> Estimate:
     """Extremal index theta = E[max_t |Q_t|^alpha].
 
-    Closed form for the analytic kinds (1 for iid, ``1 - |phi|^alpha`` for
-    AR(1)). Empirical kinds use the running supremum of the multiplier
-    products when the source is an SRE,
-    ``theta = E[(1 - sup_{t>=1} |A_1...A_t|^alpha)_+]``, or the Monte-Carlo
-    mean of ``max|Q|^alpha`` over extracted clusters (``method="cluster_max"``,
+    Exact for the analytic kinds (1 for iid, ``1 - |phi|^alpha`` for AR(1)).
+    Empirical kinds use the running supremum of the multiplier products when
+    the source is an SRE,
+    ``theta = E[(1 - sup_{t>=1} |A_1...A_t|^alpha)_+]``, or the mean of
+    ``max|Q|^alpha`` over ``reps`` library draws (``method="cluster_max"``,
     always available as a cross-check).
     """
-    if method in ("auto", "closed_form"):
-        if model.kind == "iid":
-            return Estimate(1.0)
-        if model.kind == "ar1_analytic":
-            return Estimate(1.0 - abs(model.phi) ** model.alpha)
     if method == "sre_products" or (method == "auto" and model.source is not None and model.source.kind == "sre"):
         if model.kind != "empirical" or model.source.kind != "sre":
             raise ConfigurationError("the product estimator requires an empirical SRE cluster")
@@ -701,26 +708,18 @@ def extremal_index(model: ClusterModel, reps: int = 100_000, seed: int = 0, meth
             vals[done: done + m] = np.clip(1.0 - sup, 0.0, None)
             done += m
         return Estimate(float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(reps)), reps, "sre_products")
-    f = cluster_functionals(model, reps, p=model.alpha, seed=seed)
-    vals = f["max_abs"] ** model.alpha
-    return Estimate(float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(reps)), reps, "cluster_max")
+    atoms = cluster_atoms(model, model.alpha, reps, seed)
+    return _weighted_estimate(atoms, 1.0, atoms.max_abs**model.alpha, "cluster_max")
 
 
 def cluster_moment(model: ClusterModel, p: float, reps: int = 10_000, seed: int = 0) -> Estimate:
     """E[||Q||_p^alpha]; equals 1 at p = alpha by the cluster normalisation."""
     if p <= 0:
         raise ConfigurationError("p must be positive")
-    alpha = model.alpha
-    if model.kind == "iid":
-        return Estimate(1.0)
-    if model.kind == "ar1_analytic":
-        r = abs(model.phi) ** alpha
-        return Estimate((1.0 - r) / (1.0 - abs(model.phi) ** p) ** (alpha / p))
-    if p <= alpha:
+    atoms = cluster_atoms(model, p, reps, seed)
+    if p <= model.alpha and not atoms.exact:
         raise UnsupportedError("Monte-Carlo cluster moments need p > alpha")
-    f = cluster_functionals(model, reps, p, seed=seed)
-    vals = f["sum_abs_p"] ** (alpha / p)
-    return Estimate(float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(reps)), reps, "monte_carlo")
+    return _weighted_estimate(atoms, 1.0, atoms.norm_p_p ** (model.alpha / p))
 
 
 def truncated_abs_mean_series(model: ClusterModel, lags, reps: int = 20_000, seed: int = 0) -> np.ndarray:
@@ -854,18 +853,12 @@ def _check_bound(vals: np.ndarray, f: BoundedFunctional) -> None:
 
 def cluster_to_csv(draw: ClusterDraw, target) -> None:
     """Write a cluster draw as CSV rows (t, value)."""
-    if hasattr(target, "write"):
-        target.write("t,value\n")
+    with text_target(target) as fh:
+        fh.write("t,value\n")
         for t, v in zip(range(draw.t_min, draw.t_max + 1), draw.values):
-            target.write("%d,%.17g\n" % (t, v))
-    else:
-        with open(target, "w") as fh:
-            cluster_to_csv(draw, fh)
+            fh.write("%d,%.17g\n" % (t, v))
 
 
 def estimate_to_json(est: Estimate, target) -> None:
-    if hasattr(target, "write"):
-        json.dump(est.to_json(), target, indent=2)
-    else:
-        with open(target, "w") as fh:
-            json.dump(est.to_json(), fh, indent=2)
+    with text_target(target) as fh:
+        json.dump(est.to_json(), fh, indent=2)

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, UnsupportedError
-from .processes import ProcessModel, _coupled_rows, _simulate_rows, normalizing_an
+from .processes import ProcessModel, _coupled_rows, _simulate_rows, normalizing_an, text_target
 
 
 @dataclass(frozen=True)
@@ -27,13 +27,10 @@ class DecaySeries:
     r2: float
 
     def to_csv(self, target) -> None:
-        if hasattr(target, "write"):
-            target.write("index,value,stderr\n")
+        with text_target(target) as fh:
+            fh.write("index,value,stderr\n")
             for i, v, s in zip(self.index, self.values, self.stderr):
-                target.write("%d,%.17g,%.17g\n" % (i, v, s))
-        else:
-            with open(target, "w") as fh:
-                self.to_csv(fh)
+                fh.write("%d,%.17g,%.17g\n" % (i, v, s))
 
     def to_json(self) -> dict:
         return {

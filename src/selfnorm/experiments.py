@@ -27,7 +27,7 @@ import yaml
 from . import clusters, diagnostics, limits, oracles, processes, stats
 from .clusters import ClusterModel, Estimate
 from .errors import ConfigurationError
-from .processes import ProcessModel, model_from_dict, model_to_dict, stationary_mean
+from .processes import ProcessModel, check_keys, model_from_dict, model_to_dict, stationary_mean, text_target
 from .rng import derive_seed, substream
 
 WORKERS_ENV = "SELFNORM_WORKERS"
@@ -137,7 +137,14 @@ class ExperimentConfig:
         return d
 
     def config_hash(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True, default=str).encode()
+        """Hash of the config with its model and cluster resolved, so that
+        spelling out a default value leaves it unchanged."""
+        d = self.to_dict()
+        if self.model is not None:
+            d["model"] = model_to_dict(self.process_model())
+        if self.cluster is not None:
+            d["cluster"] = cluster_to_dict(self.cluster_model())
+        blob = json.dumps(d, sort_keys=True, default=str).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
     def process_model(self) -> ProcessModel:
@@ -170,26 +177,34 @@ def load_config(path) -> ExperimentConfig:
     return ExperimentConfig.from_dict(data)
 
 
+_CLUSTER_KEYS = {
+    "iid": ("kind", "alpha", "q_plus", "q_minus"),
+    "ar1_analytic": ("kind", "alpha", "phi", "q_plus", "q_minus"),
+    "empirical": ("kind", "alpha", "source", "threshold_quantile", "block_half_width", "sample_length",
+                  "library_seed", "floor_rel", "run_gap"),
+}
+
+
 def cluster_from_dict(d: dict) -> ClusterModel:
     kind = d.get("kind")
+    if kind not in _CLUSTER_KEYS:
+        raise ConfigurationError(f"unknown cluster kind {kind!r}")
+    check_keys(d, _CLUSTER_KEYS[kind], f"{kind} cluster")
     tb = (float(d.get("q_plus", 0.5)), float(d.get("q_minus", 0.5)))
     if kind == "iid":
         return clusters.iid_cluster(float(d["alpha"]), tb)
     if kind == "ar1_analytic":
         return clusters.ar1_cluster(float(d["phi"]), float(d["alpha"]), tb)
-    if kind == "empirical":
-        source = model_from_dict(d["source"])
-        return clusters.empirical_cluster(
-            source,
-            alpha=float(d["alpha"]) if "alpha" in d else None,
-            threshold_quantile=float(d.get("threshold_quantile", 0.999)),
-            block_half_width=int(d.get("block_half_width", 200)),
-            sample_length=int(d.get("sample_length", 2_000_000)),
-            library_seed=int(d.get("library_seed", 0)),
-            floor_rel=float(d.get("floor_rel", 0.005)),
-            run_gap=int(d.get("run_gap", 2)),
-        )
-    raise ConfigurationError(f"unknown cluster kind {kind!r}")
+    return clusters.empirical_cluster(
+        model_from_dict(d["source"]),
+        alpha=float(d["alpha"]) if "alpha" in d else None,
+        threshold_quantile=float(d.get("threshold_quantile", 0.999)),
+        block_half_width=int(d.get("block_half_width", 200)),
+        sample_length=int(d.get("sample_length", 2_000_000)),
+        library_seed=int(d.get("library_seed", 0)),
+        floor_rel=float(d.get("floor_rel", 0.005)),
+        run_gap=int(d.get("run_gap", 2)),
+    )
 
 
 def cluster_to_dict(model: ClusterModel) -> dict:
@@ -264,16 +279,13 @@ class Report:
         }
 
     def rows_to_csv(self, target) -> None:
-        if hasattr(target, "write"):
-            target.write("name,analytic,mc,stderr,z,passed\n")
+        with text_target(target) as fh:
+            fh.write("name,analytic,mc,stderr,z,passed\n")
             for r in self.rows:
-                target.write(
+                fh.write(
                     "%s,%s,%s,%s,%s,%d\n"
                     % (r.name, _num(r.analytic), _num(r.mc), _num(r.stderr), _num(r.z), r.passed)
                 )
-        else:
-            with open(target, "w") as fh:
-                self.rows_to_csv(fh)
 
 
 def _num(v) -> str:

@@ -36,8 +36,11 @@ import mpmath
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
-from .clusters import ClusterAtoms, ClusterModel, cluster_atoms, cluster_functionals, cluster_moment, tilted_atoms
+from .clusters import (
+    ClusterAtoms, ClusterModel, _weighted_estimate, cluster_atoms, cluster_law, cluster_moment, tilted_atoms,
+)
 from .errors import ConfigurationError, DegeneratePathError, NumericalError, UnsupportedError
+from .processes import text_target
 from .rng import substream
 
 QUAD_TOL = 1e-8
@@ -185,12 +188,8 @@ def _atom_log_hybrid(alpha: float, b: float, x_m: float) -> complex:
 
 
 def _weighted_log(atoms: ClusterAtoms, per_atom: np.ndarray) -> tuple[complex, float]:
-    log_val = complex(np.sum(atoms.weights * per_atom))
-    if atoms.exact or atoms.reps < 2:
-        return log_val, 0.0
-    n = atoms.reps
-    se = math.sqrt((np.var(per_atom.real, ddof=1) + np.var(per_atom.imag, ddof=1)) / n)
-    return log_val, se
+    est = _weighted_estimate(atoms, 1.0, per_atom)
+    return complex(est.value), est.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -219,19 +218,12 @@ def stable_cf(
     if atoms is None:
         atoms = cluster_atoms(cluster, n_mc=n_mc, seed=seed)
     b = u * atoms.sum_q
-    sig_terms = np.abs(b) ** alpha
-    beta_terms = np.where(b > 0, sig_terms, 0.0) - np.where(b < 0, sig_terms, 0.0)
-    sig = float(np.sum(atoms.weights * sig_terms))
-    bet = float(np.sum(atoms.weights * beta_terms))
-    c = stable_scale_const(alpha)
-    log_val = -c * (sig - 1j * math.tan(math.pi * alpha / 2.0) * bet)
+    tan = math.tan(math.pi * alpha / 2.0)
+    per_atom = -stable_scale_const(alpha) * np.abs(b) ** alpha * (1.0 - 1j * tan * np.sign(b))
+    log_val, se_log = _weighted_log(atoms, per_atom)
     val = cmath.exp(log_val)
     if atoms.exact or u == 0:
         return TransformValue(val, 0.0, "closed_form")
-    n = atoms.reps
-    se_sig = float(np.std(sig_terms, ddof=1) / math.sqrt(n))
-    se_bet = float(np.std(beta_terms, ddof=1) / math.sqrt(n))
-    se_log = c * math.hypot(se_sig, math.tan(math.pi * alpha / 2.0) * se_bet)
     return TransformValue(val, abs(val) * se_log, "monte_carlo")
 
 
@@ -374,16 +366,9 @@ def ratio_modulus_laplace(
             continue
         head = _quad_complex(lambda s: -math.expm1(-c * s ** (-p_a)), 1.0, np.inf, quad_tol)
         den_terms[i] = 1.0 + head.real
-    num = float(np.sum(atoms.weights * num_terms))
-    den = float(np.sum(atoms.weights * den_terms))
-    val = num / den
-    if atoms.exact:
-        return TransformValue(complex(val), 0.0, "quadrature")
-    n = atoms.reps
-    se_num = float(np.std(num_terms, ddof=1) / math.sqrt(n))
-    se_den = float(np.std(den_terms, ddof=1) / math.sqrt(n))
-    se = abs(val) * math.hypot(se_num / num if num else 0.0, se_den / den)
-    return TransformValue(complex(val), se, "quadrature_monte_carlo")
+    # the ratio of the two means is the den_terms-weighted mean of num/den
+    est = _weighted_estimate(atoms, den_terms, num_terms / den_terms)
+    return TransformValue(complex(est.value), est.stderr, "quadrature" if atoms.exact else "quadrature_monte_carlo")
 
 
 def ratio_cf(
@@ -418,16 +403,10 @@ def ratio_cf(
         [-_stable_atom(u * si, alpha) + _tail_exp_integral(alpha, u * si, 1.0) for si in s],
         dtype=complex,
     )
-    num = complex(np.sum(atoms.weights * num_terms))
-    den = complex(np.sum(atoms.weights * den_terms))
-    val = num / den
-    if atoms.exact:
-        return TransformValue(val, 0.0, "expint_exact")
-    n = atoms.reps
-    se_num = math.sqrt((np.var(num_terms.real, ddof=1) + np.var(num_terms.imag, ddof=1)) / n)
-    se_den = math.sqrt((np.var(den_terms.real, ddof=1) + np.var(den_terms.imag, ddof=1)) / n)
-    se = abs(val) * math.hypot(se_num / abs(num) if num else 0.0, se_den / abs(den))
-    return TransformValue(val, se, "expint_monte_carlo")
+    # the ratio of the two means is the den_terms-weighted mean of num/den;
+    # Re(den_terms) >= 1 on every atom
+    est = _weighted_estimate(atoms, den_terms, num_terms / den_terms)
+    return TransformValue(complex(est.value), est.stderr, "expint_exact" if atoms.exact else "expint_monte_carlo")
 
 
 def _check_cluster_alpha(cluster: ClusterModel, alpha: float) -> None:
@@ -439,29 +418,6 @@ def _check_cluster_alpha(cluster: ClusterModel, alpha: float) -> None:
 
 # ---------------------------------------------------------------------------
 # series sampler
-
-
-@dataclass(frozen=True)
-class GammaSeries:
-    """Arrival times of a unit-rate Poisson process (cumulative exponentials)."""
-
-    arrivals: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.arrivals, dtype=float)
-        if a.size == 0 or a[0] <= 0 or np.any(np.diff(a) <= 0):
-            raise ConfigurationError("arrivals must be strictly increasing and positive")
-        a.flags.writeable = False
-        object.__setattr__(self, "arrivals", a)
-
-    @property
-    def count(self) -> int:
-        return len(self.arrivals)
-
-
-def gamma_series(n_terms: int, seed: int = 0) -> GammaSeries:
-    rng = substream(seed)
-    return GammaSeries(np.cumsum(rng.standard_exponential(n_terms)))
 
 
 @dataclass(frozen=True)
@@ -506,16 +462,17 @@ def sample_limit_lepage_batch(
     truncation_bound, one entry per replica (replica i uses substream(seed, i),
     starting at ``first_index``)."""
     _lepage_validate(cluster, alpha, p, n_terms)
+    law = cluster_law(cluster, (p,))
     out = {k: np.empty(reps) for k in ("xi", "eta", "zeta_p", "truncation_bound")}
     for off, i in enumerate(range(first_index, first_index + reps)):
         rng = substream(seed, i)
         gam = np.cumsum(rng.standard_exponential(n_terms))
-        f = cluster_functionals(cluster, n_terms, p, rng=rng)
+        k = law.draw(n_terms, rng)
         w = gam ** (-1.0 / alpha)
-        out["eta"][off] = np.max(w * f["max_abs"])
-        out["xi"][off] = np.sum(w * f["sum_q"])
-        out["zeta_p"][off] = np.sum(gam ** (-p / alpha) * f["sum_abs_p"]) ** (1.0 / p)
-        mean_l1 = float(f["sum_abs"].mean())
+        out["eta"][off] = np.max(w * law.max_abs[k])
+        out["xi"][off] = np.sum(w * law.sum_q[k])
+        out["zeta_p"][off] = np.sum(gam ** (-p / alpha) * law.norm_p_p[k]) ** (1.0 / p)
+        mean_l1 = float(law.sum_abs[k].mean())
         out["truncation_bound"][off] = mean_l1 * gam[-1] ** (-1.0 / alpha) * n_terms / (1.0 / alpha - 1.0)
     return out
 
@@ -587,19 +544,16 @@ class TransformGrid:
         return len(self.values)
 
     def to_csv(self, target) -> None:
-        if hasattr(target, "write"):
-            target.write("u,x,lambda,re,im,stderr,method\n")
+        with text_target(target) as fh:
+            fh.write("u,x,lambda,re,im,stderr,method\n")
             for i in range(len(self)):
-                target.write(
+                fh.write(
                     "%s,%s,%s,%.17g,%.17g,%.17g,%s\n"
                     % (
                         _fmt(self.u[i]), _fmt(self.x[i]), _fmt(self.lam[i]),
                         self.values[i].real, self.values[i].imag, self.stderr[i], self.method,
                     )
                 )
-        else:
-            with open(target, "w") as fh:
-                self.to_csv(fh)
 
     def to_json(self) -> dict:
         return {

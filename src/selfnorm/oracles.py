@@ -1,11 +1,13 @@
 """Closed-form limit moments used as acceptance oracles for the Monte-Carlo
 pipeline.
 
-Each oracle evaluates a gamma-factor times a cluster expectation. For the
-analytic cluster kinds every cluster norm is deterministic and the expectation
-collapses to a two-point formula; for empirical kinds the cluster factor is
-estimated by Monte Carlo and the standard error is reported. Gamma functions
-come from scipy (Lanczos-grade, relative error far below Monte-Carlo noise).
+Each oracle evaluates a gamma-factor times a cluster expectation, one weighted
+mean over the atoms of the cluster law (``clusters.cluster_atoms``). For the
+analytic cluster kinds the law is two exact atoms and the expectation is exact;
+for empirical kinds it is a resample of the block library, and the reported
+standard error is by batch means over the library's chains, so it includes the
+noise of the library itself. Gamma functions come from scipy (Lanczos-grade,
+relative error far below Monte-Carlo noise).
 
 Oracles with a gamma factor of the form Gamma((1 - alpha)/p) are fully
 supported for alpha < 1; for alpha in (1, 2) they are evaluated on the same
@@ -24,7 +26,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
-from .clusters import ClusterModel, Estimate, cluster_functionals, tilted_functionals
+from .clusters import ClusterAtoms, ClusterModel, Estimate, _law_sample, _weighted_estimate, cluster_atoms
 from .errors import ConfigurationError, DegeneratePathError, NumericalError, UnsupportedError
 
 
@@ -71,17 +73,10 @@ def _alpha_of(cluster: ClusterModel, alpha: Optional[float]) -> float:
     return float(alpha)
 
 
-def _require_positive_cluster(cluster: ClusterModel, sample: Optional[dict] = None) -> None:
-    if cluster.kind == "iid":
-        if cluster.tail_balance[1] != 0.0:
-            raise ConfigurationError("this oracle needs a positive cluster (q_minus = 0)")
-        return
-    if cluster.kind == "ar1_analytic":
-        if cluster.tail_balance[1] != 0.0 or cluster.phi <= 0.0:
-            raise ConfigurationError("this oracle needs a positive cluster (q_minus = 0, phi > 0)")
-        return
-    if sample is not None and not np.allclose(sample["sum_q"], sample["sum_abs"]):
-        raise ConfigurationError("this oracle needs positive clusters; negative block values found")
+def _require_positive_cluster(atoms: ClusterAtoms) -> None:
+    live = atoms.weights > 0
+    if not np.allclose(atoms.sum_q[live], atoms.sum_abs[live]):
+        raise ConfigurationError("this oracle needs a positive cluster; negative cluster values found")
 
 
 def expected_ratio_max(
@@ -90,42 +85,20 @@ def expected_ratio_max(
     n_mc: int = 100_000,
     seed: int = 0,
 ) -> Estimate:
-    """Mean of the sum/max ratio limit: ``E[sum Qtilde] / (1 - alpha)``.
-
-    The tilted-cluster sum is analytic for the iid kind (``q+ - q-``) and the
-    AR(1) kind (``(q+ - q-) / (1 - phi)``), Monte-Carlo otherwise. For
-    alpha > 1 the formula applies to the mean-centered model.
+    """Mean of the sum/max ratio limit: ``E[sum Qtilde] / (1 - alpha)``, the
+    ``max|Q|^alpha``-weighted mean of ``sum Q / max|Q|`` (``q+ - q-`` for the
+    iid kind, ``(q+ - q-) / (1 - phi)`` for the AR(1) kind). For alpha > 1 the
+    formula applies to the mean-centered model.
     """
     a = _alpha_of(cluster, alpha)
     if a == 1.0:
         raise UnsupportedError("alpha = 1 is outside the supported domain")
-    if cluster.kind == "iid":
-        mean_sum = Estimate(cluster.tail_balance[0] - cluster.tail_balance[1])
-    elif cluster.kind == "ar1_analytic":
-        qp, qm = cluster.tail_balance
-        mean_sum = Estimate((qp - qm) / (1.0 - cluster.phi))
-    else:
-        f = tilted_functionals(cluster, n_mc, p=max(a, 1.0) + 1.0, seed=seed)
-        s = f["sum_q"]
-        if abs(s.mean()) < 1e-12 and s.var() < 1e-12:
-            raise DegeneratePathError("tilted-cluster sum vanishes a.s.; ratio limit degenerate")
-        mean_sum = Estimate(float(s.mean()), float(s.std(ddof=1) / math.sqrt(n_mc)), n_mc, "monte_carlo")
-    return Estimate(
-        mean_sum.value / (1.0 - a),
-        mean_sum.stderr / abs(1.0 - a),
-        mean_sum.reps,
-        mean_sum.method,
-    )
-
-
-def _tilted_ratio_estimate(weights: np.ndarray, values: np.ndarray, method: str) -> Estimate:
-    """E[w v] / E[w] with a linearised standard error."""
-    n = len(weights)
-    wbar = float(weights.mean())
-    r = float(np.mean(weights * values) / wbar)
-    resid = weights * (values - r)
-    se = float(np.sqrt(np.mean(resid**2) / n) / wbar)
-    return Estimate(r, se, n, method)
+    atoms = cluster_atoms(cluster, max(a, 1.0) + 1.0, n_mc, seed)
+    tilted_sum = atoms.sum_q / atoms.max_abs
+    if np.all(np.abs(tilted_sum) < 1e-12):
+        raise DegeneratePathError("tilted-cluster sum vanishes a.s.; ratio limit degenerate")
+    mean_sum = _weighted_estimate(atoms, atoms.max_abs**a, tilted_sum)
+    return Estimate(mean_sum.value / (1.0 - a), mean_sum.stderr / abs(1.0 - a), mean_sum.reps, mean_sum.method)
 
 
 def expected_ratio_student(
@@ -149,16 +122,9 @@ def expected_ratio_student(
     if arg <= 0.0 and float(arg).is_integer():
         raise UnsupportedError("Gamma((1-alpha)/p) hits a pole; combination rejected")
     gfac = gamma_fn(arg) / (gamma_fn(1.0 / p) * gamma_fn(1.0 - a / p))
-    if cluster.kind == "iid":
-        cluster_factor = Estimate(cluster.tail_balance[0] - cluster.tail_balance[1])
-    elif cluster.kind == "ar1_analytic":
-        qp, qm = cluster.tail_balance
-        phi = cluster.phi
-        cluster_factor = Estimate((qp - qm) * (1.0 - abs(phi) ** p) ** (1.0 / p) / (1.0 - phi))
-    else:
-        f = cluster_functionals(cluster, n_mc, p, seed=seed)
-        norm_p = f["sum_abs_p"] ** (1.0 / p)
-        cluster_factor = _tilted_ratio_estimate(norm_p**a, f["sum_q"] / norm_p, "monte_carlo")
+    atoms = cluster_atoms(cluster, p, n_mc, seed)
+    norm_p = atoms.norm_p_p ** (1.0 / p)
+    cluster_factor = _weighted_estimate(atoms, norm_p**a, atoms.sum_q / norm_p)
     method = cluster_factor.method
     if a > 1.0:
         warnings.warn(
@@ -205,16 +171,9 @@ def expected_greenwood(
     if a >= 1.0 or a >= p:
         raise UnsupportedError("requires alpha < min(p, 1)")
     gfac = gamma_fn(p - a) / (gamma_fn(p) * gamma_fn(1.0 - a))
-    if cluster.kind == "iid":
-        _require_positive_cluster(cluster)
-        return Estimate(gfac)
-    if cluster.kind == "ar1_analytic":
-        _require_positive_cluster(cluster)
-        phi = cluster.phi
-        return Estimate(gfac * (1.0 - phi) ** p / (1.0 - phi**p))
-    f = cluster_functionals(cluster, n_mc, p, seed=seed)
-    _require_positive_cluster(cluster, f)
-    factor = _tilted_ratio_estimate(f["sum_abs"] ** a, f["sum_abs_p"] / f["sum_abs"] ** p, "monte_carlo")
+    atoms = cluster_atoms(cluster, p, n_mc, seed)
+    _require_positive_cluster(atoms)
+    factor = _weighted_estimate(atoms, atoms.sum_abs**a, atoms.norm_p_p / atoms.sum_abs**p)
     return Estimate(gfac * factor.value, gfac * factor.stderr, factor.reps, factor.method)
 
 
@@ -233,14 +192,9 @@ def expected_kurtosis_limit(
     a = _alpha_of(cluster, alpha)
     if not (0.0 < a < 2.0):
         raise UnsupportedError("requires alpha in (0, 2)")
-    if cluster.kind == "iid":
-        return Estimate(1.0 - a / 2.0)
-    if cluster.kind == "ar1_analytic":
-        phi2 = cluster.phi**2
-        return Estimate((1.0 - a / 2.0) * (1.0 - phi2) / (1.0 + phi2))
-    f = cluster_functionals(cluster, n_mc, p=2.0, seed=seed, extra_ps=(4.0,))
-    n2, n4 = f["sum_abs_p"], f["sum_abs_p4"]
-    factor = _tilted_ratio_estimate(n2 ** (a / 2.0), n4 / n2**2, "monte_carlo")
+    atoms = _law_sample(cluster, (2.0, 4.0), n_mc, seed)
+    n2 = atoms.norm_p_p
+    factor = _weighted_estimate(atoms, n2 ** (a / 2.0), atoms.norms[4.0] / n2**2)
     return Estimate((1.0 - a / 2.0) * factor.value, (1.0 - a / 2.0) * factor.stderr, factor.reps, factor.method)
 
 

@@ -18,6 +18,7 @@ produce bit-identical paths.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -479,6 +480,21 @@ def stationary_mean(model: ProcessModel, mc_draws: int = 10**6, seed: int = 0) -
 # configuration and export
 
 
+# the keys each kind reads; a dict with any other key is rejected
+_MODEL_KEYS = {"iid": ("kind", "noise", "burn_in"), "ar1": ("kind", "noise", "phi", "burn_in"),
+               "sre": ("kind", "sre_law", "burn_in", "kesten_check")}
+_NOISE_KEYS = ("kind", "alpha", "q_plus", "q_minus")
+_SRE_LAW_KEYS = {"lognormal": ("kind", "alpha", "sigma", "neg_prob", "b_mean", "b_sd"),
+                 "constant": ("kind", "alpha", "a_const", "b_mean", "b_sd")}
+
+
+def check_keys(d: dict, allowed, what: str) -> None:
+    """Reject a config dict holding a key that ``allowed`` does not name."""
+    unknown = sorted(set(d) - set(allowed))
+    if unknown:
+        raise ConfigurationError(f"{what}: unknown keys {unknown}; it reads {sorted(allowed)}")
+
+
 def model_to_dict(model: ProcessModel) -> dict:
     d: dict = {"kind": model.kind, "burn_in": model.burn_in}
     if model.noise is not None:
@@ -494,24 +510,19 @@ def model_to_dict(model: ProcessModel) -> dict:
         law = model.sre_law
         if law.kind == "custom":
             raise ConfigurationError("custom SRE samplers cannot be serialised")
-        d["sre_law"] = {
-            "kind": law.kind,
-            "alpha": law.alpha,
-            "sigma": law.sigma,
-            "neg_prob": law.neg_prob,
-            "a_const": law.a_const,
-            "b_mean": law.b_mean,
-            "b_sd": law.b_sd,
-        }
+        d["sre_law"] = {k: getattr(law, k) for k in _SRE_LAW_KEYS[law.kind]}
         d["kesten_check"] = model.kesten_check
     return d
 
 
 def model_from_dict(d: dict) -> ProcessModel:
     kind = d.get("kind")
+    # an unknown kind is reported by the model itself
+    check_keys(d, _MODEL_KEYS.get(kind, d), f"{kind} model")
     noise = None
     if "noise" in d:
         nd = d["noise"]
+        check_keys(nd, _NOISE_KEYS, "noise")
         noise = NoiseSpec(
             kind=nd["kind"],
             alpha=float(nd["alpha"]),
@@ -519,7 +530,8 @@ def model_from_dict(d: dict) -> ProcessModel:
         )
     law = None
     if "sre_law" in d:
-        ld = dict(d["sre_law"])
+        ld = d["sre_law"]
+        check_keys(ld, _SRE_LAW_KEYS.get(ld.get("kind", "lognormal"), ld), "sre_law")
         law = SRELaw(
             alpha=float(ld["alpha"]),
             kind=ld.get("kind", "lognormal"),
@@ -540,12 +552,20 @@ def model_from_dict(d: dict) -> ProcessModel:
     )
 
 
-def path_to_csv(path: Path, target) -> None:
-    """Write a path as a single-column CSV with header ``value``."""
+@contextmanager
+def text_target(target):
+    """``target`` itself if it has a ``write`` method, else the file at that
+    path, opened for writing text: what every CSV and JSON writer accepts."""
     if hasattr(target, "write"):
-        target.write("value\n")
-        for v in np.asarray(path.values):
-            target.write("%.17g\n" % v)
+        yield target
     else:
         with open(target, "w") as fh:
-            path_to_csv(path, fh)
+            yield fh
+
+
+def path_to_csv(path: Path, target) -> None:
+    """Write a path as a single-column CSV with header ``value``."""
+    with text_target(target) as fh:
+        fh.write("value\n")
+        for v in np.asarray(path.values):
+            fh.write("%.17g\n" % v)

@@ -18,7 +18,7 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .errors import ConfigurationError, DegeneratePathError
-from .processes import Path, stationary_mean
+from .processes import Path, stationary_mean, text_target
 
 
 @dataclass(frozen=True)
@@ -177,11 +177,8 @@ def kurtosis_ratio(path: Union[Path, np.ndarray]) -> float:
 
 def stats_rows_to_csv(rows, target) -> None:
     """Batch output rows (seed, n, statistic, p, value) as CSV."""
-    if hasattr(target, "write"):
-        target.write("seed,n,statistic,p,value\n")
+    with text_target(target) as fh:
+        fh.write("seed,n,statistic,p,value\n")
         for seed, n, name, p, value in rows:
             ptxt = "" if p is None else "%g" % p
-            target.write("%d,%d,%s,%s,%.17g\n" % (seed, n, name, ptxt, value))
-    else:
-        with open(target, "w") as fh:
-            stats_rows_to_csv(rows, fh)
+            fh.write("%d,%d,%s,%s,%.17g\n" % (seed, n, name, ptxt, value))

@@ -1,0 +1,218 @@
+"""The cluster law as weighted atoms, checked against the closed forms of the
+analytic kinds, and its batch-means standard errors against library noise.
+
+The analytic oracles, moments and tilted functionals are weighted means over
+the two atoms of ``cluster_law``. Their closed forms live here, as the
+independent second route, and are compared with the atom law at rel 1e-12.
+"""
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+from scipy.special import gamma as gamma_fn
+
+from selfnorm import (
+    NoiseSpec,
+    ar1_cluster,
+    ar1_model,
+    cluster_moment,
+    empirical_cluster,
+    expected_greenwood,
+    expected_kurtosis_limit,
+    expected_ratio_max,
+    expected_ratio_student,
+    extremal_index,
+    iid_cluster,
+)
+from selfnorm.clusters import (
+    ClusterAtoms,
+    _weighted_estimate,
+    cluster_atoms,
+    cluster_functionals,
+    cluster_law,
+    tilted_atoms,
+    tilted_functionals,
+)
+from selfnorm.rng import substream
+
+REL = 1e-12
+
+ANALYTIC = [
+    iid_cluster(0.5, (1.0, 0.0)),
+    iid_cluster(0.7, (0.3, 0.7)),
+    iid_cluster(1.5, (0.6, 0.4)),
+    ar1_cluster(0.5, 0.5, (1.0, 0.0)),
+    ar1_cluster(-0.4, 0.8, (0.5, 0.5)),
+    ar1_cluster(0.7, 1.3, (0.8, 0.2)),
+    ar1_cluster(-0.6, 0.6, (0.3, 0.7)),
+]
+IDS = [f"{c.kind}-phi{c.phi}-a{c.alpha}-q{c.tail_balance[0]}" for c in ANALYTIC]
+POSITIVE = [c for c in ANALYTIC if c.tail_balance[1] == 0.0 and (c.phi or 0.0) >= 0.0 and c.alpha < 1.0]
+
+
+def _phi(c):
+    return c.phi if c.kind == "ar1_analytic" else 0.0
+
+
+def approx(x):
+    return pytest.approx(x, rel=REL, abs=0.0 if x else 1e-15)
+
+
+@pytest.mark.parametrize("c", ANALYTIC, ids=IDS)
+class TestClosedForms:
+    def test_law_atoms(self, c):
+        phi, a = _phi(c), c.alpha
+        r = abs(phi) ** a
+        scale = (1 - r) ** (1 / a)
+        law = cluster_law(c, (2.0, 3.5))
+        assert law.exact and list(law.weights) == list(c.tail_balance)
+        assert list(law.sum_q) == [approx(scale / (1 - phi)), approx(-scale / (1 - phi))]
+        assert list(law.max_abs) == [approx(scale)] * 2
+        assert list(law.sum_abs) == [approx(scale / (1 - abs(phi)))] * 2
+        for q in (2.0, 3.5):
+            assert list(law.norms[q]) == [approx((1 - r) ** (q / a) / (1 - abs(phi) ** q))] * 2
+
+    def test_tilted_law(self, c):
+        # the analytic norms are deterministic, so the tilt does not reweight
+        phi = _phi(c)
+        t = tilted_atoms(c, p=2.5)
+        assert t.exact
+        assert list(t.weights) == [approx(c.tail_balance[0]), approx(c.tail_balance[1])]
+        assert list(t.sum_q) == [approx(1 / (1 - phi)), approx(-1 / (1 - phi))]
+        assert list(t.max_abs) == [1.0, 1.0]
+        assert list(t.sum_abs) == [approx(1 / (1 - abs(phi)))] * 2
+        assert list(t.norm_p_p) == [approx(1 / (1 - abs(phi) ** 2.5))] * 2
+        f = tilted_functionals(c, 2000, p=2.5, seed=1)
+        assert np.allclose(np.abs(f["sum_q"]), 1 / (1 - phi), rtol=REL, atol=0)
+        assert np.allclose(f["sum_abs_p"], 1 / (1 - abs(phi) ** 2.5), rtol=REL, atol=0)
+
+    def test_extremal_index(self, c):
+        for method in ("auto", "cluster_max"):
+            est = extremal_index(c, reps=100, method=method)
+            assert est.value == approx(1 - abs(_phi(c)) ** c.alpha)
+            assert est.stderr == 0.0
+
+    @pytest.mark.parametrize("p", [0.4, 2.0, 3.0])
+    def test_cluster_moment(self, c, p):
+        phi, a = _phi(c), c.alpha
+        r = abs(phi) ** a
+        assert cluster_moment(c, p).value == approx((1 - r) / (1 - abs(phi) ** p) ** (a / p))
+
+    def test_ratio_max(self, c):
+        (qp, qm), a = c.tail_balance, c.alpha
+        assert expected_ratio_max(c).value == approx((qp - qm) / (1 - _phi(c)) / (1 - a))
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_ratio_student(self, c, p):
+        (qp, qm), a, phi = c.tail_balance, c.alpha, _phi(c)
+        gfac = gamma_fn((1 - a) / p) / (gamma_fn(1 / p) * gamma_fn(1 - a / p))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # alpha > 1 is flagged experimental
+            got = expected_ratio_student(c, p=p).value
+        assert got == approx(gfac * (qp - qm) * (1 - abs(phi) ** p) ** (1 / p) / (1 - phi))
+
+    def test_kurtosis(self, c):
+        a, phi2 = c.alpha, _phi(c) ** 2
+        assert expected_kurtosis_limit(c).value == approx((1 - a / 2) * (1 - phi2) / (1 + phi2))
+
+
+@pytest.mark.parametrize("c", POSITIVE, ids=[IDS[ANALYTIC.index(c)] for c in POSITIVE])
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_greenwood_closed_form(c, p):
+    a, phi = c.alpha, _phi(c)
+    gfac = gamma_fn(p - a) / (gamma_fn(p) * gamma_fn(1 - a))
+    assert expected_greenwood(c, p=p).value == approx(gfac * (1 - phi) ** p / (1 - phi**p))
+
+
+def test_two_atom_draw_is_the_sign_draw():
+    # the inverse CDF of rng.random over the atoms (q+, q-) is rng.random < q+
+    c = ar1_cluster(-0.6, 0.8, (0.3, 0.7))
+    f = cluster_functionals(c, 10_000, 2.0, seed=4)
+    signs = np.where(substream(4, 11).random(10_000) < 0.3, 1.0, -1.0)
+    assert np.array_equal(np.sign(f["sum_q"]), signs)
+
+
+@pytest.fixture(scope="module")
+def emp():
+    return empirical_cluster(ar1_model(0.5, NoiseSpec("pareto", 0.8)), sample_length=300_000, library_seed=5)
+
+
+class TestEmpiricalLaw:
+    def test_one_atom_per_anchor(self, emp):
+        law = cluster_law(emp, (2.0,))
+        lib = emp._empirical_library()
+        assert len(law.weights) == lib.n_anchors and np.all(law.weights == 1.0 / lib.n_anchors)
+        assert np.array_equal(law.group, lib.anchor_chain)
+        assert np.array_equal(law.norm_p_p, lib.table((2.0,))[2.0])
+
+    def test_tilt_is_exact_reweighting(self, emp):
+        # E h(Qtilde) = E[max|Q|^a h(Q / max|Q|)] / E[max|Q|^a] over the library
+        law = cluster_law(emp, (2.0,))
+        t = law.tilted()
+        w = law.max_abs**emp.alpha
+        h = np.minimum(np.abs(law.sum_q / law.max_abs), 1.5)
+        assert np.sum(t.weights * np.minimum(np.abs(t.sum_q), 1.5)) == pytest.approx(
+            np.sum(w * h) / np.sum(w), rel=REL)
+        assert np.all(t.max_abs == 1.0)
+
+    def test_tilted_draws_follow_the_tilted_law(self, emp):
+        t = cluster_law(emp, (2.0,)).tilted()
+        f = tilted_functionals(emp, 200_000, p=2.0, seed=6)
+        for v in (np.sort(t.sum_q)[len(t.sum_q) // 2], 1.5):
+            p = float(np.sum(t.weights[t.sum_q <= v]))
+            assert abs(np.mean(f["sum_q"] <= v) - p) <= 4 * math.sqrt(p * (1 - p) / 200_000)
+
+    def test_tilted_atoms_reweight_cluster_atoms(self, emp):
+        a, t = cluster_atoms(emp, p=2.0, n_mc=500, seed=7), tilted_atoms(emp, p=2.0, n_mc=500, seed=7)
+        w = a.max_abs**emp.alpha
+        assert np.allclose(t.weights, w / w.sum(), rtol=REL)
+        assert np.allclose(t.norm_p_p, a.norm_p_p / a.max_abs**2, rtol=REL)
+        assert np.array_equal(t.group, a.group)
+
+
+class TestWeightedEstimate:
+    def test_exact_atoms_have_no_stderr(self):
+        est = _weighted_estimate(cluster_law(iid_cluster(0.5, (0.3, 0.7)), (2.0,)), 1.0, np.array([1.0, -1.0]))
+        assert est.value == approx(-0.4) and est.stderr == 0.0 and est.method == "closed_form"
+
+    def test_batch_means_formula(self):
+        rng = np.random.default_rng(3)
+        n = 300
+        v, g = rng.standard_normal(n) + 1j * rng.standard_normal(n), rng.random(n)
+        group = rng.integers(0, 7, size=n)
+        atoms = ClusterAtoms(alpha=0.5, p=2.0, weights=np.full(n, 1.0 / n), sum_q=v.real, max_abs=g,
+                             norm_p_p=g, sum_abs=g, exact=False, reps=n, group=group)
+        est = _weighted_estimate(atoms, g, v)
+        r = np.sum(g * v) / np.sum(g)
+        chain_sums = np.array([np.sum(g[group == b] * (v[group == b] - r)) for b in range(7)])
+        assert est.value == pytest.approx(r, rel=REL)
+        assert est.stderr == pytest.approx(math.sqrt(np.sum(np.abs(chain_sums) ** 2) * 7 / 6) / np.sum(g), rel=1e-10)
+        assert est.reps == n
+
+    def test_independent_draws_give_the_iid_stderr(self):
+        # one draw per group: the linearised stderr of a ratio of means
+        rng = np.random.default_rng(4)
+        n = 400
+        v = rng.standard_normal(n)
+        atoms = ClusterAtoms(alpha=0.5, p=2.0, weights=np.full(n, 1.0 / n), sum_q=v, max_abs=v, norm_p_p=v,
+                             sum_abs=v, exact=False, reps=n, group=np.arange(n))
+        est = _weighted_estimate(atoms, 1.0, v)
+        assert est.stderr == pytest.approx(v.std(ddof=1) / math.sqrt(n), rel=1e-10)
+
+
+def test_stderr_covers_library_seed_spread():
+    """The spread of an empirical estimate across library seeds is what its
+    stderr has to describe. A resampling stderr that ignores the library's own
+    noise understates it more than tenfold; batch means over the chains must
+    come within 2x."""
+    source = ar1_model(0.5, NoiseSpec("pareto", 0.5, (1.0, 0.0)))
+    greenwood, theta = [], []
+    for seed in range(20):
+        c = empirical_cluster(source, library_seed=seed)
+        greenwood.append(expected_greenwood(c, p=2.0))
+        theta.append(extremal_index(c, method="cluster_max"))
+    for name, ests in (("greenwood", greenwood), ("extremal_index", theta)):
+        ratio = np.std([e.value for e in ests], ddof=1) / np.mean([e.stderr for e in ests])
+        assert 0.5 <= ratio <= 2.0, (name, ratio)

@@ -1,7 +1,9 @@
+import io
 import json
 import math
 import os
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from selfnorm import (
 from selfnorm import clusters
 from selfnorm.cli import main as cli_main
 from selfnorm.experiments import cluster_from_dict, cluster_to_dict, derive_cluster, load_config
+from selfnorm.processes import model_from_dict
 
 
 IID_POS_HALF = {"kind": "iid", "noise": {"kind": "pareto", "alpha": 0.5, "q_plus": 1.0, "q_minus": 0.0}}
@@ -96,6 +99,63 @@ class TestConfig:
             sample_length=sample_length, library_seed=library_seed, floor_rel=floor_rel, run_gap=run_gap,
         )
         assert cluster_from_dict(cluster_to_dict(c)) == c
+
+
+UNREAD_KEYS = [
+    ("model", {**AR1_POS_HALF, "phi_typo": 3}),
+    ("model", {**AR1_POS_HALF, "burnin": 50}),
+    ("model", {**IID_POS_HALF, "phi": 0.5}),
+    ("model", {**AR1_POS_HALF, "noise": {**AR1_POS_HALF["noise"], "q_plsu": 1.0}}),
+    ("model", {**SRE_POS, "sre_law": {**SRE_POS["sre_law"], "a_const": 0.5}}),
+    ("model", {**SRE_POS, "sre_law": {**SRE_POS["sre_law"], "sigmaa": 0.5}}),
+    ("cluster", {"kind": "iid", "alpha": 0.5, "phi_typo": 3}),
+    ("cluster", {"kind": "ar1_analytic", "alpha": 0.5, "phi": 0.5, "q_plsu": 1.0}),
+    ("cluster", {"kind": "empirical", "source": AR1_POS_HALF, "flor_rel": 0.01}),
+    ("cluster", {"kind": "empirical", "source": AR1_POS_HALF, "q_plus": 1.0, "q_minus": 0.0}),
+    ("cluster", {"kind": "empirical", "source": {**AR1_POS_HALF, "burnin": 50}}),
+]
+
+
+class TestConfigKeys:
+    """A key that the model, cluster, noise or SRE-law kind does not read is
+    an error, not a silent default."""
+
+    @staticmethod
+    def _config(field, d):
+        if field == "model":
+            return small_verify_config(model=d)
+        return ExperimentConfig.from_dict(dict(kind="limit", name="keys", cluster=d, reps=20, n_terms=100))
+
+    @pytest.mark.parametrize("field,d", UNREAD_KEYS)
+    def test_validate_rejects(self, field, d):
+        with pytest.raises(ConfigurationError, match=f"{field}: .*unknown keys"):
+            self._config(field, d).validate()
+
+    @pytest.mark.parametrize("field,d", UNREAD_KEYS)
+    def test_cli_exit_2(self, field, d, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.yaml"
+        with open(cfg_path, "w") as fh:
+            yaml.safe_dump(self._config(field, d).to_dict(), fh)
+        kind = "verify" if field == "model" else "limit"
+        assert cli_main([kind, "--config", str(cfg_path)]) == 2
+        assert "unknown keys" in capsys.readouterr().err
+
+    def test_shipped_dicts_read_every_key(self):
+        for path in sorted((Path(__file__).parents[1] / "configs").glob("*.yaml")):
+            load_config(path).validate()
+        for d in (IID_POS_HALF, AR1_POS_HALF, SRE_POS):
+            model_from_dict(d)
+
+    def test_hash_resolves_defaults(self):
+        def limit_hash(cluster):
+            return ExperimentConfig.from_dict(dict(kind="limit", name="h", cluster=cluster)).config_hash()
+
+        plain = limit_hash({"kind": "iid", "alpha": 0.5})
+        assert limit_hash({"kind": "iid", "alpha": 0.5, "q_plus": 0.5, "q_minus": 0.5}) == plain
+        assert limit_hash({"kind": "iid", "alpha": 0.5, "q_plus": 0.7, "q_minus": 0.3}) != plain
+        model = {"kind": "ar1", "phi": 0.5, "noise": {"kind": "pareto", "alpha": 0.5}}
+        explicit = {**model, "burn_in": 1000, "noise": {**model["noise"], "q_plus": 0.5, "q_minus": 0.5}}
+        assert small_verify_config(model=model).config_hash() == small_verify_config(model=explicit).config_hash()
 
 
 class TestParallel:
@@ -294,6 +354,41 @@ class TestCompareToLimit:
     def test_minimum_sizes(self):
         with pytest.raises(ConfigurationError):
             compare_to_limit(np.ones(10), np.ones(2000))
+
+
+def _writer_cases():
+    from selfnorm import diagnostics, limits, processes, stats
+    from selfnorm.experiments import Report, ReportRow
+
+    grid = limits.TransformGrid.from_points(u=[0.5, 1.0], x=[1.0])
+    grid.values[:] = [1 + 2j, 3 - 4j]
+    grid.stderr[:] = [0.1, 0.2]
+    draw = clusters.sample_cluster(clusters.ar1_cluster(-0.5, 0.8), horizon=4, seed=1)
+    path = processes.sample_path(processes.iid_model(processes.NoiseSpec("pareto", 0.5)), 5, seed=1)
+    decay = diagnostics.DecaySeries(np.arange(1, 4), np.array([0.5, 0.25, 0.125]), np.array([0.01, 0.02, 0.03]),
+                                    -0.69, 0.99)
+    return {
+        "cluster_to_csv": lambda t: clusters.cluster_to_csv(draw, t),
+        "estimate_to_json": lambda t: clusters.estimate_to_json(clusters.Estimate(0.5, 0.01, 100, "mc"), t),
+        "TransformGrid.to_csv": grid.to_csv,
+        "Report.rows_to_csv": Report([ReportRow("a", 1.0, None, 0.1, -0.3, True),
+                                      ReportRow("b", None, 2.5, None, None, False)], {}).rows_to_csv,
+        "stats_rows_to_csv": lambda t: stats.stats_rows_to_csv(
+            [(0, 10, "ratio_max", None, 0.5), (1, 10, "greenwood_p2", 2.0, 0.25)], t),
+        "path_to_csv": lambda t: processes.path_to_csv(path, t),
+        "DecaySeries.to_csv": decay.to_csv,
+    }
+
+
+class TestWriters:
+    @pytest.mark.parametrize("name", sorted(_writer_cases()))
+    def test_path_and_stream_give_the_same_text(self, name, tmp_path):
+        write = _writer_cases()[name]
+        buf = io.StringIO()
+        write(buf)
+        write(tmp_path / "out")
+        assert buf.getvalue()
+        assert (tmp_path / "out").read_text() == buf.getvalue()
 
 
 class TestCLI:

@@ -11,7 +11,6 @@ from scipy.special import gamma as gamma_fn
 from selfnorm import (
     ConfigurationError,
     DegeneratePathError,
-    GammaSeries,
     TransformGrid,
     UnsupportedError,
     ar1_cluster,
@@ -399,14 +398,6 @@ class TestLepageSampler:
         d = sample_limit_lepage_batch(c, 0.5, 2.0, reps=20_000, n_terms=2_000, seed=29)
         terms = np.exp(-d["zeta_p"] ** 2)
         within_se(terms.mean(), math.exp(-gamma_fn(0.75)), terms.std(ddof=1) / math.sqrt(20_000), k=3)
-
-    def test_gamma_series_validation(self):
-        with pytest.raises(ConfigurationError):
-            GammaSeries(np.array([1.0, 1.0]))
-        with pytest.raises(ConfigurationError):
-            GammaSeries(np.array([-1.0, 2.0]))
-        g = GammaSeries(np.array([0.5, 1.5]))
-        assert g.count == 2
 
 
 class TestEmpiricalTransform:
