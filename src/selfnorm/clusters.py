@@ -692,6 +692,9 @@ def extremal_index(model: ClusterModel, reps: int = 100_000, seed: int = 0, meth
     ``max|Q|^alpha`` over ``reps`` library draws (``method="cluster_max"``,
     always available as a cross-check).
     """
+    if method not in ("auto", "cluster_max", "sre_products"):
+        raise ConfigurationError(
+            f"unknown extremal index method {method!r}; known: auto, cluster_max, sre_products")
     if method == "sre_products" or (method == "auto" and model.source is not None and model.source.kind == "sre"):
         if model.kind != "empirical" or model.source.kind != "sre":
             raise ConfigurationError("the product estimator requires an empirical SRE cluster")

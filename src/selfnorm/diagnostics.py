@@ -89,10 +89,11 @@ def coupling_decay(model: ProcessModel, q: float, t_max: int, reps: int, seed: i
     return DecaySeries(idx, mean, se, slope, r2)
 
 
-def _suffix_series(model, n, r_n, k_grid, reps, seed, term_fn):
+def _suffix_series(model, n, r_n, k_grid, reps, seed, term_fn, a_n=None):
     """n * sum_{j=k}^{r_n} E[term_j] for every cutoff k, with standard errors
     from the replica-level suffix sums. Nested sums on one sample make the
-    series non-increasing in k exactly."""
+    series non-increasing in k exactly. ``a_n`` defaults to
+    ``normalizing_an(model, n)``."""
     if r_n >= n:
         raise ConfigurationError("r_n must be < n")
     if k_grid is None:
@@ -101,7 +102,8 @@ def _suffix_series(model, n, r_n, k_grid, reps, seed, term_fn):
     if k_grid[0] < 1 or k_grid[-1] > r_n + 1:
         # k = r_n + 1 is allowed and yields the empty-sum value 0
         raise ConfigurationError("k_grid must lie inside [1, r_n + 1]")
-    a_n = normalizing_an(model, n)
+    if a_n is None:
+        a_n = normalizing_an(model, n)
     chunk = max(1, 2_000_000 // (r_n + 1 + model.burn_in))
     sums = np.zeros((reps, len(k_grid)))
     done = 0
@@ -115,7 +117,7 @@ def _suffix_series(model, n, r_n, k_grid, reps, seed, term_fn):
     mean = n * sums.mean(axis=0)
     se = n * sums.std(axis=0, ddof=1) / math.sqrt(reps)
     slope, r2 = _fit_log_slope(k_grid, mean)
-    return DecaySeries(k_grid, mean, se, slope, r2), a_n
+    return DecaySeries(k_grid, mean, se, slope, r2)
 
 
 def anticluster_stat(
@@ -126,12 +128,15 @@ def anticluster_stat(
     x: float = 1.0,
     reps: int = 2_000,
     seed: int = 0,
+    a_n: Optional[float] = None,
 ) -> DecaySeries:
     """Truncated-product anti-clustering statistic
     ``n sum_{j=k}^{r_n} E[(|X_j|/a_n ^ x)(|X_0|/a_n ^ x)]`` per cutoff k.
 
     The default block length is ``r_n = floor(n^0.4)``, which keeps
     ``r_n = o(a_n^2 / n)`` for the shipped models on both sides of alpha = 1.
+    ``a_n`` defaults to ``normalizing_an(model, n)``; pass it to reuse one
+    already computed.
     """
     if x <= 0:
         raise ConfigurationError("x must be positive")
@@ -143,8 +148,7 @@ def anticluster_stat(
         t = np.minimum(np.abs(rows) / a_n, x)
         return t[:, 1:] * t[:, :1]
 
-    series, _ = _suffix_series(model, n, r_n, k_grid, reps, seed, term_fn)
-    return series
+    return _suffix_series(model, n, r_n, k_grid, reps, seed, term_fn, a_n)
 
 
 def coupled_anticluster_stat(
@@ -155,10 +159,12 @@ def coupled_anticluster_stat(
     q: float = 0.4,
     reps: int = 2_000,
     seed: int = 0,
+    a_n: Optional[float] = None,
 ) -> DecaySeries:
     """Coupled variant: ``n sum_{t=k}^{r_n}
     E[(|X_t - X*_t|^q / a_n^q ^ 1)(|X_0|^q / a_n^q ^ 1)]`` per cutoff k,
-    with X* the coupled copy and X_0 the state before the shared window."""
+    with X* the coupled copy and X_0 the state before the shared window.
+    ``a_n`` defaults to ``normalizing_an(model, n)``."""
     _check_q(model, q)
     if r_n is None:
         r_n = int(n**0.4)
@@ -169,8 +175,7 @@ def coupled_anticluster_stat(
         right = np.minimum((np.abs(x0) / a_n) ** q, 1.0)
         return left * right[:, None]
 
-    series, _ = _suffix_series(model, n, r_n, k_grid, reps, seed, term_fn)
-    return series
+    return _suffix_series(model, n, r_n, k_grid, reps, seed, term_fn, a_n)
 
 
 def mixing_coupling_sum(

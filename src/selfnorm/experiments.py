@@ -16,7 +16,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path as FsPath
 from typing import Optional, Sequence
@@ -27,7 +26,8 @@ import yaml
 from . import clusters, diagnostics, limits, oracles, processes, stats
 from .clusters import ClusterModel, Estimate
 from .errors import ConfigurationError
-from .processes import ProcessModel, check_keys, model_from_dict, model_to_dict, stationary_mean, text_target
+from .processes import (ProcessModel, _partition, _run_tasks, check_keys, model_from_dict, model_to_dict,
+                        stationary_mean, text_target)
 from .rng import derive_seed, substream
 
 WORKERS_ENV = "SELFNORM_WORKERS"
@@ -421,19 +421,6 @@ def sample_limit_batch_parallel(
     return {k: np.concatenate([r[1][k] for r in results]) for k in results[0][1]}
 
 
-def _partition(reps: int, workers: int) -> list[tuple[int, int]]:
-    blocks = max(1, min(workers, reps))
-    size = -(-reps // blocks)
-    return [(lo, min(lo + size, reps)) for lo in range(0, reps, size)]
-
-
-def _run_tasks(fn, tasks, workers: int):
-    if workers <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
-
-
 # ---------------------------------------------------------------------------
 # two-sample comparison
 
@@ -603,6 +590,9 @@ def _run_diagnose(config: ExperimentConfig, workers: int):
     model = config.process_model()
     seed = _seed_for(config.seed, "diagnose")
     q = min(0.4, 0.8 * min(model.alpha, 1.0))
+    # one scale constant for both suffix-series diagnostics; an SRE presample
+    # is spread over the workers
+    a_n = processes.normalizing_an(model, config.n, workers=workers)
     rows = []
     artifacts = []
     if model.kind != "iid":
@@ -615,11 +605,12 @@ def _run_diagnose(config: ExperimentConfig, workers: int):
         rows.append(ReportRow("coupling_decay_slope", analytic, dec.fitted_log_slope, None, None,
                               passed, detail=f"q={q} r2={dec.r2:.4f}"))
         artifacts.append(("coupling_decay.csv", dec.to_csv))
-        cdec = diagnostics.coupled_anticluster_stat(model, config.n, q=q, reps=config.reps, seed=seed)
+        cdec = diagnostics.coupled_anticluster_stat(model, config.n, q=q, reps=config.reps, seed=seed,
+                                                    a_n=a_n)
         rows.append(ReportRow("coupled_anticluster_slope", None, cdec.fitted_log_slope, None, None,
                               bool(np.all(np.diff(cdec.values) <= 1e-12)), detail="non-increasing in k"))
         artifacts.append(("coupled_anticluster.csv", cdec.to_csv))
-    ac = diagnostics.anticluster_stat(model, config.n, reps=config.reps, seed=seed)
+    ac = diagnostics.anticluster_stat(model, config.n, reps=config.reps, seed=seed, a_n=a_n)
     rows.append(ReportRow("anticluster_stat_k1", None, float(ac.values[0]), float(ac.stderr[0]), None,
                           bool(np.all(np.diff(ac.values) <= 1e-12)), detail="non-increasing in k"))
     artifacts.append(("anticluster.csv", ac.to_csv))

@@ -18,6 +18,7 @@ produce bit-identical paths.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -35,6 +36,8 @@ SYMMETRIC_STABLE = "symmetric_stable"
 AR1_BURN_IN = 1_000
 SRE_BURN_IN = 10_000
 SRE_PRESAMPLE = 10_000_000
+# at most this many presample values are simulated at once in any one process
+_PRESAMPLE_BLOCK_VALUES = 16_000_000
 
 # internal seeds for construction-time moment checks (independent of user seeds)
 _KESTEN_SEED = 0x5EEDC0DE
@@ -377,6 +380,19 @@ def _coupled_rows(model: ProcessModel, n: int, seed: int, indices: np.ndarray):
     independent stationary initial states. Returns (x, x_star, x0, x0_star)."""
     reps = len(indices)
     burn = model.burn_in
+    if model.kind == "sre":
+        # draw each replica's three substreams, then run every recursion once
+        # across rows: the same per-row arithmetic as one replica at a time
+        law = model.sre_law
+        aa, ba, ab, bb = (np.empty((reps, burn)) for _ in range(4))
+        a, b = np.empty((reps, n)), np.empty((reps, n))
+        for r, idx in enumerate(indices):
+            a[r], b[r] = law.sample_ab(substream(seed, int(idx), 0), n)
+            aa[r], ba[r] = law.sample_ab(substream(seed, int(idx), 1), burn)
+            ab[r], bb[r] = law.sample_ab(substream(seed, int(idx), 2), burn)
+        x0 = sre_recursion(aa, ba)[:, -1] if burn else np.zeros(reps)
+        x0s = sre_recursion(ab, bb)[:, -1] if burn else np.zeros(reps)
+        return sre_recursion(a, b, x0=x0), sre_recursion(a, b, x0=x0s), x0, x0s
     x = np.empty((reps, n))
     xs = np.empty((reps, n))
     x0 = np.empty(reps)
@@ -385,22 +401,13 @@ def _coupled_rows(model: ProcessModel, n: int, seed: int, indices: np.ndarray):
         shared = substream(seed, int(idx), 0)
         init_a = substream(seed, int(idx), 1)
         init_b = substream(seed, int(idx), 2)
-        if model.kind == "ar1":
-            za = _draw_noise(model.noise, init_a, burn)
-            zb = _draw_noise(model.noise, init_b, burn)
-            z = _draw_noise(model.noise, shared, n)
-            s_a = ar1_recursion(model.phi, za)[-1] if burn else 0.0
-            s_b = ar1_recursion(model.phi, zb)[-1] if burn else 0.0
-            x[r] = ar1_recursion(model.phi, z, x0=s_a)
-            xs[r] = ar1_recursion(model.phi, z, x0=s_b)
-        else:
-            aa, ba = model.sre_law.sample_ab(init_a, burn)
-            ab, bb = model.sre_law.sample_ab(init_b, burn)
-            a, b = model.sre_law.sample_ab(shared, n)
-            s_a = sre_recursion(aa, ba)[-1] if burn else 0.0
-            s_b = sre_recursion(ab, bb)[-1] if burn else 0.0
-            x[r] = sre_recursion(a, b, x0=s_a)
-            xs[r] = sre_recursion(a, b, x0=s_b)
+        za = _draw_noise(model.noise, init_a, burn)
+        zb = _draw_noise(model.noise, init_b, burn)
+        z = _draw_noise(model.noise, shared, n)
+        s_a = ar1_recursion(model.phi, za)[-1] if burn else 0.0
+        s_b = ar1_recursion(model.phi, zb)[-1] if burn else 0.0
+        x[r] = ar1_recursion(model.phi, z, x0=s_a)
+        xs[r] = ar1_recursion(model.phi, z, x0=s_b)
         x0[r], x0s[r] = s_a, s_b
     return x, xs, x0, x0s
 
@@ -426,13 +433,20 @@ def sample_coupled_paths(model: ProcessModel, n: int, seed: int, index: int = 0)
 # scale constants and means
 
 
-def normalizing_an(model: ProcessModel, n: int, presample: int = SRE_PRESAMPLE, seed: int = 0) -> float:
+def normalizing_an(model: ProcessModel, n: int, presample: int = SRE_PRESAMPLE, seed: int = 0,
+                   workers: int = 1) -> float:
     """Scale constant a_n with ``n P(|X| > a_n) -> 1``.
 
     Closed form for iid/AR(1) models (the AR(1) tail constant comes from the
     geometric moving-average representation); for SRE models the empirical
     (1 - 1/n) quantile of a long stationary presample, since the Goldie tail
     constant has no closed form.
+
+    The presample is 4096 chains on replica substreams of ``seed``. With
+    ``workers > 1`` they are split into contiguous chain ranges, one per pool
+    worker, and the pieces are joined in chain order, so a_n is the same float
+    for any worker count. Every process simulates at most 16e6 values at once.
+    A custom SRE law cannot be sent to a worker and runs in this process.
     """
     if n < 1:
         raise ConfigurationError("n must be >= 1")
@@ -448,12 +462,41 @@ def normalizing_an(model: ProcessModel, n: int, presample: int = SRE_PRESAMPLE, 
         )
     chains = 4096
     keep = -(-presample // chains)
-    block = max(1, 16_000_000 // (keep + model.burn_in))
-    pieces = []
-    for lo in range(0, chains, block):
-        rows = _simulate_rows(model, keep, seed, np.arange(lo, min(lo + block, chains)))
-        pieces.append(np.abs(rows).ravel())
+    if model.sre_law.kind == "custom":
+        workers = 1
+    spec = model_to_dict(model) if workers > 1 else model
+    tasks = [(spec, keep, seed, start, stop) for start, stop in _partition(chains, workers)]
+    pieces = _run_tasks(_presample_chains, tasks, workers)
     return float(np.quantile(np.concatenate(pieces), 1.0 - 1.0 / n))
+
+
+def _presample_chains(args) -> np.ndarray:
+    """|X| over the post-burn-in values of presample chains ``start..stop-1``,
+    chain by chain; ``model`` may come as its dict, as pool tasks send it."""
+    model, keep, seed, start, stop = args
+    if isinstance(model, dict):
+        model = model_from_dict(model)
+    block = max(1, _PRESAMPLE_BLOCK_VALUES // (keep + model.burn_in))
+    pieces = []
+    for lo in range(start, stop, block):
+        rows = _simulate_rows(model, keep, seed, np.arange(lo, min(lo + block, stop)))
+        pieces.append(np.abs(rows).ravel())
+    return np.concatenate(pieces)
+
+
+def _partition(reps: int, workers: int) -> list[tuple[int, int]]:
+    """Contiguous index ranges, one per worker."""
+    blocks = max(1, min(workers, reps))
+    size = -(-reps // blocks)
+    return [(lo, min(lo + size, reps)) for lo in range(0, reps, size)]
+
+
+def _run_tasks(fn, tasks, workers: int):
+    """``fn`` over ``tasks`` in order: in this process, or on a pool."""
+    if workers <= 1 or len(tasks) <= 1:
+        return [fn(t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks))
 
 
 def stationary_mean(model: ProcessModel, mc_draws: int = 10**6, seed: int = 0) -> float:

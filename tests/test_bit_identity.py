@@ -1,9 +1,12 @@
-"""Per-draw outputs of the empirical cluster law, pinned bit for bit.
+"""Per-draw outputs of the empirical cluster law and of the SRE path
+engine, pinned bit for bit.
 
 ``tests/data/empirical_digests.json`` holds SHA-256 digests of every array
 (and the exact bits of every estimate) that the calls below return for an
-empirical AR(1) cluster and an empirical SRE cluster at fixed seeds. A change
-to how the empirical functionals are computed must reproduce them exactly.
+empirical AR(1) cluster and an empirical SRE cluster at fixed seeds, and, in
+the ``sre_paths`` group, the exact bits of the SRE scale constant a_n, digests
+of coupled SRE rows and of the report and CSVs of a small SRE ``diagnose``
+run. A change to how these are computed must reproduce them exactly.
 
 Regenerate the record (only for a deliberate change of value, which
 CHANGES.md must then explain) with::
@@ -16,12 +19,13 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from selfnorm import clusters, limits, oracles
+from selfnorm import ExperimentConfig, clusters, limits, oracles, processes, run_experiment
 from selfnorm.experiments import cluster_from_dict
 
 RECORD = Path(__file__).parent / "data" / "empirical_digests.json"
@@ -80,6 +84,40 @@ def digests(name: str) -> dict:
     return out
 
 
+# a short burn-in keeps the diagnose run's a_n presample small
+SRE_DIAGNOSE = dict(kind="diagnose", name="sre-diagnose", model={**SRE, "burn_in": 200}, n=2000,
+                    reps=20, seed=3)
+
+
+def diagnose_outputs(workers: int) -> tuple[dict, dict]:
+    """The small SRE diagnose run's report without its timing fields, and the
+    bytes of every artifact it writes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        report = run_experiment(ExperimentConfig.from_dict(SRE_DIAGNOSE), out_dir=tmp,
+                                workers=workers).to_json()
+        root = Path(tmp) / SRE_DIAGNOSE["name"]
+        files = {f.name: f.read_bytes() for f in sorted(root.iterdir()) if f.name != "report.json"}
+    for timing in ("wall_time_s", "versions", "workers"):
+        report["metadata"].pop(timing)
+    return report, files
+
+
+def sre_path_digests() -> dict:
+    """The SRE scale constant, coupled SRE rows and a small diagnose run."""
+    model = processes.model_from_dict(SRE)
+    out = {"normalizing_an": processes.normalizing_an(model, 10_000, presample=2_000_000).hex()}
+    x, xs, x0, x0s = processes._coupled_rows(model, 39, 5, np.arange(7, 27))
+    out["coupled_rows"] = _dict_digests({"x": x, "x_star": xs, "x0": x0, "x0_star": x0s})
+    report, files = diagnose_outputs(workers=1)
+    out["diagnose_report"] = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    out["diagnose_files"] = {name: hashlib.sha256(data).hexdigest() for name, data in files.items()}
+    return out
+
+
+def record() -> dict:
+    return {**{name: digests(name) for name in sorted(CLUSTERS)}, "sre_paths": sre_path_digests()}
+
+
 @pytest.mark.parametrize("name", sorted(CLUSTERS))
 def test_empirical_outputs_bit_identical(name):
     recorded = json.loads(RECORD.read_text())[name]
@@ -89,9 +127,40 @@ def test_empirical_outputs_bit_identical(name):
         assert now[call] == recorded[call], call
 
 
+def test_sre_paths_bit_identical():
+    recorded = json.loads(RECORD.read_text())["sre_paths"]
+    now = sre_path_digests()
+    assert now.keys() == recorded.keys()
+    for call in recorded:
+        assert now[call] == recorded[call], call
+
+
+def test_sre_diagnose_one_presample_any_worker_count(monkeypatch):
+    # the run simulates the a_n presample once, and splitting it over two
+    # workers changes no byte of the report or the artifacts
+    from selfnorm import diagnostics
+
+    calls = []
+    an = processes.normalizing_an
+
+    def counted(model, n, *args, **kwargs):
+        calls.append(model.kind)
+        return an(model, n, *args, **kwargs)
+
+    monkeypatch.setattr(processes, "normalizing_an", counted)
+    monkeypatch.setattr(diagnostics, "normalizing_an", counted)
+    one = diagnose_outputs(workers=1)
+    assert calls == ["sre"]
+    two = diagnose_outputs(workers=2)
+    assert calls == ["sre", "sre"]
+    assert one == two
+    assert set(one[1]) == {"anticluster.csv", "coupled_anticluster.csv", "coupling_decay.csv",
+                           "diagnose_summary.json"}
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         raise SystemExit("usage: PYTHONPATH=src python tests/test_bit_identity.py --record")
     RECORD.parent.mkdir(exist_ok=True)
-    RECORD.write_text(json.dumps({name: digests(name) for name in sorted(CLUSTERS)}, indent=1) + "\n")
+    RECORD.write_text(json.dumps(record(), indent=1) + "\n")
     print(f"wrote {RECORD}")

@@ -179,6 +179,14 @@ class TestExtremalIndex:
         within_se(acc.value, closed.value, acc.stderr, k=3)
         within_se(mx.value, closed.value, math.hypot(mx.stderr, 1e-15), k=3)
 
+    @pytest.mark.parametrize("method", ["bogus", "acceptance", "", "Cluster_max"])
+    def test_unknown_method_rejected(self, method):
+        analytic = ar1_cluster(0.5, 0.8)
+        empirical = empirical_cluster(ar1_model(0.5, NoiseSpec("pareto", 0.8)), sample_length=50_000)
+        for model in (analytic, empirical):
+            with pytest.raises(ConfigurationError, match="extremal index method"):
+                extremal_index(model, reps=100, method=method)
+
 
 class TestClusterMoment:
     def test_p_equals_alpha(self):

@@ -159,6 +159,51 @@ class TestCoupled:
         assert stat < crit
 
 
+def _coupled_rows_per_replica(model, n, seed, indices):
+    """The coupled SRE rows one replica at a time, as scalar recursions: the
+    reference the batched ``_coupled_rows`` must reproduce bit for bit."""
+    from selfnorm.rng import substream
+
+    law, burn = model.sre_law, model.burn_in
+    x, xs = np.empty((len(indices), n)), np.empty((len(indices), n))
+    x0, x0s = np.empty(len(indices)), np.empty(len(indices))
+    for r, idx in enumerate(indices):
+        aa, ba = law.sample_ab(substream(seed, int(idx), 1), burn)
+        ab, bb = law.sample_ab(substream(seed, int(idx), 2), burn)
+        a, b = law.sample_ab(substream(seed, int(idx), 0), n)
+        x0[r] = sre_recursion(aa, ba)[-1] if burn else 0.0
+        x0s[r] = sre_recursion(ab, bb)[-1] if burn else 0.0
+        x[r] = sre_recursion(a, b, x0=x0[r])
+        xs[r] = sre_recursion(a, b, x0=x0s[r])
+    return x, xs, x0, x0s
+
+
+class TestCoupledRowsBatched:
+    @pytest.mark.parametrize("law, burn_in, first", [
+        (SRELaw(alpha=0.8, sigma=1.0, b_mean=1.0, b_sd=0.5), 300, 0),
+        (SRELaw(alpha=0.8, sigma=1.0, b_mean=1.0, b_sd=0.5), 0, 0),
+        (SRELaw(alpha=1.2, sigma=0.7, neg_prob=0.3), 150, 11),
+        (SRELaw(alpha=1.2, sigma=0.7, neg_prob=0.3), 0, 5),
+    ], ids=["burn", "no-burn", "neg-burn-offset", "neg-no-burn-offset"])
+    def test_equals_per_replica_loop(self, law, burn_in, first):
+        from selfnorm.processes import _coupled_rows
+
+        model = sre_model(law, burn_in=burn_in)
+        indices = np.arange(first, first + 13)
+        got = _coupled_rows(model, 37, 8, indices)
+        want = _coupled_rows_per_replica(model, 37, 8, indices)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_rows_independent_of_batching(self):
+        from selfnorm.processes import _coupled_rows
+
+        model = sre_model(SRELaw(alpha=1.2, sigma=0.7, neg_prob=0.3), burn_in=100)
+        whole = _coupled_rows(model, 20, 4, np.arange(3, 15))
+        parts = [_coupled_rows(model, 20, 4, np.arange(lo, lo + 4)) for lo in (3, 7, 11)]
+        for k, arr in enumerate(whole):
+            assert np.array_equal(arr, np.concatenate([p[k] for p in parts]))
+
+
 class TestScaleConstants:
     def test_an_iid_pareto(self, pareto_pos_half):
         assert normalizing_an(pareto_pos_half, 10**4) == pytest.approx(1e8, rel=1e-12)
@@ -183,6 +228,34 @@ class TestScaleConstants:
         held_out = np.abs(_simulate_rows(sre_lognormal, 2500, 99, np.arange(400))).ravel()
         ratio = n * np.mean(held_out > a_n)
         assert 0.8 <= ratio <= 1.2
+
+    SHORT_BURN = sre_model(SRELaw(alpha=0.8, sigma=1.0, b_mean=1.0, b_sd=0.0), burn_in=200)
+
+    def test_an_sre_worker_count_invariant(self, monkeypatch):
+        from selfnorm import processes
+
+        one = normalizing_an(self.SHORT_BURN, 10**4, presample=2 * 10**6, seed=6)
+        for workers in (2, 3):
+            assert normalizing_an(self.SHORT_BURN, 10**4, presample=2 * 10**6, seed=6,
+                                  workers=workers) == one
+        # blocks of 100 chains inside one process give the same float
+        monkeypatch.setattr(processes, "_PRESAMPLE_BLOCK_VALUES", 100 * (489 + 200))
+        assert normalizing_an(self.SHORT_BURN, 10**4, presample=2 * 10**6, seed=6) == one
+
+    def test_an_sre_custom_law_runs_in_process(self):
+        # a custom sampler making the lognormal law's draws, which cannot be
+        # sent to a pool worker, still gets the lognormal law's a_n
+        def sampler(rng, size):
+            a = np.exp(-0.4 + rng.standard_normal(size))
+            return a, 1.0 + 0.0 * rng.standard_normal(size)
+
+        custom = sre_model(SRELaw(alpha=0.8, kind="custom", sampler=sampler), burn_in=200,
+                           kesten_check=False)
+        with pytest.raises(ConfigurationError, match="cannot be serialised"):
+            model_to_dict(custom)
+        want = normalizing_an(self.SHORT_BURN, 10**4, presample=2 * 10**6, seed=6)
+        for workers in (1, 2):
+            assert normalizing_an(custom, 10**4, presample=2 * 10**6, seed=6, workers=workers) == want
 
     def test_mean_symmetric_zero(self, pareto_sym_half):
         model = iid_model(NoiseSpec("pareto", 1.5, (0.5, 0.5)))
