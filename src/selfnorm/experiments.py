@@ -14,6 +14,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import numbers
 import os
 import time
 from dataclasses import dataclass
@@ -44,6 +45,7 @@ def _seed_for(seed: int, purpose: str) -> int:
 
 
 _DEFAULT_STATISTICS = ({"name": "ratio_max"}, {"name": "studentized", "p": 2.0})
+_CENTERINGS = ("none", "analytic", "empirical")
 
 
 @dataclass
@@ -95,8 +97,16 @@ class ExperimentConfig:
             problems.append("ks_level: must lie in (0, 1)")
         if self.ks_slack < 1:
             problems.append("ks_slack: must be >= 1")
-        if self.centering not in ("none", "analytic", "empirical"):
+        if self.centering not in _CENTERINGS:
             problems.append("centering: must be none, analytic or empirical")
+        if not _positive(self.p):
+            problems.append(f"p: must be a positive number, got {self.p!r}")
+        if not isinstance(self.ps, (list, tuple)) or not all(_positive(p) for p in self.ps):
+            problems.append(f"ps: every entry must be a positive number, got {self.ps!r}")
+        try:
+            _ReductionPlan.build(self.statistics)
+        except ConfigurationError as exc:
+            problems.append(f"statistics: {exc}")
         if self.kind in ("simulate", "verify", "diagnose") and self.model is None:
             problems.append("model: required for this experiment kind")
         if self.kind in ("limit", "transform") and self.cluster is None and self.model is None:
@@ -127,6 +137,8 @@ class ExperimentConfig:
         kwargs = dict(d)
         for key in ("ps", "statistics", "checks", "u_points", "x_points", "lambda_points"):
             if key in kwargs and kwargs[key] is not None:
+                if not isinstance(kwargs[key], (list, tuple)):
+                    raise ConfigurationError(f"{key}: must be a list, got {kwargs[key]!r}")
                 kwargs[key] = tuple(kwargs[key])
         return cls(**kwargs)
 
@@ -307,61 +319,116 @@ def _tol_row(name: str, reference: float, value: float, tol: float) -> ReportRow
 # batched path statistics
 
 
-def _stat_label(spec: dict) -> str:
-    name = spec["name"]
-    if name == "studentized":
-        return f"studentized_p{spec.get('p', 2.0):g}"
-    if name == "greenwood":
-        return f"greenwood_p{spec.get('p', 2.0):g}"
+# statistic name -> the parameters its spec may set, with their defaults
+_STATISTICS = {
+    "ratio_max": {}, "sum": {}, "max_abs": {}, "gamma": {"p": 2.0}, "studentized": {"p": 2.0},
+    "greenwood": {"p": 2.0}, "kurtosis": {}, "norm_ratio": {"q": 2.0, "r": 1.0},
+}
+# statistics of the path about 0, whatever the run's centering
+_RAW = ("greenwood", "kurtosis", "norm_ratio")
+
+
+def _positive(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and 0 < value < math.inf
+
+
+def _parse_spec(spec) -> tuple[str, str, dict]:
+    """(label, name, parameters) of one statistic spec, or ConfigurationError."""
+    if not isinstance(spec, dict):
+        raise ConfigurationError(f"a statistic spec must be a mapping, got {spec!r}")
+    name = spec.get("name")
+    if not isinstance(name, str) or name not in _STATISTICS:
+        raise ConfigurationError(f"unknown statistic {name!r}; known: {sorted(_STATISTICS)}")
+    check_keys(spec, ("name", *_STATISTICS[name]), f"statistic {name}")
+    params = {}
+    for key, default in _STATISTICS[name].items():
+        value = spec.get(key, default)
+        if not _positive(value):
+            raise ConfigurationError(f"statistic {name}: {key} must be a positive number, got {value!r}")
+        params[key] = float(value)
     if name == "norm_ratio":
-        return f"norm_ratio_{spec.get('q', 2.0):g}_{spec.get('r', 1.0):g}"
-    if name == "gamma":
-        return f"gamma_p{spec.get('p', 2.0):g}"
-    return name
+        label = f"norm_ratio_{params['q']:g}_{params['r']:g}"
+    elif params:
+        label = f"{name}_p{params['p']:g}"
+    else:
+        label = name
+    return label, name, params
 
 
-def _row_statistics(values: np.ndarray, specs: Sequence[dict], center, alpha: float) -> dict:
-    """Per-replica statistics for a (m, n) block of paths."""
-    out = {}
-    centered_ps = sorted({float(s.get("p", 2.0)) for s in specs if s["name"] in ("studentized", "gamma")})
-    bs = stats.batch_stats(values, centered_ps or (2.0,), center=center)
-    raw_bs = None
-    for spec in specs:
-        name = spec["name"]
-        label = _stat_label(spec)
-        if name == "ratio_max":
-            out[label] = bs["sum"] / bs["max_abs"]
-        elif name == "sum":
-            out[label] = bs["sum"]
-        elif name == "max_abs":
-            out[label] = bs["max_abs"]
-        elif name == "gamma":
-            out[label] = bs[f"gamma_{float(spec.get('p', 2.0)):g}"]
-        elif name == "studentized":
-            out[label] = bs["sum"] / bs[f"gamma_{float(spec.get('p', 2.0)):g}"]
-        elif name == "greenwood":
-            p = float(spec.get("p", 2.0))
-            if np.any(values <= 0):
-                raise ConfigurationError("the ratio statistic needs strictly positive paths")
-            if not (alpha < 1.0 and alpha < p):
+def _stat_label(spec: dict) -> str:
+    return _parse_spec(spec)[0]
+
+
+@dataclass(frozen=True)
+class _ReductionPlan:
+    """How a block of paths becomes per-replica statistics.
+
+    Every statistic is a function of a few per-row primitives of the block
+    (:func:`stats._block_sums`): the sum, the maximum modulus and max-rescaled
+    power sums, taken about the run's center (``centered_ps``; ratio_max,
+    sum, max_abs, gamma, studentized) or about 0 (``raw_ps``; greenwood,
+    kurtosis, norm_ratio). Each primitive is computed once per block and
+    center, and at center 0 the two sets are one.
+    """
+
+    specs: tuple  # (label, name, parameters) per spec
+    centered_ps: Optional[tuple]  # None: no statistic reads the centered set
+    raw_ps: Optional[tuple]
+    greenwood: bool
+
+    @classmethod
+    def build(cls, specs: Sequence[dict], alpha: Optional[float] = None) -> "_ReductionPlan":
+        """Check every spec (and, given the tail index, greenwood's
+        ``alpha < min(p, 1)``) before any path is simulated."""
+        if not isinstance(specs, (list, tuple)):
+            raise ConfigurationError(f"statistic specs must be a list, got {specs!r}")
+        parsed = tuple(_parse_spec(spec) for spec in specs)
+        centered, raw = None, None
+        for _, name, params in parsed:
+            ps = (4.0, 2.0) if name == "kurtosis" else tuple(params.values())
+            if name in _RAW:
+                raw = (raw or ()) + ps
+            else:
+                centered = (centered or ()) + ps
+            if name == "greenwood" and alpha is not None and not (alpha < 1.0 and alpha < params["p"]):
                 raise ConfigurationError("the ratio statistic needs alpha < min(p, 1)")
-            m = values.max(axis=1, keepdims=True)
-            scaled = values / m
-            out[label] = np.sum(scaled**p, axis=1) / np.sum(scaled, axis=1) ** p
-        elif name == "kurtosis":
-            rb = stats.batch_stats(values, (4.0, 2.0), center=0.0)
-            out[label] = (rb["gamma_4"] / rb["gamma_2"]) ** 4
-        elif name == "norm_ratio":
-            q, r = float(spec.get("q", 2.0)), float(spec.get("r", 1.0))
-            rb = stats.batch_stats(values, (q, r), center=0.0)
-            out[label] = rb[f"gamma_{q:g}"] / rb[f"gamma_{r:g}"]
+        return cls(parsed, centered, raw, any(name == "greenwood" for _, name, _ in parsed))
+
+    def reduce(self, values: np.ndarray, center: float) -> dict:
+        """Per-replica statistics of a (m, n) block of paths."""
+        if self.greenwood and np.any(values <= 0):
+            raise ConfigurationError("the ratio statistic needs strictly positive paths")
+        sums = stats._block_sums
+        if center == 0.0:
+            centered = raw = sums(values, (self.centered_ps or ()) + (self.raw_ps or ()),
+                                  total=self.centered_ps is not None, first=self.greenwood)
         else:
-            raise ConfigurationError(f"unknown statistic {name!r}")
-    return out
+            centered = None if self.centered_ps is None else sums(values, self.centered_ps, center)
+            raw = None if self.raw_ps is None else sums(values, self.raw_ps, total=False, first=self.greenwood)
+        out = {}
+        for label, name, params in self.specs:
+            b = raw if name in _RAW else centered
+            if name == "ratio_max":
+                out[label] = b.total / b.max_abs
+            elif name == "sum":
+                out[label] = b.total
+            elif name == "max_abs":
+                out[label] = b.max_abs
+            elif name == "gamma":
+                out[label] = b.gamma(params["p"])
+            elif name == "studentized":
+                out[label] = b.total / b.gamma(params["p"])
+            elif name == "greenwood":
+                out[label] = b.powers[params["p"]] / b.first ** params["p"]
+            elif name == "kurtosis":
+                out[label] = (b.gamma(4.0) / b.gamma(2.0)) ** 4
+            else:
+                out[label] = b.gamma(params["q"]) / b.gamma(params["r"])
+        return out
 
 
 def _stats_block_worker(args) -> tuple[int, dict]:
-    model_dict, n, start, stop, seed, specs, centering = args
+    model_dict, n, start, stop, seed, plan, centering = args
     model = model_from_dict(model_dict)
     center = 0.0
     if centering == "analytic":
@@ -375,7 +442,7 @@ def _stats_block_worker(args) -> tuple[int, dict]:
         if centering == "empirical":
             c = values.mean(axis=1, keepdims=True)
             values = values - c
-        pieces.append(_row_statistics(values, specs, center, model.alpha))
+        pieces.append(plan.reduce(values, center))
     merged = {k: np.concatenate([p[k] for p in pieces]) for k in pieces[0]}
     return start, merged
 
@@ -390,10 +457,18 @@ def simulate_statistics(
     workers: int = 1,
 ) -> dict:
     """Arrays of per-replica statistics, replica i on substream (seed, i);
-    identical output for any worker count."""
+    identical output for any worker count.
+
+    The specs become one reduction plan in the calling process, so a bad
+    spec or centering fails before any path is simulated. Each block of paths is then
+    simulated once and every statistic is reduced from it.
+    """
+    if centering not in _CENTERINGS:
+        raise ConfigurationError(f"centering must be one of {_CENTERINGS}, got {centering!r}")
+    plan = _ReductionPlan.build(specs, model.alpha)
     model_dict = model_to_dict(model)
     blocks = _partition(reps, workers)
-    tasks = [(model_dict, n, start, stop, seed, list(specs), centering) for start, stop in blocks]
+    tasks = [(model_dict, n, start, stop, seed, plan, centering) for start, stop in blocks]
     results = _run_tasks(_stats_block_worker, tasks, workers)
     results.sort(key=lambda t: t[0])
     return {k: np.concatenate([r[1][k] for r in results]) for k in results[0][1]}
@@ -626,53 +701,71 @@ def _run_diagnose(config: ExperimentConfig, workers: int):
 
 
 def _run_verify(config: ExperimentConfig, workers: int):
+    """Run the configured checks in order and write their rows to verify.csv.
+
+    The path checks share one simulation: their statistics are collected
+    first and the run simulates its paths once per distinct centering (once
+    on every shipped config), reducing every statistic from the same blocks.
+    Each check then compares the mean of its array with its oracle.
+    """
+    unknown = [check for check in config.checks if check not in _CHECKS]
+    if unknown:
+        raise ConfigurationError(f"unknown verify check {unknown[0]!r}; known: {sorted(_CHECKS)}")
     # one cluster model for every check, so an empirical library is built once
     cluster = config.cluster_model()
+    groups: dict = {}  # centering -> {path check: its statistic spec}
+    for check in config.checks:
+        if check in _PATH_STATISTICS:
+            spec, centering = _PATH_STATISTICS[check]
+            groups.setdefault(centering or config.centering, {})[check] = spec(config.p)
+    model = config.process_model()
+    paths = {}  # path check -> its per-replica array
+    for centering, specs in groups.items():
+        arrays = simulate_statistics(model, config.n, config.reps, list(specs.values()), centering,
+                                     _seed_for(config.seed, "paths"), workers)
+        paths.update({check: arrays[_stat_label(spec)] for check, spec in specs.items()})
     rows = []
     for check in config.checks:
-        fn = _CHECKS.get(check)
-        if fn is None:
-            raise ConfigurationError(f"unknown verify check {check!r}; known: {sorted(_CHECKS)}")
-        rows.extend(fn(config, workers, cluster))
+        rows.extend(_CHECKS[check](config, workers, cluster, paths))
     return rows, [("verify.csv", lambda fh, rows_=rows: Report(rows_, {}).rows_to_csv(fh))]
 
 
-def _paths_mean(config: ExperimentConfig, workers: int, spec: dict, centering=None) -> tuple[float, float]:
-    model = config.process_model()
-    arrays = simulate_statistics(
-        model, config.n, config.reps, [spec],
-        config.centering if centering is None else centering,
-        _seed_for(config.seed, "paths"), workers,
-    )
-    vals = arrays[_stat_label(spec)]
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals)))
+# path check -> its statistic as a function of config.p, and the centering it
+# reads the paths under (None: the config's)
+_PATH_STATISTICS = {
+    "greenwood": (lambda p: {"name": "greenwood", "p": p}, "none"),
+    "ratio_max": (lambda p: {"name": "ratio_max"}, None),
+    "ratio_student": (lambda p: {"name": "studentized", "p": p}, None),
+    "kurtosis": (lambda p: {"name": "kurtosis"}, "none"),
+}
 
 
-def _check_greenwood(config, workers, cluster):
+def _path_row(name: str, analytic: Estimate, vals: np.ndarray, z_bound: float) -> ReportRow:
+    mc, se = float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals)))
+    return _mc_row(name, analytic, mc, se, z_bound)
+
+
+def _check_greenwood(config, workers, cluster, paths):
     analytic = oracles.expected_greenwood(cluster, p=config.p, seed=_seed_for(config.seed, "oracle"))
-    mc, se = _paths_mean(config, workers, {"name": "greenwood", "p": config.p}, centering="none")
-    return [_mc_row(f"greenwood_p{config.p:g}", analytic, mc, se, config.z_bound)]
+    return [_path_row(f"greenwood_p{config.p:g}", analytic, paths["greenwood"], config.z_bound)]
 
 
-def _check_ratio_max(config, workers, cluster):
+def _check_ratio_max(config, workers, cluster, paths):
     analytic = oracles.expected_ratio_max(cluster, seed=_seed_for(config.seed, "oracle"))
-    mc, se = _paths_mean(config, workers, {"name": "ratio_max"})
-    return [_mc_row("ratio_max", analytic, mc, se, config.z_bound)]
+    return [_path_row("ratio_max", analytic, paths["ratio_max"], config.z_bound)]
 
 
-def _check_ratio_student(config, workers, cluster):
+def _check_ratio_student(config, workers, cluster, paths):
     analytic = oracles.expected_ratio_student(cluster, p=config.p, seed=_seed_for(config.seed, "oracle"))
-    mc, se = _paths_mean(config, workers, {"name": "studentized", "p": config.p})
-    return [_mc_row(f"studentized_p{config.p:g}", analytic, mc, se, config.z_bound)]
+    return [_path_row(f"studentized_p{config.p:g}", analytic, paths["ratio_student"], config.z_bound)]
 
 
-def _check_kurtosis(config, workers, cluster):
+def _check_kurtosis(config, workers, cluster, paths):
     analytic = oracles.expected_kurtosis_limit(cluster, seed=_seed_for(config.seed, "oracle"))
-    mc, se = _paths_mean(config, workers, {"name": "kurtosis"}, centering="none")
-    return [_mc_row("kurtosis", analytic, mc, se, config.z_bound)]
+    return [_path_row("kurtosis", analytic, paths["kurtosis"], config.z_bound)]
 
 
-def _check_extremal_index(config, workers, cluster):
+def _check_extremal_index(config, workers, cluster, paths):
     seed = _seed_for(config.seed, "cluster")
     acc = clusters.tilted_acceptance(cluster, reps=config.reps, seed=seed)
     mx = clusters.extremal_index(cluster, reps=config.reps, seed=derive_seed(seed, 1), method="cluster_max")
@@ -698,7 +791,7 @@ def _check_extremal_index(config, workers, cluster):
     return rows
 
 
-def _check_lepage_laplace(config, workers, cluster):
+def _check_lepage_laplace(config, workers, cluster, paths):
     alpha = cluster.alpha
     draws = sample_limit_batch_parallel(
         cluster, alpha, config.p, config.reps, config.n_terms, _seed_for(config.seed, "series"), workers,
@@ -715,7 +808,7 @@ def _check_lepage_laplace(config, workers, cluster):
     return rows
 
 
-def _check_gamma_identity(config, workers, cluster):
+def _check_gamma_identity(config, workers, cluster, paths):
     xs = config.x_points or (0.5, 1.0, 4.0)
     rows = []
     for row in oracles.gamma_identity_check(config.p, xs):
@@ -724,7 +817,7 @@ def _check_gamma_identity(config, workers, cluster):
     return rows
 
 
-def _check_time_change(config, workers, cluster):
+def _check_time_change(config, workers, cluster, paths):
     report = clusters.verify_time_change(
         cluster, t=1, test_functionals=clusters.standard_functionals(),
         reps=config.reps, seed=_seed_for(config.seed, "cluster"),
@@ -739,7 +832,7 @@ def _check_time_change(config, workers, cluster):
     return rows
 
 
-def _check_self_decomposition(config, workers, cluster):
+def _check_self_decomposition(config, workers, cluster, paths):
     u = (config.u_points or (1.0,))[0]
     lam = (config.lambda_points or (1.0,))[0]
     c = 0.5

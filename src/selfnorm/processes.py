@@ -288,6 +288,10 @@ def pareto_quantile(u, alpha: float):
 def _draw_noise(spec: NoiseSpec, rng: np.random.Generator, size: int) -> np.ndarray:
     if spec.kind == PARETO:
         z = pareto_quantile(rng.random(size), spec.alpha)
+        if spec.q_plus in (0.0, 1.0):
+            # one-signed noise: the sign draws come last in the stream and
+            # would all compare the same way, so they are skipped
+            return z if spec.q_plus == 1.0 else -z
         signs = np.where(rng.random(size) < spec.q_plus, 1.0, -1.0)
         return z * signs
     # Chambers-Mallows-Stuck, symmetric case

@@ -105,21 +105,63 @@ def compute_stats(
     return PathStats(sum=total, max_abs=m, moduli=moduli, n=len(a), centering=centering)
 
 
+@dataclass(frozen=True)
+class _BlockSums:
+    """Per-row primitives of a (reps, n) block of paths about a center c.
+
+    ``total`` is ``sum_t (X_t - c)``, ``max_abs`` is ``M = max_t |X_t - c|``,
+    ``powers[p]`` is the max-rescaled power sum ``sum_t (|X_t - c| / M)^p`` and
+    ``first`` the rescaled first power ``sum_t |X_t - c| / M``; a row with
+    ``M = 0`` is rescaled by 1. ``total`` and ``first`` are None unless asked
+    for.
+    """
+
+    total: Optional[np.ndarray]
+    max_abs: np.ndarray
+    powers: Mapping[float, np.ndarray]
+    first: Optional[np.ndarray] = None
+
+    def gamma(self, p: float) -> np.ndarray:
+        """``gamma_p = M (sum_t (|X_t - c| / M)^p)^(1/p)``, 0 on an all-zero row."""
+        m = self.max_abs
+        g = np.where(m > 0, m, 1.0) * self.powers[p] ** (1.0 / p)
+        return np.where(m > 0, g, 0.0)
+
+
+def _block_sums(values: np.ndarray, ps: Sequence[float], center: float = 0.0, total: bool = True,
+                first: bool = False) -> _BlockSums:
+    """One pass of each primitive over a (reps, n) block: the row sums (if
+    ``total``), the row maxima of ``|X - center|``, one rescaled power sum per
+    p and the rescaled first power (if ``first``).
+
+    The block-sized buffers (the centered copy, the rescaled moduli, each
+    power) are released before this returns. At ``center == 0`` the centered
+    copy is skipped: ``x - 0.0`` is ``x`` bit for bit.
+    """
+    values = np.asarray(values, dtype=float)
+    if center == 0.0:
+        row_sums = values.sum(axis=1) if total else None
+        scaled = np.abs(values)
+    else:
+        scaled = values - center
+        row_sums = scaled.sum(axis=1) if total else None
+        np.abs(scaled, out=scaled)
+    m = scaled.max(axis=1)
+    scaled /= np.where(m > 0, m, 1.0)[:, None]
+    powers = {p: np.sum(scaled**p, axis=1) for p in dict.fromkeys(ps)}
+    return _BlockSums(row_sums, m, powers, np.sum(scaled, axis=1) if first else None)
+
+
 def batch_stats(values: np.ndarray, ps: Sequence[float], center: float = 0.0) -> dict:
     """Vectorised sums, maxima and moduli for a (reps, n) matrix of paths.
 
     Returns arrays ``sum`` and ``max_abs`` plus one ``gamma_p`` array per p,
     using the same max-rescaled accumulation as :func:`compute_stats`.
     """
-    v = np.asarray(values, dtype=float) - center
-    a = np.abs(v)
-    m = a.max(axis=1)
-    out = {"sum": v.sum(axis=1), "max_abs": m}
-    safe = np.where(m > 0, m, 1.0)
-    scaled = a / safe[:, None]
+    b = _block_sums(values, ps, center)
+    out = {"sum": b.total, "max_abs": b.max_abs}
     for p in ps:
-        g = safe * np.sum(scaled**p, axis=1) ** (1.0 / p)
-        out[f"gamma_{p:g}"] = np.where(m > 0, g, 0.0)
+        out[f"gamma_{p:g}"] = b.gamma(p)
     return out
 
 

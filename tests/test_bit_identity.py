@@ -6,7 +6,12 @@ engine, pinned bit for bit.
 empirical AR(1) cluster and an empirical SRE cluster at fixed seeds, and, in
 the ``sre_paths`` group, the exact bits of the SRE scale constant a_n, digests
 of coupled SRE rows and of the report and CSVs of a small SRE ``diagnose``
-run. A change to how these are computed must reproduce them exactly.
+run. The ``paths`` group holds digests of the per-replica arrays of
+``simulate_statistics`` for iid Pareto (every sign balance), symmetric-stable
+iid, AR(1) and SRE models, every statistic and every centering the model
+allows, and of the report and ``verify.csv`` of small ``verify`` runs with the
+four path checks. A change to how these are computed must reproduce them
+exactly.
 
 Regenerate the record (only for a deliberate change of value, which
 CHANGES.md must then explain) with::
@@ -26,7 +31,7 @@ import numpy as np
 import pytest
 
 from selfnorm import ExperimentConfig, clusters, limits, oracles, processes, run_experiment
-from selfnorm.experiments import cluster_from_dict
+from selfnorm.experiments import cluster_from_dict, simulate_statistics
 
 RECORD = Path(__file__).parent / "data" / "empirical_digests.json"
 
@@ -89,17 +94,23 @@ SRE_DIAGNOSE = dict(kind="diagnose", name="sre-diagnose", model={**SRE, "burn_in
                     reps=20, seed=3)
 
 
-def diagnose_outputs(workers: int) -> tuple[dict, dict]:
-    """The small SRE diagnose run's report without its timing fields, and the
-    bytes of every artifact it writes."""
+def run_outputs(config: dict, workers: int) -> tuple[dict, dict]:
+    """A small run's report without its timing fields, and the bytes of every
+    artifact it writes."""
     with tempfile.TemporaryDirectory() as tmp:
-        report = run_experiment(ExperimentConfig.from_dict(SRE_DIAGNOSE), out_dir=tmp,
+        report = run_experiment(ExperimentConfig.from_dict(config), out_dir=tmp,
                                 workers=workers).to_json()
-        root = Path(tmp) / SRE_DIAGNOSE["name"]
+        root = Path(tmp) / config["name"]
         files = {f.name: f.read_bytes() for f in sorted(root.iterdir()) if f.name != "report.json"}
     for timing in ("wall_time_s", "versions", "workers"):
         report["metadata"].pop(timing)
     return report, files
+
+
+def _run_digests(config: dict) -> dict:
+    report, files = run_outputs(config, workers=1)
+    return {"report": hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest(),
+            "files": {name: hashlib.sha256(data).hexdigest() for name, data in files.items()}}
 
 
 def sre_path_digests() -> dict:
@@ -108,14 +119,61 @@ def sre_path_digests() -> dict:
     out = {"normalizing_an": processes.normalizing_an(model, 10_000, presample=2_000_000).hex()}
     x, xs, x0, x0s = processes._coupled_rows(model, 39, 5, np.arange(7, 27))
     out["coupled_rows"] = _dict_digests({"x": x, "x_star": xs, "x0": x0, "x0_star": x0s})
-    report, files = diagnose_outputs(workers=1)
-    out["diagnose_report"] = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
-    out["diagnose_files"] = {name: hashlib.sha256(data).hexdigest() for name, data in files.items()}
+    run = _run_digests(SRE_DIAGNOSE)
+    out["diagnose_report"] = run["report"]
+    out["diagnose_files"] = run["files"]
+    return out
+
+
+def _pareto(alpha: float, q_plus: float) -> dict:
+    return {"kind": "iid", "noise": {"kind": "pareto", "alpha": alpha, "q_plus": q_plus,
+                                     "q_minus": 1.0 - q_plus}}
+
+
+# name -> (model, centerings the model allows); analytic centering needs alpha > 1
+PATH_MODELS = {
+    "iid_pareto_pos": (_pareto(0.5, 1.0), ("none", "empirical")),
+    "iid_pareto_neg": (_pareto(1.5, 0.0), ("none", "analytic", "empirical")),
+    "iid_pareto_mixed": (_pareto(1.5, 0.5), ("none", "analytic", "empirical")),
+    "iid_stable": ({"kind": "iid", "noise": {"kind": "symmetric_stable", "alpha": 1.5}},
+                   ("none", "analytic", "empirical")),
+    "ar1": (AR1, ("none", "empirical")),
+    "sre": ({**SRE, "burn_in": 300}, ("none", "empirical")),
+}
+PATH_STATISTICS = [
+    {"name": "ratio_max"}, {"name": "sum"}, {"name": "max_abs"}, {"name": "gamma", "p": 2.0},
+    {"name": "gamma", "p": 4.0}, {"name": "gamma", "p": 0.7}, {"name": "studentized", "p": 2.0},
+    {"name": "studentized", "p": 1.0}, {"name": "kurtosis"}, {"name": "norm_ratio"},
+    {"name": "norm_ratio", "q": 4.0, "r": 0.5},
+]
+# greenwood reads uncentered, strictly positive paths with alpha < min(p, 1)
+GREENWOOD = ({"name": "greenwood", "p": 2.0}, {"name": "greenwood", "p": 1.5})
+POSITIVE = ("iid_pareto_pos", "ar1", "sre")
+
+PATH_VERIFY = dict(kind="verify", name="ar1-paths-verify", model=AR1, n=1500, reps=120, p=2.0,
+                   checks=["greenwood", "ratio_max", "ratio_student", "kurtosis"], seed=5)
+
+
+def path_digests() -> dict:
+    """Per-replica statistics arrays, and small verify runs with the four
+    path checks (one with the ratio checks under empirical centering)."""
+    out = {}
+    for name, (model, centerings) in PATH_MODELS.items():
+        m = processes.model_from_dict(model)
+        for centering in centerings:
+            specs = list(PATH_STATISTICS)
+            if name in POSITIVE and centering == "none":
+                specs += GREENWOOD
+            arrays = simulate_statistics(m, 700, 40, specs, centering, seed=60)
+            out[f"{name}_{centering}"] = _dict_digests(arrays)
+    out["verify"] = _run_digests(PATH_VERIFY)
+    out["verify_empirical"] = _run_digests({**PATH_VERIFY, "centering": "empirical"})
     return out
 
 
 def record() -> dict:
-    return {**{name: digests(name) for name in sorted(CLUSTERS)}, "sre_paths": sre_path_digests()}
+    return {**{name: digests(name) for name in sorted(CLUSTERS)}, "sre_paths": sre_path_digests(),
+            "paths": path_digests()}
 
 
 @pytest.mark.parametrize("name", sorted(CLUSTERS))
@@ -135,6 +193,36 @@ def test_sre_paths_bit_identical():
         assert now[call] == recorded[call], call
 
 
+def test_paths_bit_identical():
+    recorded = json.loads(RECORD.read_text())["paths"]
+    now = path_digests()
+    assert now.keys() == recorded.keys()
+    for call in recorded:
+        assert now[call] == recorded[call], call
+
+
+@pytest.mark.parametrize("centering,calls", [("none", ["none"]), ("empirical", ["none", "empirical"])])
+def test_verify_simulates_once_per_centering(monkeypatch, centering, calls):
+    # greenwood and kurtosis read uncentered paths, the two ratio checks the
+    # config's centering: one simulation per distinct centering
+    from selfnorm import experiments
+
+    seen = []
+    simulate = experiments.simulate_statistics
+
+    def counted(model, n, reps, specs, centering="none", *args, **kwargs):
+        seen.append(centering)
+        return simulate(model, n, reps, specs, centering, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "simulate_statistics", counted)
+    run_outputs({**PATH_VERIFY, "centering": centering}, workers=1)
+    assert seen == calls
+
+
+def test_verify_paths_any_worker_count():
+    assert run_outputs(PATH_VERIFY, workers=1) == run_outputs(PATH_VERIFY, workers=2)
+
+
 def test_sre_diagnose_one_presample_any_worker_count(monkeypatch):
     # the run simulates the a_n presample once, and splitting it over two
     # workers changes no byte of the report or the artifacts
@@ -149,9 +237,9 @@ def test_sre_diagnose_one_presample_any_worker_count(monkeypatch):
 
     monkeypatch.setattr(processes, "normalizing_an", counted)
     monkeypatch.setattr(diagnostics, "normalizing_an", counted)
-    one = diagnose_outputs(workers=1)
+    one = run_outputs(SRE_DIAGNOSE, workers=1)
     assert calls == ["sre"]
-    two = diagnose_outputs(workers=2)
+    two = run_outputs(SRE_DIAGNOSE, workers=2)
     assert calls == ["sre", "sre"]
     assert one == two
     assert set(one[1]) == {"anticluster.csv", "coupled_anticluster.csv", "coupling_decay.csv",

@@ -1,8 +1,10 @@
+import importlib.util
 import io
 import json
 import math
 import os
 import pickle
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -22,9 +24,10 @@ from selfnorm import (
     sample_limit_lepage_batch,
     simulate_statistics,
 )
-from selfnorm import clusters
+from selfnorm import clusters, stats
 from selfnorm.cli import main as cli_main
-from selfnorm.experiments import cluster_from_dict, cluster_to_dict, derive_cluster, load_config
+from selfnorm.experiments import (_ReductionPlan, cluster_from_dict, cluster_to_dict, derive_cluster,
+                                  load_config)
 from selfnorm.processes import model_from_dict
 
 
@@ -156,6 +159,197 @@ class TestConfigKeys:
         model = {"kind": "ar1", "phi": 0.5, "noise": {"kind": "pareto", "alpha": 0.5}}
         explicit = {**model, "burn_in": 1000, "noise": {**model["noise"], "q_plus": 0.5, "q_minus": 0.5}}
         assert small_verify_config(model=model).config_hash() == small_verify_config(model=explicit).config_hash()
+
+
+def _reference_batch_stats(values, ps, center=0.0):
+    """The batched reduction as it stood before the reduction plan."""
+    v = np.asarray(values, dtype=float) - center
+    a = np.abs(v)
+    m = a.max(axis=1)
+    out = {"sum": v.sum(axis=1), "max_abs": m}
+    safe = np.where(m > 0, m, 1.0)
+    scaled = a / safe[:, None]
+    for p in ps:
+        g = safe * np.sum(scaled**p, axis=1) ** (1.0 / p)
+        out[f"gamma_{p:g}"] = np.where(m > 0, g, 0.0)
+    return out
+
+
+def _reference_row_statistics(values, specs, center, alpha):
+    """Per-replica statistics one spec at a time, as before the reduction
+    plan: the reference the plan must reproduce bit for bit."""
+    from selfnorm.experiments import _stat_label
+
+    out = {}
+    centered_ps = sorted({float(s.get("p", 2.0)) for s in specs if s["name"] in ("studentized", "gamma")})
+    bs = _reference_batch_stats(values, centered_ps or (2.0,), center=center)
+    for spec in specs:
+        name = spec["name"]
+        label = _stat_label(spec)
+        if name == "ratio_max":
+            out[label] = bs["sum"] / bs["max_abs"]
+        elif name == "sum":
+            out[label] = bs["sum"]
+        elif name == "max_abs":
+            out[label] = bs["max_abs"]
+        elif name == "gamma":
+            out[label] = bs[f"gamma_{float(spec.get('p', 2.0)):g}"]
+        elif name == "studentized":
+            out[label] = bs["sum"] / bs[f"gamma_{float(spec.get('p', 2.0)):g}"]
+        elif name == "greenwood":
+            p = float(spec.get("p", 2.0))
+            if np.any(values <= 0):
+                raise ConfigurationError("the ratio statistic needs strictly positive paths")
+            if not (alpha < 1.0 and alpha < p):
+                raise ConfigurationError("the ratio statistic needs alpha < min(p, 1)")
+            m = values.max(axis=1, keepdims=True)
+            scaled = values / m
+            out[label] = np.sum(scaled**p, axis=1) / np.sum(scaled, axis=1) ** p
+        elif name == "kurtosis":
+            rb = _reference_batch_stats(values, (4.0, 2.0), center=0.0)
+            out[label] = (rb["gamma_4"] / rb["gamma_2"]) ** 4
+        elif name == "norm_ratio":
+            q, r = float(spec.get("q", 2.0)), float(spec.get("r", 1.0))
+            rb = _reference_batch_stats(values, (q, r), center=0.0)
+            out[label] = rb[f"gamma_{q:g}"] / rb[f"gamma_{r:g}"]
+    return out
+
+
+PLAN_SPECS = [
+    {"name": "ratio_max"}, {"name": "sum"}, {"name": "max_abs"}, {"name": "gamma", "p": 2.0},
+    {"name": "gamma", "p": 0.5}, {"name": "gamma", "p": 4}, {"name": "studentized", "p": 2.0},
+    {"name": "studentized", "p": 1.0}, {"name": "studentized"}, {"name": "kurtosis"},
+    {"name": "norm_ratio"}, {"name": "norm_ratio", "q": 4.0, "r": 0.5},
+]
+GREENWOOD_SPECS = [{"name": "greenwood", "p": 2.0}, {"name": "greenwood", "p": 1.5}]
+
+
+def _plan_blocks():
+    """(name, block, specs): signed and positive heavy-tailed blocks, each as
+    a fresh array and as a row-strided view like the burn-in slice of a
+    simulated block; the signed one has an all-zero row."""
+    rng = np.random.default_rng(17)
+    z = rng.random((9, 260)) ** -2.0
+    signed = np.where(rng.random(z.shape) < 0.4, -z, z)
+    signed[3] = 0.0
+    for name, block, specs in (("signed", signed, PLAN_SPECS), ("positive", z, PLAN_SPECS + GREENWOOD_SPECS)):
+        yield name, block[:, 60:].copy(), specs
+        yield name + "_view", block[:, 60:], specs
+
+
+class TestReductionPlan:
+    @pytest.mark.parametrize("centering", ["none", "analytic", "empirical"])
+    def test_plan_equals_reference(self, centering):
+        for name, values, specs in _plan_blocks():
+            center = 0.0
+            if centering == "analytic":
+                center = 1.7
+            if centering == "empirical":
+                values = values - values.mean(axis=1, keepdims=True)
+                specs = [s for s in specs if s["name"] != "greenwood"]
+            with np.errstate(all="ignore"):
+                want = _reference_row_statistics(values, specs, center, alpha=0.5)
+                got = _ReductionPlan.build(specs, 0.5).reduce(values, center)
+            assert list(got) == list(want), name
+            for label in want:
+                assert got[label].tobytes() == want[label].tobytes(), (name, label)
+                assert np.array_equal(got[label], want[label], equal_nan=True), (name, label)
+
+    def test_batch_stats_equals_reference(self):
+        for name, values, _ in _plan_blocks():
+            for center in (0.0, -2.5):
+                want = _reference_batch_stats(values, (0.5, 2.0, 4.0), center)
+                got = stats.batch_stats(values, (0.5, 2.0, 4.0), center)
+                assert list(got) == list(want)
+                for key in want:
+                    assert got[key].tobytes() == want[key].tobytes(), (name, center, key)
+
+    def test_greenwood_needs_positive_paths(self):
+        values = np.array([[1.0, 2.0, 3.0], [1.0, -2.0, 3.0]])
+        with pytest.raises(ConfigurationError, match="strictly positive"):
+            _ReductionPlan.build(GREENWOOD_SPECS, 0.5).reduce(values, 0.0)
+
+    def test_bad_input_fails_before_simulation(self, monkeypatch):
+        from selfnorm import processes
+
+        def no_paths(*args):
+            raise AssertionError("simulated a path")
+
+        monkeypatch.setattr(processes, "_simulate_rows", no_paths)
+        model = model_from_dict({"kind": "iid", "noise": {"kind": "pareto", "alpha": 1.5}})
+        with pytest.raises(ConfigurationError, match="alpha < min"):
+            simulate_statistics(model, 100, 4, [{"name": "ratio_max"}, {"name": "greenwood"}])
+        with pytest.raises(ConfigurationError, match="unknown statistic"):
+            simulate_statistics(model, 100, 4, [{"name": "ratio_max"}, {"name": "bogus"}])
+        with pytest.raises(ConfigurationError, match="centering must be"):
+            simulate_statistics(model, 100, 4, [{"name": "sum"}], "emprical")
+
+
+BAD_STATISTICS = [
+    (["ratio_max"], "must be a mapping"),
+    ([{"name": "ratio_max"}, 3], "must be a mapping"),
+    ([{"name": "bogus"}], "unknown statistic"),
+    ([{"p": 2.0}], "unknown statistic"),
+    ([{"name": "studentized", "pp": 4}], "unknown keys"),
+    ([{"name": "ratio_max", "p": 2.0}], "unknown keys"),
+    ([{"name": "gamma", "p": 0}], "positive number"),
+    ([{"name": "studentized", "p": -1}], "positive number"),
+    ([{"name": "greenwood", "p": "2"}], "positive number"),
+    ([{"name": "norm_ratio", "q": 0.0}], "positive number"),
+    ([{"name": "norm_ratio", "r": -1.0}], "positive number"),
+]
+BAD_FIELDS = [
+    ({"p": 0.0}, "p: must be a positive number"),
+    ({"p": -2.0}, "p: must be a positive number"),
+    ({"ps": [2.0, 0.0]}, "ps: every entry"),
+    ({"ps": [-1.0]}, "ps: every entry"),
+    ({"ps": None}, "ps: every entry"),
+    ({"ps": 2.0}, "ps: must be a list"),
+    ({"statistics": {"name": "ratio_max"}}, "statistics: must be a list"),
+    ({"statistics": None}, "statistic specs must be a list"),
+]
+
+
+class TestStatisticSpecs:
+    """A bad statistic spec, p or ps is a configuration error (CLI exit 2)
+    found by ``validate``, before any path is simulated."""
+
+    BASE = dict(kind="simulate", name="specs", model=IID_POS_HALF, n=50, reps=4)
+
+    def _config(self, **over):
+        return ExperimentConfig.from_dict({**self.BASE, **over})
+
+    @staticmethod
+    def _cases():
+        return [({"statistics": bad}, match) for bad, match in BAD_STATISTICS] + BAD_FIELDS
+
+    def test_validate_rejects(self):
+        for over, match in self._cases():
+            with pytest.raises(ConfigurationError, match=match):
+                self._config(**over).validate()
+
+    def test_cli_exit_2(self, tmp_path, capsys):
+        for k, (over, match) in enumerate(self._cases()):
+            cfg_path = tmp_path / f"cfg{k}.yaml"
+            with open(cfg_path, "w") as fh:
+                yaml.safe_dump({**self.BASE, **over}, fh)
+            assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2, over
+            assert match in capsys.readouterr().err, over
+
+    def test_good_specs_validate(self):
+        self._config(statistics=PLAN_SPECS + GREENWOOD_SPECS, p=0.5, ps=[1, 2.5]).validate()
+
+    def test_bench_workload_configs_validate(self, monkeypatch):
+        path = Path(__file__).parents[1] / "bench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("bench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        # its dataclasses look their module up while the module runs
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        for name in workloads.WORKLOADS:
+            for seed in (1, 7):
+                for cfg in workloads.build(name, seed).configs:
+                    ExperimentConfig.from_dict(cfg).validate()
 
 
 class TestParallel:
