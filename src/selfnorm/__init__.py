@@ -78,6 +78,7 @@ from .processes import (
     sample_path,
     sre_model,
     stationary_mean,
+    tail_constant,
 )
 from .stats import (
     PathStats,

@@ -17,6 +17,7 @@ import math
 import numbers
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path as FsPath
 from typing import Optional, Sequence
@@ -27,8 +28,8 @@ import yaml
 from . import clusters, diagnostics, limits, oracles, processes, stats
 from .clusters import ClusterModel, Estimate
 from .errors import ConfigurationError
-from .processes import (ProcessModel, _partition, _run_tasks, check_keys, model_from_dict, model_to_dict,
-                        stationary_mean, text_target)
+from .processes import (ProcessModel, check_keys, model_from_dict, model_to_dict, stationary_mean,
+                        text_target)
 from .rng import derive_seed, substream
 
 WORKERS_ENV = "SELFNORM_WORKERS"
@@ -58,7 +59,6 @@ class ExperimentConfig:
     reps: int = 1_000
     n_terms: int = limits.DEFAULT_N_TERMS
     p: float = 2.0
-    ps: tuple = (2.0,)
     statistics: tuple = _DEFAULT_STATISTICS
     centering: str = "none"
     checks: tuple = ()
@@ -101,8 +101,6 @@ class ExperimentConfig:
             problems.append("centering: must be none, analytic or empirical")
         if not _positive(self.p):
             problems.append(f"p: must be a positive number, got {self.p!r}")
-        if not isinstance(self.ps, (list, tuple)) or not all(_positive(p) for p in self.ps):
-            problems.append(f"ps: every entry must be a positive number, got {self.ps!r}")
         try:
             _ReductionPlan.build(self.statistics)
         except ConfigurationError as exc:
@@ -135,7 +133,7 @@ class ExperimentConfig:
         if unknown:
             raise ConfigurationError(f"unknown config fields: {sorted(unknown)}")
         kwargs = dict(d)
-        for key in ("ps", "statistics", "checks", "u_points", "x_points", "lambda_points"):
+        for key in ("statistics", "checks", "u_points", "x_points", "lambda_points"):
             if key in kwargs and kwargs[key] is not None:
                 if not isinstance(kwargs[key], (list, tuple)):
                     raise ConfigurationError(f"{key}: must be a list, got {kwargs[key]!r}")
@@ -144,7 +142,7 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
-        for key in ("ps", "statistics", "checks", "u_points", "x_points", "lambda_points"):
+        for key in ("statistics", "checks", "u_points", "x_points", "lambda_points"):
             d[key] = list(d[key])
         return d
 
@@ -355,10 +353,6 @@ def _parse_spec(spec) -> tuple[str, str, dict]:
     return label, name, params
 
 
-def _stat_label(spec: dict) -> str:
-    return _parse_spec(spec)[0]
-
-
 @dataclass(frozen=True)
 class _ReductionPlan:
     """How a block of paths becomes per-replica statistics.
@@ -427,7 +421,22 @@ class _ReductionPlan:
         return out
 
 
-def _stats_block_worker(args) -> tuple[int, dict]:
+def _partition(reps: int, workers: int) -> list[tuple[int, int]]:
+    """Contiguous index ranges, one per worker."""
+    blocks = max(1, min(workers, reps))
+    size = -(-reps // blocks)
+    return [(lo, min(lo + size, reps)) for lo in range(0, reps, size)]
+
+
+def _run_tasks(fn, tasks, workers: int):
+    """``fn`` over ``tasks``, results in task order: in this process, or on a pool."""
+    if workers <= 1 or len(tasks) <= 1:
+        return [fn(t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks))
+
+
+def _stats_block_worker(args) -> dict:
     model_dict, n, start, stop, seed, plan, centering = args
     model = model_from_dict(model_dict)
     center = 0.0
@@ -443,8 +452,7 @@ def _stats_block_worker(args) -> tuple[int, dict]:
             c = values.mean(axis=1, keepdims=True)
             values = values - c
         pieces.append(plan.reduce(values, center))
-    merged = {k: np.concatenate([p[k] for p in pieces]) for k in pieces[0]}
-    return start, merged
+    return {k: np.concatenate([p[k] for p in pieces]) for k in pieces[0]}
 
 
 def simulate_statistics(
@@ -470,16 +478,14 @@ def simulate_statistics(
     blocks = _partition(reps, workers)
     tasks = [(model_dict, n, start, stop, seed, plan, centering) for start, stop in blocks]
     results = _run_tasks(_stats_block_worker, tasks, workers)
-    results.sort(key=lambda t: t[0])
-    return {k: np.concatenate([r[1][k] for r in results]) for k in results[0][1]}
+    return {k: np.concatenate([r[k] for r in results]) for k in results[0]}
 
 
-def _lepage_block_worker(args) -> tuple[int, dict]:
+def _lepage_block_worker(args) -> dict:
     cluster, alpha, p, n_terms, seed, start, stop = args
-    out = limits.sample_limit_lepage_batch(
+    return limits.sample_limit_lepage_batch(
         cluster, alpha, p, reps=stop - start, n_terms=n_terms, seed=seed, first_index=start,
     )
-    return start, out
 
 
 def sample_limit_batch_parallel(
@@ -492,8 +498,7 @@ def sample_limit_batch_parallel(
     cluster = cluster.table_only((p,))
     tasks = [(cluster, alpha, p, n_terms, seed, start, stop) for start, stop in blocks]
     results = _run_tasks(_lepage_block_worker, tasks, workers)
-    results.sort(key=lambda t: t[0])
-    return {k: np.concatenate([r[1][k] for r in results]) for k in results[0][1]}
+    return {k: np.concatenate([r[k] for r in results]) for k in results[0]}
 
 
 # ---------------------------------------------------------------------------
@@ -606,13 +611,12 @@ def _run_simulate(config: ExperimentConfig, workers: int):
     rows = []
     csv_rows = []
     for spec in config.statistics:
-        label = _stat_label(spec)
+        # the resolved p (a default included); norm_ratio's q and r are in its label
+        label, _, params = _parse_spec(spec)
         vals = arrays[label]
         se = float(vals.std(ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
         rows.append(ReportRow(label, None, float(vals.mean()), se, None, True, detail="summary"))
-        p = spec.get("p", spec.get("q"))
-        for i, v in enumerate(vals):
-            csv_rows.append((i, config.n, label, p, v))
+        csv_rows.extend((i, config.n, label, params.get("p"), v) for i, v in enumerate(vals))
     artifacts = [("statistics.csv", lambda fh, rows_=csv_rows: stats.stats_rows_to_csv(rows_, fh))]
     return rows, artifacts
 
@@ -665,10 +669,11 @@ def _run_diagnose(config: ExperimentConfig, workers: int):
     model = config.process_model()
     seed = _seed_for(config.seed, "diagnose")
     q = min(0.4, 0.8 * min(model.alpha, 1.0))
-    # one scale constant for both suffix-series diagnostics; an SRE presample
-    # is spread over the workers
-    a_n = processes.normalizing_an(model, config.n, workers=workers)
-    rows = []
+    # one tail constant per run; a_n as in normalizing_an feeds both suffix-series diagnostics
+    c, c_se = processes.tail_constant(model)
+    a_n = float((config.n * c) ** (1.0 / model.alpha))
+    rows = [ReportRow("scale_constant_a_n", None, a_n, a_n * c_se / (model.alpha * c), None, True,
+                      detail=f"c={c:.6g} c_se={c_se:.3g}")]
     artifacts = []
     if model.kind != "iid":
         dec = diagnostics.coupling_decay(model, q, t_max=30, reps=config.reps, seed=seed)
@@ -723,7 +728,7 @@ def _run_verify(config: ExperimentConfig, workers: int):
     for centering, specs in groups.items():
         arrays = simulate_statistics(model, config.n, config.reps, list(specs.values()), centering,
                                      _seed_for(config.seed, "paths"), workers)
-        paths.update({check: arrays[_stat_label(spec)] for check, spec in specs.items()})
+        paths.update({check: arrays[_parse_spec(spec)[0]] for check, spec in specs.items()})
     rows = []
     for check in config.checks:
         rows.extend(_CHECKS[check](config, workers, cluster, paths))

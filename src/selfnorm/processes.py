@@ -18,7 +18,6 @@ produce bit-identical paths.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -35,13 +34,14 @@ SYMMETRIC_STABLE = "symmetric_stable"
 
 AR1_BURN_IN = 1_000
 SRE_BURN_IN = 10_000
-SRE_PRESAMPLE = 10_000_000
-# at most this many presample values are simulated at once in any one process
-_PRESAMPLE_BLOCK_VALUES = 16_000_000
 
 # internal seeds for construction-time moment checks (independent of user seeds)
 _KESTEN_SEED = 0x5EEDC0DE
 _KESTEN_DRAWS = 2_000_000
+# internal stream and size of the stationary sample behind the SRE tail constant
+_GOLDIE_SEED = 0x601D1E
+_GOLDIE_CHAINS = 64
+_GOLDIE_KEEP = 2_000
 
 
 def _validate_alpha(alpha: float) -> float:
@@ -164,6 +164,14 @@ class SRELaw:
             return math.exp(q * self.mu + q**2 * self.sigma**2 / 2.0)
         if self.kind == "constant":
             return abs(self.a_const) ** q if self.a_const != 0 else (0.0 if q > 0 else 1.0)
+        return None
+
+    def abs_a_log_moment(self, q: float) -> Optional[float]:
+        """E[|A|^q log|A|] in closed form where available, else None."""
+        if self.kind == "lognormal":
+            return (self.mu + q * self.sigma**2) * math.exp(q * self.mu + q**2 * self.sigma**2 / 2.0)
+        if self.kind == "constant":
+            return abs(self.a_const) ** q * math.log(abs(self.a_const)) if self.a_const != 0 else 0.0
         return None
 
     def mean_a(self) -> Optional[float]:
@@ -437,70 +445,52 @@ def sample_coupled_paths(model: ProcessModel, n: int, seed: int, index: int = 0)
 # scale constants and means
 
 
-def normalizing_an(model: ProcessModel, n: int, presample: int = SRE_PRESAMPLE, seed: int = 0,
-                   workers: int = 1) -> float:
-    """Scale constant a_n with ``n P(|X| > a_n) -> 1``.
+def tail_constant(model: ProcessModel) -> tuple[float, float]:
+    """(c, stderr) with ``P(|X| > x) ~ c x^-alpha`` for the stationary X.
 
-    Closed form for iid/AR(1) models (the AR(1) tail constant comes from the
-    geometric moving-average representation); for SRE models the empirical
-    (1 - 1/n) quantile of a long stationary presample, since the Goldie tail
-    constant has no closed form.
+    iid: the noise tail constant; AR(1): that over ``1 - |phi|^alpha`` (the
+    geometric moving-average representation); both exact, stderr 0. SRE:
+    Goldie's implicit renewal formula (Goldie 1991, Ann. Appl. Probab. 1:126)
 
-    The presample is 4096 chains on replica substreams of ``seed``. With
-    ``workers > 1`` they are split into contiguous chain ranges, one per pool
-    worker, and the pieces are joined in chain order, so a_n is the same float
-    for any worker count. Every process simulates at most 16e6 values at once.
-    A custom SRE law cannot be sent to a worker and runs in this process.
+        c = E[|AX + B|^alpha - |AX|^alpha] / (alpha E[|A|^alpha log|A|]).
+
+    The numerator is a mean over 64 chains on a fixed internal stream, each
+    run through ``model.burn_in`` steps and then 2000 kept steps with
+    ``A_t X_{t-1} = X_t - B_t``, its stderr by batch means over the chains.
+    The denominator is ``SRELaw.abs_a_log_moment`` where closed-form, else a
+    mean over ``_KESTEN_DRAWS`` draws with its stderr. A numerator or
+    denominator <= 0 (e.g. B = 0, or a constant |A| < 1) means the law has no
+    Kesten tail and raises ModelError.
     """
+    if model.kind == "iid":
+        return model.noise.tail_constant(), 0.0
+    if model.kind == "ar1":
+        return model.noise.tail_constant() / (1.0 - abs(model.phi) ** model.alpha), 0.0
+    law, alpha, burn = model.sre_law, model.alpha, model.burn_in
+    slope, slope_se = law.abs_a_log_moment(alpha), 0.0
+    if slope is None:
+        abs_a = np.abs(law.sample_ab(substream(_KESTEN_SEED, 2), _KESTEN_DRAWS)[0])
+        terms = abs_a**alpha * np.log(np.where(abs_a > 0, abs_a, 1.0))  # 0 where A = 0
+        slope, slope_se = float(terms.mean()), float(terms.std(ddof=1) / math.sqrt(terms.size))
+    a, b = np.empty((2, _GOLDIE_CHAINS, burn + _GOLDIE_KEEP))
+    for r in range(_GOLDIE_CHAINS):
+        a[r], b[r] = law.sample_ab(substream(_GOLDIE_SEED, r), burn + _GOLDIE_KEEP)
+    x = sre_recursion(a, b)[:, burn:]
+    per_chain = (np.abs(x) ** alpha - np.abs(x - b[:, burn:]) ** alpha).mean(axis=1)
+    num, num_se = float(per_chain.mean()), float(per_chain.std(ddof=1) / math.sqrt(_GOLDIE_CHAINS))
+    if slope <= 0 or num <= 0:
+        raise ModelError(f"no Kesten tail: E|A|^alpha log|A| = {slope:.6g} and "
+                         f"E[|AX+B|^alpha - |AX|^alpha] = {num:.6g} must both be positive")
+    c = num / (alpha * slope)
+    return c, c * math.hypot(num_se / num, slope_se / slope)
+
+
+def normalizing_an(model: ProcessModel, n: int) -> float:
+    """Scale constant ``a_n = (c n)^(1/alpha)``, so that ``n P(|X| > a_n) -> 1``,
+    with c from :func:`tail_constant` for every model kind."""
     if n < 1:
         raise ConfigurationError("n must be >= 1")
-    if model.kind == "iid":
-        c = model.noise.tail_constant()
-        return float((n * c) ** (1.0 / model.alpha))
-    if model.kind == "ar1":
-        c = model.noise.tail_constant() / (1.0 - abs(model.phi) ** model.alpha)
-        return float((n * c) ** (1.0 / model.alpha))
-    if n > presample // 100:
-        raise ConfigurationError(
-            f"presample of {presample} too small for the (1 - 1/{n}) quantile; increase presample"
-        )
-    chains = 4096
-    keep = -(-presample // chains)
-    if model.sre_law.kind == "custom":
-        workers = 1
-    spec = model_to_dict(model) if workers > 1 else model
-    tasks = [(spec, keep, seed, start, stop) for start, stop in _partition(chains, workers)]
-    pieces = _run_tasks(_presample_chains, tasks, workers)
-    return float(np.quantile(np.concatenate(pieces), 1.0 - 1.0 / n))
-
-
-def _presample_chains(args) -> np.ndarray:
-    """|X| over the post-burn-in values of presample chains ``start..stop-1``,
-    chain by chain; ``model`` may come as its dict, as pool tasks send it."""
-    model, keep, seed, start, stop = args
-    if isinstance(model, dict):
-        model = model_from_dict(model)
-    block = max(1, _PRESAMPLE_BLOCK_VALUES // (keep + model.burn_in))
-    pieces = []
-    for lo in range(start, stop, block):
-        rows = _simulate_rows(model, keep, seed, np.arange(lo, min(lo + block, stop)))
-        pieces.append(np.abs(rows).ravel())
-    return np.concatenate(pieces)
-
-
-def _partition(reps: int, workers: int) -> list[tuple[int, int]]:
-    """Contiguous index ranges, one per worker."""
-    blocks = max(1, min(workers, reps))
-    size = -(-reps // blocks)
-    return [(lo, min(lo + size, reps)) for lo in range(0, reps, size)]
-
-
-def _run_tasks(fn, tasks, workers: int):
-    """``fn`` over ``tasks`` in order: in this process, or on a pool."""
-    if workers <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
+    return float((n * tail_constant(model)[0]) ** (1.0 / model.alpha))
 
 
 def stationary_mean(model: ProcessModel, mc_draws: int = 10**6, seed: int = 0) -> float:

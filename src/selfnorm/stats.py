@@ -218,9 +218,9 @@ def kurtosis_ratio(path: Union[Path, np.ndarray]) -> float:
 
 
 def stats_rows_to_csv(rows, target) -> None:
-    """Batch output rows (seed, n, statistic, p, value) as CSV."""
+    """Batch output rows (replica, n, statistic, p or None, value) as CSV."""
     with text_target(target) as fh:
-        fh.write("seed,n,statistic,p,value\n")
-        for seed, n, name, p, value in rows:
+        fh.write("replica,n,statistic,p,value\n")
+        for replica, n, name, p, value in rows:
             ptxt = "" if p is None else "%g" % p
-            fh.write("%d,%d,%s,%s,%.17g\n" % (seed, n, name, ptxt, value))
+            fh.write("%d,%d,%s,%s,%.17g\n" % (replica, n, name, ptxt, value))

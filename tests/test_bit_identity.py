@@ -89,7 +89,7 @@ def digests(name: str) -> dict:
     return out
 
 
-# a short burn-in keeps the diagnose run's a_n presample small
+# a short burn-in keeps the diagnose run's tail-constant chains short
 SRE_DIAGNOSE = dict(kind="diagnose", name="sre-diagnose", model={**SRE, "burn_in": 200}, n=2000,
                     reps=20, seed=3)
 
@@ -116,7 +116,7 @@ def _run_digests(config: dict) -> dict:
 def sre_path_digests() -> dict:
     """The SRE scale constant, coupled SRE rows and a small diagnose run."""
     model = processes.model_from_dict(SRE)
-    out = {"normalizing_an": processes.normalizing_an(model, 10_000, presample=2_000_000).hex()}
+    out = {"normalizing_an": processes.normalizing_an(model, 10_000).hex()}
     x, xs, x0, x0s = processes._coupled_rows(model, 39, 5, np.arange(7, 27))
     out["coupled_rows"] = _dict_digests({"x": x, "x_star": xs, "x0": x0, "x0_star": x0s})
     run = _run_digests(SRE_DIAGNOSE)
@@ -223,20 +223,18 @@ def test_verify_paths_any_worker_count():
     assert run_outputs(PATH_VERIFY, workers=1) == run_outputs(PATH_VERIFY, workers=2)
 
 
-def test_sre_diagnose_one_presample_any_worker_count(monkeypatch):
-    # the run simulates the a_n presample once, and splitting it over two
-    # workers changes no byte of the report or the artifacts
-    from selfnorm import diagnostics
-
+def test_sre_diagnose_one_tail_constant_any_worker_count(monkeypatch):
+    # the run computes the tail constant behind a_n once (directly or through
+    # normalizing_an), and two workers change no byte of the report or the
+    # artifacts
     calls = []
-    an = processes.normalizing_an
+    tail = processes.tail_constant
 
-    def counted(model, n, *args, **kwargs):
+    def counted(model):
         calls.append(model.kind)
-        return an(model, n, *args, **kwargs)
+        return tail(model)
 
-    monkeypatch.setattr(processes, "normalizing_an", counted)
-    monkeypatch.setattr(diagnostics, "normalizing_an", counted)
+    monkeypatch.setattr(processes, "tail_constant", counted)
     one = run_outputs(SRE_DIAGNOSE, workers=1)
     assert calls == ["sre"]
     two = run_outputs(SRE_DIAGNOSE, workers=2)

@@ -77,7 +77,8 @@ class TestAnticluster:
 class TestCoupledAnticluster:
     def test_sre_zero_a_is_zero(self):
         model = sre_model(SRELaw(alpha=0.8, kind="constant", a_const=0.0), burn_in=20, kesten_check=False)
-        series = coupled_anticluster_stat(model, 10**4, r_n=20, q=0.3, reps=300, seed=6)
+        # the law has no Kesten tail, so a_n is passed rather than computed
+        series = coupled_anticluster_stat(model, 10**4, r_n=20, q=0.3, reps=300, seed=6, a_n=1.0)
         assert np.all(series.values == 0.0)
 
     def test_ar1_negative_slope(self, ar1_pos_half):

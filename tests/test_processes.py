@@ -27,6 +27,7 @@ from selfnorm.processes import (
     path_to_csv,
     sre_recursion,
     stable_tail_constant,
+    tail_constant,
 )
 
 
@@ -222,7 +223,7 @@ class TestScaleConstants:
 
     def test_an_sre_self_consistent(self, sre_lognormal):
         n = 10**4
-        a_n = normalizing_an(sre_lognormal, n, presample=2 * 10**6, seed=15)
+        a_n = normalizing_an(sre_lognormal, n)
         from selfnorm.processes import _simulate_rows
 
         held_out = np.abs(_simulate_rows(sre_lognormal, 2500, 99, np.arange(400))).ravel()
@@ -230,21 +231,43 @@ class TestScaleConstants:
         assert 0.8 <= ratio <= 1.2
 
     SHORT_BURN = sre_model(SRELaw(alpha=0.8, sigma=1.0, b_mean=1.0, b_sd=0.0), burn_in=200)
+    # the bench SRE model: alpha = 0.8, sigma = 1, B = 1, default burn-in
+    BENCH_SRE = sre_model(SRELaw(alpha=0.8, sigma=1.0, b_mean=1.0, b_sd=0.0))
 
-    def test_an_sre_worker_count_invariant(self, monkeypatch):
+    def test_tail_constant_closed_forms(self, pareto_pos_half):
+        assert tail_constant(pareto_pos_half) == (1.0, 0.0)
+        model = ar1_model(-0.5, NoiseSpec("symmetric_stable", 1.5))
+        c, se = tail_constant(model)
+        assert c == stable_tail_constant(1.5) / (1.0 - 0.5**1.5) and se == 0.0
+
+    def test_goldie_bench_model(self, within_se):
+        # 1.867 from an independent estimate on 512 chains of 250 stationary values
+        c, se = tail_constant(self.BENCH_SRE)
+        within_se(c, 1.867, se, k=3)
+        assert normalizing_an(self.BENCH_SRE, 10**4) == pytest.approx((1e4 * c) ** 1.25, rel=1e-12)
+
+    def test_goldie_stderr_covers_seed_spread(self, monkeypatch):
         from selfnorm import processes
 
-        one = normalizing_an(self.SHORT_BURN, 10**4, presample=2 * 10**6, seed=6)
-        for workers in (2, 3):
-            assert normalizing_an(self.SHORT_BURN, 10**4, presample=2 * 10**6, seed=6,
-                                  workers=workers) == one
-        # blocks of 100 chains inside one process give the same float
-        monkeypatch.setattr(processes, "_PRESAMPLE_BLOCK_VALUES", 100 * (489 + 200))
-        assert normalizing_an(self.SHORT_BURN, 10**4, presample=2 * 10**6, seed=6) == one
+        cs, ses = [], []
+        for seed in range(10):
+            monkeypatch.setattr(processes, "_GOLDIE_SEED", 1000 + seed)
+            c, se = tail_constant(self.BENCH_SRE)
+            cs.append(c)
+            ses.append(se)
+        assert 0.5 <= np.std(cs, ddof=1) / np.mean(ses) <= 2.0
 
-    def test_an_sre_custom_law_runs_in_process(self):
-        # a custom sampler making the lognormal law's draws, which cannot be
-        # sent to a pool worker, still gets the lognormal law's a_n
+    def test_lognormal_log_moment_closed_form(self, within_se):
+        # E|A|^alpha log|A| = alpha sigma^2 / 2 under E|A|^alpha = 1
+        law = SRELaw(alpha=0.8, sigma=1.0, neg_prob=0.3)
+        assert law.abs_a_log_moment(0.8) == pytest.approx(0.4, rel=1e-12)
+        a, _ = law.sample_ab(np.random.default_rng(5), 2 * 10**6)
+        terms = np.abs(a) ** 0.8 * np.log(np.abs(a))
+        within_se(float(terms.mean()), 0.4, float(terms.std(ddof=1) / math.sqrt(terms.size)), k=3)
+
+    def test_an_sre_custom_law_matches_lognormal(self):
+        # a custom sampler making the lognormal law's draws gets the same
+        # numerator and a Monte-Carlo denominator: the same a_n within 3 stderr
         def sampler(rng, size):
             a = np.exp(-0.4 + rng.standard_normal(size))
             return a, 1.0 + 0.0 * rng.standard_normal(size)
@@ -253,9 +276,19 @@ class TestScaleConstants:
                            kesten_check=False)
         with pytest.raises(ConfigurationError, match="cannot be serialised"):
             model_to_dict(custom)
-        want = normalizing_an(self.SHORT_BURN, 10**4, presample=2 * 10**6, seed=6)
-        for workers in (1, 2):
-            assert normalizing_an(custom, 10**4, presample=2 * 10**6, seed=6, workers=workers) == want
+        n = 10**4
+        want = normalizing_an(self.SHORT_BURN, n)
+        got = normalizing_an(custom, n)
+        c, se = tail_constant(custom)
+        assert got != want
+        assert abs(got - want) <= 3.0 * got * se / (0.8 * c)
+
+    @pytest.mark.parametrize("a_const", [0.0, 0.5, -0.5])
+    def test_no_kesten_tail_raises(self, a_const):
+        model = sre_model(SRELaw(alpha=0.8, kind="constant", a_const=a_const), burn_in=20,
+                          kesten_check=False)
+        with pytest.raises(ModelError, match="no Kesten tail"):
+            normalizing_an(model, 100)
 
     def test_mean_symmetric_zero(self, pareto_sym_half):
         model = iid_model(NoiseSpec("pareto", 1.5, (0.5, 0.5)))

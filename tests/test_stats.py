@@ -190,5 +190,5 @@ class TestBatch:
         target = tmp_path / "stats.csv"
         stats_rows_to_csv(rows, target)
         lines = target.read_text().strip().split("\n")
-        assert lines[0] == "seed,n,statistic,p,value"
+        assert lines[0] == "replica,n,statistic,p,value"
         assert lines[1].startswith("0,10,ratio_max,,")
