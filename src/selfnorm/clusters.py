@@ -45,7 +45,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, SamplingError, UnsupportedError
-from .processes import ProcessModel, _simulate_rows, text_target
+from .processes import ProcessModel, _simulate_rows, text_target, write_csv
 from .rng import substream
 
 TRUNCATION_TARGET = 1e-10
@@ -856,10 +856,7 @@ def _check_bound(vals: np.ndarray, f: BoundedFunctional) -> None:
 
 def cluster_to_csv(draw: ClusterDraw, target) -> None:
     """Write a cluster draw as CSV rows (t, value)."""
-    with text_target(target) as fh:
-        fh.write("t,value\n")
-        for t, v in zip(range(draw.t_min, draw.t_max + 1), draw.values):
-            fh.write("%d,%.17g\n" % (t, v))
+    write_csv(target, ["t", "value"], zip(range(draw.t_min, draw.t_max + 1), draw.values))
 
 
 def estimate_to_json(est: Estimate, target) -> None:

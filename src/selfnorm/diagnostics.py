@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, UnsupportedError
-from .processes import ProcessModel, _coupled_rows, _simulate_rows, normalizing_an, text_target
+from .processes import ProcessModel, _coupled_rows, _simulate_rows, normalizing_an, write_csv
 
 
 @dataclass(frozen=True)
@@ -27,10 +27,7 @@ class DecaySeries:
     r2: float
 
     def to_csv(self, target) -> None:
-        with text_target(target) as fh:
-            fh.write("index,value,stderr\n")
-            for i, v, s in zip(self.index, self.values, self.stderr):
-                fh.write("%d,%.17g,%.17g\n" % (i, v, s))
+        write_csv(target, ["index", "value", "stderr"], zip(self.index, self.values, self.stderr))
 
     def to_json(self) -> dict:
         return {

@@ -29,7 +29,7 @@ from . import clusters, diagnostics, limits, oracles, processes, stats
 from .clusters import ClusterModel, Estimate
 from .errors import ConfigurationError
 from .processes import (ProcessModel, check_keys, model_from_dict, model_to_dict, stationary_mean,
-                        text_target)
+                        write_csv)
 from .rng import derive_seed, substream
 
 WORKERS_ENV = "SELFNORM_WORKERS"
@@ -71,8 +71,6 @@ class ExperimentConfig:
     z_bound: float = 3.0
     quad_tol: float = limits.QUAD_TOL
     cluster_mc: int = limits.DEFAULT_CLUSTER_MC
-    ks_level: float = 0.01
-    ks_slack: float = 1.5
     out: Optional[str] = None
 
     KINDS = ("simulate", "limit", "transform", "verify", "diagnose")
@@ -93,10 +91,6 @@ class ExperimentConfig:
             problems.append("z_bound: must be positive")
         if self.quad_tol <= 0:
             problems.append("quad_tol: must be positive")
-        if not (0 < self.ks_level < 1):
-            problems.append("ks_level: must lie in (0, 1)")
-        if self.ks_slack < 1:
-            problems.append("ks_slack: must be >= 1")
         if self.centering not in _CENTERINGS:
             problems.append("centering: must be none, analytic or empirical")
         if not _positive(self.p):
@@ -289,17 +283,8 @@ class Report:
         }
 
     def rows_to_csv(self, target) -> None:
-        with text_target(target) as fh:
-            fh.write("name,analytic,mc,stderr,z,passed\n")
-            for r in self.rows:
-                fh.write(
-                    "%s,%s,%s,%s,%s,%d\n"
-                    % (r.name, _num(r.analytic), _num(r.mc), _num(r.stderr), _num(r.z), r.passed)
-                )
-
-
-def _num(v) -> str:
-    return "" if v is None else "%.17g" % v
+        write_csv(target, ["name", "analytic", "mc", "stderr", "z", "passed"],
+                  ((r.name, r.analytic, r.mc, r.stderr, r.z, r.passed) for r in self.rows))
 
 
 def _mc_row(name: str, analytic: Estimate, mc_value: float, mc_se: float, z_bound: float) -> ReportRow:
@@ -638,13 +623,9 @@ def _run_limit(config: ExperimentConfig, workers: int):
                   detail="series tail bound"),
     ]
 
-    def write_csv(fh):
-        fh.write("replica,xi,eta,zeta_p,truncation_bound\n")
-        for i in range(config.reps):
-            fh.write("%d,%.17g,%.17g,%.17g,%.17g\n" % (
-                i, draws["xi"][i], draws["eta"][i], draws["zeta_p"][i], draws["truncation_bound"][i]))
-
-    return rows, [("limit_samples.csv", write_csv)]
+    columns = ["xi", "eta", "zeta_p", "truncation_bound"]
+    return rows, [("limit_samples.csv", lambda fh: write_csv(
+        fh, ["replica"] + columns, zip(range(config.reps), *(draws[c] for c in columns))))]
 
 
 def _run_transform(config: ExperimentConfig, workers: int):

@@ -34,13 +34,13 @@ from typing import Optional
 import numpy as np
 import mpmath
 from scipy.integrate import quad
-from scipy.special import gamma as gamma_fn
+from scipy.special import gamma as gamma_fn, gammainc
 
 from .clusters import (
     ClusterAtoms, ClusterModel, _weighted_estimate, cluster_atoms, cluster_law, cluster_moment, tilted_atoms,
 )
 from .errors import ConfigurationError, DegeneratePathError, NumericalError, UnsupportedError
-from .processes import text_target
+from .processes import write_csv
 from .rng import substream
 
 QUAD_TOL = 1e-8
@@ -335,7 +335,6 @@ def ratio_modulus_laplace(
     cluster: ClusterModel,
     alpha: Optional[float] = None,
     p: float = 2.0,
-    quad_tol: float = QUAD_TOL,
     n_mc: int = DEFAULT_CLUSTER_MC,
     seed: int = 0,
     atoms: Optional[ClusterAtoms] = None,
@@ -344,9 +343,11 @@ def ratio_modulus_laplace(
     modulus/max ratio limit.
 
     A ratio of tilted-cluster expectations: ``E[e^{-lam sum |Qtilde|^p}]``
-    over ``int_0^inf E[1 - e^{-y^p lam sum |Qtilde|^p} 1(y <= 1)] d(-y^-a)``;
-    the denominator's head integral is damped and real, so plain adaptive
-    quadrature applies.
+    over ``int_0^inf E[1 - e^{-y^p lam sum |Qtilde|^p} 1(y <= 1)] d(-y^-a)``.
+    With ``c = lam sum |Qtilde|^p`` and ``a = alpha / p < 1``, each atom's
+    denominator ``1 + int_1^inf (1 - e^{-c s^(-1/a)}) ds`` is, integrating by
+    parts, ``e^{-c} + c^a gamma(1 - a, c)`` with the lower incomplete gamma
+    function: no quadrature.
     """
     alpha = cluster.alpha if alpha is None else float(alpha)
     _check_cluster_alpha(cluster, alpha)
@@ -356,19 +357,13 @@ def ratio_modulus_laplace(
         raise ConfigurationError("lam must be >= 0")
     if atoms is None:
         atoms = tilted_atoms(cluster, p=p, n_mc=n_mc, seed=seed)
-    tw = atoms.norm_p_p
-    num_terms = np.exp(-lam * tw)
-    den_terms = np.empty(len(tw))
-    p_a = p / alpha
-    for i, c in enumerate(lam * tw):
-        if c == 0.0:
-            den_terms[i] = 1.0
-            continue
-        head = _quad_complex(lambda s: -math.expm1(-c * s ** (-p_a)), 1.0, np.inf, quad_tol)
-        den_terms[i] = 1.0 + head.real
+    c, a = lam * atoms.norm_p_p, alpha / p
+    num_terms = np.exp(-c)
+    # exactly 1 where c = 0
+    den_terms = num_terms + c**a * gammainc(1.0 - a, c) * gamma_fn(1.0 - a)
     # the ratio of the two means is the den_terms-weighted mean of num/den
     est = _weighted_estimate(atoms, den_terms, num_terms / den_terms)
-    return TransformValue(complex(est.value), est.stderr, "quadrature" if atoms.exact else "quadrature_monte_carlo")
+    return TransformValue(complex(est.value), est.stderr, "gammainc_exact" if atoms.exact else "gammainc_monte_carlo")
 
 
 def ratio_cf(
@@ -544,16 +539,10 @@ class TransformGrid:
         return len(self.values)
 
     def to_csv(self, target) -> None:
-        with text_target(target) as fh:
-            fh.write("u,x,lambda,re,im,stderr,method\n")
-            for i in range(len(self)):
-                fh.write(
-                    "%s,%s,%s,%.17g,%.17g,%.17g,%s\n"
-                    % (
-                        _fmt(self.u[i]), _fmt(self.x[i]), _fmt(self.lam[i]),
-                        self.values[i].real, self.values[i].imag, self.stderr[i], self.method,
-                    )
-                )
+        write_csv(target, ["u", "x", "lambda", "re", "im", "stderr", "method"], (
+            (_none_if_nan(self.u[i]), _none_if_nan(self.x[i]), _none_if_nan(self.lam[i]),
+             self.values[i].real, self.values[i].imag, self.stderr[i], self.method)
+            for i in range(len(self))))
 
     def to_json(self) -> dict:
         return {
@@ -570,10 +559,6 @@ class TransformGrid:
                 for i in range(len(self))
             ],
         }
-
-
-def _fmt(v: float) -> str:
-    return "" if math.isnan(v) else "%.17g" % v
 
 
 def _none_if_nan(v: float):

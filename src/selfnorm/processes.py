@@ -11,8 +11,16 @@ Three model families are shipped, all univariate:
   ``X_t = A_t X_{t-1} + B_t`` under the Kesten moment condition
   ``E|A|^alpha = 1``.
 
+All three are Markov chains ``X_t = A_t X_{t-1} + B_t`` (AR(1): ``A = phi``,
+``B = Z``; iid: ``A = 0``), so one engine simulates them: ``_innovations``
+draws one row per replica stream, ``(Z,)`` or ``(A, B)``, and ``_recurse``
+runs every row through the model's recursion at once. These two functions
+are the only place where path simulation depends on the model kind. An iid
+model reads no burn-in.
+
 All samplers are pure functions of ``(model, n, seed)``: identical arguments
-produce bit-identical paths.
+produce bit-identical paths. ``write_csv`` is the one CSV writer of the
+package.
 """
 
 from __future__ import annotations
@@ -207,6 +215,8 @@ class ProcessModel:
             raise ConfigurationError(f"unknown process kind {self.kind!r}")
         if self.burn_in < 0:
             raise ConfigurationError("burn_in must be >= 0")
+        if self.kind == "iid" and self.burn_in:
+            raise ConfigurationError(f"an iid model reads no burn-in, got burn_in={self.burn_in}")
         if self.kind in ("iid", "ar1") and self.noise is None:
             raise ConfigurationError(f"{self.kind} model requires a NoiseSpec")
         if self.kind == "ar1":
@@ -324,16 +334,18 @@ def sample_noise(spec: NoiseSpec, count: int, seed: int) -> np.ndarray:
     return _draw_noise(spec, substream(seed, 0), count)
 
 
-def ar1_recursion(phi: float, noise: np.ndarray, x0: float = 0.0) -> np.ndarray:
+def ar1_recursion(phi: float, noise: np.ndarray, x0=0.0) -> np.ndarray:
     """Run ``X_t = phi X_{t-1} + Z_t`` from state ``x0`` over a noise array.
 
-    Batched over the leading axes of ``noise`` (recursion along the last).
+    Batched over the leading axes of ``noise`` (recursion along the last);
+    ``x0`` is a scalar or one start per leading index.
     """
     noise = np.asarray(noise, dtype=float)
     out = lfilter([1.0], [1.0, -phi], noise, axis=-1)
-    if x0 != 0.0:
+    x0 = np.asarray(x0, dtype=float)
+    if x0.any():
         t = np.arange(1, noise.shape[-1] + 1)
-        out = out + x0 * phi**t
+        out = out + x0[..., None] * phi**t
     return out
 
 
@@ -349,30 +361,33 @@ def sre_recursion(a: np.ndarray, b: np.ndarray, x0=0.0) -> np.ndarray:
     return out
 
 
+def _innovations(model: ProcessModel, streams, size: int) -> tuple:
+    """One row of innovations per stream: ``(Z,)`` for iid and AR(1),
+    ``(A, B)`` for SRE, each a preallocated ``(len(streams), size)`` array."""
+    block = tuple(np.empty((len(streams), size)) for _ in range(2 if model.kind == "sre" else 1))
+    for r, rng in enumerate(streams):
+        if model.kind == "sre":
+            block[0][r], block[1][r] = model.sre_law.sample_ab(rng, size)
+        else:
+            block[0][r] = _draw_noise(model.noise, rng, size)
+    return block
+
+
+def _recurse(model: ProcessModel, block: tuple, x0=0.0) -> np.ndarray:
+    """Every row of an innovations block through the model's recursion from
+    ``x0`` (a scalar or one start per row); iid noise is its own path."""
+    if model.kind == "iid":
+        return block[0]
+    if model.kind == "ar1":
+        return ar1_recursion(model.phi, block[0], x0)
+    return sre_recursion(*block, x0=x0)
+
+
 def _simulate_rows(model: ProcessModel, n: int, seed: int, indices: np.ndarray) -> np.ndarray:
     """Stationary-regime paths for the given replica indices, one Philox
     substream per replica; rows are independent of how they are batched."""
-    reps = len(indices)
-    total = n + model.burn_in
-    if model.kind == "iid":
-        out = np.empty((reps, n))
-        for r, idx in enumerate(indices):
-            out[r] = _draw_noise(model.noise, substream(seed, int(idx)), n)
-        return out
-    if model.kind == "ar1":
-        z = np.empty((reps, total))
-        for r, idx in enumerate(indices):
-            z[r] = _draw_noise(model.noise, substream(seed, int(idx)), total)
-        x = ar1_recursion(model.phi, z)
-        return x[:, model.burn_in:]
-    # sre: draw all (A, B) per replica, then iterate jointly across rows
-    a = np.empty((reps, total))
-    b = np.empty((reps, total))
-    for r, idx in enumerate(indices):
-        rng = substream(seed, int(idx))
-        a[r], b[r] = model.sre_law.sample_ab(rng, total)
-    x = sre_recursion(a, b)
-    return x[:, model.burn_in:]
+    streams = [substream(seed, int(idx)) for idx in indices]
+    return _recurse(model, _innovations(model, streams, n + model.burn_in))[:, model.burn_in:]
 
 
 def sample_path(model: ProcessModel, n: int, seed: int, index: int = 0) -> Path:
@@ -389,39 +404,21 @@ def sample_path(model: ProcessModel, n: int, seed: int, index: int = 0) -> Path:
 
 def _coupled_rows(model: ProcessModel, n: int, seed: int, indices: np.ndarray):
     """Coupled pairs sharing innovations on the observation window but with
-    independent stationary initial states. Returns (x, x_star, x0, x0_star)."""
-    reps = len(indices)
+    independent stationary initial states. Returns (x, x_star, x0, x0_star).
+
+    Replica ``idx`` reads substream ``(seed, idx, 0)`` for the shared window
+    and ``(seed, idx, 1)``, ``(seed, idx, 2)`` for the two burn-ins; each
+    recursion runs once across all rows."""
     burn = model.burn_in
-    if model.kind == "sre":
-        # draw each replica's three substreams, then run every recursion once
-        # across rows: the same per-row arithmetic as one replica at a time
-        law = model.sre_law
-        aa, ba, ab, bb = (np.empty((reps, burn)) for _ in range(4))
-        a, b = np.empty((reps, n)), np.empty((reps, n))
-        for r, idx in enumerate(indices):
-            a[r], b[r] = law.sample_ab(substream(seed, int(idx), 0), n)
-            aa[r], ba[r] = law.sample_ab(substream(seed, int(idx), 1), burn)
-            ab[r], bb[r] = law.sample_ab(substream(seed, int(idx), 2), burn)
-        x0 = sre_recursion(aa, ba)[:, -1] if burn else np.zeros(reps)
-        x0s = sre_recursion(ab, bb)[:, -1] if burn else np.zeros(reps)
-        return sre_recursion(a, b, x0=x0), sre_recursion(a, b, x0=x0s), x0, x0s
-    x = np.empty((reps, n))
-    xs = np.empty((reps, n))
-    x0 = np.empty(reps)
-    x0s = np.empty(reps)
-    for r, idx in enumerate(indices):
-        shared = substream(seed, int(idx), 0)
-        init_a = substream(seed, int(idx), 1)
-        init_b = substream(seed, int(idx), 2)
-        za = _draw_noise(model.noise, init_a, burn)
-        zb = _draw_noise(model.noise, init_b, burn)
-        z = _draw_noise(model.noise, shared, n)
-        s_a = ar1_recursion(model.phi, za)[-1] if burn else 0.0
-        s_b = ar1_recursion(model.phi, zb)[-1] if burn else 0.0
-        x[r] = ar1_recursion(model.phi, z, x0=s_a)
-        xs[r] = ar1_recursion(model.phi, z, x0=s_b)
-        x0[r], x0s[r] = s_a, s_b
-    return x, xs, x0, x0s
+
+    def innovations(k: int, size: int) -> tuple:
+        return _innovations(model, [substream(seed, int(idx), k) for idx in indices], size)
+
+    # copied so that no burn-in block outlives its last column
+    x0, x0s = (_recurse(model, innovations(k, burn))[:, -1].copy() if burn else np.zeros(len(indices))
+               for k in (1, 2))
+    shared = innovations(0, n)
+    return _recurse(model, shared, x0), _recurse(model, shared, x0s), x0, x0s
 
 
 def sample_coupled_paths(model: ProcessModel, n: int, seed: int, index: int = 0) -> tuple[Path, Path]:
@@ -472,11 +469,10 @@ def tail_constant(model: ProcessModel) -> tuple[float, float]:
         abs_a = np.abs(law.sample_ab(substream(_KESTEN_SEED, 2), _KESTEN_DRAWS)[0])
         terms = abs_a**alpha * np.log(np.where(abs_a > 0, abs_a, 1.0))  # 0 where A = 0
         slope, slope_se = float(terms.mean()), float(terms.std(ddof=1) / math.sqrt(terms.size))
-    a, b = np.empty((2, _GOLDIE_CHAINS, burn + _GOLDIE_KEEP))
-    for r in range(_GOLDIE_CHAINS):
-        a[r], b[r] = law.sample_ab(substream(_GOLDIE_SEED, r), burn + _GOLDIE_KEEP)
-    x = sre_recursion(a, b)[:, burn:]
-    per_chain = (np.abs(x) ** alpha - np.abs(x - b[:, burn:]) ** alpha).mean(axis=1)
+    chains = _innovations(model, [substream(_GOLDIE_SEED, r) for r in range(_GOLDIE_CHAINS)],
+                          burn + _GOLDIE_KEEP)
+    x = _recurse(model, chains)[:, burn:]
+    per_chain = (np.abs(x) ** alpha - np.abs(x - chains[1][:, burn:]) ** alpha).mean(axis=1)
     num, num_se = float(per_chain.mean()), float(per_chain.std(ddof=1) / math.sqrt(_GOLDIE_CHAINS))
     if slope <= 0 or num <= 0:
         raise ModelError(f"no Kesten tail: E|A|^alpha log|A| = {slope:.6g} and "
@@ -600,9 +596,24 @@ def text_target(target):
             yield fh
 
 
+def _csv_cell(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, str):
+        return v
+    return ("%d" if isinstance(v, (int, np.integer, np.bool_)) else "%.17g") % v
+
+
+def write_csv(target, header, rows) -> None:
+    """Write ``rows`` under the column names ``header`` to a path or stream:
+    an int or bool as ``%d``, a float as ``%.17g`` (exact round trip), None as
+    an empty cell and a string as it is. Every CSV artifact goes through it."""
+    with text_target(target) as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(_csv_cell, row)) + "\n")
+
+
 def path_to_csv(path: Path, target) -> None:
     """Write a path as a single-column CSV with header ``value``."""
-    with text_target(target) as fh:
-        fh.write("value\n")
-        for v in np.asarray(path.values):
-            fh.write("%.17g\n" % v)
+    write_csv(target, ["value"], ((v,) for v in np.asarray(path.values)))

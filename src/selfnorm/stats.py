@@ -18,7 +18,7 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .errors import ConfigurationError, DegeneratePathError
-from .processes import Path, stationary_mean, text_target
+from .processes import Path, stationary_mean, write_csv
 
 
 @dataclass(frozen=True)
@@ -219,8 +219,4 @@ def kurtosis_ratio(path: Union[Path, np.ndarray]) -> float:
 
 def stats_rows_to_csv(rows, target) -> None:
     """Batch output rows (replica, n, statistic, p or None, value) as CSV."""
-    with text_target(target) as fh:
-        fh.write("replica,n,statistic,p,value\n")
-        for replica, n, name, p, value in rows:
-            ptxt = "" if p is None else "%g" % p
-            fh.write("%d,%d,%s,%s,%.17g\n" % (replica, n, name, ptxt, value))
+    write_csv(target, ["replica", "n", "statistic", "p", "value"], rows)

@@ -6,7 +6,9 @@ engine, pinned bit for bit.
 empirical AR(1) cluster and an empirical SRE cluster at fixed seeds, and, in
 the ``sre_paths`` group, the exact bits of the SRE scale constant a_n, digests
 of coupled SRE rows and of the report and CSVs of a small SRE ``diagnose``
-run. The ``paths`` group holds digests of the per-replica arrays of
+run; the ``ar1_paths`` group holds the same for AR(1) coupled rows (one-sided
+and two-sided noise, with and without burn-in) and an AR(1) ``diagnose`` run.
+The ``paths`` group holds digests of the per-replica arrays of
 ``simulate_statistics`` for iid Pareto (every sign balance), symmetric-stable
 iid, AR(1) and SRE models, every statistic and every centering the model
 allows, and of the report and ``verify.csv`` of small ``verify`` runs with the
@@ -125,6 +127,25 @@ def sre_path_digests() -> dict:
     return out
 
 
+# phi = -0.8 with two-sided alpha = 1.5 noise, at a short burn-in and at none
+AR1_TWO_SIDED = {"kind": "ar1", "phi": -0.8, "noise": {"kind": "pareto", "alpha": 1.5}}
+AR1_COUPLED = {"coupled_rows": AR1, "coupled_rows_two_sided_burn50": {**AR1_TWO_SIDED, "burn_in": 50},
+               "coupled_rows_two_sided_burn0": {**AR1_TWO_SIDED, "burn_in": 0}}
+AR1_DIAGNOSE = dict(kind="diagnose", name="ar1-diagnose", model=AR1, n=2000, reps=20, seed=3)
+
+
+def ar1_path_digests() -> dict:
+    """Coupled AR(1) rows and a small AR(1) diagnose run."""
+    out = {}
+    for name, model in AR1_COUPLED.items():
+        x, xs, x0, x0s = processes._coupled_rows(processes.model_from_dict(model), 39, 5, np.arange(7, 27))
+        out[name] = _dict_digests({"x": x, "x_star": xs, "x0": x0, "x0_star": x0s})
+    run = _run_digests(AR1_DIAGNOSE)
+    out["diagnose_report"] = run["report"]
+    out["diagnose_files"] = run["files"]
+    return out
+
+
 def _pareto(alpha: float, q_plus: float) -> dict:
     return {"kind": "iid", "noise": {"kind": "pareto", "alpha": alpha, "q_plus": q_plus,
                                      "q_minus": 1.0 - q_plus}}
@@ -173,7 +194,7 @@ def path_digests() -> dict:
 
 def record() -> dict:
     return {**{name: digests(name) for name in sorted(CLUSTERS)}, "sre_paths": sre_path_digests(),
-            "paths": path_digests()}
+            "paths": path_digests(), "ar1_paths": ar1_path_digests()}
 
 
 @pytest.mark.parametrize("name", sorted(CLUSTERS))
@@ -188,6 +209,14 @@ def test_empirical_outputs_bit_identical(name):
 def test_sre_paths_bit_identical():
     recorded = json.loads(RECORD.read_text())["sre_paths"]
     now = sre_path_digests()
+    assert now.keys() == recorded.keys()
+    for call in recorded:
+        assert now[call] == recorded[call], call
+
+
+def test_ar1_paths_bit_identical():
+    recorded = json.loads(RECORD.read_text())["ar1_paths"]
+    now = ar1_path_digests()
     assert now.keys() == recorded.keys()
     for call in recorded:
         assert now[call] == recorded[call], call

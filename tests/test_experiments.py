@@ -29,7 +29,7 @@ from selfnorm import clusters, stats
 from selfnorm.cli import main as cli_main
 from selfnorm.experiments import (_ReductionPlan, cluster_from_dict, cluster_to_dict, derive_cluster,
                                   load_config)
-from selfnorm.processes import model_from_dict
+from selfnorm.processes import model_from_dict, model_to_dict
 
 
 IID_POS_HALF = {"kind": "iid", "noise": {"kind": "pareto", "alpha": 0.5, "q_plus": 1.0, "q_minus": 0.0}}
@@ -105,7 +105,9 @@ class TestConfig:
         assert cluster_from_dict(cluster_to_dict(c)) == c
 
 
-UNREAD_KEYS = [
+# (field, dict, what the error names): a key that the kind does not read, or
+# a burn-in for an iid model, which reads none
+BAD_KEYS = [
     ("model", {**AR1_POS_HALF, "phi_typo": 3}),
     ("model", {**AR1_POS_HALF, "burnin": 50}),
     ("model", {**IID_POS_HALF, "phi": 0.5}),
@@ -117,12 +119,16 @@ UNREAD_KEYS = [
     ("cluster", {"kind": "empirical", "source": AR1_POS_HALF, "flor_rel": 0.01}),
     ("cluster", {"kind": "empirical", "source": AR1_POS_HALF, "q_plus": 1.0, "q_minus": 0.0}),
     ("cluster", {"kind": "empirical", "source": {**AR1_POS_HALF, "burnin": 50}}),
+    ("model", {**IID_POS_HALF, "burn_in": 5}),
 ]
+# each case as "<field>-d<k>", the id pytest gives a (field, dict) pair
+BAD_KEY_CASES = [pytest.param(field, d, "reads no burn-in" if "burn_in" in d else "unknown keys",
+                              id=f"{field}-d{k}") for k, (field, d) in enumerate(BAD_KEYS)]
 
 
 class TestConfigKeys:
     """A key that the model, cluster, noise or SRE-law kind does not read is
-    an error, not a silent default."""
+    an error, not a silent default; so is a burn-in for an iid model."""
 
     @staticmethod
     def _config(field, d):
@@ -130,19 +136,19 @@ class TestConfigKeys:
             return small_verify_config(model=d)
         return ExperimentConfig.from_dict(dict(kind="limit", name="keys", cluster=d, reps=20, n_terms=100))
 
-    @pytest.mark.parametrize("field,d", UNREAD_KEYS)
-    def test_validate_rejects(self, field, d):
-        with pytest.raises(ConfigurationError, match=f"{field}: .*unknown keys"):
+    @pytest.mark.parametrize("field,d,match", BAD_KEY_CASES)
+    def test_validate_rejects(self, field, d, match):
+        with pytest.raises(ConfigurationError, match=f"{field}: .*{match}"):
             self._config(field, d).validate()
 
-    @pytest.mark.parametrize("field,d", UNREAD_KEYS)
-    def test_cli_exit_2(self, field, d, tmp_path, capsys):
+    @pytest.mark.parametrize("field,d,match", BAD_KEY_CASES)
+    def test_cli_exit_2(self, field, d, match, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.yaml"
         with open(cfg_path, "w") as fh:
             yaml.safe_dump(self._config(field, d).to_dict(), fh)
         kind = "verify" if field == "model" else "limit"
         assert cli_main([kind, "--config", str(cfg_path)]) == 2
-        assert "unknown keys" in capsys.readouterr().err
+        assert match in capsys.readouterr().err
 
     def test_shipped_dicts_read_every_key(self):
         for path in sorted((Path(__file__).parents[1] / "configs").glob("*.yaml")):
@@ -238,7 +244,7 @@ CONFIG_FIELDS = dict(
     transform=st.sampled_from(["stable_cf", "hybrid_cf", "ratio_cf"]),
     u_points=_POINTS, x_points=_POINTS, lambda_points=_POINTS, seed=st.integers(0, 2**31),
     workers=st.integers(1, 8), z_bound=st.floats(0.5, 10.0), quad_tol=st.floats(1e-12, 1e-3),
-    cluster_mc=st.integers(100, 10**5), ks_level=st.floats(0.001, 0.5), ks_slack=st.floats(1.0, 3.0),
+    cluster_mc=st.integers(100, 10**5),
     out=st.none() | st.text(min_size=1, max_size=8),
 )
 
@@ -253,6 +259,68 @@ def test_every_config_field_round_trips(fields):
                   ExperimentConfig.from_dict(yaml.safe_load(yaml.safe_dump(cfg.to_dict())))):
         assert again == cfg
         assert again.config_hash() == cfg.config_hash()
+
+
+_ALPHA = st.floats(0.05, 1.95).filter(lambda a: a != 1.0)
+# tail balances sum to 1: q_minus follows the q_plus drawn for the example
+_Q_PLUS = st.shared(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), key="q_plus")
+_Q_MINUS = _Q_PLUS.map(lambda q: 1.0 - q)
+_PHI = st.floats(-0.95, 0.95).filter(lambda f: f != 0.0)
+# one strategy per key that each model, noise, SRE-law and cluster kind reads;
+# the test fails when a key has none
+NOISE_KEYS = {
+    "pareto": dict(kind=st.just("pareto"), alpha=_ALPHA, q_plus=_Q_PLUS, q_minus=_Q_MINUS),
+    "symmetric_stable": dict(kind=st.just("symmetric_stable"), alpha=_ALPHA, q_plus=st.just(0.5),
+                             q_minus=st.just(0.5)),
+}
+SRE_LAW_KEYS = {
+    "lognormal": dict(kind=st.just("lognormal"), alpha=st.floats(0.1, 3.0), sigma=st.floats(0.1, 2.0),
+                      neg_prob=st.floats(0.0, 1.0), b_mean=st.floats(-5.0, 5.0), b_sd=st.floats(0.0, 5.0)),
+    "constant": dict(kind=st.just("constant"), alpha=st.floats(0.1, 3.0), a_const=st.floats(-0.9, 0.9),
+                     b_mean=st.floats(-5.0, 5.0), b_sd=st.floats(0.0, 5.0)),
+}
+_NOISE = st.one_of(*(st.fixed_dictionaries(keys) for keys in NOISE_KEYS.values()))
+_SRE_LAW = st.one_of(*(st.fixed_dictionaries(keys) for keys in SRE_LAW_KEYS.values()))
+MODEL_KEYS = {
+    # an iid model reads no burn-in: its only valid value is 0
+    "iid": dict(kind=st.just("iid"), noise=_NOISE, burn_in=st.just(0)),
+    "ar1": dict(kind=st.just("ar1"), noise=_NOISE, phi=_PHI, burn_in=st.integers(0, 10**4)),
+    # a constant law has no Kesten tail, so only kesten_check=False accepts it
+    "sre": dict(kind=st.just("sre"), sre_law=_SRE_LAW, burn_in=st.integers(0, 10**5),
+                kesten_check=st.booleans()),
+}
+_MODEL = st.one_of(*(st.fixed_dictionaries(keys) for keys in MODEL_KEYS.values())).filter(
+    lambda d: d["kind"] != "sre" or d["sre_law"]["kind"] == "lognormal" or not d["kesten_check"])
+CLUSTER_KEYS = {
+    "iid": dict(kind=st.just("iid"), alpha=_ALPHA, q_plus=_Q_PLUS, q_minus=_Q_MINUS),
+    "ar1_analytic": dict(kind=st.just("ar1_analytic"), alpha=_ALPHA, phi=_PHI, q_plus=_Q_PLUS, q_minus=_Q_MINUS),
+    "empirical": dict(kind=st.just("empirical"), alpha=_ALPHA, source=_MODEL,
+                      threshold_quantile=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                      block_half_width=st.integers(1, 500), sample_length=st.integers(1, 10**7),
+                      library_seed=st.integers(0, 2**31), floor_rel=st.floats(0.0, 1.0, exclude_max=True),
+                      run_gap=st.integers(1, 50)),
+}
+_CLUSTER = st.one_of(*(st.fixed_dictionaries(keys) for keys in CLUSTER_KEYS.values()))
+
+
+@settings(max_examples=80, deadline=None)
+@given(model=_MODEL, cluster=_CLUSTER)
+def test_every_model_and_cluster_key_round_trips(model, cluster):
+    # a dict holding every key its kind reads comes back unchanged through
+    # the model or cluster and through YAML, with an unchanged config_hash
+    from selfnorm.experiments import _CLUSTER_KEYS
+    from selfnorm.processes import _MODEL_KEYS, _NOISE_KEYS, _SRE_LAW_KEYS
+
+    for strategies, keys in ((MODEL_KEYS, _MODEL_KEYS), (SRE_LAW_KEYS, _SRE_LAW_KEYS),
+                             (CLUSTER_KEYS, _CLUSTER_KEYS)):
+        assert {kind: set(s) for kind, s in strategies.items()} == {kind: set(k) for kind, k in keys.items()}
+    assert all(set(s) == set(_NOISE_KEYS) for s in NOISE_KEYS.values())
+    assert model_to_dict(model_from_dict(model)) == model
+    assert cluster_to_dict(cluster_from_dict(cluster)) == cluster
+    cfg = ExperimentConfig.from_dict(dict(kind="limit", name="keys", model=model, cluster=cluster))
+    again = ExperimentConfig.from_dict(yaml.safe_load(yaml.safe_dump(cfg.to_dict())))
+    assert again == cfg
+    assert again.config_hash() == cfg.config_hash()
 
 
 def _plan_blocks():
@@ -333,6 +401,7 @@ BAD_FIELDS = [
     ({"p": 0.0}, "p: must be a positive number"),
     ({"p": -2.0}, "p: must be a positive number"),
     ({"ps": [2.0]}, "unknown config fields"),
+    ({"ks_level": 0.01}, "unknown config fields"),
     ({"statistics": {"name": "ratio_max"}}, "statistics: must be a list"),
     ({"statistics": None}, "statistic specs must be a list"),
 ]

@@ -360,6 +360,24 @@ class TestRatioModulusLaplace:
         assert abs(emp - got) <= 3 * se
 
 
+    @pytest.mark.parametrize("alpha,p", [(0.5, 2.0), (0.8, 2.0), (1.5, 2.0), (1.2, 4.0), (0.3, 1.0)])
+    def test_closed_form_vs_quadrature(self, alpha, p):
+        # one atom with ||Q||_p^p = c at lam = 1 gives e^-c over the
+        # denominator 1 + int_1^inf (1 - e^{-c s^(-p/alpha)}) ds, here by quad
+        from selfnorm.limits import ratio_modulus_laplace
+
+        one = np.ones(1)
+        for c in (1e-6, 1e-2, 1.0, 5.0, 50.0):
+            atoms = ClusterAtoms(alpha=alpha, p=p, weights=one, sum_q=one, max_abs=one,
+                                 norm_p_p=np.array([c]), sum_abs=one, exact=True)
+            head, _ = quad(lambda s: -math.expm1(-c * s ** (-p / alpha)), 1.0, np.inf,
+                           epsabs=1e-14, epsrel=1e-13, limit=4000)
+            want = math.exp(-c) / (1.0 + head)
+            got = ratio_modulus_laplace(1.0, iid_cluster(alpha), p=p, atoms=atoms).value
+            assert got.imag == 0.0
+            assert got.real == pytest.approx(want, rel=1e-10, abs=0.0), (alpha, p, c)
+
+
 class TestLepageSampler:
     def test_eta_is_first_arrival_iid(self):
         # single positive spike: the sup is attained at the first arrival

@@ -179,6 +179,28 @@ def _coupled_rows_per_replica(model, n, seed, indices):
     return x, xs, x0, x0s
 
 
+def _ar1_coupled_rows_per_replica(model, n, seed, indices):
+    """The coupled AR(1) rows one replica at a time, each a one-row
+    ``lfilter``: the reference the batched ``_coupled_rows`` must reproduce
+    bit for bit."""
+    from selfnorm.processes import _draw_noise
+    from selfnorm.rng import substream
+
+    burn = model.burn_in
+    x, xs = np.empty((len(indices), n)), np.empty((len(indices), n))
+    x0, x0s = np.empty(len(indices)), np.empty(len(indices))
+    for r, idx in enumerate(indices):
+        za = _draw_noise(model.noise, substream(seed, int(idx), 1), burn)
+        zb = _draw_noise(model.noise, substream(seed, int(idx), 2), burn)
+        z = _draw_noise(model.noise, substream(seed, int(idx), 0), n)
+        s_a = ar1_recursion(model.phi, za)[-1] if burn else 0.0
+        s_b = ar1_recursion(model.phi, zb)[-1] if burn else 0.0
+        x[r] = ar1_recursion(model.phi, z, x0=s_a)
+        xs[r] = ar1_recursion(model.phi, z, x0=s_b)
+        x0[r], x0s[r] = s_a, s_b
+    return x, xs, x0, x0s
+
+
 class TestCoupledRowsBatched:
     @pytest.mark.parametrize("law, burn_in, first", [
         (SRELaw(alpha=0.8, sigma=1.0, b_mean=1.0, b_sd=0.5), 300, 0),
@@ -193,6 +215,19 @@ class TestCoupledRowsBatched:
         indices = np.arange(first, first + 13)
         got = _coupled_rows(model, 37, 8, indices)
         want = _coupled_rows_per_replica(model, 37, 8, indices)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("model", [
+        ar1_model(0.5, NoiseSpec("pareto", 0.5, (1.0, 0.0))),
+        ar1_model(-0.8, NoiseSpec("pareto", 1.5), burn_in=50),
+        ar1_model(-0.8, NoiseSpec("pareto", 1.5), burn_in=0),
+    ], ids=["positive-default-burn", "two-sided-burn50", "two-sided-no-burn"])
+    def test_ar1_equals_per_replica_loop(self, model):
+        from selfnorm.processes import _coupled_rows
+
+        indices = np.arange(4, 4 + 13)
+        got = _coupled_rows(model, 37, 8, indices)
+        want = _ar1_coupled_rows_per_replica(model, 37, 8, indices)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
     def test_rows_independent_of_batching(self):
