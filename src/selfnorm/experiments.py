@@ -641,7 +641,8 @@ def _run_transform(config: ExperimentConfig, workers: int):
     for i in range(len(out)):
         rows.append(ReportRow(
             f"{config.transform}[{i}]", None, abs(out.values[i]), out.stderr[i], None, True,
-            detail=f"u={out.u[i]} x={out.x[i]} lam={out.lam[i]} re={out.values[i].real:.6g} im={out.values[i].imag:.6g}",
+            detail=f"u={out.u[i]} x={out.x[i]} lam={out.lam[i]} re={out.values[i].real:.6g} im={out.values[i].imag:.6g}"
+                   f" fallbacks={out.fallbacks[i]} quad_warnings={out.quad_warnings[i]}",
         ))
     return rows, [("transform.csv", out.to_csv)]
 
@@ -824,12 +825,13 @@ def _check_self_decomposition(config, workers, cluster, paths):
     c = 0.5
     alpha, p = cluster.alpha, config.p
     kw = dict(p=p, quad_tol=config.quad_tol, n_mc=config.cluster_mc, seed=_seed_for(config.seed, "transform"))
-    full = limits.joint_cf_laplace(u, math.inf, lam, cluster, **kw).value
-    part = limits.joint_cf_laplace(c * u, math.inf, c**p * lam, cluster, **kw).value
-    rhs = part * full ** (1.0 - c**alpha)
-    diff = abs(full - rhs)
+    full = limits.joint_cf_laplace(u, math.inf, lam, cluster, **kw)
+    part = limits.joint_cf_laplace(c * u, math.inf, c**p * lam, cluster, **kw)
+    rhs = part.value * full.value ** (1.0 - c**alpha)
+    diff = abs(full.value - rhs)
     return [ReportRow("self_decomposition", 0.0, diff, None, None, diff <= 1e-6,
-                      detail=f"u={u} lam={lam} c={c}")]
+                      detail=f"u={u} lam={lam} c={c} fallbacks={full.fallbacks + part.fallbacks}"
+                             f" quad_warnings={full.quad_warnings + part.quad_warnings}")]
 
 
 _CHECKS = {

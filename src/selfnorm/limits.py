@@ -13,13 +13,17 @@ each other:
   the joint characteristic-function/Laplace transform, all as cluster
   expectations of power-law integrals.
 
-Every ``int ... d(-y^-alpha)`` integral is handled per cluster atom. Undamped
-oscillatory tails (no Laplace factor) reduce exactly to the generalised
-exponential integral, so no quadrature of a non-decaying oscillation is ever
-attempted; damped integrals go through adaptive Gauss-Kronrod quadrature in
-the substituted variable ``s = y^-alpha`` after splitting off the closed-form
-pieces, with the integrand expanded in series near the cancellation-prone
-origin.
+Every ``int ... d(-y^-alpha)`` integral is a per-atom value, computed on the
+whole atom array at once. Undamped oscillatory tails (no Laplace factor)
+reduce exactly to the generalised exponential integral ``E_{alpha+1}(-iw)``,
+summed as a power series for ``|w| <= 3`` and as a continued fraction beyond,
+so no quadrature of a non-decaying oscillation is ever attempted. Damped
+integrals are cut where the damping falls below ``e^-40``, the power-law tail
+beyond the cut is added in closed form, and the rest is one tanh-sinh rule
+whose step halves, on the nested nodes, until the change falls within the
+tolerance. An atom the rule cannot settle falls back to adaptive Gauss-Kronrod
+quadrature, one atom at a time; the fallbacks and the quadrature warnings are
+counted in the returned :class:`TransformValue`.
 """
 
 from __future__ import annotations
@@ -28,13 +32,11 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-import mpmath
 from scipy.integrate import quad
-from scipy.special import gamma as gamma_fn, gammainc
+from scipy.special import gamma as gamma_fn, gammainc, gammaln
 
 from .clusters import (
     ClusterAtoms, ClusterModel, _weighted_estimate, cluster_atoms, cluster_law, cluster_moment, tilted_atoms,
@@ -51,11 +53,15 @@ DEFAULT_N_TERMS = 10_000
 @dataclass(frozen=True)
 class TransformValue:
     """A transform evaluation with the cluster-MC standard error (0 when the
-    cluster expectations are exact)."""
+    cluster expectations are exact), the number of atoms whose damped integral
+    fell back to adaptive quadrature, and the warnings that quadrature
+    raised."""
 
     value: complex
     stderr: float = 0.0
     method: str = "closed_form"
+    fallbacks: int = 0
+    quad_warnings: int = 0
 
     def __complex__(self) -> complex:
         return complex(self.value)
@@ -77,48 +83,214 @@ def stable_scale_const(alpha: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# scalar building blocks
+# per-atom building blocks, on whole atom arrays
+
+# Beyond the cut c y^p = _DAMP_CUT the damped part of an integrand is below
+# e^-40 of the power-law mass there.
+_DAMP_CUT = 40.0
+# tanh-sinh rule: the coarsest step in t, the number of step halvings (the
+# finest step is 1/128), the first level whose change from the one before may
+# settle an atom, the right end of the t range (1 - v < 3e-23 there), and the
+# atoms per block, which bounds the atoms x nodes temporaries to a few MB
+_TS_STEP = 0.5
+_TS_LEVELS = 6
+_TS_MIN_LEVEL = 2
+_TS_RIGHT = 3.5
+_TS_BLOCK = 1024
+# E_{alpha+1}(-iw) is a power series for |w| <= _SERIES_RADIUS, where the
+# terms fall to 3^34/34! ~ 6e-23, and a continued fraction beyond, where it
+# needs at most 78 terms (91 at |w| = 2)
+_SERIES_RADIUS = 3.0
+_SERIES_TERMS = 34
+_FRACTION_MAX_TERMS = 10_000
 
 
-def _cexpm1(z: complex) -> complex:
-    """exp(z) - 1 with a series near 0 to avoid cancellation."""
-    if abs(z) < 1e-4:
-        return z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))
-    return cmath.exp(z) - 1.0
-
-
-def _stable_atom(b: float, alpha: float) -> complex:
+def _stable_atom(b, alpha: float):
     """int_0^inf (e^{iby} - 1 - iby 1_{(1,2)}(alpha)) d(-y^-alpha) in closed
     form: the log characteristic function of an alpha-stable point mass."""
-    if b == 0.0:
-        return 0.0j
-    c = stable_scale_const(alpha)
-    return -c * abs(b) ** alpha * (1.0 - 1j * math.copysign(1.0, b) * math.tan(math.pi * alpha / 2.0))
+    tan = math.tan(math.pi * alpha / 2.0)
+    return -stable_scale_const(alpha) * np.abs(b) ** alpha * (1.0 - 1j * tan * np.sign(b))
 
 
-@lru_cache(maxsize=1 << 18)
-def _expint_cached(alpha: float, w: float) -> complex:
-    # E_{alpha+1}(-i w); w real, any sign
-    return complex(mpmath.expint(alpha + 1.0, -1j * w))
+def _expint_series(alpha: float, w: np.ndarray) -> np.ndarray:
+    """E_{alpha+1}(-iw) for small |w| from the power series (DLMF 8.19.8)
+    ``E_{a+1}(z) = z^a Gamma(-a) - sum_k (-z)^k / (k! (k - a))``. The k = 1
+    term joins the first one, whose pole at alpha = 1 it cancels:
+    ``z^a Gamma(-a) - z/(a-1) = z/(a-1) expm1((a-1) log z + log Gamma(2-a) - log a)``."""
+    eps = alpha - 1.0
+    iw = 1j * w
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_z = np.log(np.abs(w)) - 0.5j * math.pi * np.sign(w)
+        first = -iw / eps * np.expm1(eps * log_z + gammaln(1.0 - eps) - math.log(alpha))
+    first[w == 0.0] = 0.0
+    term, total = iw, np.full(w.shape, -1.0 / alpha, dtype=complex)
+    for k in range(2, _SERIES_TERMS + 1):
+        term = term * iw / k
+        total += term / (k - alpha)
+    return first - total
 
 
-def _tail_exp_integral(alpha: float, b: float, z: float) -> complex:
-    """int_z^inf e^{iby} d(-y^-alpha) for z > 0, exactly, via the generalised
-    exponential integral."""
-    if not math.isfinite(z):
-        return 0.0j
-    if b == 0.0:
-        return z ** (-alpha) + 0.0j
-    return alpha * z ** (-alpha) * _expint_cached(alpha, b * z)
+def _expint_fraction(alpha: float, w: np.ndarray) -> np.ndarray:
+    """E_{alpha+1}(-iw) for larger |w| from the continued fraction
+    ``e^-z / (z + n - 1 n / (z + n + 2 - 2 (n + 1) / (z + n + 4 - ...)))``,
+    n = alpha + 1, by the modified Lentz method (Numerical Recipes 6.3).
+    Entries leave the iteration as they converge."""
+    out = np.empty(w.shape, dtype=complex)
+    pos = np.arange(w.size)
+    b = alpha + 1.0 - 1j * w
+    c = np.full(w.shape, 1e300 + 0j)
+    d = 1.0 / b
+    h = d.copy()
+    i = 0
+    while pos.size:
+        i += 1
+        if i > _FRACTION_MAX_TERMS:
+            raise NumericalError(f"E_(alpha+1) continued fraction did not converge for {pos.size} arguments")
+        a = -i * (alpha + i)
+        b = b + 2.0
+        d = 1.0 / (a * d + b)
+        c = b + a / c
+        delta = c * d
+        h *= delta
+        done = np.abs(delta - 1.0) <= 1e-16
+        if done.any():
+            out[pos[done]] = h[done]
+            keep = ~done
+            pos, b, c, d, h = pos[keep], b[keep], c[keep], d[keep], h[keep]
+    return out * np.exp(1j * w)
 
 
-def _quad_complex(f, lo, hi, tol: float) -> complex:
+def _expint(alpha: float, w) -> np.ndarray:
+    """E_{alpha+1}(-iw) for real w, any shape."""
+    w = np.asarray(w, dtype=float)
+    out = np.empty(w.shape, dtype=complex)
+    near = np.abs(w) <= _SERIES_RADIUS
+    out[near] = _expint_series(alpha, w[near])
+    out[~near] = _expint_fraction(alpha, w[~near])
+    return out
+
+
+def _tail_exp_integral(alpha: float, b, z):
+    """int_z^inf e^{iby} d(-y^-alpha) = alpha z^-alpha E_{alpha+1}(-ibz) for
+    z > 0, exactly; 0 at z = inf."""
+    b, z = np.broadcast_arrays(np.asarray(b, dtype=float), np.asarray(z, dtype=float))
+    e = _expint(alpha, b * np.where(np.isfinite(z), z, 0.0))
+    return np.where(np.isfinite(z), alpha * z ** (-alpha) * e, 0.0)[()]
+
+
+def _sin_minus_identity_series(t: np.ndarray) -> np.ndarray:
+    """sin(t) - t for |t| < 1, from its Taylor series (to t^19)."""
+    t2 = t * t
+    acc = 1.0 - t2 / 342.0
+    for d in (272.0, 210.0, 156.0, 110.0, 72.0, 42.0, 20.0):
+        acc = 1.0 - t2 / d * acc
+    return -t * t2 / 6.0 * acc
+
+
+def _damped_nodes(alpha: float, p: float):
+    """The nested tanh-sinh levels on (0, 1) for the weight v^(-alpha-1):
+    per level the new nodes v, v^p and their weights, and the smallest node.
+
+    v = 1 / (1 + exp(-pi sinh t)) on the grid t = j h; level 0 has every j,
+    each later level only the odd j of the halved step. The left end sits
+    where the neglected mass, of order v^(p - alpha) and v^(2 - alpha), is
+    about e^-46, but never where v^-alpha would overflow."""
+    order = min(p - alpha, 2.0 - alpha)
+    log_v_min = max(-46.0 / order, -400.0 / max(alpha, 1.0))
+    left = _TS_STEP * math.ceil(math.asinh(-log_v_min / math.pi) / _TS_STEP)
+    levels = []
+    for k in range(_TS_LEVELS + 1):
+        h = _TS_STEP / 2**k
+        j = np.arange(-round(left / h), round(_TS_RIGHT / h) + 1)
+        t = (j if k == 0 else j[j % 2 != 0]) * h
+        s = math.pi * np.sinh(t)
+        v = 1.0 / (1.0 + np.exp(-s))
+        # dv/dt = pi cosh(t) v (1 - v), times v^(-alpha-1)
+        weight = h * math.pi * np.cosh(t) / (1.0 + np.exp(s)) * v**-alpha
+        levels.append((v, v**p, weight))
+    return levels, 1.0 / (1.0 + math.exp(math.pi * math.sinh(left)))
+
+
+def _damped_rule(beta: np.ndarray, damp: np.ndarray, levels, tol_scaled: np.ndarray):
+    """J = int_0^1 (e^{i beta v - damp v^p} - 1 - i beta v) v^(-alpha-1) dv
+    on the levels of :func:`_damped_nodes`, for a block of atoms, refining
+    each atom until its change between levels is within ``tol_scaled``;
+    returns J and the last change."""
+    J = np.zeros(beta.shape, dtype=complex)
+    change = np.full(beta.shape, np.inf)
+    active = np.arange(beta.size)
+    for k, (v, vp, weight) in enumerate(levels):
+        bv, dvp = beta[active, None] * v, damp[active, None] * vp
+        e = np.expm1(-dvp)
+        half, sin = np.sin(0.5 * bv), np.sin(bv)
+        # e^{-a} cos t - 1 and e^{-a} sin t - t, without cancellation near 0
+        re = e - 2.0 * half * half * (1.0 + e)
+        im = sin - bv
+        near = np.abs(bv) < 1.0
+        im[near] = _sin_minus_identity_series(bv[near])
+        im += e * sin
+        s = re @ weight + 1j * (im @ weight)
+        if k == 0:
+            J[active] = s
+            continue
+        refined = 0.5 * J[active] + s
+        change[active] = np.abs(refined - J[active])
+        J[active] = refined
+        if k >= _TS_MIN_LEVEL:
+            active = active[~(change[active] <= tol_scaled[active])]
+            if not active.size:
+                break
+    return J, change
+
+
+def _damped_log(alpha: float, p: float, b, c, x_m, tol: float):
+    """Per-atom values of
+    ``int_0^inf [e^{iby - c y^p} 1(y <= x_m) - 1 - iby 1_{(1,2)}] d(-y^-alpha)``
+    for c > 0, with the number of atoms sent to quadrature and the warnings it
+    raised.
+
+    Cut at Y = min(x_m, (_DAMP_CUT / c)^(1/p)). With y = Y v the head is
+    ``alpha Y^-alpha J(bY, cY^p)`` (see :func:`_damped_rule`) and the tail past
+    Y, less the compensator added back over [0, Y] when alpha < 1, is
+    ``-Y^-alpha - i b alpha Y^(1-alpha) / (alpha - 1)`` for either range of
+    alpha. An atom whose estimated error (the last change plus the mass below
+    the smallest node) exceeds ``tol``, or whose value is not finite, goes to
+    :func:`_atom_log_damped`.
+    """
+    b, c, x_m = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (b, c, x_m)))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        y_cut = np.minimum(x_m, (_DAMP_CUT / c) ** (1.0 / p))
+        beta, damp, scale = b * y_cut, c * y_cut**p, alpha * y_cut ** (-alpha)
+        levels, v_min = _damped_nodes(alpha, p)
+        cut_off = scale * (damp * v_min ** (p - alpha) / (p - alpha)
+                           + beta * beta / 2.0 * v_min ** (2.0 - alpha) / (2.0 - alpha))
+        room = tol - cut_off
+    values = np.full(b.shape, np.nan, dtype=complex)
+    todo = np.flatnonzero(np.isfinite(beta) & np.isfinite(damp) & np.isfinite(scale) & (room > 0))
+    settled = np.zeros(b.shape, dtype=bool)
+    for lo in range(0, todo.size, _TS_BLOCK):
+        idx = todo[lo:lo + _TS_BLOCK]
+        J, change = _damped_rule(beta[idx], damp[idx], levels, room[idx] / scale[idx])
+        values[idx] = scale[idx] * J - scale[idx] / alpha * (1.0 + 1j * alpha * beta[idx] / (alpha - 1.0))
+        settled[idx] = change * scale[idx] <= room[idx]
+    fallback = np.flatnonzero(~(settled & np.isfinite(values)))
+    warned: list = []
+    for i in fallback:
+        values[i] = _atom_log_damped(alpha, p, float(b[i]), float(c[i]), float(x_m[i]), tol, warned)
+    return values, fallback.size, len(warned)
+
+
+def _quad_complex(f, lo, hi, tol: float, warned: Optional[list] = None) -> complex:
+    """Adaptive quadrature of a complex integrand, with one retry at a larger
+    subinterval limit. Every warning quad raises is appended to ``warned``."""
     err_tot = math.inf
     val = 0.0j
     for limit in (600, 4000):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
             val, err = quad(f, lo, hi, epsabs=tol, epsrel=0.0, limit=limit, complex_func=True)
+        if warned is not None:
+            warned.extend(seen)
         err_tot = abs(err.real) + abs(err.imag) if isinstance(err, complex) else abs(err)
         if err_tot <= max(100.0 * tol, 1e-6):
             return val
@@ -127,10 +299,12 @@ def _quad_complex(f, lo, hi, tol: float) -> complex:
     )
 
 
-def _atom_log_damped(alpha: float, p: float, b: float, c: float, x_m: float, tol: float) -> complex:
-    """Per-atom value of
+def _atom_log_damped(alpha: float, p: float, b: float, c: float, x_m: float, tol: float,
+                     warned: Optional[list] = None) -> complex:
+    """One atom's value of
     ``int_0^inf [e^{iby - c y^p} 1(y <= x_m) - 1 - iby 1_{(1,2)}] d(-y^-alpha)``
-    for c > 0, via adaptive quadrature in s = y^-alpha.
+    for c > 0, via adaptive quadrature in s = y^-alpha: the fallback of
+    :func:`_damped_log`.
     """
     heavy = alpha > 1.0
     inv_a = 1.0 / alpha
@@ -145,8 +319,8 @@ def _atom_log_damped(alpha: float, p: float, b: float, c: float, x_m: float, tol
                 damp = c * s ** (-p_a)
                 if damp > 700.0:
                     return -1.0 + 0.0j
-                return _cexpm1(1j * b * y_of(s) - damp)
-            return _quad_complex(f, 0.0, np.inf, tol)
+                return np.expm1(1j * b * y_of(s) - damp)
+            return _quad_complex(f, 0.0, np.inf, tol, warned)
         # alpha in (1,2): subtract a damped compensator so the integrand stays
         # bounded at the origin, and add its closed-form power-law integral back
         p3 = 1j * b * (alpha / p) * gamma_fn((1.0 - alpha) / p) * c ** ((alpha - 1.0) / p)
@@ -156,8 +330,8 @@ def _atom_log_damped(alpha: float, p: float, b: float, c: float, x_m: float, tol
             if damp > 700.0:
                 return -1.0 + 0.0j
             y = y_of(s)
-            return _cexpm1(1j * b * y - damp) - 1j * b * y * math.exp(-damp)
-        return _quad_complex(f, 0.0, np.inf, tol) + p3
+            return np.expm1(1j * b * y - damp) - 1j * b * y * math.exp(-damp)
+        return _quad_complex(f, 0.0, np.inf, tol, warned) + p3
 
     lo = x_m ** (-alpha)
     comp = -lo
@@ -167,7 +341,7 @@ def _atom_log_damped(alpha: float, p: float, b: float, c: float, x_m: float, tol
         def f(s):
             y = y_of(s)
             damp = c * y**p
-            val = -1.0 + 0.0j if damp > 700.0 else _cexpm1(1j * b * y - damp)
+            val = -1.0 + 0.0j if damp > 700.0 else np.expm1(1j * b * y - damp)
             return val - 1j * b * y
     else:
         def f(s):
@@ -175,16 +349,8 @@ def _atom_log_damped(alpha: float, p: float, b: float, c: float, x_m: float, tol
             damp = c * y**p
             if damp > 700.0:
                 return -1.0 + 0.0j
-            return _cexpm1(1j * b * y - damp)
-    return _quad_complex(f, lo, np.inf, tol) + comp
-
-
-def _atom_log_hybrid(alpha: float, b: float, x_m: float) -> complex:
-    """lam = 0 case: stable atom minus the exact oscillatory tail above x_m."""
-    val = _stable_atom(b, alpha)
-    if math.isfinite(x_m):
-        val = val - _tail_exp_integral(alpha, b, x_m)
-    return val
+            return np.expm1(1j * b * y - damp)
+    return _quad_complex(f, lo, np.inf, tol, warned) + comp
 
 
 def _weighted_log(atoms: ClusterAtoms, per_atom: np.ndarray) -> tuple[complex, float]:
@@ -217,10 +383,7 @@ def stable_cf(
     _validate_alpha_transform(alpha)
     if atoms is None:
         atoms = cluster_atoms(cluster, n_mc=n_mc, seed=seed)
-    b = u * atoms.sum_q
-    tan = math.tan(math.pi * alpha / 2.0)
-    per_atom = -stable_scale_const(alpha) * np.abs(b) ** alpha * (1.0 - 1j * tan * np.sign(b))
-    log_val, se_log = _weighted_log(atoms, per_atom)
+    log_val, se_log = _weighted_log(atoms, _stable_atom(u * atoms.sum_q, alpha))
     val = cmath.exp(log_val)
     if atoms.exact or u == 0:
         return TransformValue(val, 0.0, "closed_form")
@@ -249,11 +412,10 @@ def hybrid_cf(
         raise ConfigurationError("x must be positive")
     if atoms is None:
         atoms = cluster_atoms(cluster, n_mc=n_mc, seed=seed)
-    per_atom = np.array(
-        [_atom_log_hybrid(alpha, u * s, x / m) for s, m in zip(atoms.sum_q, atoms.max_abs)],
-        dtype=complex,
-    )
-    log_val, se_log = _weighted_log(atoms, per_atom)
+    b = u * atoms.sum_q
+    with np.errstate(divide="ignore"):
+        x_m = x / atoms.max_abs
+    log_val, se_log = _weighted_log(atoms, _stable_atom(b, alpha) - _tail_exp_integral(alpha, b, x_m))
     val = cmath.exp(log_val)
     method = "expint_exact" if atoms.exact else "expint_monte_carlo"
     return TransformValue(val, abs(val) * se_log, method)
@@ -317,17 +479,14 @@ def joint_cf_laplace(
         atoms = cluster_atoms(cluster, p=p, n_mc=n_mc, seed=seed)
     if lam == 0.0:
         return hybrid_cf(u, x, cluster, alpha, atoms=atoms)
-    per_atom = np.array(
-        [
-            _atom_log_damped(alpha, p, u * s, lam * w, x / m, quad_tol)
-            for s, w, m in zip(atoms.sum_q, atoms.norm_p_p, atoms.max_abs)
-        ],
-        dtype=complex,
-    )
+    with np.errstate(divide="ignore"):
+        x_m = x / atoms.max_abs
+    per_atom, fallbacks, quad_warnings = _damped_log(
+        alpha, p, u * atoms.sum_q, lam * atoms.norm_p_p, x_m, quad_tol)
     log_val, se_log = _weighted_log(atoms, per_atom)
     val = cmath.exp(log_val)
     method = "quadrature" if atoms.exact else "quadrature_monte_carlo"
-    return TransformValue(val, abs(val) * se_log, method)
+    return TransformValue(val, abs(val) * se_log, method, fallbacks, quad_warnings)
 
 
 def ratio_modulus_laplace(
@@ -394,10 +553,7 @@ def ratio_cf(
             "and the ratio law is trivial"
         )
     num_terms = np.exp(1j * u * s)
-    den_terms = np.array(
-        [-_stable_atom(u * si, alpha) + _tail_exp_integral(alpha, u * si, 1.0) for si in s],
-        dtype=complex,
-    )
+    den_terms = _tail_exp_integral(alpha, u * s, 1.0) - _stable_atom(u * s, alpha)
     # the ratio of the two means is the den_terms-weighted mean of num/den;
     # Re(den_terms) >= 1 on every atom
     est = _weighted_estimate(atoms, den_terms, num_terms / den_terms)
@@ -499,7 +655,8 @@ def sample_limit_lepage(
 
 @dataclass
 class TransformGrid:
-    """Aligned evaluation points (u, x, lam) with values and standard errors.
+    """Aligned evaluation points (u, x, lam) with values and standard errors,
+    and per point the quadrature fallbacks and warnings of its evaluation.
 
     Unused coordinates are NaN. One row per point; serialises to CSV columns
     (u, x, lambda, re, im, stderr, method).
@@ -511,6 +668,8 @@ class TransformGrid:
     values: np.ndarray
     stderr: np.ndarray
     method: str
+    fallbacks: np.ndarray
+    quad_warnings: np.ndarray
 
     @classmethod
     def from_points(cls, u=None, x=None, lam=None, method: str = "") -> "TransformGrid":
@@ -532,7 +691,7 @@ class TransformGrid:
         return cls(
             u=expand(u), x=expand(x), lam=expand(lam),
             values=np.full(n, np.nan, dtype=complex), stderr=np.full(n, np.nan),
-            method=method,
+            method=method, fallbacks=np.zeros(n, dtype=int), quad_warnings=np.zeros(n, dtype=int),
         )
 
     def __len__(self) -> int:
@@ -637,4 +796,6 @@ def evaluate_transform_grid(
         out.values[i] = complex(tv.value)
         out.stderr[i] = tv.stderr
         out.method = tv.method
+        out.fallbacks[i] = tv.fallbacks
+        out.quad_warnings[i] = tv.quad_warnings
     return out

@@ -273,6 +273,25 @@ def test_sre_diagnose_one_tail_constant_any_worker_count(monkeypatch):
                            "diagnose_summary.json"}
 
 
+# a small empirical AR(1) cluster through every run kind that reads it
+EMPIRICAL = {"kind": "empirical", "source": AR1, "sample_length": 50_000, "library_seed": 3}
+EMPIRICAL_RUNS = {
+    "verify": dict(kind="verify", name="emp-verify", model=AR1, cluster=EMPIRICAL, n=500, reps=200, p=2.0,
+                   checks=["extremal_index", "lepage_laplace", "self_decomposition"], n_terms=200,
+                   cluster_mc=500, seed=7),
+    "limit": dict(kind="limit", name="emp-limit", cluster=EMPIRICAL, reps=60, n_terms=500, p=2.0, seed=8),
+    **{kind: dict(kind="transform", name=f"emp-{kind}", cluster=EMPIRICAL, transform=kind, p=2.0,
+                  cluster_mc=500, u_points=[0.5, 1.0], x_points=[1.0, 2.0], lambda_points=[0.5, 1.0], seed=9)
+       for kind in ("hybrid_cf", "joint_cf_laplace", "ratio_cf")},
+}
+
+
+@pytest.mark.parametrize("run", sorted(EMPIRICAL_RUNS))
+def test_empirical_runs_any_worker_count(run):
+    config = EMPIRICAL_RUNS[run]
+    assert run_outputs(config, workers=1) == run_outputs(config, workers=2)
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         raise SystemExit("usage: PYTHONPATH=src python tests/test_bit_identity.py --record")

@@ -1,0 +1,150 @@
+"""The vectorised transform engine against its references.
+
+``tests/data/transform_reference.json`` holds, as float hex, the values and
+standard errors of ``stable_cf``, ``hybrid_cf``, ``joint_cf_laplace`` (x finite
+and x = inf) and ``ratio_cf`` on an empirical AR(1) cluster, recorded with the
+earlier per-atom engine (mpmath ``expint`` and adaptive ``quad`` for every
+atom). The array engine must stay within 1e-10 relative of them.
+
+Regenerate the record (only for a deliberate change of value, which
+CHANGES.md must then explain) with::
+
+    PYTHONPATH=src python tests/test_transform_engine.py --record
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import mpmath
+import numpy as np
+import pytest
+
+from selfnorm import NumericalError, clusters, iid_cluster, limits
+from selfnorm.clusters import ClusterAtoms
+from selfnorm.experiments import cluster_from_dict
+
+RECORD = Path(__file__).parent / "data" / "transform_reference.json"
+
+# the empirical AR(1) cluster of test_bit_identity, with its atom draws
+AR1_CLUSTER = {"kind": "empirical",
+               "source": {"kind": "ar1", "phi": 0.5,
+                          "noise": {"kind": "pareto", "alpha": 0.5, "q_plus": 1.0, "q_minus": 0.0}},
+               "sample_length": 200_000, "library_seed": 3}
+# (u, x, lam)
+POINTS = [(0.5, 1.0, 0.5), (1.0, 2.0, 1.0), (-0.8, 0.7, 0.3), (2.5, 3.0, 2.0)]
+
+
+def transform_values() -> dict:
+    """Every transform at every grid point, as (value, stderr) pairs."""
+    c = cluster_from_dict(AR1_CLUSTER)
+    atoms = clusters.cluster_atoms(c, p=2.0, n_mc=2000, seed=41)
+    tilted = clusters.tilted_atoms(c, p=2.0, n_mc=2000, seed=42)
+    out = {}
+    for i, (u, x, lam) in enumerate(POINTS):
+        out[f"stable_cf[{i}]"] = limits.stable_cf(u, c, atoms=atoms)
+        out[f"hybrid_cf[{i}]"] = limits.hybrid_cf(u, x, c, atoms=atoms)
+        out[f"joint_cf_laplace[{i}]"] = limits.joint_cf_laplace(u, x, lam, c, p=2.0, atoms=atoms)
+        out[f"joint_cf_laplace_inf[{i}]"] = limits.joint_cf_laplace(u, math.inf, lam, c, p=2.0, atoms=atoms)
+        out[f"ratio_cf[{i}]"] = limits.ratio_cf(u, c, atoms=tilted)
+    return out
+
+
+def _hex(tv) -> dict:
+    v = complex(tv.value)
+    return {"re": v.real.hex(), "im": v.imag.hex(), "stderr": float(tv.stderr).hex()}
+
+
+@pytest.fixture(scope="module")
+def values():
+    return transform_values()
+
+
+def test_transforms_match_recorded_values(values):
+    # A stderr is a sum of squared per-atom residuals, so it feels per-atom
+    # errors that the mean averages out: the recorded joint_cf_laplace_inf[2]
+    # stderr is off by 1.7e-9 relative, because adaptive quad at the default
+    # tolerance is; at quad_tol 1e-12 the per-atom engine gives the new stderr
+    # to the last bit.
+    recorded = json.loads(RECORD.read_text())
+    assert values.keys() == recorded.keys()
+    for name, rec in recorded.items():
+        want = complex(float.fromhex(rec["re"]), float.fromhex(rec["im"]))
+        got = complex(values[name].value)
+        assert abs(got - want) <= 1e-10 * abs(want), (name, got, want)
+        se = float.fromhex(rec["stderr"])
+        assert abs(values[name].stderr - se) <= 1e-8 * se, (name, values[name].stderr, se)
+        assert values[name].fallbacks == 0 and values[name].quad_warnings == 0, name
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.8, 0.99, 1.01, 1.2, 1.5, 1.9])
+def test_expint_vs_mpmath(alpha):
+    # both sides of the |w| = 3 switch from power series to continued fraction
+    mags = np.concatenate([np.logspace(-6, 4, 61), [1.9999999, 2.0, 2.0000001, 2.9999999, 3.0, 3.0000001]])
+    w = np.concatenate([mags, -mags])
+    got = limits._expint(alpha, w)
+    want = np.array([complex(mpmath.expint(alpha + 1.0, -1j * float(wi))) for wi in w])
+    rel = np.abs(got - want) / np.abs(want)
+    assert rel.max() <= 1e-12, (w[rel.argmax()], rel.max())
+    assert limits._expint(alpha, 0.0) == pytest.approx(1.0 / alpha, rel=1e-15)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.8, 1.5])
+@pytest.mark.parametrize("p", [2.0, 4.0])
+@pytest.mark.parametrize("x_m", [1.0, math.inf])
+def test_damped_rule_vs_quadrature(alpha, p, x_m):
+    b, c = (a.ravel() for a in np.meshgrid([-2.3, -0.4, 0.0, 0.9, 3.1], [0.05, 0.7, 4.0]))
+    got, fallbacks, warned = limits._damped_log(alpha, p, b, c, x_m, 1e-12)
+    assert (fallbacks, warned) == (0, 0)
+    for i in range(b.size):
+        want = limits._atom_log_damped(alpha, p, b[i], c[i], x_m, 1e-12)
+        assert abs(got[i] - want) <= 1e-9, (b[i], c[i], got[i], want)
+
+
+def _atoms(alpha: float, p: float, sum_q) -> ClusterAtoms:
+    ones = np.ones(len(sum_q))
+    return ClusterAtoms(alpha=alpha, p=p, weights=ones / len(sum_q), sum_q=np.asarray(sum_q, dtype=float),
+                        max_abs=ones, norm_p_p=ones, sum_abs=ones, exact=True)
+
+
+def test_hopeless_atom_among_benign_ones_raises():
+    # the atom of test_hopeless_oscillation_raises_with_diagnostics (u = 5,
+    # lam = 1e-10, p = 0.7), with benign atoms settled by the rule beside it
+    atoms = _atoms(0.5, 0.7, [1.0, 1e-3, -2e-3])
+    atoms.norm_p_p[1:] = 1e10
+    with pytest.raises(NumericalError, match="estimated error"):
+        limits.joint_cf_laplace(5.0, math.inf, 1e-10, iid_cluster(0.5), p=0.7, atoms=atoms)
+
+
+def test_fallbacks_and_quad_warnings_are_counted():
+    # 200 and 1000 radians of oscillation per unit of y are beyond the finest
+    # tanh-sinh step; quad settles the first, and returns the second with one
+    # warning (an error estimate of 5e-7, which _quad_complex accepts)
+    atoms = _atoms(0.5, 2.0, [200.0, 0.5, 1000.0, -0.7])
+    tv = limits.joint_cf_laplace(1.0, math.inf, 1.0, iid_cluster(0.5), p=2.0, atoms=atoms)
+    assert (tv.fallbacks, tv.quad_warnings) == (2, 1)
+    per_atom = [limits._atom_log_damped(0.5, 2.0, b, 1.0, math.inf, limits.QUAD_TOL) for b in atoms.sum_q]
+    assert tv.value == pytest.approx(np.exp(np.mean(per_atom)), abs=1e-12)
+    settled = limits.joint_cf_laplace(1.0, math.inf, 1.0, iid_cluster(0.5), p=2.0,
+                                      atoms=_atoms(0.5, 2.0, [0.5, -0.7]))
+    assert (settled.fallbacks, settled.quad_warnings) == (0, 0)
+
+
+def test_import_leaves_mpmath_out():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", "import selfnorm, sys; assert 'mpmath' not in sys.modules"],
+                   env=env, check=True, timeout=120)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        raise SystemExit("usage: PYTHONPATH=src python tests/test_transform_engine.py --record")
+    RECORD.parent.mkdir(exist_ok=True)
+    RECORD.write_text(json.dumps({k: _hex(v) for k, v in transform_values().items()}, indent=1) + "\n")
+    print(f"wrote {RECORD}")
