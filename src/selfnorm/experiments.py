@@ -800,7 +800,7 @@ def _check_gamma_identity(config, workers, cluster, paths):
     rows = []
     for row in oracles.gamma_identity_check(config.p, xs):
         rows.append(ReportRow(f"gamma_identity_x{row.x:g}", row.lhs, row.rhs, None, None, row.passed,
-                              detail=f"rel_err={row.rel_err:.2e}"))
+                              detail=f"rel_err={row.rel_err:.2e} quad_warnings={row.quad_warnings}"))
     return rows
 
 

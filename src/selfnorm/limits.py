@@ -35,11 +35,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn, gammainc, gammaln
 
 from .clusters import (
-    ClusterAtoms, ClusterModel, _weighted_estimate, cluster_atoms, cluster_law, cluster_moment, tilted_atoms,
+    ClusterAtoms, ClusterModel, Estimate, _weighted_estimate, cluster_atoms, cluster_law, cluster_moment,
+    tilted_atoms,
 )
 from .errors import ConfigurationError, DegeneratePathError, NumericalError, UnsupportedError
 from .processes import write_csv
@@ -283,6 +283,8 @@ def _damped_log(alpha: float, p: float, b, c, x_m, tol: float):
 def _quad_complex(f, lo, hi, tol: float, warned: Optional[list] = None) -> complex:
     """Adaptive quadrature of a complex integrand, with one retry at a larger
     subinterval limit. Every warning quad raises is appended to ``warned``."""
+    from scipy.integrate import quad  # a rare fallback: kept out of the package import
+
     err_tot = math.inf
     val = 0.0j
     for limit in (600, 4000):
@@ -428,12 +430,15 @@ def laplace_zeta(
     p: float = 2.0,
     reps: int = DEFAULT_CLUSTER_MC,
     seed: int = 0,
+    moment: Optional[Estimate] = None,
 ) -> TransformValue:
     """Laplace transform ``E[e^{-lam zeta_p^p}]`` of the modulus limit:
     ``exp(-Gamma(1 - alpha/p) E[||Q||_p^alpha] lam^(alpha/p))``.
 
     The cluster-moment factor at most 1 quantifies extremal clustering: the
-    dependent value is always >= the iid value at every lam.
+    dependent value is always >= the iid value at every lam. ``moment``, when
+    given, is ``cluster_moment(cluster, p, reps, seed)`` computed once by the
+    caller.
     """
     alpha = cluster.alpha if alpha is None else float(alpha)
     _check_cluster_alpha(cluster, alpha)
@@ -441,7 +446,8 @@ def laplace_zeta(
         raise ConfigurationError("the modulus order must satisfy p > alpha")
     if lam < 0:
         raise ConfigurationError("lam must be >= 0")
-    moment = cluster_moment(cluster, p, reps=reps, seed=seed)
+    if moment is None:
+        moment = cluster_moment(cluster, p, reps=reps, seed=seed)
     g = gamma_fn(1.0 - alpha / p)
     val = math.exp(-g * moment.value * lam ** (alpha / p))
     se = val * g * lam ** (alpha / p) * moment.stderr
@@ -775,6 +781,9 @@ def evaluate_transform_grid(
     out = TransformGrid.from_points(u=grid.u, x=grid.x, lam=grid.lam, method=kind)
     if kind == "ratio_cf":
         atoms = tilted_atoms(cluster, p=p, n_mc=n_mc, seed=seed)
+    elif kind == "laplace_zeta":
+        # reads only the cluster moment; a p <= alpha row raises before it is used
+        moment = cluster_moment(cluster, p, reps=n_mc, seed=seed) if p > alpha else None
     else:
         atoms = cluster_atoms(cluster, p=p, n_mc=n_mc, seed=seed)
     for i in range(len(out)):
@@ -786,7 +795,7 @@ def evaluate_transform_grid(
         elif kind == "hybrid_cf":
             tv = hybrid_cf(u, x, cluster, alpha, atoms=atoms)
         elif kind == "laplace_zeta":
-            tv = laplace_zeta(lam, cluster, alpha, p, reps=n_mc, seed=seed)
+            tv = laplace_zeta(lam, cluster, alpha, p, reps=n_mc, seed=seed, moment=moment)
         elif kind == "joint_cf_laplace":
             tv = joint_cf_laplace(u, x, lam, cluster, alpha, p, quad_tol=quad_tol, atoms=atoms)
         elif kind == "ratio_cf":

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.signal import lfilter
 from scipy.special import gamma as gamma_fn
 
 from .errors import ConfigurationError, ModelError, UnsupportedError
@@ -222,6 +221,10 @@ class ProcessModel:
         if self.kind == "ar1":
             if self.phi is None or not (-1.0 < self.phi < 1.0) or self.phi == 0.0:
                 raise ConfigurationError("ar1 requires phi in (-1, 1) \\ {0}")
+            # scipy.signal, as slow to import as the rest of the package, is
+            # loaded only where an AR(1) model is built: always in the driver,
+            # so a forked pool inherits it instead of importing it per worker
+            import scipy.signal  # noqa: F401
         if self.kind == "sre":
             if self.sre_law is None:
                 raise ConfigurationError("sre model requires an SRELaw")
@@ -305,7 +308,7 @@ def pareto_quantile(u, alpha: float):
 
 def _draw_noise(spec: NoiseSpec, rng: np.random.Generator, size: int) -> np.ndarray:
     if spec.kind == PARETO:
-        z = pareto_quantile(rng.random(size), spec.alpha)
+        z = rng.random(size) ** (-1.0 / spec.alpha)  # pareto_quantile's map, without a call per row
         if spec.q_plus in (0.0, 1.0):
             # one-signed noise: the sign draws come last in the stream and
             # would all compare the same way, so they are skipped
@@ -340,6 +343,8 @@ def ar1_recursion(phi: float, noise: np.ndarray, x0=0.0) -> np.ndarray:
     Batched over the leading axes of ``noise`` (recursion along the last);
     ``x0`` is a scalar or one start per leading index.
     """
+    from scipy.signal import lfilter  # already loaded wherever an AR(1) model was built
+
     noise = np.asarray(noise, dtype=float)
     out = lfilter([1.0], [1.0, -phi], noise, axis=-1)
     x0 = np.asarray(x0, dtype=float)

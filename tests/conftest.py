@@ -1,4 +1,7 @@
+import warnings
+
 import pytest
+import scipy.integrate
 
 from selfnorm import NoiseSpec, SRELaw, ar1_model, iid_model, sre_model
 
@@ -34,3 +37,15 @@ def assert_within_se(value, target, se, k=3.0, floor=1e-12):
 @pytest.fixture(scope="session")
 def within_se():
     return assert_within_se
+
+
+@pytest.fixture
+def warning_quad(monkeypatch):
+    """``scipy.integrate.quad`` that raises one IntegrationWarning per call."""
+    quad = scipy.integrate.quad
+
+    def warn_then_quad(*args, **kwargs):
+        warnings.warn("roundoff", scipy.integrate.IntegrationWarning)
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "quad", warn_then_quad)

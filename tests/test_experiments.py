@@ -621,6 +621,13 @@ class TestRunExperiment:
         report = run_experiment(cfg)
         assert report.all_passed, [r for r in report.rows if not r.passed]
 
+    def test_gamma_identity_rows_count_quad_warnings(self, warning_quad):
+        cfg = ExperimentConfig.from_dict(dict(kind="verify", name="gi", model=IID_POS_HALF, n=100, reps=10,
+                                              p=2.0, checks=["gamma_identity"], x_points=[0.5, 4.0]))
+        rows = run_experiment(cfg).rows
+        assert [r.name for r in rows] == ["gamma_identity_x0.5", "gamma_identity_x4"]
+        assert all(r.passed and r.detail.endswith(" quad_warnings=1") for r in rows), rows
+
     def test_time_change_check(self):
         cfg = ExperimentConfig.from_dict(dict(
             kind="verify", name="tc",

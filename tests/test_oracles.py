@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -171,9 +172,17 @@ class TestGammaIdentity:
         rows = gamma_identity_check(2.0, [4.0])
         assert rows[0].lhs == pytest.approx(0.5)
         assert rows[0].rel_err <= 1e-8
+        assert rows[0].quad_warnings == 0
 
     def test_small_p(self):
         rows = gamma_identity_check(0.5, [1.0, 0.7, 3.0])
+        assert all(r.passed for r in rows)
+
+    def test_quad_warnings_are_counted(self, warning_quad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # recorded by the check, never shown
+            rows = gamma_identity_check(2.0, [1.0, 4.0])
+        assert [r.quad_warnings for r in rows] == [1, 1]
         assert all(r.passed for r in rows)
 
     def test_domains(self):

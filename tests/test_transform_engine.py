@@ -19,6 +19,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import mpmath
@@ -135,11 +136,99 @@ def test_fallbacks_and_quad_warnings_are_counted():
     assert (settled.fallbacks, settled.quad_warnings) == (0, 0)
 
 
-def test_import_leaves_mpmath_out():
+# laplace_zeta at lam = 0.5, 1, 2 (n_mc 2000, seed 41) as (re, im, stderr)
+# float hex, recorded when the grid recomputed the cluster moment on every row
+LAPLACE_GRID = {
+    "iid": [("0x1.6d69445df52cfp-2", "0x0.0p+0", "0x0.0p+0"),
+            ("0x1.2caebc8141d8cp-2", "0x0.0p+0", "0x0.0p+0"),
+            ("0x1.dceb06efa0b3bp-3", "0x0.0p+0", "0x0.0p+0")],
+    "ar1_empirical": [("0x1.6d4911abea59bp-1", "0x0.0p+0", "0x1.e61b6b7534bc1p-12"),
+                      ("0x1.56add199b68d5p-1", "0x0.0p+0", "0x1.0f27326b3edfep-11"),
+                      ("0x1.3d9bf3ab56211p-1", "0x0.0p+0", "0x1.2adde71cc8dd9p-11")],
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAPLACE_GRID))
+def test_laplace_zeta_grid_reads_one_cluster_moment(monkeypatch, name):
+    c = iid_cluster(0.5) if name == "iid" else cluster_from_dict(AR1_CLUSTER)
+    calls = []
+    atoms = clusters.cluster_atoms
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return atoms(*args, **kwargs)
+
+    monkeypatch.setattr(clusters, "cluster_atoms", counted)
+    monkeypatch.setattr(limits, "cluster_atoms", counted)
+    grid = limits.TransformGrid.from_points(lam=[0.5, 1.0, 2.0])
+    out = limits.evaluate_transform_grid("laplace_zeta", grid, c, n_mc=2000, seed=41)
+    assert len(calls) == 1
+    got = [(complex(v).real.hex(), complex(v).imag.hex(), float(se).hex()) for v, se in zip(out.values, out.stderr)]
+    assert got == LAPLACE_GRID[name]
+
+
+def _fresh(code: str) -> None:
+    """Run ``code`` in a fresh interpreter that imports this checkout's package."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src}
-    subprocess.run([sys.executable, "-c", "import selfnorm, sys; assert 'mpmath' not in sys.modules"],
-                   env=env, check=True, timeout=120)
+    subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env, check=True, timeout=300)
+
+
+def test_import_leaves_mpmath_out():
+    # nor scipy.signal (the AR(1) filter) or scipy.integrate (the quad fallbacks)
+    _fresh("""
+        import sys, selfnorm
+        assert {'mpmath', 'scipy.signal', 'scipy.integrate'}.isdisjoint(sys.modules)
+    """)
+
+
+# an import of scipy.signal raises, here and in every worker forked from here
+_BLOCK_SIGNAL = """
+    import sys
+    class Block:
+        def find_spec(self, name, path=None, target=None):
+            if name == 'scipy.signal':
+                raise ImportError('scipy.signal imported')
+    sys.meta_path.insert(0, Block())
+"""
+
+
+def test_sre_runs_leave_scipy_signal_out(tmp_path):
+    _fresh(_BLOCK_SIGNAL + f"""
+    from selfnorm import ExperimentConfig, run_experiment
+    sre = {{"kind": "sre", "burn_in": 200,
+            "sre_law": {{"kind": "lognormal", "alpha": 0.8, "sigma": 1.0, "b_mean": 1.0, "b_sd": 0.0}}}}
+    cluster = {{"kind": "empirical", "source": sre, "sample_length": 20_000, "library_seed": 4}}
+    for cfg in (dict(kind="verify", name="v", model=sre, cluster=cluster, n=2000, reps=40, p=2.0,
+                     checks=["greenwood", "ratio_max"], cluster_mc=500, seed=1),
+                dict(kind="diagnose", name="d", model=sre, n=2000, reps=20, seed=2)):
+        run_experiment(ExperimentConfig.from_dict(cfg), out_dir={str(tmp_path)!r}, workers=2)
+    assert 'scipy.signal' not in sys.modules
+    """)
+
+
+def test_ar1_model_loads_scipy_signal_before_the_pool():
+    _fresh("""
+    import sys
+    import numpy as np
+    from selfnorm import NoiseSpec, ar1_model
+    from selfnorm.experiments import simulate_statistics
+    assert 'scipy.signal' not in sys.modules
+    model = ar1_model(0.5, NoiseSpec(kind="pareto", alpha=0.5, tail_balance=(1.0, 0.0)), burn_in=50)
+    assert 'scipy.signal' in sys.modules
+    specs = [{"name": "ratio_max"}, {"name": "greenwood", "p": 2.0}]
+    one = simulate_statistics(model, 300, 40, specs, seed=5, workers=1)
+    two = simulate_statistics(model, 300, 40, specs, seed=5, workers=2)
+    assert one.keys() == two.keys() and all(np.array_equal(one[k], two[k]) for k in one)
+    """)
+
+
+def test_ar1_recursion_without_a_model():
+    _fresh("""
+    import numpy as np
+    from selfnorm.processes import ar1_recursion
+    assert ar1_recursion(0.5, np.ones(3)).tolist() == [1.0, 1.5, 1.75]
+    """)
 
 
 if __name__ == "__main__":
