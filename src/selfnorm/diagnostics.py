@@ -4,17 +4,25 @@ hypotheses behind the limit theorems.
 These are evidence, not proofs: every underlying condition is a double limit
 in n and k, so at any fixed budget the reports can only say "consistent with"
 the hypothesised decay.
+
+Each diagnostic is a plan over its replicas (``_coupling_plan``,
+``_anticluster_plan``, ``_coupled_anticluster_plan``): per-block results
+and their reduction. ``_run_diagnostics`` computes the blocks of any number
+of plans on one process pool and reduces them in the calling process, so
+every series is identical for any worker count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, UnsupportedError
+from ._pool import partition, run_tasks
 from .processes import ProcessModel, _coupled_rows, _simulate_rows, normalizing_an, write_csv
 
 
@@ -60,24 +68,68 @@ def _check_q(model: ProcessModel, q: float) -> None:
         raise ConfigurationError("q must satisfy 0 < q < min(alpha, 1)")
 
 
-def coupling_decay(model: ProcessModel, q: float, t_max: int, reps: int, seed: int = 0) -> DecaySeries:
-    """Monte-Carlo series E|X_t - X*_t|^q for t = 1..t_max with the fitted
-    log-slope; geometric contraction shows up as a negative linear log trend
-    (slope ``q log|phi|`` for AR(1))."""
-    _check_q(model, q)
-    if t_max < 2 or reps < 2:
-        raise ConfigurationError("need t_max >= 2 and reps >= 2")
-    chunk = max(1, 4_000_000 // (t_max + model.burn_in))
+@dataclass(frozen=True)
+class _Plan:
+    """A diagnostic over replicas ``0..reps-1``: ``block_fn`` reduces one
+    block of replicas, ``reduce`` the blocks' results, in replica order, to
+    the series.
+
+    ``block_fn(model, seed, start, stop, **params)`` is a module-level
+    function (workers receive it by name) that works a bounded number of
+    replicas at a time, which bounds its memory. Block edges fall on
+    multiples of ``align``: a plan whose reduction adds fixed runs of
+    replicas together aligns its blocks on them, so that each run is added
+    whole, in one place, whatever the worker count."""
+
+    block_fn: Callable
+    params: dict
+    model: ProcessModel
+    seed: int
+    reps: int
+    align: int
+    reduce: Callable  # (block results,) -> DecaySeries
+
+    def blocks(self, workers: int) -> list[tuple[int, int]]:
+        units = partition(-(-self.reps // self.align), workers)
+        return [(lo * self.align, min(hi * self.align, self.reps)) for lo, hi in units]
+
+
+def _chunks(start: int, stop: int, chunk: int):
+    return (np.arange(lo, min(lo + chunk, stop)) for lo in range(start, stop, chunk))
+
+
+def _run_block(task):
+    block_fn, params, model, seed, start, stop = task
+    return block_fn(model, seed, start, stop, **params)
+
+
+def _run_diagnostics(plans: Sequence[_Plan], workers: int = 1) -> list[DecaySeries]:
+    """The series of every plan, with all their replica blocks in one pool,
+    reduced in the calling process, so the series are identical for any
+    worker count."""
+    blocks = [d.blocks(workers) for d in plans]
+    tasks = [(d.block_fn, d.params, d.model, d.seed, lo, hi) for d, bs in zip(plans, blocks) for lo, hi in bs]
+    results = iter(run_tasks(_run_block, tasks, workers))
+    return [d.reduce([next(results) for _ in bs]) for d, bs in zip(plans, blocks)]
+
+
+def _coupling_block(model, seed, start, stop, q, t_max, chunk):
+    """Per chunk, the sums over its replicas of |X_t - X*_t|^q and of its square."""
+    out = []
+    for idx in _chunks(start, stop, chunk):
+        x, xs, _, _ = _coupled_rows(model, t_max, seed, idx)
+        d = np.abs(x - xs) ** q
+        out.append((d.sum(axis=0), (d**2).sum(axis=0)))
+    return out
+
+
+def _coupling_series(blocks: list, reps: int, t_max: int) -> DecaySeries:
     acc = np.zeros(t_max)
     acc2 = np.zeros(t_max)
-    done = 0
-    while done < reps:
-        m = min(chunk, reps - done)
-        x, xs, _, _ = _coupled_rows(model, t_max, seed, np.arange(done, done + m))
-        d = np.abs(x - xs) ** q
-        acc += d.sum(axis=0)
-        acc2 += (d**2).sum(axis=0)
-        done += m
+    # added chunk by chunk in replica order: this order fixes the rounding of the recorded series
+    for s, s2 in (pair for block in blocks for pair in block):
+        acc += s
+        acc2 += s2
     mean = acc / reps
     var = np.maximum(acc2 / reps - mean**2, 0.0)
     se = np.sqrt(var / reps)
@@ -86,11 +138,52 @@ def coupling_decay(model: ProcessModel, q: float, t_max: int, reps: int, seed: i
     return DecaySeries(idx, mean, se, slope, r2)
 
 
-def _suffix_series(model, n, r_n, k_grid, reps, seed, term_fn, a_n=None):
+def _coupling_plan(model: ProcessModel, q: float, t_max: int, reps: int, seed: int = 0) -> _Plan:
+    """What :func:`coupling_decay` computes, for :func:`_run_diagnostics`."""
+    _check_q(model, q)
+    if t_max < 2 or reps < 2:
+        raise ConfigurationError("need t_max >= 2 and reps >= 2")
+    chunk = max(1, 4_000_000 // (t_max + model.burn_in))
+    return _Plan(_coupling_block, {"q": q, "t_max": t_max, "chunk": chunk}, model, seed, reps, chunk,
+                 functools.partial(_coupling_series, reps=reps, t_max=t_max))
+
+
+def coupling_decay(model: ProcessModel, q: float, t_max: int, reps: int, seed: int = 0) -> DecaySeries:
+    """Monte-Carlo series E|X_t - X*_t|^q for t = 1..t_max with the fitted
+    log-slope; geometric contraction shows up as a negative linear log trend
+    (slope ``q log|phi|`` for AR(1))."""
+    return _run_diagnostics([_coupling_plan(model, q, t_max, reps, seed)])[0]
+
+
+def _suffix_rows(terms: np.ndarray, k_grid: np.ndarray) -> np.ndarray:
+    """Per replica, the sums of ``terms[:, j-1]`` over j >= k for every k in
+    ``k_grid`` (k = r_n + 1 gives the empty sum 0)."""
+    csum = np.cumsum(terms[:, ::-1], axis=1)[:, ::-1]
+    csum = np.concatenate([csum, np.zeros((len(terms), 1))], axis=1)
+    return csum[:, k_grid - 1]
+
+
+def _suffix_block(model, seed, start, stop, rows_fn, chunk, **params):
+    return np.concatenate([rows_fn(model, seed, idx, **params) for idx in _chunks(start, stop, chunk)])
+
+
+def _suffix_series(blocks: list, n: int, k_grid: np.ndarray) -> DecaySeries:
+    # C order whatever the blocks' layout, so that a reduction over replicas adds in one fixed order
+    sums = np.ascontiguousarray(np.concatenate(blocks))
+    mean = n * sums.mean(axis=0)
+    se = n * sums.std(axis=0, ddof=1) / math.sqrt(len(sums))
+    slope, r2 = _fit_log_slope(k_grid, mean)
+    return DecaySeries(k_grid, mean, se, slope, r2)
+
+
+def _suffix_plan(rows_fn, params, model, n, r_n, k_grid, reps, seed, a_n) -> _Plan:
     """n * sum_{j=k}^{r_n} E[term_j] for every cutoff k, with standard errors
     from the replica-level suffix sums. Nested sums on one sample make the
     series non-increasing in k exactly. ``a_n`` defaults to
-    ``normalizing_an(model, n)``."""
+    ``normalizing_an(model, n)``. A replica's row does not depend on the
+    block it is computed in, so blocks need no alignment."""
+    if reps < 2:
+        raise ConfigurationError("need reps >= 2")
     if r_n >= n:
         raise ConfigurationError("r_n must be < n")
     if k_grid is None:
@@ -102,19 +195,33 @@ def _suffix_series(model, n, r_n, k_grid, reps, seed, term_fn, a_n=None):
     if a_n is None:
         a_n = normalizing_an(model, n)
     chunk = max(1, 2_000_000 // (r_n + 1 + model.burn_in))
-    sums = np.zeros((reps, len(k_grid)))
-    done = 0
-    while done < reps:
-        m = min(chunk, reps - done)
-        terms = term_fn(np.arange(done, done + m), a_n)  # (m, r_n) for j = 1..r_n
-        csum = np.cumsum(terms[:, ::-1], axis=1)[:, ::-1]  # suffix sums over j >= k
-        csum = np.concatenate([csum, np.zeros((m, 1))], axis=1)
-        sums[done: done + m] = csum[:, k_grid - 1]
-        done += m
-    mean = n * sums.mean(axis=0)
-    se = n * sums.std(axis=0, ddof=1) / math.sqrt(reps)
-    slope, r2 = _fit_log_slope(k_grid, mean)
-    return DecaySeries(k_grid, mean, se, slope, r2)
+    params = {**params, "rows_fn": rows_fn, "chunk": chunk, "r_n": r_n, "k_grid": k_grid, "a_n": a_n}
+    return _Plan(_suffix_block, params, model, seed, reps, 1,
+                 functools.partial(_suffix_series, n=n, k_grid=k_grid))
+
+
+def _anticluster_rows(model, seed, indices, r_n, k_grid, a_n, x):
+    rows = _simulate_rows(model, r_n + 1, seed, indices)
+    t = np.minimum(np.abs(rows) / a_n, x)
+    return _suffix_rows(t[:, 1:] * t[:, :1], k_grid)
+
+
+def _anticluster_plan(
+    model: ProcessModel,
+    n: int,
+    r_n: Optional[int] = None,
+    k_grid: Optional[Sequence[int]] = None,
+    x: float = 1.0,
+    reps: int = 2_000,
+    seed: int = 0,
+    a_n: Optional[float] = None,
+) -> _Plan:
+    """What :func:`anticluster_stat` computes, for :func:`_run_diagnostics`."""
+    if x <= 0:
+        raise ConfigurationError("x must be positive")
+    if r_n is None:
+        r_n = int(n**0.4)
+    return _suffix_plan(_anticluster_rows, {"x": x}, model, n, r_n, k_grid, reps, seed, a_n)
 
 
 def anticluster_stat(
@@ -135,17 +242,31 @@ def anticluster_stat(
     ``a_n`` defaults to ``normalizing_an(model, n)``; pass it to reuse one
     already computed.
     """
-    if x <= 0:
-        raise ConfigurationError("x must be positive")
+    return _run_diagnostics([_anticluster_plan(model, n, r_n, k_grid, x, reps, seed, a_n)])[0]
+
+
+def _coupled_anticluster_rows(model, seed, indices, r_n, k_grid, a_n, q):
+    xrow, xsrow, x0, _ = _coupled_rows(model, r_n, seed, indices)
+    left = np.minimum((np.abs(xrow - xsrow) / a_n) ** q, 1.0)
+    right = np.minimum((np.abs(x0) / a_n) ** q, 1.0)
+    return _suffix_rows(left * right[:, None], k_grid)
+
+
+def _coupled_anticluster_plan(
+    model: ProcessModel,
+    n: int,
+    r_n: Optional[int] = None,
+    k_grid: Optional[Sequence[int]] = None,
+    q: float = 0.4,
+    reps: int = 2_000,
+    seed: int = 0,
+    a_n: Optional[float] = None,
+) -> _Plan:
+    """What :func:`coupled_anticluster_stat` computes, for :func:`_run_diagnostics`."""
+    _check_q(model, q)
     if r_n is None:
         r_n = int(n**0.4)
-
-    def term_fn(indices, a_n):
-        rows = _simulate_rows(model, r_n + 1, seed, indices)
-        t = np.minimum(np.abs(rows) / a_n, x)
-        return t[:, 1:] * t[:, :1]
-
-    return _suffix_series(model, n, r_n, k_grid, reps, seed, term_fn, a_n)
+    return _suffix_plan(_coupled_anticluster_rows, {"q": q}, model, n, r_n, k_grid, reps, seed, a_n)
 
 
 def coupled_anticluster_stat(
@@ -162,17 +283,7 @@ def coupled_anticluster_stat(
     E[(|X_t - X*_t|^q / a_n^q ^ 1)(|X_0|^q / a_n^q ^ 1)]`` per cutoff k,
     with X* the coupled copy and X_0 the state before the shared window.
     ``a_n`` defaults to ``normalizing_an(model, n)``."""
-    _check_q(model, q)
-    if r_n is None:
-        r_n = int(n**0.4)
-
-    def term_fn(indices, a_n):
-        xrow, xsrow, x0, _ = _coupled_rows(model, r_n, seed, indices)
-        left = np.minimum((np.abs(xrow - xsrow) / a_n) ** q, 1.0)
-        right = np.minimum((np.abs(x0) / a_n) ** q, 1.0)
-        return left * right[:, None]
-
-    return _suffix_series(model, n, r_n, k_grid, reps, seed, term_fn, a_n)
+    return _run_diagnostics([_coupled_anticluster_plan(model, n, r_n, k_grid, q, reps, seed, a_n)])[0]
 
 
 def mixing_coupling_sum(

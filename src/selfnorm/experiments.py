@@ -17,7 +17,6 @@ import math
 import numbers
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path as FsPath
 from typing import Optional, Sequence
@@ -26,11 +25,12 @@ import numpy as np
 import yaml
 
 from . import clusters, diagnostics, limits, oracles, processes, stats
+from ._pool import partition, run_tasks
 from .clusters import ClusterModel, Estimate
 from .errors import ConfigurationError
 from .processes import (ProcessModel, check_keys, model_from_dict, model_to_dict, stationary_mean,
                         write_csv)
-from .rng import derive_seed, substream
+from .rng import derive_seed
 
 WORKERS_ENV = "SELFNORM_WORKERS"
 
@@ -406,21 +406,6 @@ class _ReductionPlan:
         return out
 
 
-def _partition(reps: int, workers: int) -> list[tuple[int, int]]:
-    """Contiguous index ranges, one per worker."""
-    blocks = max(1, min(workers, reps))
-    size = -(-reps // blocks)
-    return [(lo, min(lo + size, reps)) for lo in range(0, reps, size)]
-
-
-def _run_tasks(fn, tasks, workers: int):
-    """``fn`` over ``tasks``, results in task order: in this process, or on a pool."""
-    if workers <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
-
-
 def _stats_block_worker(args) -> dict:
     model_dict, n, start, stop, seed, plan, centering = args
     model = model_from_dict(model_dict)
@@ -460,9 +445,9 @@ def simulate_statistics(
         raise ConfigurationError(f"centering must be one of {_CENTERINGS}, got {centering!r}")
     plan = _ReductionPlan.build(specs, model.alpha)
     model_dict = model_to_dict(model)
-    blocks = _partition(reps, workers)
+    blocks = partition(reps, workers)
     tasks = [(model_dict, n, start, stop, seed, plan, centering) for start, stop in blocks]
-    results = _run_tasks(_stats_block_worker, tasks, workers)
+    results = run_tasks(_stats_block_worker, tasks, workers)
     return {k: np.concatenate([r[k] for r in results]) for k in results[0]}
 
 
@@ -478,11 +463,11 @@ def sample_limit_batch_parallel(
     n_terms: int, seed: int, workers: int = 1,
 ) -> dict:
     limits._lepage_validate(cluster, alpha, p, n_terms)
-    blocks = _partition(reps, workers)
+    blocks = partition(reps, workers)
     # workers get the driver's per-anchor table, not the library's blocks
     cluster = cluster.table_only((p,))
     tasks = [(cluster, alpha, p, n_terms, seed, start, stop) for start, stop in blocks]
-    results = _run_tasks(_lepage_block_worker, tasks, workers)
+    results = run_tasks(_lepage_block_worker, tasks, workers)
     return {k: np.concatenate([r[k] for r in results]) for k in results[0]}
 
 
@@ -656,9 +641,16 @@ def _run_diagnose(config: ExperimentConfig, workers: int):
     a_n = float((config.n * c) ** (1.0 / model.alpha))
     rows = [ReportRow("scale_constant_a_n", None, a_n, a_n * c_se / (model.alpha * c), None, True,
                       detail=f"c={c:.6g} c_se={c_se:.3g}")]
-    artifacts = []
+    # the three diagnostics' replica blocks share one pool
+    plans = [diagnostics._anticluster_plan(model, config.n, reps=config.reps, seed=seed, a_n=a_n)]
     if model.kind != "iid":
-        dec = diagnostics.coupling_decay(model, q, t_max=30, reps=config.reps, seed=seed)
+        plans += [diagnostics._coupling_plan(model, q, t_max=30, reps=config.reps, seed=seed),
+                  diagnostics._coupled_anticluster_plan(model, config.n, q=q, reps=config.reps,
+                                                        seed=seed, a_n=a_n)]
+    ac, *coupled = diagnostics._run_diagnostics(plans, workers)
+    artifacts = []
+    if coupled:
+        dec, cdec = coupled
         passed = True
         analytic = None
         if model.kind == "ar1":
@@ -667,12 +659,9 @@ def _run_diagnose(config: ExperimentConfig, workers: int):
         rows.append(ReportRow("coupling_decay_slope", analytic, dec.fitted_log_slope, None, None,
                               passed, detail=f"q={q} r2={dec.r2:.4f}"))
         artifacts.append(("coupling_decay.csv", dec.to_csv))
-        cdec = diagnostics.coupled_anticluster_stat(model, config.n, q=q, reps=config.reps, seed=seed,
-                                                    a_n=a_n)
         rows.append(ReportRow("coupled_anticluster_slope", None, cdec.fitted_log_slope, None, None,
                               bool(np.all(np.diff(cdec.values) <= 1e-12)), detail="non-increasing in k"))
         artifacts.append(("coupled_anticluster.csv", cdec.to_csv))
-    ac = diagnostics.anticluster_stat(model, config.n, reps=config.reps, seed=seed, a_n=a_n)
     rows.append(ReportRow("anticluster_stat_k1", None, float(ac.values[0]), float(ac.stderr[0]), None,
                           bool(np.all(np.diff(ac.values) <= 1e-12)), detail="non-increasing in k"))
     artifacts.append(("anticluster.csv", ac.to_csv))
@@ -785,9 +774,12 @@ def _check_lepage_laplace(config, workers, cluster, paths):
     )
     zp = draws["zeta_p"] ** config.p
     lams = config.lambda_points or (0.5, 1.0, 2.0)
+    # one cluster moment for every lambda, the one each laplace_zeta call would compute
+    moment = clusters.cluster_moment(cluster, config.p, reps=limits.DEFAULT_CLUSTER_MC,
+                                     seed=_seed_for(config.seed, "oracle"))
     rows = []
     for lam in lams:
-        closed = limits.laplace_zeta(lam, cluster, alpha, config.p, seed=_seed_for(config.seed, "oracle"))
+        closed = limits.laplace_zeta(lam, cluster, alpha, config.p, moment=moment)
         terms = np.exp(-lam * zp)
         mc, se = float(terms.mean()), float(terms.std(ddof=1) / math.sqrt(len(terms)))
         analytic = Estimate(closed.value.real, closed.stderr, 0, closed.method)

@@ -43,7 +43,7 @@ from .clusters import (
 )
 from .errors import ConfigurationError, DegeneratePathError, NumericalError, UnsupportedError
 from .processes import write_csv
-from .rng import substream
+from .rng import substreams
 
 QUAD_TOL = 1e-8
 DEFAULT_CLUSTER_MC = 10_000
@@ -621,8 +621,7 @@ def sample_limit_lepage_batch(
     _lepage_validate(cluster, alpha, p, n_terms)
     law = cluster_law(cluster, (p,))
     out = {k: np.empty(reps) for k in ("xi", "eta", "zeta_p", "truncation_bound")}
-    for off, i in enumerate(range(first_index, first_index + reps)):
-        rng = substream(seed, i)
+    for off, rng in enumerate(substreams(seed, range(first_index, first_index + reps))):
         gam = np.cumsum(rng.standard_exponential(n_terms))
         k = law.draw(n_terms, rng)
         w = gam ** (-1.0 / alpha)

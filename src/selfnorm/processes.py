@@ -34,7 +34,7 @@ import numpy as np
 from scipy.special import gamma as gamma_fn
 
 from .errors import ConfigurationError, ModelError, UnsupportedError
-from .rng import substream
+from .rng import substream, substreams
 
 PARETO = "pareto"
 SYMMETRIC_STABLE = "symmetric_stable"
@@ -366,11 +366,12 @@ def sre_recursion(a: np.ndarray, b: np.ndarray, x0=0.0) -> np.ndarray:
     return out
 
 
-def _innovations(model: ProcessModel, streams, size: int) -> tuple:
-    """One row of innovations per stream: ``(Z,)`` for iid and AR(1),
-    ``(A, B)`` for SRE, each a preallocated ``(len(streams), size)`` array."""
-    block = tuple(np.empty((len(streams), size)) for _ in range(2 if model.kind == "sre" else 1))
-    for r, rng in enumerate(streams):
+def _innovations(model: ProcessModel, size: int, seed: int, indices, *suffix: int) -> tuple:
+    """One row of innovations per replica ``i`` in ``indices``, drawn from
+    stream ``(seed, i, *suffix)``: ``(Z,)`` for iid and AR(1), ``(A, B)`` for
+    SRE, each a preallocated ``(len(indices), size)`` array."""
+    block = tuple(np.empty((len(indices), size)) for _ in range(2 if model.kind == "sre" else 1))
+    for r, rng in enumerate(substreams(seed, indices, *suffix)):
         if model.kind == "sre":
             block[0][r], block[1][r] = model.sre_law.sample_ab(rng, size)
         else:
@@ -391,15 +392,14 @@ def _recurse(model: ProcessModel, block: tuple, x0=0.0) -> np.ndarray:
 def _simulate_rows(model: ProcessModel, n: int, seed: int, indices: np.ndarray) -> np.ndarray:
     """Stationary-regime paths for the given replica indices, one Philox
     substream per replica; rows are independent of how they are batched."""
-    streams = [substream(seed, int(idx)) for idx in indices]
-    return _recurse(model, _innovations(model, streams, n + model.burn_in))[:, model.burn_in:]
+    return _recurse(model, _innovations(model, n + model.burn_in, seed, indices))[:, model.burn_in:]
 
 
 def sample_path(model: ProcessModel, n: int, seed: int, index: int = 0) -> Path:
     """One stationary-regime path of length ``n``.
 
-    ``index`` selects the replica substream; the default matches replica 0 of
-    any batched run with the same seed.
+    ``index``, in [0, 2^32), selects the replica substream; the default
+    matches replica 0 of any batched run with the same seed.
     """
     if n < 1:
         raise ConfigurationError("n must be >= 1")
@@ -415,14 +415,10 @@ def _coupled_rows(model: ProcessModel, n: int, seed: int, indices: np.ndarray):
     and ``(seed, idx, 1)``, ``(seed, idx, 2)`` for the two burn-ins; each
     recursion runs once across all rows."""
     burn = model.burn_in
-
-    def innovations(k: int, size: int) -> tuple:
-        return _innovations(model, [substream(seed, int(idx), k) for idx in indices], size)
-
     # copied so that no burn-in block outlives its last column
-    x0, x0s = (_recurse(model, innovations(k, burn))[:, -1].copy() if burn else np.zeros(len(indices))
-               for k in (1, 2))
-    shared = innovations(0, n)
+    x0, x0s = (_recurse(model, _innovations(model, burn, seed, indices, k))[:, -1].copy() if burn
+               else np.zeros(len(indices)) for k in (1, 2))
+    shared = _innovations(model, n, seed, indices, 0)
     return _recurse(model, shared, x0), _recurse(model, shared, x0s), x0, x0s
 
 
@@ -474,8 +470,7 @@ def tail_constant(model: ProcessModel) -> tuple[float, float]:
         abs_a = np.abs(law.sample_ab(substream(_KESTEN_SEED, 2), _KESTEN_DRAWS)[0])
         terms = abs_a**alpha * np.log(np.where(abs_a > 0, abs_a, 1.0))  # 0 where A = 0
         slope, slope_se = float(terms.mean()), float(terms.std(ddof=1) / math.sqrt(terms.size))
-    chains = _innovations(model, [substream(_GOLDIE_SEED, r) for r in range(_GOLDIE_CHAINS)],
-                          burn + _GOLDIE_KEEP)
+    chains = _innovations(model, burn + _GOLDIE_KEEP, _GOLDIE_SEED, range(_GOLDIE_CHAINS))
     x = _recurse(model, chains)[:, burn:]
     per_chain = (np.abs(x) ** alpha - np.abs(x - chains[1][:, burn:]) ** alpha).mean(axis=1)
     num, num_se = float(per_chain.mean()), float(per_chain.std(ddof=1) / math.sqrt(_GOLDIE_CHAINS))

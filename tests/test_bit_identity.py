@@ -273,6 +273,17 @@ def test_sre_diagnose_one_tail_constant_any_worker_count(monkeypatch):
                            "diagnose_summary.json"}
 
 
+def test_ar1_diagnose_any_worker_count():
+    # 47 replicas split unevenly over 2 and 3 workers change no byte of the
+    # report or the artifacts
+    config = {**AR1_DIAGNOSE, "reps": 47}
+    one = run_outputs(config, workers=1)
+    assert run_outputs(config, workers=2) == one
+    assert run_outputs(config, workers=3) == one
+    assert set(one[1]) == {"anticluster.csv", "coupled_anticluster.csv", "coupling_decay.csv",
+                           "diagnose_summary.json"}
+
+
 # a small empirical AR(1) cluster through every run kind that reads it
 EMPIRICAL = {"kind": "empirical", "source": AR1, "sample_length": 50_000, "library_seed": 3}
 EMPIRICAL_RUNS = {

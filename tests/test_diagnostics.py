@@ -6,6 +6,10 @@ import pytest
 
 from selfnorm import ConfigurationError, NoiseSpec, SRELaw, UnsupportedError, ar1_model, sre_model
 from selfnorm.diagnostics import (
+    _anticluster_plan,
+    _coupled_anticluster_plan,
+    _coupling_plan,
+    _run_diagnostics,
     anticluster_stat,
     coupled_anticluster_stat,
     coupling_decay,
@@ -73,6 +77,14 @@ class TestAnticluster:
         with pytest.raises(ConfigurationError):
             anticluster_stat(pareto_pos_half, 1000, r_n=10, k_grid=[12], reps=10, seed=1)
 
+    @pytest.mark.parametrize("reps", [0, 1])
+    def test_reps_domain(self, ar1_pos_half, reps):
+        # a standard error needs two replicas, as in coupling_decay
+        with pytest.raises(ConfigurationError):
+            anticluster_stat(ar1_pos_half, 1000, reps=reps, seed=1)
+        with pytest.raises(ConfigurationError):
+            coupled_anticluster_stat(ar1_pos_half, 1000, q=0.4, reps=reps, seed=1)
+
 
 class TestCoupledAnticluster:
     def test_sre_zero_a_is_zero(self):
@@ -101,6 +113,38 @@ class TestMixingSum:
         b = mixing_coupling_sum(ar1_pos_half, 10**5, q=0.4, p=2.0, reps=400, seed=9)
         assert b["value"] < a["value"]
         assert a["ell_n"] == math.ceil(2 * math.log(10**4))
+
+
+class TestWorkers:
+    """Every diagnostic reduces its replica blocks in the calling process, so
+    the series is the same at any worker count."""
+
+    @staticmethod
+    def _same(plan):
+        a, b = (_run_diagnostics([plan], workers)[0] for workers in (1, 3))
+        assert a.index.tolist() == b.index.tolist()
+        assert a.values.tobytes() == b.values.tobytes()
+        assert a.stderr.tobytes() == b.stderr.tobytes()
+        assert (a.fitted_log_slope, a.r2) == (b.fitted_log_slope, b.r2)
+
+    def test_coupling_decay(self, ar1_pos_half):
+        self._same(_coupling_plan(ar1_pos_half, 0.4, 12, 47, seed=11))
+
+    def test_anticluster_stat(self, ar1_pos_half):
+        self._same(_anticluster_plan(ar1_pos_half, 2000, reps=47, seed=12))
+
+    def test_coupled_anticluster_stat(self, ar1_pos_half):
+        self._same(_coupled_anticluster_plan(ar1_pos_half, 2000, q=0.4, reps=47, seed=13))
+
+    def test_coupling_blocks_hold_whole_chunks(self):
+        # t_max + burn-in = 80,000 makes chunks of 50 replicas: 120 replicas
+        # are three chunks, each summed whole in one block at any worker count
+        model = ar1_model(0.5, NoiseSpec("pareto", 0.5, (1.0, 0.0)), burn_in=79_990)
+        plan = _coupling_plan(model, 0.4, 10, 120, seed=15)
+        assert plan.align == 50
+        assert plan.blocks(3) == [(0, 50), (50, 100), (100, 120)]
+        assert plan.blocks(2) == [(0, 100), (100, 120)]
+        self._same(plan)
 
 
 class TestSeriesExport:

@@ -621,6 +621,25 @@ class TestRunExperiment:
         report = run_experiment(cfg)
         assert report.all_passed, [r for r in report.rows if not r.passed]
 
+    def test_lepage_laplace_reads_one_cluster_moment(self, monkeypatch):
+        # three lambdas, one atom table: the check computes the cluster moment once
+        from selfnorm import limits
+
+        calls = []
+        atoms = clusters.cluster_atoms
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return atoms(*args, **kwargs)
+
+        monkeypatch.setattr(clusters, "cluster_atoms", counted)
+        monkeypatch.setattr(limits, "cluster_atoms", counted)
+        cfg = ExperimentConfig.from_dict(dict(kind="verify", name="ll", model=IID_POS_HALF, n=100, reps=50,
+                                              p=2.0, checks=["lepage_laplace"], n_terms=100, seed=3))
+        rows = run_experiment(cfg).rows
+        assert [r.name for r in rows] == ["lepage_laplace_lam0.5", "lepage_laplace_lam1", "lepage_laplace_lam2"]
+        assert len(calls) == 1
+
     def test_gamma_identity_rows_count_quad_warnings(self, warning_quad):
         cfg = ExperimentConfig.from_dict(dict(kind="verify", name="gi", model=IID_POS_HALF, n=100, reps=10,
                                               p=2.0, checks=["gamma_identity"], x_points=[0.5, 4.0]))
