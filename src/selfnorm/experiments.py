@@ -213,17 +213,8 @@ def cluster_from_dict(d: dict) -> ClusterModel:
 
 def cluster_to_dict(model: ClusterModel) -> dict:
     if model.kind == "empirical":
-        return {
-            "kind": "empirical",
-            "alpha": model.alpha,
-            "source": model_to_dict(model.source),
-            "threshold_quantile": model.threshold_quantile,
-            "block_half_width": model.block_half_width,
-            "sample_length": model.sample_length,
-            "library_seed": model.library_seed,
-            "floor_rel": model.floor_rel,
-            "run_gap": model.run_gap,
-        }
+        return {k: model_to_dict(model.source) if k == "source" else getattr(model, k)
+                for k in _CLUSTER_KEYS["empirical"]}
     d = {"kind": model.kind, "alpha": model.alpha,
          "q_plus": model.tail_balance[0], "q_minus": model.tail_balance[1]}
     if model.phi is not None:

@@ -55,7 +55,7 @@ class TransformValue:
     """A transform evaluation with the cluster-MC standard error (0 when the
     cluster expectations are exact), the number of atoms whose damped integral
     fell back to adaptive quadrature, and the warnings that quadrature
-    raised."""
+    raised, each fallback accepted above its tolerance counted as one more."""
 
     value: complex
     stderr: float = 0.0
@@ -280,22 +280,23 @@ def _damped_log(alpha: float, p: float, b, c, x_m, tol: float):
     return values, fallback.size, len(warned)
 
 
-def _quad_complex(f, lo, hi, tol: float, warned: Optional[list] = None) -> complex:
-    """Adaptive quadrature of a complex integrand, with one retry at a larger
-    subinterval limit. Every warning quad raises is appended to ``warned``."""
+def _quad_complex(f, lo, hi, tol: float, warned: list) -> complex:
+    """Adaptive quadrature of a complex integrand, retried at a larger
+    subinterval limit unless its error estimate is within ``tol``. ``warned``
+    gets every warning quad raises, and one entry per result accepted above tol."""
     from scipy.integrate import quad  # a rare fallback: kept out of the package import
 
-    err_tot = math.inf
-    val = 0.0j
     for limit in (600, 4000):
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
             val, err = quad(f, lo, hi, epsabs=tol, epsrel=0.0, limit=limit, complex_func=True)
-        if warned is not None:
-            warned.extend(seen)
+        warned.extend(seen)
         err_tot = abs(err.real) + abs(err.imag) if isinstance(err, complex) else abs(err)
-        if err_tot <= max(100.0 * tol, 1e-6):
+        if err_tot <= tol:
             return val
+    if err_tot <= max(100.0 * tol, 1e-6):
+        warned.append(f"accepted at estimated error {err_tot:.2e} above tol {tol:.2e}")
+        return val
     raise NumericalError(
         f"quadrature did not converge: estimated error {err_tot:.2e} on [{lo}, {hi}]"
     )
@@ -308,6 +309,7 @@ def _atom_log_damped(alpha: float, p: float, b: float, c: float, x_m: float, tol
     for c > 0, via adaptive quadrature in s = y^-alpha: the fallback of
     :func:`_damped_log`.
     """
+    warned = [] if warned is None else warned
     heavy = alpha > 1.0
     inv_a = 1.0 / alpha
     p_a = p / alpha

@@ -16,7 +16,8 @@ All three are Markov chains ``X_t = A_t X_{t-1} + B_t`` (AR(1): ``A = phi``,
 draws one row per replica stream, ``(Z,)`` or ``(A, B)``, and ``_recurse``
 runs every row through the model's recursion at once. These two functions
 are the only place where path simulation depends on the model kind. An iid
-model reads no burn-in.
+model reads no burn-in; AR(1) and SRE models burn in from a zero start for as
+long as their contraction rate needs to forget it (:func:`_burn_in_steps`).
 
 All samplers are pure functions of ``(model, n, seed)``: identical arguments
 produce bit-identical paths. ``write_csv`` is the one CSV writer of the
@@ -39,8 +40,9 @@ from .rng import substream, substreams
 PARETO = "pareto"
 SYMMETRIC_STABLE = "symmetric_stable"
 
-AR1_BURN_IN = 1_000
-SRE_BURN_IN = 10_000
+# the derived burn-in's bound on the start's weight, and its margin in standard deviations
+_BURN_IN_EPS = 1e-17
+_BURN_IN_Z = 8.0
 
 # internal seeds for construction-time moment checks (independent of user seeds)
 _KESTEN_SEED = 0x5EEDC0DE
@@ -196,11 +198,15 @@ class SRELaw:
 
 @dataclass(frozen=True)
 class ProcessModel:
+    """An iid, AR(1) or SRE model. ``burn_in``, the steps run from a zero start
+    before the first observation, defaults to None: the model then derives it
+    from its contraction rate E log|A| (:func:`_burn_in_steps`)."""
+
     kind: str
     noise: Optional[NoiseSpec] = None
     phi: Optional[float] = None
     sre_law: Optional[SRELaw] = None
-    burn_in: int = 0
+    burn_in: Optional[int] = None
     kesten_check: bool = True
 
     @property
@@ -212,12 +218,13 @@ class ProcessModel:
     def __post_init__(self):
         if self.kind not in ("iid", "ar1", "sre"):
             raise ConfigurationError(f"unknown process kind {self.kind!r}")
-        if self.burn_in < 0:
+        if self.burn_in is not None and self.burn_in < 0:
             raise ConfigurationError("burn_in must be >= 0")
         if self.kind == "iid" and self.burn_in:
             raise ConfigurationError(f"an iid model reads no burn-in, got burn_in={self.burn_in}")
         if self.kind in ("iid", "ar1") and self.noise is None:
             raise ConfigurationError(f"{self.kind} model requires a NoiseSpec")
+        rate = (-math.inf, 0.0)  # iid: A = 0 forgets the start at once
         if self.kind == "ar1":
             if self.phi is None or not (-1.0 < self.phi < 1.0) or self.phi == 0.0:
                 raise ConfigurationError("ar1 requires phi in (-1, 1) \\ {0}")
@@ -225,57 +232,71 @@ class ProcessModel:
             # loaded only where an AR(1) model is built: always in the driver,
             # so a forked pool inherits it instead of importing it per worker
             import scipy.signal  # noqa: F401
+            rate = (math.log(abs(self.phi)), 0.0)
         if self.kind == "sre":
             if self.sre_law is None:
                 raise ConfigurationError("sre model requires an SRELaw")
-            _check_sre_law(self.sre_law, self.kesten_check)
+            rate = _check_sre_law(self.sre_law, self.kesten_check)
+        if self.burn_in is None:
+            object.__setattr__(self, "burn_in", _burn_in_steps(*rate))
 
 
 def iid_model(noise: NoiseSpec) -> ProcessModel:
     return ProcessModel(kind="iid", noise=noise)
 
 
-def ar1_model(phi: float, noise: NoiseSpec, burn_in: int = AR1_BURN_IN) -> ProcessModel:
+def ar1_model(phi: float, noise: NoiseSpec, burn_in: Optional[int] = None) -> ProcessModel:
+    """AR(1) model; ``burn_in=None`` derives the burn-in from ``log|phi|``."""
     return ProcessModel(kind="ar1", noise=noise, phi=float(phi), burn_in=burn_in)
 
 
-def sre_model(law: SRELaw, burn_in: int = SRE_BURN_IN, kesten_check: bool = True) -> ProcessModel:
+def sre_model(law: SRELaw, burn_in: Optional[int] = None, kesten_check: bool = True) -> ProcessModel:
+    """SRE model; ``burn_in=None`` derives the burn-in from the law's E log|A|."""
     return ProcessModel(kind="sre", sre_law=law, burn_in=burn_in, kesten_check=kesten_check)
 
 
-def _check_sre_law(law: SRELaw, kesten_check: bool) -> None:
-    # contractivity probe: some q < alpha must have E|A|^q < 1
-    probes = [law.alpha * f for f in (0.125, 0.25, 0.5, 0.75, 0.875)]
-    moments = []
-    rng = None
-    for q in probes:
-        m = law.abs_a_moment(q)
-        if m is None:
-            if rng is None:
-                rng = substream(_KESTEN_SEED, 1)
-                a, _ = law.sample_ab(rng, _KESTEN_DRAWS)
-                absa = np.abs(a)
-            m = float(np.mean(absa**q))
-        moments.append(m)
+def _burn_in_steps(gamma: float, s: float) -> int:
+    """The smallest t >= 0 with ``t gamma + z s sqrt(t) <= log(eps)`` for
+    ``gamma = E log|A| < 0`` and its standard deviation ``s``: the start's
+    weight |A_1 ... A_t| is below eps unless its log lies z standard
+    deviations above its mean (Kesten 1973, Acta Math. 131:207); 0 for A = 0."""
+    if gamma == -math.inf:
+        return 0
+    zs, log_eps = _BURN_IN_Z * s, math.log(_BURN_IN_EPS)
+    root = (zs + math.sqrt(zs * zs + 4.0 * gamma * log_eps)) / (-2.0 * gamma)
+    return math.ceil(root * root)
+
+
+def _check_sre_law(law: SRELaw, kesten_check: bool) -> tuple[float, float]:
+    """Reject a non-contractive law (and, with ``kesten_check``, one missing
+    E|A|^alpha = 1); return the mean and standard deviation of log|A|, from
+    the probe's draws for a custom law, clipped at log(eps) where A = 0."""
+    # contractivity probe: some q < alpha must have E|A|^q < 1; a custom law,
+    # the one kind without closed forms, is probed on draws
+    absa = np.abs(law.sample_ab(substream(_KESTEN_SEED, 1), _KESTEN_DRAWS)[0]) if law.kind == "custom" else None
+    moments = [law.abs_a_moment(q) if absa is None else float(np.mean(absa**q))
+               for q in (law.alpha * f for f in (0.125, 0.25, 0.5, 0.75, 0.875))]
     if all(m >= 1.0 for m in moments):
-        raise ModelError(
-            "non-contractive SRE law: estimated E|A|^q >= 1 for all probed q < alpha"
-        )
-    if not kesten_check:
-        return
-    analytic = law.abs_a_moment(law.alpha)
-    if analytic is not None and law.kind == "lognormal":
-        est, se = analytic, 0.0
+        raise ModelError("non-contractive SRE law: estimated E|A|^q >= 1 for all probed q < alpha")
+    if law.kind == "lognormal":
+        rate = (law.mu, law.sigma)
+    elif law.kind == "constant":
+        rate = (math.log(abs(law.a_const)) if law.a_const else -math.inf, 0.0)
     else:
-        rng = substream(_KESTEN_SEED, 2)
-        a, _ = law.sample_ab(rng, _KESTEN_DRAWS)
-        vals = np.abs(a) ** law.alpha
-        est = float(vals.mean())
-        se = float(vals.std(ddof=1) / math.sqrt(vals.size))
+        log_a = np.log(np.maximum(absa, _BURN_IN_EPS))
+        rate = (float(log_a.mean()), float(log_a.std()))
+    if not kesten_check:
+        return rate
+    if law.kind == "lognormal":
+        est, se = law.abs_a_moment(law.alpha), 0.0
+    else:
+        vals = np.abs(law.sample_ab(substream(_KESTEN_SEED, 2), _KESTEN_DRAWS)[0]) ** law.alpha
+        est, se = float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(vals.size))
     if abs(est - 1.0) > 1e-3 + 4.0 * se:
         raise ModelError(
             f"Kesten condition fails: E|A|^alpha = {est:.6f} (se {se:.2g}), expected 1 within 1e-3"
         )
+    return rate
 
 
 @dataclass(frozen=True)
@@ -412,8 +433,8 @@ def _coupled_rows(model: ProcessModel, n: int, seed: int, indices: np.ndarray):
     independent stationary initial states. Returns (x, x_star, x0, x0_star).
 
     Replica ``idx`` reads substream ``(seed, idx, 0)`` for the shared window
-    and ``(seed, idx, 1)``, ``(seed, idx, 2)`` for the two burn-ins; each
-    recursion runs once across all rows."""
+    and ``(seed, idx, 1)``, ``(seed, idx, 2)`` for the two burn-ins, each of
+    ``model.burn_in`` steps; each recursion runs once across all rows."""
     burn = model.burn_in
     # copied so that no burn-in block outlives its last column
     x0, x0s = (_recurse(model, _innovations(model, burn, seed, indices, k))[:, -1].copy() if burn
@@ -453,8 +474,9 @@ def tail_constant(model: ProcessModel) -> tuple[float, float]:
         c = E[|AX + B|^alpha - |AX|^alpha] / (alpha E[|A|^alpha log|A|]).
 
     The numerator is a mean over 64 chains on a fixed internal stream, each
-    run through ``model.burn_in`` steps and then 2000 kept steps with
-    ``A_t X_{t-1} = X_t - B_t``, its stderr by batch means over the chains.
+    run through the model's burn-in (derived from E log|A| unless set) and
+    then 2000 kept steps with ``A_t X_{t-1} = X_t - B_t``, its stderr by batch
+    means over the chains.
     The denominator is ``SRELaw.abs_a_log_moment`` where closed-form, else a
     mean over ``_KESTEN_DRAWS`` draws with its stderr. A numerator or
     denominator <= 0 (e.g. B = 0, or a constant |A| < 1) means the law has no
@@ -529,14 +551,11 @@ def check_keys(d: dict, allowed, what: str) -> None:
 
 
 def model_to_dict(model: ProcessModel) -> dict:
+    """The model as a config dict with its burn-in resolved: what
+    ``config_hash`` covers and what a pool worker rebuilds the model from."""
     d: dict = {"kind": model.kind, "burn_in": model.burn_in}
     if model.noise is not None:
-        d["noise"] = {
-            "kind": model.noise.kind,
-            "alpha": model.noise.alpha,
-            "q_plus": model.noise.q_plus,
-            "q_minus": model.noise.q_minus,
-        }
+        d["noise"] = {k: getattr(model.noise, k) for k in _NOISE_KEYS}
     if model.phi is not None:
         d["phi"] = model.phi
     if model.sre_law is not None:
@@ -552,35 +571,23 @@ def model_from_dict(d: dict) -> ProcessModel:
     kind = d.get("kind")
     # an unknown kind is reported by the model itself
     check_keys(d, _MODEL_KEYS.get(kind, d), f"{kind} model")
-    noise = None
+    noise = law = None
     if "noise" in d:
         nd = d["noise"]
         check_keys(nd, _NOISE_KEYS, "noise")
-        noise = NoiseSpec(
-            kind=nd["kind"],
-            alpha=float(nd["alpha"]),
-            tail_balance=(float(nd.get("q_plus", 0.5)), float(nd.get("q_minus", 0.5))),
-        )
-    law = None
+        noise = NoiseSpec(nd["kind"], float(nd["alpha"]),
+                          (float(nd.get("q_plus", 0.5)), float(nd.get("q_minus", 0.5))))
     if "sre_law" in d:
         ld = d["sre_law"]
         check_keys(ld, _SRE_LAW_KEYS.get(ld.get("kind", "lognormal"), ld), "sre_law")
-        law = SRELaw(
-            alpha=float(ld["alpha"]),
-            kind=ld.get("kind", "lognormal"),
-            sigma=float(ld.get("sigma", 1.0)),
-            neg_prob=float(ld.get("neg_prob", 0.0)),
-            a_const=float(ld.get("a_const", 0.0)),
-            b_mean=float(ld.get("b_mean", 0.0)),
-            b_sd=float(ld.get("b_sd", 1.0)),
-        )
-    default_burn = {"iid": 0, "ar1": AR1_BURN_IN, "sre": SRE_BURN_IN}.get(kind, 0)
+        # every field but the kind is a number; a field left out takes its SRELaw default
+        law = SRELaw(**{k: v if k == "kind" else float(v) for k, v in ld.items()})
     return ProcessModel(
         kind=kind,
         noise=noise,
         phi=float(d["phi"]) if "phi" in d else None,
         sre_law=law,
-        burn_in=int(d.get("burn_in", default_burn)),
+        burn_in=None if d.get("burn_in") is None else int(d["burn_in"]),
         kesten_check=bool(d.get("kesten_check", True)),
     )
 

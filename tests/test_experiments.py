@@ -164,8 +164,12 @@ class TestConfigKeys:
         assert limit_hash({"kind": "iid", "alpha": 0.5, "q_plus": 0.5, "q_minus": 0.5}) == plain
         assert limit_hash({"kind": "iid", "alpha": 0.5, "q_plus": 0.7, "q_minus": 0.3}) != plain
         model = {"kind": "ar1", "phi": 0.5, "noise": {"kind": "pareto", "alpha": 0.5}}
-        explicit = {**model, "burn_in": 1000, "noise": {**model["noise"], "q_plus": 0.5, "q_minus": 0.5}}
+        explicit = {**model, "burn_in": 57, "noise": {**model["noise"], "q_plus": 0.5, "q_minus": 0.5}}
         assert small_verify_config(model=model).config_hash() == small_verify_config(model=explicit).config_hash()
+        # the derived SRE burn-in spelled out leaves the hash; another value moves it
+        sre_hash = small_verify_config(model=SRE_POS).config_hash()
+        assert small_verify_config(model={**SRE_POS, "burn_in": 580}).config_hash() == sre_hash
+        assert small_verify_config(model={**SRE_POS, "burn_in": 579}).config_hash() != sre_hash
 
 
 def _reference_batch_stats(values, ps, center=0.0):

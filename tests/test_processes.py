@@ -20,6 +20,10 @@ from selfnorm import (
     stationary_mean,
 )
 from selfnorm.processes import (
+    _BURN_IN_EPS,
+    ProcessModel,
+    _innovations,
+    _simulate_rows,
     ar1_recursion,
     model_from_dict,
     model_to_dict,
@@ -377,11 +381,87 @@ class TestSREChecks:
         sre_model(SRELaw(alpha=0.8, kind="constant", a_const=0.0), kesten_check=False)
 
 
+# the bench SRE law: alpha = 0.8, sigma = 1, B = 1, so E log|A| = -0.4
+BENCH_LAW = SRELaw(alpha=0.8, sigma=1.0, b_mean=1.0, b_sd=0.0)
+
+
+def _lognormal_sampler(rng, size):
+    # the bench law's draws through the custom-law path
+    return np.exp(-0.4 + rng.standard_normal(size)), np.ones(size)
+
+
+class TestBurnIn:
+    """The default burn-in: the smallest t with t E log|A| + 8 sd(log|A|) sqrt(t)
+    <= log(1e-17)."""
+
+    @pytest.mark.parametrize("phi, steps", [(0.5, 57), (0.8, 176), (0.95, 764), (0.99, 3895)])
+    def test_ar1_values(self, phi, steps):
+        noise = NoiseSpec("pareto", 1.5)
+        assert ar1_model(phi, noise).burn_in == steps
+        assert ar1_model(-phi, noise).burn_in == steps
+        # the smallest t with |phi|^t <= eps
+        assert phi**steps <= _BURN_IN_EPS < phi ** (steps - 1)
+
+    def test_sre_values(self):
+        assert sre_model(BENCH_LAW).burn_in == 580
+        zero = SRELaw(alpha=0.8, kind="constant", a_const=0.0)
+        assert sre_model(zero, kesten_check=False).burn_in == 0
+        half = SRELaw(alpha=0.8, kind="constant", a_const=-0.5)
+        assert sre_model(half, kesten_check=False).burn_in == 57
+
+    def test_custom_law_estimates_the_rate(self):
+        custom = sre_model(SRELaw(alpha=0.8, kind="custom", sampler=_lognormal_sampler))
+        assert abs(custom.burn_in - 580) <= 3
+        # log|A| is clipped at log(eps) where A = 0: an all-zero A takes one step
+        zeros = SRELaw(alpha=0.8, kind="custom", sampler=lambda rng, size: (np.zeros(size), np.ones(size)))
+        assert sre_model(zeros, kesten_check=False).burn_in == 1
+
+    def test_iid_reads_none(self):
+        assert iid_model(NoiseSpec("pareto", 0.5)).burn_in == 0
+        with pytest.raises(ConfigurationError, match="reads no burn-in"):
+            ProcessModel(kind="iid", noise=NoiseSpec("pareto", 0.5), burn_in=3)
+
+    def test_explicit_value_wins(self):
+        noise = NoiseSpec("pareto", 0.5)
+        assert ar1_model(0.5, noise, burn_in=10).burn_in == 10
+        assert sre_model(BENCH_LAW, burn_in=0).burn_in == 0
+        d = {"kind": "ar1", "phi": 0.5, "noise": {"kind": "pareto", "alpha": 0.5}}
+        assert model_from_dict(d).burn_in == 57
+        assert model_from_dict({**d, "burn_in": 10}).burn_in == 10
+        with pytest.raises(ConfigurationError, match="burn_in must be >= 0"):
+            model_from_dict({**d, "burn_in": -1})
+
+    @pytest.mark.parametrize("phi", [0.5, -0.8, 0.99])
+    def test_ar1_start_forgotten(self, phi):
+        # zero and stationary starts, run through the same burn-in innovations,
+        # end within eps |x0| of each other (plus the rounding of the sum)
+        model = ar1_model(phi, NoiseSpec("pareto", 1.5))
+        idx = np.arange(200)
+        x0 = _simulate_rows(model, 1, 7, idx)[:, 0]
+        (z,) = _innovations(model, model.burn_in, 8, idx)
+        zero_start = ar1_recursion(phi, z)[:, -1]
+        gap = np.abs(ar1_recursion(phi, z, x0)[:, -1] - zero_start)
+        assert np.all(gap <= _BURN_IN_EPS * np.abs(x0) + np.spacing(np.abs(zero_start)))
+
+    def test_sre_start_forgotten(self):
+        # the start's weight after the burn-in is |A_1 ... A_t|, at most eps on
+        # every one of 2000 chains
+        model = sre_model(BENCH_LAW)
+        a, _ = _innovations(model, model.burn_in, 9, np.arange(2000))
+        assert np.abs(np.prod(a, axis=1)).max() <= _BURN_IN_EPS
+
+
 class TestInterfaces:
     def test_model_round_trip(self, ar1_pos_half, sre_lognormal):
         for model in (ar1_pos_half, sre_lognormal):
             again = model_from_dict(model_to_dict(model))
             assert model_to_dict(again) == model_to_dict(model)
+            assert again == model
+
+    def test_dict_holds_resolved_burn_in(self):
+        d = model_to_dict(sre_model(BENCH_LAW))
+        assert d["burn_in"] == 580
+        assert model_from_dict(d).burn_in == 580
 
     def test_path_csv(self, tmp_path, pareto_pos_half):
         p = sample_path(pareto_pos_half, 5, seed=1)
