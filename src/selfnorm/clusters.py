@@ -26,10 +26,13 @@ cluster. The tilted law is the same atoms reweighted exactly by
 the moment estimators all read this one law; ``cluster_law`` is the only place
 where a cluster expectation depends on the kind.
 
-An empirical library is simulated once per model instance, on first use, and
-its per-anchor functionals are tabulated once per exponent p, so every draw
-costs a gather. A ``table_only`` copy of the model carries that table without
-the blocks; it is what pool workers receive. Estimates from a library report
+An empirical library is simulated on first use and shared, read-only, by every
+equal model in the process (:func:`_shared_library`), so runs on one cluster
+build it once; a library whose source is a custom SRE law, whose sampler is
+an arbitrary callable, belongs to its model instance alone. Its per-anchor
+functionals are tabulated once per exponent p, so every draw costs a gather.
+A ``table_only`` copy of the model carries that table without the blocks; it
+is what pool workers receive. Estimates from a library report
 batch-means standard errors over its independent chains, which include the
 noise of the library itself.
 """
@@ -37,6 +40,7 @@ noise of the library itself.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -49,6 +53,8 @@ from .processes import ProcessModel, _simulate_rows, text_target, write_csv
 from .rng import substream
 
 TRUNCATION_TARGET = 1e-10
+# empirical libraries kept by _shared_library: one per distinct cluster model
+LIBRARY_CACHE_SIZE = 4
 
 
 @dataclass(frozen=True)
@@ -89,6 +95,7 @@ class ClusterModel:
         qp, qm = self.tail_balance
         if qp < 0 or qm < 0 or abs(qp + qm - 1.0) > 1e-12:
             raise ConfigurationError("tail balance must be nonnegative and sum to 1")
+        object.__setattr__(self, "tail_balance", (qp, qm))  # a hashable model, whatever was passed
         if self.kind == "ar1_analytic":
             if self.phi is None or not (-1.0 < self.phi < 1.0) or self.phi == 0.0:
                 raise ConfigurationError("ar1_analytic requires phi in (-1, 1) \\ {0}")
@@ -116,7 +123,8 @@ class ClusterModel:
     def _empirical_library(self) -> "_BlockLibrary":
         lib = getattr(self, "_library", None)
         if lib is None:
-            lib = _BlockLibrary.build(self)
+            custom = self.source.kind == "sre" and self.source.sre_law.kind == "custom"
+            lib = _BlockLibrary.build(self) if custom else _shared_library(self)
             object.__setattr__(self, "_library", lib)
         return lib
 
@@ -212,6 +220,8 @@ class _BlockLibrary:
         mask[:, :h] = False
         mask[:, seg_len - h:] = False
         chain_idx, pos_idx = np.nonzero(mask)
+        for a in (rows, chain_idx, pos_idx):
+            a.flags.writeable = False
         return cls(rows, chain_idx, pos_idx, threshold, h, model.alpha, model.floor_rel, model.run_gap)
 
     @property
@@ -257,8 +267,18 @@ class _BlockLibrary:
                 new["sum_abs"][sl] = absth.sum(axis=1) / scale
             for q in missing:
                 new[q][sl] = np.sum(absth**q, axis=1) / scale**q
+        for a in new.values():
+            a.flags.writeable = False
         self.columns.update(new)
         return self.columns
+
+
+@functools.lru_cache(maxsize=LIBRARY_CACHE_SIZE)
+def _shared_library(model: ClusterModel) -> _BlockLibrary:
+    """The block library of ``model``, built once per process for every equal
+    model: the dataclass equality covers every field the build and the table
+    read. Its arrays are read-only, since every run on the model reads them."""
+    return _BlockLibrary.build(model)
 
 
 # ---------------------------------------------------------------------------

@@ -404,7 +404,9 @@ def _stats_block_worker(args) -> dict:
     if centering == "analytic":
         center = stationary_mean(model)
     indices = np.arange(start, stop)
-    chunk = max(1, 8_000_000 // (n + model.burn_in))
+    # the budget covers the worker's peak: the simulated block and the two
+    # (rows, n) buffers of stats._block_sums (the rescaled moduli and a power)
+    chunk = max(1, 8_000_000 // (n + model.burn_in + 2 * n))
     pieces = []
     for lo in range(0, len(indices), chunk):
         idx = indices[lo: lo + chunk]

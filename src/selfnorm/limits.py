@@ -48,6 +48,8 @@ from .rng import substreams
 QUAD_TOL = 1e-8
 DEFAULT_CLUSTER_MC = 10_000
 DEFAULT_N_TERMS = 10_000
+# values per block of the series sampler's arithmetic (about 2 MB per array)
+_SERIES_BLOCK = 250_000
 
 
 @dataclass(frozen=True)
@@ -282,8 +284,10 @@ def _damped_log(alpha: float, p: float, b, c, x_m, tol: float):
 
 def _quad_complex(f, lo, hi, tol: float, warned: list) -> complex:
     """Adaptive quadrature of a complex integrand, retried at a larger
-    subinterval limit unless its error estimate is within ``tol``. ``warned``
-    gets every warning quad raises, and one entry per result accepted above tol."""
+    subinterval limit unless its error estimate is within ``tol``: the larger
+    of the real and imaginary parts' estimates, since quad holds each part to
+    ``epsabs`` separately. ``warned`` gets every warning quad raises, and one
+    entry per result accepted above tol."""
     from scipy.integrate import quad  # a rare fallback: kept out of the package import
 
     for limit in (600, 4000):
@@ -291,7 +295,7 @@ def _quad_complex(f, lo, hi, tol: float, warned: list) -> complex:
             warnings.simplefilter("always")
             val, err = quad(f, lo, hi, epsabs=tol, epsrel=0.0, limit=limit, complex_func=True)
         warned.extend(seen)
-        err_tot = abs(err.real) + abs(err.imag) if isinstance(err, complex) else abs(err)
+        err_tot = max(abs(err.real), abs(err.imag)) if isinstance(err, complex) else abs(err)
         if err_tot <= tol:
             return val
     if err_tot <= max(100.0 * tol, 1e-6):
@@ -619,19 +623,36 @@ def sample_limit_lepage_batch(
 ) -> dict:
     """Vectorised series draws; returns arrays xi, eta, zeta_p and
     truncation_bound, one entry per replica (replica i uses substream(seed, i),
-    starting at ``first_index``)."""
+    starting at ``first_index``).
+
+    Each replica draws its n_terms exponentials and then its atoms from its
+    own stream; the arithmetic runs on blocks of about ``_SERIES_BLOCK`` values.
+    The final root and the truncation bound stay per-replica scalar powers,
+    which numpy's array ``pow`` need not match to the last bit."""
     _lepage_validate(cluster, alpha, p, n_terms)
     law = cluster_law(cluster, (p,))
     out = {k: np.empty(reps) for k in ("xi", "eta", "zeta_p", "truncation_bound")}
-    for off, rng in enumerate(substreams(seed, range(first_index, first_index + reps))):
-        gam = np.cumsum(rng.standard_exponential(n_terms))
-        k = law.draw(n_terms, rng)
+    rows = max(1, min(reps, _SERIES_BLOCK // n_terms))
+    expo = np.empty((rows, n_terms))
+    k = np.empty((rows, n_terms), dtype=np.intp)
+    streams = substreams(seed, range(first_index, first_index + reps))
+    for lo in range(0, reps, rows):
+        m = min(rows, reps - lo)
+        for j in range(m):
+            rng = next(streams)
+            rng.standard_exponential(n_terms, out=expo[j])
+            k[j] = law.draw(n_terms, rng)
+        gam = np.cumsum(expo[:m], axis=1)
+        km = k[:m]
         w = gam ** (-1.0 / alpha)
-        out["eta"][off] = np.max(w * law.max_abs[k])
-        out["xi"][off] = np.sum(w * law.sum_q[k])
-        out["zeta_p"][off] = np.sum(gam ** (-p / alpha) * law.norm_p_p[k]) ** (1.0 / p)
-        mean_l1 = float(law.sum_abs[k].mean())
-        out["truncation_bound"][off] = mean_l1 * gam[-1] ** (-1.0 / alpha) * n_terms / (1.0 / alpha - 1.0)
+        out["eta"][lo:lo + m] = np.max(w * law.max_abs[km], axis=1)
+        out["xi"][lo:lo + m] = np.sum(w * law.sum_q[km], axis=1)
+        norm_p_p = np.sum(gam ** (-p / alpha) * law.norm_p_p[km], axis=1)
+        mean_l1 = law.sum_abs[km].mean(axis=1)
+        for j in range(m):
+            out["zeta_p"][lo + j] = norm_p_p[j] ** (1.0 / p)
+            out["truncation_bound"][lo + j] = (float(mean_l1[j]) * gam[j, -1] ** (-1.0 / alpha)
+                                               * n_terms / (1.0 / alpha - 1.0))
     return out
 
 

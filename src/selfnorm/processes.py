@@ -84,6 +84,7 @@ class NoiseSpec:
             raise ConfigurationError(
                 f"tail balance must satisfy q+ , q- >= 0 and q+ + q- = 1, got {self.tail_balance!r}"
             )
+        object.__setattr__(self, "tail_balance", (qp, qm))  # a hashable model, whatever was passed
         if self.kind == SYMMETRIC_STABLE and self.tail_balance != (0.5, 0.5):
             raise ConfigurationError("symmetric stable noise is symmetric; tail_balance must be (0.5, 0.5)")
 

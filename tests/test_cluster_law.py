@@ -15,6 +15,7 @@ from scipy.special import gamma as gamma_fn
 
 from selfnorm import (
     NoiseSpec,
+    SRELaw,
     ar1_cluster,
     ar1_model,
     cluster_moment,
@@ -25,7 +26,9 @@ from selfnorm import (
     expected_ratio_student,
     extremal_index,
     iid_cluster,
+    sre_model,
 )
+from selfnorm import clusters
 from selfnorm.clusters import (
     ClusterAtoms,
     _weighted_estimate,
@@ -216,3 +219,60 @@ def test_stderr_covers_library_seed_spread():
     for name, ests in (("greenwood", greenwood), ("extremal_index", theta)):
         ratio = np.std([e.value for e in ests], ddof=1) / np.mean([e.stderr for e in ests])
         assert 0.5 <= ratio <= 2.0, (name, ratio)
+
+
+def _lognormal_ab(rng, size):
+    # the bench SRE law (alpha 0.8, sigma 1, B = 1) as a custom sampler
+    return np.exp(-0.4 + rng.standard_normal(size)), np.ones(size)
+
+
+class TestSharedLibrary:
+    """Equal empirical clusters share one read-only library per process."""
+
+    SOURCE = ar1_model(0.5, NoiseSpec("pareto", 0.8))
+
+    @pytest.fixture(autouse=True)
+    def builds(self, monkeypatch):
+        clusters._shared_library.cache_clear()
+        calls = []
+        build = clusters._BlockLibrary.build.__func__
+
+        def counted(cls, model):
+            calls.append(model)
+            return build(cls, model)
+
+        monkeypatch.setattr(clusters._BlockLibrary, "build", classmethod(counted))
+        yield calls
+        clusters._shared_library.cache_clear()
+
+    def test_equal_models_share_one_build(self, builds):
+        a = empirical_cluster(self.SOURCE, sample_length=50_000, library_seed=5)
+        b = empirical_cluster(ar1_model(0.5, NoiseSpec("pareto", 0.8, [0.5, 0.5])), sample_length=50_000,
+                              library_seed=5)
+        assert a == b and a is not b
+        assert a._empirical_library() is b._empirical_library()
+        other = empirical_cluster(self.SOURCE, sample_length=50_000, library_seed=6)
+        assert other._empirical_library() is not a._empirical_library()
+        assert len(builds) == 2
+
+    def test_library_arrays_are_read_only(self):
+        c = empirical_cluster(self.SOURCE, sample_length=50_000, library_seed=5)
+        law = cluster_law(c, (2.0, 3.0))
+        lib = c._empirical_library()
+        arrays = [lib.segments, lib.anchor_chain, lib.anchor_pos, *lib.columns.values(),
+                  law.sum_q, law.max_abs, law.norm_p_p, law.norms[3.0], law.group]
+        assert len(lib.columns) == 5
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+
+    def test_custom_sre_library_is_not_shared(self, builds):
+        def cluster():
+            law = SRELaw(alpha=0.8, kind="custom", sampler=_lognormal_ab)
+            return empirical_cluster(sre_model(law), sample_length=20_000, library_seed=1)
+
+        a, b = cluster(), cluster()
+        assert a == b
+        assert a._empirical_library() is not b._empirical_library()
+        assert len(builds) == 2
+        assert clusters._shared_library.cache_info().currsize == 0

@@ -37,6 +37,17 @@ AR1_POS_HALF = {"kind": "ar1", "phi": 0.5, "noise": {"kind": "pareto", "alpha": 
 SRE_POS = {"kind": "sre", "sre_law": {"kind": "lognormal", "alpha": 0.8, "sigma": 1.0, "b_mean": 1.0, "b_sd": 0.0}}
 
 
+def _bench_workloads(monkeypatch):
+    """``bench/workloads.py`` as a module."""
+    path = Path(__file__).parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up while the module runs
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
 def small_verify_config(**over):
     base = dict(
         kind="verify",
@@ -441,12 +452,7 @@ class TestStatisticSpecs:
         self._config(statistics=PLAN_SPECS + GREENWOOD_SPECS, p=0.5).validate()
 
     def test_bench_workload_configs_validate(self, monkeypatch):
-        path = Path(__file__).parents[1] / "bench" / "workloads.py"
-        spec = importlib.util.spec_from_file_location("bench_workloads", path)
-        workloads = importlib.util.module_from_spec(spec)
-        # its dataclasses look their module up while the module runs
-        monkeypatch.setitem(sys.modules, spec.name, workloads)
-        spec.loader.exec_module(workloads)
+        workloads = _bench_workloads(monkeypatch)
         for name in workloads.WORKLOADS:
             for seed in (1, 7):
                 for cfg in workloads.build(name, seed).configs:
@@ -484,12 +490,14 @@ class TestParallel:
 
 class TestEmpiricalWorkers:
     """An empirical cluster gives the same run at any worker count, its library
-    is built once per run, and pool workers never build one."""
+    is built once per process, and pool workers never build one."""
 
     CLUSTER = {"kind": "empirical", "source": AR1_POS_HALF, "sample_length": 200_000, "library_seed": 2}
 
     @pytest.fixture
     def builds(self, monkeypatch):
+        # libraries built before the count starts, or with the counting build, stay out of the memo
+        clusters._shared_library.cache_clear()
         driver = os.getpid()
         calls = []
         build = clusters._BlockLibrary.build.__func__
@@ -501,7 +509,8 @@ class TestEmpiricalWorkers:
             return build(cls, model)
 
         monkeypatch.setattr(clusters._BlockLibrary, "build", classmethod(guarded))
-        return calls
+        yield calls
+        clusters._shared_library.cache_clear()
 
     def _run(self, cfg: dict, workers: int, out) -> tuple[dict, dict]:
         run_experiment(ExperimentConfig.from_dict(cfg), out_dir=out, workers=workers)
@@ -519,10 +528,25 @@ class TestEmpiricalWorkers:
     ], ids=["limit", "verify"])
     def test_worker_count_invariance(self, cfg, tmp_path, builds):
         one = self._run(cfg, 1, tmp_path / "one")
-        assert len(builds) == 1
         two = self._run(cfg, 2, tmp_path / "two")
-        assert len(builds) == 2
+        assert len(builds) == 1
         assert one == two
+
+    def test_equal_clusters_build_once_per_process(self, tmp_path, builds):
+        cfg = dict(kind="limit", name="emp-limit", cluster=self.CLUSTER, reps=20, n_terms=100, p=2.0, seed=3)
+        self._run(cfg, 1, tmp_path / "a")
+        self._run({**cfg, "seed": 4}, 1, tmp_path / "b")
+        assert len(builds) == 1
+        self._run({**cfg, "cluster": {**self.CLUSTER, "library_seed": 3}}, 1, tmp_path / "c")
+        assert len(builds) == 2
+
+    def test_bench_pass_rebuilds_after_clear_caches(self, tmp_path, builds, monkeypatch):
+        workloads = _bench_workloads(monkeypatch)
+        cfg = dict(kind="limit", name="emp-limit", cluster=self.CLUSTER, reps=20, n_terms=100, p=2.0, seed=3)
+        first = self._run(cfg, 1, tmp_path / "a")
+        workloads.clear_caches()
+        assert self._run(cfg, 1, tmp_path / "b") == first
+        assert len(builds) == 2
 
     def test_shipped_cluster_draws_without_blocks(self, builds):
         c = cluster_from_dict(self.CLUSTER)

@@ -25,16 +25,17 @@ from selfnorm import (
     sample_limit_lepage_batch,
     stable_cf,
 )
-from selfnorm.clusters import ClusterAtoms
-from selfnorm.experiments import simulate_statistics
+from selfnorm.clusters import ClusterAtoms, cluster_law
+from selfnorm.experiments import cluster_from_dict, simulate_statistics
 from selfnorm.limits import (
+    _SERIES_BLOCK,
     _atom_log_damped,
     _stable_atom,
     _tail_exp_integral,
     evaluate_transform_grid,
     stable_scale_const,
 )
-from selfnorm.rng import substream
+from selfnorm.rng import substream, substreams
 
 
 class TestPrimitives:
@@ -378,7 +379,45 @@ class TestRatioModulusLaplace:
             assert got.real == pytest.approx(want, rel=1e-10, abs=0.0), (alpha, p, c)
 
 
+def _lepage_per_replica(cluster, alpha, p, reps, n_terms, seed, first_index):
+    """The series sampler one replica at a time: the reference that the
+    blocked sampler must match bit for bit."""
+    law = cluster_law(cluster, (p,))
+    out = {k: np.empty(reps) for k in ("xi", "eta", "zeta_p", "truncation_bound")}
+    for off, rng in enumerate(substreams(seed, range(first_index, first_index + reps))):
+        gam = np.cumsum(rng.standard_exponential(n_terms))
+        k = law.draw(n_terms, rng)
+        w = gam ** (-1.0 / alpha)
+        out["eta"][off] = np.max(w * law.max_abs[k])
+        out["xi"][off] = np.sum(w * law.sum_q[k])
+        out["zeta_p"][off] = np.sum(gam ** (-p / alpha) * law.norm_p_p[k]) ** (1.0 / p)
+        mean_l1 = float(law.sum_abs[k].mean())
+        out["truncation_bound"][off] = mean_l1 * gam[-1] ** (-1.0 / alpha) * n_terms / (1.0 / alpha - 1.0)
+    return out
+
+
+_SERIES_CLUSTERS = {
+    "iid": lambda: iid_cluster(0.5, (0.3, 0.7)),
+    "ar1_analytic": lambda: ar1_cluster(-0.6, 0.5, (0.4, 0.6)),
+    "empirical": lambda: cluster_from_dict({
+        "kind": "empirical", "sample_length": 200_000, "library_seed": 4,
+        "source": {"kind": "ar1", "phi": 0.5,
+                   "noise": {"kind": "pareto", "alpha": 0.5, "q_plus": 1.0, "q_minus": 0.0}}}),
+}
+
+
 class TestLepageSampler:
+    @pytest.mark.parametrize("n_terms", [10, 200, 2000])
+    @pytest.mark.parametrize("kind", sorted(_SERIES_CLUSTERS))
+    def test_blocks_match_per_replica_loop(self, kind, n_terms):
+        # two blocks, the second partial, from a first index past 0
+        cluster = _SERIES_CLUSTERS[kind]()
+        reps = _SERIES_BLOCK // n_terms + 3
+        got = sample_limit_lepage_batch(cluster, 0.5, 2.0, reps, n_terms, seed=11, first_index=17)
+        want = _lepage_per_replica(cluster, 0.5, 2.0, reps, n_terms, seed=11, first_index=17)
+        for key in want:
+            assert np.array_equal(got[key], want[key]), (key, np.flatnonzero(got[key] != want[key])[:5])
+
     def test_eta_is_first_arrival_iid(self):
         # single positive spike: the sup is attained at the first arrival
         c = iid_cluster(0.5, (1.0, 0.0))

@@ -2,18 +2,20 @@
 
 ``tests/data/transform_reference.json`` holds, as float hex, the values and
 standard errors of ``stable_cf``, ``hybrid_cf``, ``joint_cf_laplace`` (x finite
-and x = inf) and ``ratio_cf`` on an empirical AR(1) cluster, recorded with the
-earlier per-atom engine (mpmath ``expint`` and adaptive ``quad`` for every
-atom). The array engine must stay within 1e-10 relative of them.
+and x = inf) and ``ratio_cf`` on an empirical AR(1) cluster, computed by the
+per-atom reference engine below (mpmath ``expint`` and adaptive ``quad`` for
+every atom), which shares no per-atom code with the array engine. The array
+engine must stay within 1e-10 relative of them.
 
 Regenerate the record (only for a deliberate change of value, which
-CHANGES.md must then explain) with::
+CHANGES.md must then explain; it takes about 20 s) with::
 
     PYTHONPATH=src python tests/test_transform_engine.py --record
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -41,19 +43,92 @@ AR1_CLUSTER = {"kind": "empirical",
 POINTS = [(0.5, 1.0, 0.5), (1.0, 2.0, 1.0), (-0.8, 0.7, 0.3), (2.5, 3.0, 2.0)]
 
 
-def transform_values() -> dict:
-    """Every transform at every grid point, as (value, stderr) pairs."""
+def record_atoms() -> tuple[ClusterAtoms, ClusterAtoms]:
+    """The recorded cluster's atom draws and tilted atom draws."""
     c = cluster_from_dict(AR1_CLUSTER)
-    atoms = clusters.cluster_atoms(c, p=2.0, n_mc=2000, seed=41)
-    tilted = clusters.tilted_atoms(c, p=2.0, n_mc=2000, seed=42)
+    return (clusters.cluster_atoms(c, p=2.0, n_mc=2000, seed=41),
+            clusters.tilted_atoms(c, p=2.0, n_mc=2000, seed=42))
+
+
+def transform_values(engine=None, atoms=None, tilted=None) -> dict:
+    """Every transform at every grid point, as (value, stderr) pairs, from the
+    array engine or, given ``engine``, from a per-atom engine of that shape
+    (:data:`REFERENCE`)."""
+    c = cluster_from_dict(AR1_CLUSTER)
+    if atoms is None:
+        atoms, tilted = record_atoms()
+    stable, hybrid, joint, ratio = engine or (
+        lambda u, a: limits.stable_cf(u, c, atoms=a),
+        lambda u, x, a: limits.hybrid_cf(u, x, c, atoms=a),
+        lambda u, x, lam, a: limits.joint_cf_laplace(u, x, lam, c, p=2.0, atoms=a),
+        lambda u, a: limits.ratio_cf(u, c, atoms=a))
     out = {}
     for i, (u, x, lam) in enumerate(POINTS):
-        out[f"stable_cf[{i}]"] = limits.stable_cf(u, c, atoms=atoms)
-        out[f"hybrid_cf[{i}]"] = limits.hybrid_cf(u, x, c, atoms=atoms)
-        out[f"joint_cf_laplace[{i}]"] = limits.joint_cf_laplace(u, x, lam, c, p=2.0, atoms=atoms)
-        out[f"joint_cf_laplace_inf[{i}]"] = limits.joint_cf_laplace(u, math.inf, lam, c, p=2.0, atoms=atoms)
-        out[f"ratio_cf[{i}]"] = limits.ratio_cf(u, c, atoms=tilted)
+        out[f"stable_cf[{i}]"] = stable(u, atoms)
+        out[f"hybrid_cf[{i}]"] = hybrid(u, x, atoms)
+        out[f"joint_cf_laplace[{i}]"] = joint(u, x, lam, atoms)
+        out[f"joint_cf_laplace_inf[{i}]"] = joint(u, math.inf, lam, atoms)
+        out[f"ratio_cf[{i}]"] = ratio(u, tilted)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the per-atom reference engine, for alpha in (0, 1) and the record's p = 2:
+# closed-form stable atoms, mpmath E_{alpha+1}(-iw) for the oscillatory tails
+# and one adaptive quad per damped atom, combined by the package's weighted
+# estimate (the batch-means stderr over the library chains)
+
+REF_QUAD_TOL = 1e-8  # the array engine's default tolerance, at which the record was made
+
+
+def _ref_stable(alpha: float, b: float) -> complex:
+    """int_0^inf (e^{iby} - 1) d(-y^-alpha) = -Gamma(1 - alpha) |b|^alpha e^{-i sign(b) pi alpha / 2}."""
+    scale = math.gamma(2.0 - alpha) * math.cos(math.pi * alpha / 2.0) / (1.0 - alpha)
+    return -scale * abs(b) ** alpha * complex(1.0, -math.copysign(1.0, b) * math.tan(math.pi * alpha / 2.0))
+
+
+def _ref_tail(alpha: float, b: float, z: float) -> complex:
+    """int_z^inf e^{iby} d(-y^-alpha) = alpha z^-alpha E_{alpha+1}(-ibz)."""
+    if math.isinf(z):
+        return 0j
+    return alpha * z ** (-alpha) * complex(mpmath.expint(alpha + 1.0, -1j * b * z))
+
+
+def _ref_damped(alpha: float, p: float, b: float, c: float, x_m: float) -> complex:
+    """int_0^inf [e^{iby - c y^p} 1(y <= x_m) - 1] d(-y^-alpha), by quad in s = y^-alpha."""
+    from scipy.integrate import quad
+
+    def f(s):
+        y = s ** (-1.0 / alpha)
+        damp = c * y**p
+        return -1.0 + 0j if damp > 700.0 else np.expm1(1j * b * y - damp)
+
+    lo = 0.0 if math.isinf(x_m) else x_m ** (-alpha)
+    val, _ = quad(f, lo, math.inf, epsabs=REF_QUAD_TOL, epsrel=0.0, limit=4000, complex_func=True)
+    return val - lo
+
+
+def _ref_cf(atoms: ClusterAtoms, per_atom) -> limits.TransformValue:
+    est = clusters._weighted_estimate(atoms, 1.0, np.array(list(per_atom), dtype=complex))
+    val = complex(np.exp(est.value))
+    return limits.TransformValue(val, abs(val) * est.stderr)
+
+
+def _ref_ratio(u: float, atoms: ClusterAtoms) -> limits.TransformValue:
+    alpha = atoms.alpha
+    den = np.array([_ref_tail(alpha, u * s, 1.0) - _ref_stable(alpha, u * s) for s in atoms.sum_q])
+    est = clusters._weighted_estimate(atoms, den, np.exp(1j * u * atoms.sum_q) / den)
+    return limits.TransformValue(complex(est.value), est.stderr)
+
+
+REFERENCE = (
+    lambda u, a: _ref_cf(a, (_ref_stable(a.alpha, u * s) for s in a.sum_q)),
+    lambda u, x, a: _ref_cf(a, (_ref_stable(a.alpha, u * s) - _ref_tail(a.alpha, u * s, x / m)
+                                for s, m in zip(a.sum_q, a.max_abs))),
+    lambda u, x, lam, a: _ref_cf(a, (_ref_damped(a.alpha, 2.0, u * s, lam * w, x / m)
+                                     for s, w, m in zip(a.sum_q, a.norm_p_p, a.max_abs))),
+    _ref_ratio,
+)
 
 
 def _hex(tv) -> dict:
@@ -81,6 +156,36 @@ def test_transforms_match_recorded_values(values):
         se = float.fromhex(rec["stderr"])
         assert abs(values[name].stderr - se) <= 1e-8 * se, (name, values[name].stderr, se)
         assert values[name].fallbacks == 0 and values[name].quad_warnings == 0, name
+
+
+def _first_atoms(atoms: ClusterAtoms, k: int) -> ClusterAtoms:
+    keep = slice(0, k)
+    return dataclasses.replace(
+        atoms, weights=atoms.weights[keep] / atoms.weights[keep].sum(), sum_q=atoms.sum_q[keep],
+        max_abs=atoms.max_abs[keep], norm_p_p=atoms.norm_p_p[keep], sum_abs=atoms.sum_abs[keep],
+        reps=k, group=atoms.group[keep], norms={q: v[keep] for q, v in atoms.norms.items()})
+
+
+def test_reference_engine_on_a_few_atoms():
+    # the reference engine behind the record against the array engine, on the
+    # record's first atoms (taken from several chains, so stderrs are defined)
+    atoms, tilted = (_first_atoms(a, 12) for a in record_atoms())
+    assert len(set(atoms.group)) > 1 and len(set(tilted.group)) > 1
+    want = transform_values(REFERENCE, atoms, tilted)
+    got = transform_values(atoms=atoms, tilted=tilted)
+    for name in want:
+        w, g = complex(want[name].value), complex(got[name].value)
+        assert abs(g - w) <= 1e-10 * abs(w), (name, g, w)
+        assert abs(got[name].stderr - want[name].stderr) <= 1e-8 * want[name].stderr, name
+
+
+def test_reference_engine_reproduces_recorded_stable_cf():
+    # the one family cheap enough to recompute on all 2,000 atoms here; the
+    # full reference reproduces every recorded value within 1e-15 relative
+    atoms, _ = record_atoms()
+    recorded = json.loads(RECORD.read_text())
+    for i, (u, _, _) in enumerate(POINTS):
+        assert _hex(REFERENCE[0](u, atoms)) == recorded[f"stable_cf[{i}]"], i
 
 
 @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.8, 0.99, 1.01, 1.2, 1.5, 1.9])
@@ -124,19 +229,36 @@ def test_hopeless_atom_among_benign_ones_raises():
 
 def test_fallbacks_and_quad_warnings_are_counted():
     # 200 and 1000 radians of oscillation per unit of y are beyond the finest
-    # tanh-sinh step, so both fall back to quad. Neither estimate comes within
-    # the 1e-8 tolerance (1.7e-8 and 5.5e-7, the sum of the real and imaginary
-    # parts' estimates), so each is retried at 4,000 subintervals, returns the
-    # same estimate and is accepted above tolerance (one count each); the
-    # second also raises one warning per attempt (two more)
+    # tanh-sinh step, so both fall back to quad. The first converges at 600
+    # subintervals (real and imaginary estimates 7.7e-9 and 9.3e-9, each within
+    # the 1e-8 tolerance). The second's real estimate, 5.4e-7, is not: it is
+    # retried at 4,000 subintervals, returns the same estimate and is accepted
+    # above tolerance (one count), with one warning per attempt (two more)
     atoms = _atoms(0.5, 2.0, [200.0, 0.5, 1000.0, -0.7])
     tv = limits.joint_cf_laplace(1.0, math.inf, 1.0, iid_cluster(0.5), p=2.0, atoms=atoms)
-    assert (tv.fallbacks, tv.quad_warnings) == (2, 4)
+    assert (tv.fallbacks, tv.quad_warnings) == (2, 3)
     per_atom = [limits._atom_log_damped(0.5, 2.0, b, 1.0, math.inf, limits.QUAD_TOL) for b in atoms.sum_q]
     assert tv.value == pytest.approx(np.exp(np.mean(per_atom)), abs=1e-12)
     settled = limits.joint_cf_laplace(1.0, math.inf, 1.0, iid_cluster(0.5), p=2.0,
                                       atoms=_atoms(0.5, 2.0, [0.5, -0.7]))
     assert (settled.fallbacks, settled.quad_warnings) == (0, 0)
+
+
+def test_converged_fallback_takes_one_quad_call(monkeypatch):
+    # quad holds the real and imaginary parts to epsabs separately, so an atom
+    # whose two estimates are each within tol is not retried
+    import scipy.integrate
+
+    quad, limits_seen = scipy.integrate.quad, []
+
+    def counted(*args, **kwargs):
+        limits_seen.append(kwargs["limit"])
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "quad", counted)
+    warned = []
+    limits._atom_log_damped(0.5, 2.0, 200.0, 1.0, math.inf, limits.QUAD_TOL, warned)
+    assert (limits_seen, warned) == ([600], [])
 
 
 # laplace_zeta at lam = 0.5, 1, 2 (n_mc 2000, seed 41) as (re, im, stderr)
@@ -240,5 +362,5 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         raise SystemExit("usage: PYTHONPATH=src python tests/test_transform_engine.py --record")
     RECORD.parent.mkdir(exist_ok=True)
-    RECORD.write_text(json.dumps({k: _hex(v) for k, v in transform_values().items()}, indent=1) + "\n")
+    RECORD.write_text(json.dumps({k: _hex(v) for k, v in transform_values(REFERENCE).items()}, indent=1) + "\n")
     print(f"wrote {RECORD}")
