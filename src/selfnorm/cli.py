@@ -4,7 +4,7 @@ Subcommands mirror the experiment kinds::
 
     selfnorm simulate  --config cfg.yaml [--seed N] [--workers W] [--out DIR]
     selfnorm limit     --config cfg.yaml ...
-    selfnorm transform --config cfg.yaml [--quad-tol T] [--cluster-mc M] ...
+    selfnorm transform --config cfg.yaml [--quad-tol T] ...
     selfnorm verify    --config cfg.yaml ...
     selfnorm diagnose  --config cfg.yaml ...
 
@@ -35,7 +35,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--workers", type=int, default=None, help="worker processes")
         p.add_argument("--out", default=None, help="output directory (artifacts under <out>/<name>/)")
         p.add_argument("--quad-tol", type=float, default=None, help="quadrature absolute tolerance")
-        p.add_argument("--cluster-mc", type=int, default=None, help="cluster Monte-Carlo sample size")
     return parser
 
 
@@ -49,8 +48,6 @@ def main(argv=None) -> int:
             config = dataclasses.replace(config, seed=args.seed)
         if args.quad_tol is not None:
             config = dataclasses.replace(config, quad_tol=args.quad_tol)
-        if args.cluster_mc is not None:
-            config = dataclasses.replace(config, cluster_mc=args.cluster_mc)
         report = run_experiment(config, out_dir=args.out, workers=args.workers)
     except SelfnormError as exc:
         print(f"error: {exc}", file=sys.stderr)

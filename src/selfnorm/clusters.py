@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -49,7 +48,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, SamplingError, UnsupportedError
-from .processes import ProcessModel, _simulate_rows, text_target, write_csv
+from .processes import ProcessModel, _simulate_rows
 from .rng import substream
 
 TRUNCATION_TARGET = 1e-10
@@ -68,9 +67,6 @@ class Estimate:
     stderr: float = 0.0
     reps: int = 0
     method: str = "closed_form"
-
-    def to_json(self) -> dict:
-        return {"estimate": self.value, "stderr": self.stderr, "reps": self.reps, "method": self.method}
 
 
 @dataclass(frozen=True)
@@ -544,9 +540,9 @@ class ClusterAtoms:
     """Weighted atoms of (sum Q, max|Q|, ||Q||_p^p, ||Q||_1).
 
     ``exact`` laws are the two atoms of an analytic kind. Otherwise the atoms
-    are the anchors of an empirical library, or ``reps`` draws from them, and
-    ``group`` holds each atom's library chain. ``norms`` maps every exponent q
-    the law was built for to ``||Q||_q^q``; ``norm_p_p`` is the one at ``p``.
+    are the ``reps`` anchors of an empirical library, and ``group`` holds each
+    atom's library chain. ``norms`` maps every exponent q the law was built
+    for to ``||Q||_q^q``; ``norm_p_p`` is the one at ``p``.
     A law with ``draw_chunk > 0`` is uniform and is drawn by ``rng.integers``
     calls of at most that many indices: the chunks are part of the draw
     sequence, and other sizes would change every seeded empirical result.
@@ -574,16 +570,6 @@ class ClusterAtoms:
             return np.concatenate([rng.integers(0, n, size=min(step, count - lo))
                                    for lo in range(0, count, step)] or [np.zeros(0, dtype=np.int64)])
         return np.minimum(np.searchsorted(np.cumsum(self.weights), rng.random(count), side="right"), n - 1)
-
-    def sample(self, count: int, rng: np.random.Generator) -> "ClusterAtoms":
-        """``count`` draws from a library law as equally weighted atoms, each
-        keeping its anchor's chain."""
-        k = self.draw(count, rng)
-        return ClusterAtoms(
-            alpha=self.alpha, p=self.p, weights=np.full(count, 1.0 / count), sum_q=self.sum_q[k],
-            max_abs=self.max_abs[k], norm_p_p=self.norm_p_p[k], sum_abs=self.sum_abs[k], exact=False,
-            reps=count, group=self.group[k], norms={q: v[k] for q, v in self.norms.items()},
-        )
 
     def tilted(self) -> "ClusterAtoms":
         """The tilted cluster law by exact reweighting: weights proportional to
@@ -632,22 +618,17 @@ def cluster_law(model: ClusterModel, exponents: Sequence[float]) -> ClusterAtoms
     )
 
 
-def _law_sample(model: ClusterModel, exponents: Sequence[float], n_mc: int, seed: int) -> ClusterAtoms:
-    """The cluster law when it is exact, else ``n_mc`` draws from it on the
-    stream of ``cluster_functionals(..., seed=seed)``."""
-    law = cluster_law(model, exponents)
-    return law if law.exact else law.sample(n_mc, substream(seed, 11))
-
-
-def cluster_atoms(model: ClusterModel, p: Optional[float] = None, n_mc: int = 10_000, seed: int = 0) -> ClusterAtoms:
+def cluster_atoms(model: ClusterModel, p: Optional[float] = None, n_mc=None, seed=None) -> ClusterAtoms:
     """The cluster law at ``p`` (default alpha + 1): the exact atoms of an
-    analytic kind, an ``n_mc``-draw resample of an empirical library."""
-    return _law_sample(model, (model.alpha + 1.0 if p is None else float(p),), n_mc, seed)
+    analytic kind, every anchor of an empirical library. ``n_mc`` and
+    ``seed`` are accepted for existing callers; no cluster kind reads them."""
+    return cluster_law(model, (model.alpha + 1.0 if p is None else float(p),))
 
 
-def tilted_atoms(model: ClusterModel, p: Optional[float] = None, n_mc: int = 10_000, seed: int = 0) -> ClusterAtoms:
-    """The :func:`cluster_atoms` sample reweighted to the tilted law."""
-    return cluster_atoms(model, p, n_mc, seed).tilted()
+def tilted_atoms(model: ClusterModel, p: Optional[float] = None, n_mc=None, seed=None) -> ClusterAtoms:
+    """The :func:`cluster_atoms` law reweighted to the tilted law; no cluster
+    kind reads ``n_mc`` or ``seed``."""
+    return cluster_atoms(model, p).tilted()
 
 
 def cluster_functionals(model: ClusterModel, count: int, p: float, seed=0, rng=None, extra_ps=()) -> dict:
@@ -678,12 +659,12 @@ def _weighted_estimate(atoms: ClusterAtoms, weight, value, method: str = "monte_
     """``sum w g v / sum w g`` over the atoms: w their weights, g ``weight``
     and v ``value`` (scalars or per-atom arrays, real or complex).
 
-    The stderr is 0 for exact atoms. For a library sample it is the
-    batch-means stderr over the chains in ``atoms.group``: the linearised
-    residuals ``w g (v - estimate)`` are summed per chain and the chain sums
-    taken as independent (Kuensch 1989, Ann. Statist. 17:1217). Anchors of one
-    chain are dependent, so this counts the noise of the library itself,
-    which the spread of the resampled draws does not see.
+    The stderr is 0 for exact atoms. For a library it is the batch-means
+    stderr over the chains in ``atoms.group``: the linearised residuals
+    ``w g (v - estimate)`` are summed per chain and the chain sums taken as
+    independent (Kuensch 1989, Ann. Statist. 17:1217). Anchors of one chain
+    are dependent, so this counts the noise of the library itself, which the
+    spread of the per-anchor values does not see.
     """
     a = atoms.weights * weight
     total = np.sum(a)
@@ -707,10 +688,10 @@ def extremal_index(model: ClusterModel, reps: int = 100_000, seed: int = 0, meth
 
     Exact for the analytic kinds (1 for iid, ``1 - |phi|^alpha`` for AR(1)).
     Empirical kinds use the running supremum of the multiplier products when
-    the source is an SRE,
-    ``theta = E[(1 - sup_{t>=1} |A_1...A_t|^alpha)_+]``, or the mean of
-    ``max|Q|^alpha`` over ``reps`` library draws (``method="cluster_max"``,
-    always available as a cross-check).
+    the source is an SRE, ``theta = E[(1 - sup_{t>=1} |A_1...A_t|^alpha)_+]``
+    over ``reps`` draws on ``seed``, or the mean of ``max|Q|^alpha`` over the
+    library anchors (``method="cluster_max"``, always available as a
+    cross-check, which reads neither ``reps`` nor ``seed``).
     """
     if method not in ("auto", "cluster_max", "sre_products"):
         raise ConfigurationError(
@@ -731,17 +712,17 @@ def extremal_index(model: ClusterModel, reps: int = 100_000, seed: int = 0, meth
             vals[done: done + m] = np.clip(1.0 - sup, 0.0, None)
             done += m
         return Estimate(float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(reps)), reps, "sre_products")
-    atoms = cluster_atoms(model, model.alpha, reps, seed)
+    atoms = cluster_atoms(model, model.alpha)
     return _weighted_estimate(atoms, 1.0, atoms.max_abs**model.alpha, "cluster_max")
 
 
-def cluster_moment(model: ClusterModel, p: float, reps: int = 10_000, seed: int = 0) -> Estimate:
+def cluster_moment(model: ClusterModel, p: float) -> Estimate:
     """E[||Q||_p^alpha]; equals 1 at p = alpha by the cluster normalisation."""
     if p <= 0:
         raise ConfigurationError("p must be positive")
-    atoms = cluster_atoms(model, p, reps, seed)
+    atoms = cluster_atoms(model, p)
     if p <= model.alpha and not atoms.exact:
-        raise UnsupportedError("Monte-Carlo cluster moments need p > alpha")
+        raise UnsupportedError("empirical cluster moments need p > alpha")
     return _weighted_estimate(atoms, 1.0, atoms.norm_p_p ** (model.alpha / p))
 
 
@@ -868,17 +849,3 @@ def verify_time_change(
 def _check_bound(vals: np.ndarray, f: BoundedFunctional) -> None:
     if np.any(np.abs(vals) > f.bound + 1e-12):
         raise ConfigurationError(f"functional {f.name!r} exceeded its declared bound {f.bound}")
-
-
-# ---------------------------------------------------------------------------
-# export
-
-
-def cluster_to_csv(draw: ClusterDraw, target) -> None:
-    """Write a cluster draw as CSV rows (t, value)."""
-    write_csv(target, ["t", "value"], zip(range(draw.t_min, draw.t_max + 1), draw.values))
-
-
-def estimate_to_json(est: Estimate, target) -> None:
-    with text_target(target) as fh:
-        json.dump(est.to_json(), fh, indent=2)

@@ -34,7 +34,7 @@ from .rng import derive_seed
 
 WORKERS_ENV = "SELFNORM_WORKERS"
 
-_SEED_PATHS = {"paths": 1, "series": 2, "oracle": 3, "transform": 4, "diagnose": 5, "cluster": 6}
+_SEED_PATHS = {"paths": 1, "series": 2, "diagnose": 5, "cluster": 6}
 
 
 def _seed_for(seed: int, purpose: str) -> int:
@@ -70,7 +70,7 @@ class ExperimentConfig:
     workers: int = 1
     z_bound: float = 3.0
     quad_tol: float = limits.QUAD_TOL
-    cluster_mc: int = limits.DEFAULT_CLUSTER_MC
+    cluster_mc: int = 10_000  # accepted and hashed, but no cluster expectation reads it
     out: Optional[str] = None
 
     KINDS = ("simulate", "limit", "transform", "verify", "diagnose")
@@ -612,8 +612,7 @@ def _run_transform(config: ExperimentConfig, workers: int):
         u=config.u_points or None, x=config.x_points or None, lam=config.lambda_points or None,
     )
     out = limits.evaluate_transform_grid(
-        config.transform, grid, cluster, p=config.p,
-        quad_tol=config.quad_tol, n_mc=config.cluster_mc, seed=_seed_for(config.seed, "transform"),
+        config.transform, grid, cluster, p=config.p, quad_tol=config.quad_tol,
     )
     rows = []
     for i in range(len(out)):
@@ -715,29 +714,29 @@ def _path_row(name: str, analytic: Estimate, vals: np.ndarray, z_bound: float) -
 
 
 def _check_greenwood(config, workers, cluster, paths):
-    analytic = oracles.expected_greenwood(cluster, p=config.p, seed=_seed_for(config.seed, "oracle"))
+    analytic = oracles.expected_greenwood(cluster, p=config.p)
     return [_path_row(f"greenwood_p{config.p:g}", analytic, paths["greenwood"], config.z_bound)]
 
 
 def _check_ratio_max(config, workers, cluster, paths):
-    analytic = oracles.expected_ratio_max(cluster, seed=_seed_for(config.seed, "oracle"))
+    analytic = oracles.expected_ratio_max(cluster)
     return [_path_row("ratio_max", analytic, paths["ratio_max"], config.z_bound)]
 
 
 def _check_ratio_student(config, workers, cluster, paths):
-    analytic = oracles.expected_ratio_student(cluster, p=config.p, seed=_seed_for(config.seed, "oracle"))
+    analytic = oracles.expected_ratio_student(cluster, p=config.p)
     return [_path_row(f"studentized_p{config.p:g}", analytic, paths["ratio_student"], config.z_bound)]
 
 
 def _check_kurtosis(config, workers, cluster, paths):
-    analytic = oracles.expected_kurtosis_limit(cluster, seed=_seed_for(config.seed, "oracle"))
+    analytic = oracles.expected_kurtosis_limit(cluster)
     return [_path_row("kurtosis", analytic, paths["kurtosis"], config.z_bound)]
 
 
 def _check_extremal_index(config, workers, cluster, paths):
     seed = _seed_for(config.seed, "cluster")
     acc = clusters.tilted_acceptance(cluster, reps=config.reps, seed=seed)
-    mx = clusters.extremal_index(cluster, reps=config.reps, seed=derive_seed(seed, 1), method="cluster_max")
+    mx = clusters.extremal_index(cluster, method="cluster_max")
     closed = None
     if cluster.kind in ("iid", "ar1_analytic"):
         closed = clusters.extremal_index(cluster)
@@ -768,8 +767,7 @@ def _check_lepage_laplace(config, workers, cluster, paths):
     zp = draws["zeta_p"] ** config.p
     lams = config.lambda_points or (0.5, 1.0, 2.0)
     # one cluster moment for every lambda, the one each laplace_zeta call would compute
-    moment = clusters.cluster_moment(cluster, config.p, reps=limits.DEFAULT_CLUSTER_MC,
-                                     seed=_seed_for(config.seed, "oracle"))
+    moment = clusters.cluster_moment(cluster, config.p)
     rows = []
     for lam in lams:
         closed = limits.laplace_zeta(lam, cluster, alpha, config.p, moment=moment)
@@ -809,7 +807,7 @@ def _check_self_decomposition(config, workers, cluster, paths):
     lam = (config.lambda_points or (1.0,))[0]
     c = 0.5
     alpha, p = cluster.alpha, config.p
-    kw = dict(p=p, quad_tol=config.quad_tol, n_mc=config.cluster_mc, seed=_seed_for(config.seed, "transform"))
+    kw = dict(p=p, quad_tol=config.quad_tol)
     full = limits.joint_cf_laplace(u, math.inf, lam, cluster, **kw)
     part = limits.joint_cf_laplace(c * u, math.inf, c**p * lam, cluster, **kw)
     rhs = part.value * full.value ** (1.0 - c**alpha)

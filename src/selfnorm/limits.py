@@ -46,7 +46,6 @@ from .processes import write_csv
 from .rng import substreams
 
 QUAD_TOL = 1e-8
-DEFAULT_CLUSTER_MC = 10_000
 DEFAULT_N_TERMS = 10_000
 # values per block of the series sampler's arithmetic (about 2 MB per array)
 _SERIES_BLOCK = 250_000
@@ -54,10 +53,11 @@ _SERIES_BLOCK = 250_000
 
 @dataclass(frozen=True)
 class TransformValue:
-    """A transform evaluation with the cluster-MC standard error (0 when the
-    cluster expectations are exact), the number of atoms whose damped integral
-    fell back to adaptive quadrature, and the warnings that quadrature
-    raised, each fallback accepted above its tolerance counted as one more."""
+    """A transform evaluation with the standard error of its cluster
+    expectations (0 when they are exact, else the batch-means stderr over the
+    library chains), the number of atoms whose damped integral fell back to
+    adaptive quadrature, and the warnings that quadrature raised, each
+    fallback accepted above its tolerance counted as one more."""
 
     value: complex
     stderr: float = 0.0
@@ -283,21 +283,28 @@ def _damped_log(alpha: float, p: float, b, c, x_m, tol: float):
 
 
 def _quad_complex(f, lo, hi, tol: float, warned: list) -> complex:
-    """Adaptive quadrature of a complex integrand, retried at a larger
-    subinterval limit unless its error estimate is within ``tol``: the larger
-    of the real and imaginary parts' estimates, since quad holds each part to
-    ``epsabs`` separately. ``warned`` gets every warning quad raises, and one
-    entry per result accepted above tol."""
+    """Adaptive quadrature of a complex integrand. Its error estimate is the
+    larger of the real and imaginary parts' estimates, since quad holds each
+    part to ``epsabs`` separately. An estimate above ``tol`` is retried at a
+    larger subinterval limit only when a part used every subinterval; a part
+    stopped by roundoff returns the same estimate at any limit. ``warned``
+    gets every warning raised and every message quad returns, and one entry
+    per result accepted above tol."""
     from scipy.integrate import quad  # a rare fallback: kept out of the package import
 
     for limit in (600, 4000):
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
-            val, err = quad(f, lo, hi, epsabs=tol, epsrel=0.0, limit=limit, complex_func=True)
+            val, err, parts = quad(f, lo, hi, epsabs=tol, epsrel=0.0, limit=limit, complex_func=True,
+                                   full_output=1)
         warned.extend(seen)
-        err_tot = max(abs(err.real), abs(err.imag)) if isinstance(err, complex) else abs(err)
+        # each part is (infodict,) when it converged, else (infodict, message)
+        warned.extend(part[1] for part in parts.values() if len(part) > 1)
+        err_tot = max(abs(err.real), abs(err.imag))
         if err_tot <= tol:
             return val
+        if all(part[0]["last"] < limit for part in parts.values()):
+            break
     if err_tot <= max(100.0 * tol, 1e-6):
         warned.append(f"accepted at estimated error {err_tot:.2e} above tol {tol:.2e}")
         return val
@@ -374,8 +381,6 @@ def stable_cf(
     u: float,
     cluster: ClusterModel,
     alpha: Optional[float] = None,
-    n_mc: int = DEFAULT_CLUSTER_MC,
-    seed: int = 0,
     atoms: Optional[ClusterAtoms] = None,
 ) -> TransformValue:
     """Characteristic function of the alpha-stable sum limit.
@@ -384,13 +389,13 @@ def stable_cf(
     ``sigma^alpha(u) = E|u sum Q_t|^alpha`` and the skewness ``beta(u)`` the
     normalised difference of the positive and negative alpha-moments of
     ``u sum Q_t``. Cluster expectations are exact for the analytic kinds and
-    Monte-Carlo (with reported standard error) otherwise.
+    sums over the library anchors (with reported standard error) otherwise.
     """
     alpha = cluster.alpha if alpha is None else float(alpha)
     _check_cluster_alpha(cluster, alpha)
     _validate_alpha_transform(alpha)
     if atoms is None:
-        atoms = cluster_atoms(cluster, n_mc=n_mc, seed=seed)
+        atoms = cluster_atoms(cluster)
     log_val, se_log = _weighted_log(atoms, _stable_atom(u * atoms.sum_q, alpha))
     val = cmath.exp(log_val)
     if atoms.exact or u == 0:
@@ -403,8 +408,6 @@ def hybrid_cf(
     x: float,
     cluster: ClusterModel,
     alpha: Optional[float] = None,
-    n_mc: int = DEFAULT_CLUSTER_MC,
-    seed: int = 0,
     atoms: Optional[ClusterAtoms] = None,
 ) -> TransformValue:
     """Joint transform ``E[e^{iu xi} 1(eta <= x)]`` of the sum and max limits.
@@ -419,7 +422,7 @@ def hybrid_cf(
     if x <= 0:
         raise ConfigurationError("x must be positive")
     if atoms is None:
-        atoms = cluster_atoms(cluster, n_mc=n_mc, seed=seed)
+        atoms = cluster_atoms(cluster)
     b = u * atoms.sum_q
     with np.errstate(divide="ignore"):
         x_m = x / atoms.max_abs
@@ -434,8 +437,8 @@ def laplace_zeta(
     cluster: ClusterModel,
     alpha: Optional[float] = None,
     p: float = 2.0,
-    reps: int = DEFAULT_CLUSTER_MC,
-    seed: int = 0,
+    reps=None,
+    seed=None,
     moment: Optional[Estimate] = None,
 ) -> TransformValue:
     """Laplace transform ``E[e^{-lam zeta_p^p}]`` of the modulus limit:
@@ -443,8 +446,9 @@ def laplace_zeta(
 
     The cluster-moment factor at most 1 quantifies extremal clustering: the
     dependent value is always >= the iid value at every lam. ``moment``, when
-    given, is ``cluster_moment(cluster, p, reps, seed)`` computed once by the
-    caller.
+    given, is ``cluster_moment(cluster, p)`` computed once by the caller.
+    ``reps`` and ``seed`` are accepted for existing callers; no cluster kind
+    reads them.
     """
     alpha = cluster.alpha if alpha is None else float(alpha)
     _check_cluster_alpha(cluster, alpha)
@@ -453,7 +457,7 @@ def laplace_zeta(
     if lam < 0:
         raise ConfigurationError("lam must be >= 0")
     if moment is None:
-        moment = cluster_moment(cluster, p, reps=reps, seed=seed)
+        moment = cluster_moment(cluster, p)
     g = gamma_fn(1.0 - alpha / p)
     val = math.exp(-g * moment.value * lam ** (alpha / p))
     se = val * g * lam ** (alpha / p) * moment.stderr
@@ -468,8 +472,6 @@ def joint_cf_laplace(
     alpha: Optional[float] = None,
     p: float = 2.0,
     quad_tol: float = QUAD_TOL,
-    n_mc: int = DEFAULT_CLUSTER_MC,
-    seed: int = 0,
     atoms: Optional[ClusterAtoms] = None,
 ) -> TransformValue:
     """Joint transform ``E[e^{iu xi} 1(eta <= x) e^{-lam zeta_p^p}]``.
@@ -488,7 +490,7 @@ def joint_cf_laplace(
     if lam < 0:
         raise ConfigurationError("lam must be >= 0")
     if atoms is None:
-        atoms = cluster_atoms(cluster, p=p, n_mc=n_mc, seed=seed)
+        atoms = cluster_atoms(cluster, p=p)
     if lam == 0.0:
         return hybrid_cf(u, x, cluster, alpha, atoms=atoms)
     with np.errstate(divide="ignore"):
@@ -506,8 +508,6 @@ def ratio_modulus_laplace(
     cluster: ClusterModel,
     alpha: Optional[float] = None,
     p: float = 2.0,
-    n_mc: int = DEFAULT_CLUSTER_MC,
-    seed: int = 0,
     atoms: Optional[ClusterAtoms] = None,
 ) -> TransformValue:
     """Laplace transform of ``(zeta_p / eta)^p``, the p-th power of the
@@ -527,7 +527,7 @@ def ratio_modulus_laplace(
     if lam < 0:
         raise ConfigurationError("lam must be >= 0")
     if atoms is None:
-        atoms = tilted_atoms(cluster, p=p, n_mc=n_mc, seed=seed)
+        atoms = tilted_atoms(cluster, p=p)
     c, a = lam * atoms.norm_p_p, alpha / p
     num_terms = np.exp(-c)
     # exactly 1 where c = 0
@@ -541,8 +541,6 @@ def ratio_cf(
     u: float,
     cluster: ClusterModel,
     alpha: Optional[float] = None,
-    n_mc: int = DEFAULT_CLUSTER_MC,
-    seed: int = 0,
     atoms: Optional[ClusterAtoms] = None,
 ) -> TransformValue:
     """Characteristic function of the sum/max ratio limit xi/eta.
@@ -557,7 +555,7 @@ def ratio_cf(
     _check_cluster_alpha(cluster, alpha)
     _validate_alpha_transform(alpha)
     if atoms is None:
-        atoms = tilted_atoms(cluster, n_mc=n_mc, seed=seed)
+        atoms = tilted_atoms(cluster)
     s = atoms.sum_q
     if float(np.abs(np.sum(atoms.weights * s))) < 1e-12 and float(np.sum(atoms.weights * s**2)) < 1e-12:
         raise DegeneratePathError(
@@ -795,19 +793,17 @@ def evaluate_transform_grid(
     alpha: Optional[float] = None,
     p: float = 2.0,
     quad_tol: float = QUAD_TOL,
-    n_mc: int = DEFAULT_CLUSTER_MC,
-    seed: int = 0,
 ) -> TransformGrid:
     """Evaluate one of the limit transforms on every row of a grid."""
     alpha = cluster.alpha if alpha is None else float(alpha)
     out = TransformGrid.from_points(u=grid.u, x=grid.x, lam=grid.lam, method=kind)
     if kind == "ratio_cf":
-        atoms = tilted_atoms(cluster, p=p, n_mc=n_mc, seed=seed)
+        atoms = tilted_atoms(cluster, p=p)
     elif kind == "laplace_zeta":
         # reads only the cluster moment; a p <= alpha row raises before it is used
-        moment = cluster_moment(cluster, p, reps=n_mc, seed=seed) if p > alpha else None
+        moment = cluster_moment(cluster, p) if p > alpha else None
     else:
-        atoms = cluster_atoms(cluster, p=p, n_mc=n_mc, seed=seed)
+        atoms = cluster_atoms(cluster, p=p)
     for i in range(len(out)):
         u = 0.0 if math.isnan(out.u[i]) else out.u[i]
         x = math.inf if math.isnan(out.x[i]) else out.x[i]
@@ -817,7 +813,7 @@ def evaluate_transform_grid(
         elif kind == "hybrid_cf":
             tv = hybrid_cf(u, x, cluster, alpha, atoms=atoms)
         elif kind == "laplace_zeta":
-            tv = laplace_zeta(lam, cluster, alpha, p, reps=n_mc, seed=seed, moment=moment)
+            tv = laplace_zeta(lam, cluster, alpha, p, moment=moment)
         elif kind == "joint_cf_laplace":
             tv = joint_cf_laplace(u, x, lam, cluster, alpha, p, quad_tol=quad_tol, atoms=atoms)
         elif kind == "ratio_cf":

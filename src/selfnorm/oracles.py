@@ -4,9 +4,9 @@ pipeline.
 Each oracle evaluates a gamma-factor times a cluster expectation, one weighted
 mean over the atoms of the cluster law (``clusters.cluster_atoms``). For the
 analytic cluster kinds the law is two exact atoms and the expectation is exact;
-for empirical kinds it is a resample of the block library, and the reported
-standard error is by batch means over the library's chains, so it includes the
-noise of the library itself. Gamma functions come from scipy (Lanczos-grade,
+for empirical kinds it is the exact sum over every anchor of the block library,
+and the reported standard error is by batch means over the library's chains,
+so it is the noise of the library itself. Gamma functions come from scipy (Lanczos-grade,
 relative error far below Monte-Carlo noise).
 
 Oracles with a gamma factor of the form Gamma((1 - alpha)/p) are fully
@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import gamma as gamma_fn
 
-from .clusters import ClusterAtoms, ClusterModel, Estimate, _law_sample, _weighted_estimate, cluster_atoms
+from .clusters import ClusterAtoms, ClusterModel, Estimate, _weighted_estimate, cluster_atoms, cluster_law
 from .errors import ConfigurationError, DegeneratePathError, NumericalError, UnsupportedError
 
 
@@ -81,18 +81,19 @@ def _require_positive_cluster(atoms: ClusterAtoms) -> None:
 def expected_ratio_max(
     cluster: ClusterModel,
     alpha: Optional[float] = None,
-    n_mc: int = 100_000,
-    seed: int = 0,
+    n_mc=None,
+    seed=None,
 ) -> Estimate:
     """Mean of the sum/max ratio limit: ``E[sum Qtilde] / (1 - alpha)``, the
     ``max|Q|^alpha``-weighted mean of ``sum Q / max|Q|`` (``q+ - q-`` for the
     iid kind, ``(q+ - q-) / (1 - phi)`` for the AR(1) kind). For alpha > 1 the
-    formula applies to the mean-centered model.
+    formula applies to the mean-centered model. ``n_mc`` and ``seed`` are
+    accepted for existing callers; no cluster kind reads them.
     """
     a = _alpha_of(cluster, alpha)
     if a == 1.0:
         raise UnsupportedError("alpha = 1 is outside the supported domain")
-    atoms = cluster_atoms(cluster, max(a, 1.0) + 1.0, n_mc, seed)
+    atoms = cluster_atoms(cluster, max(a, 1.0) + 1.0)
     tilted_sum = atoms.sum_q / atoms.max_abs
     if np.all(np.abs(tilted_sum) < 1e-12):
         raise DegeneratePathError("tilted-cluster sum vanishes a.s.; ratio limit degenerate")
@@ -104,8 +105,6 @@ def expected_ratio_student(
     cluster: ClusterModel,
     alpha: Optional[float] = None,
     p: float = 2.0,
-    n_mc: int = 100_000,
-    seed: int = 0,
 ) -> Estimate:
     """Mean of the studentized-sum limit xi / zeta_p:
 
@@ -121,7 +120,7 @@ def expected_ratio_student(
     if arg <= 0.0 and float(arg).is_integer():
         raise UnsupportedError("Gamma((1-alpha)/p) hits a pole; combination rejected")
     gfac = gamma_fn(arg) / (gamma_fn(1.0 / p) * gamma_fn(1.0 - a / p))
-    atoms = cluster_atoms(cluster, p, n_mc, seed)
+    atoms = cluster_atoms(cluster, p)
     norm_p = atoms.norm_p_p ** (1.0 / p)
     cluster_factor = _weighted_estimate(atoms, norm_p**a, atoms.sum_q / norm_p)
     method = cluster_factor.method
@@ -157,20 +156,21 @@ def expected_greenwood(
     cluster: ClusterModel,
     alpha: Optional[float] = None,
     p: float = 2.0,
-    n_mc: int = 100_000,
-    seed: int = 0,
+    n_mc=None,
+    seed=None,
 ) -> Estimate:
     """Limit mean of the ratio statistic ``sum X^p / (sum X)^p``:
 
     ``Gamma(p - a) / (Gamma(p) Gamma(1 - a))`` times the
     ``||Q||_1^alpha``-weighted mean of ``||Q||_p^p / ||Q||_1^p``; the gamma
-    ratio alone in the iid case (value ``1 - alpha`` at p = 2).
+    ratio alone in the iid case (value ``1 - alpha`` at p = 2). ``n_mc`` and
+    ``seed`` are accepted for existing callers; no cluster kind reads them.
     """
     a = _alpha_of(cluster, alpha)
     if a >= 1.0 or a >= p:
         raise UnsupportedError("requires alpha < min(p, 1)")
     gfac = gamma_fn(p - a) / (gamma_fn(p) * gamma_fn(1.0 - a))
-    atoms = cluster_atoms(cluster, p, n_mc, seed)
+    atoms = cluster_atoms(cluster, p)
     _require_positive_cluster(atoms)
     factor = _weighted_estimate(atoms, atoms.sum_abs**a, atoms.norm_p_p / atoms.sum_abs**p)
     return Estimate(gfac * factor.value, gfac * factor.stderr, factor.reps, factor.method)
@@ -179,8 +179,6 @@ def expected_greenwood(
 def expected_kurtosis_limit(
     cluster: ClusterModel,
     alpha: Optional[float] = None,
-    n_mc: int = 100_000,
-    seed: int = 0,
 ) -> Estimate:
     """Limit mean of the scaled sample kurtosis ``||X||_4^4 / ||X||_2^4``:
 
@@ -191,7 +189,7 @@ def expected_kurtosis_limit(
     a = _alpha_of(cluster, alpha)
     if not (0.0 < a < 2.0):
         raise UnsupportedError("requires alpha in (0, 2)")
-    atoms = _law_sample(cluster, (2.0, 4.0), n_mc, seed)
+    atoms = cluster_law(cluster, (2.0, 4.0))
     n2 = atoms.norm_p_p
     factor = _weighted_estimate(atoms, n2 ** (a / 2.0), atoms.norms[4.0] / n2**2)
     return Estimate((1.0 - a / 2.0) * factor.value, (1.0 - a / 2.0) * factor.stderr, factor.reps, factor.method)

@@ -78,16 +78,16 @@ def digests(name: str) -> dict:
     out["tilted_functionals_p_alpha1"] = _dict_digests(clusters.tilted_functionals(c, 2000, a + 1.0, seed=31))
     out["lepage_batch"] = _dict_digests(
         limits.sample_limit_lepage_batch(c, a, 2.0, reps=20, n_terms=300, seed=40, first_index=5))
-    out["cluster_atoms"] = _atoms(clusters.cluster_atoms(c, p=2.0, n_mc=2000, seed=41))
-    out["tilted_atoms"] = _atoms(clusters.tilted_atoms(c, p=2.0, n_mc=2000, seed=42))
+    out["cluster_atoms"] = _atoms(clusters.cluster_atoms(c, p=2.0))
+    out["tilted_atoms"] = _atoms(clusters.tilted_atoms(c, p=2.0))
     out["tilted_acceptance"] = _estimate(clusters.tilted_acceptance(c, 5000, seed=43))
     out["extremal_index_cluster_max"] = _estimate(
         clusters.extremal_index(c, 5000, seed=44, method="cluster_max"))
-    out["cluster_moment"] = _estimate(clusters.cluster_moment(c, 2.0, reps=5000, seed=45))
-    out["expected_greenwood"] = _estimate(oracles.expected_greenwood(c, p=2.0, n_mc=20_000, seed=50))
-    out["expected_ratio_max"] = _estimate(oracles.expected_ratio_max(c, n_mc=20_000, seed=51))
-    out["expected_ratio_student"] = _estimate(oracles.expected_ratio_student(c, p=2.0, n_mc=20_000, seed=52))
-    out["expected_kurtosis_limit"] = _estimate(oracles.expected_kurtosis_limit(c, n_mc=20_000, seed=53))
+    out["cluster_moment"] = _estimate(clusters.cluster_moment(c, 2.0))
+    out["expected_greenwood"] = _estimate(oracles.expected_greenwood(c, p=2.0))
+    out["expected_ratio_max"] = _estimate(oracles.expected_ratio_max(c))
+    out["expected_ratio_student"] = _estimate(oracles.expected_ratio_student(c, p=2.0))
+    out["expected_kurtosis_limit"] = _estimate(oracles.expected_kurtosis_limit(c))
     return out
 
 

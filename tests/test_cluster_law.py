@@ -168,7 +168,7 @@ class TestEmpiricalLaw:
             assert abs(np.mean(f["sum_q"] <= v) - p) <= 4 * math.sqrt(p * (1 - p) / 200_000)
 
     def test_tilted_atoms_reweight_cluster_atoms(self, emp):
-        a, t = cluster_atoms(emp, p=2.0, n_mc=500, seed=7), tilted_atoms(emp, p=2.0, n_mc=500, seed=7)
+        a, t = cluster_atoms(emp, p=2.0), tilted_atoms(emp, p=2.0)
         w = a.max_abs**emp.alpha
         assert np.allclose(t.weights, w / w.sum(), rtol=REL)
         assert np.allclose(t.norm_p_p, a.norm_p_p / a.max_abs**2, rtol=REL)
@@ -219,6 +219,95 @@ def test_stderr_covers_library_seed_spread():
     for name, ests in (("greenwood", greenwood), ("extremal_index", theta)):
         ratio = np.std([e.value for e in ests], ddof=1) / np.mean([e.stderr for e in ests])
         assert 0.5 <= ratio <= 2.0, (name, ratio)
+
+
+class TestExactSums:
+    """On an empirical cluster every expectation is the explicit 1/n-weighted
+    sum over the ``cluster_law`` columns, one term per library anchor, and its
+    stderr is the batch-means stderr over all of them. The ``n_mc``, ``seed``
+    and ``reps`` keywords that some calls still accept change nothing."""
+
+    A, U, X, LAM = 0.5, 0.8, 1.5, 0.7
+
+    @pytest.fixture(scope="class")
+    def c(self):
+        # a positive cluster, so that the greenwood oracle applies
+        return empirical_cluster(ar1_model(0.5, NoiseSpec("pareto", self.A, (1.0, 0.0))),
+                                 sample_length=200_000, library_seed=3)
+
+    @staticmethod
+    def _mean(law, v):
+        return np.sum(np.full(len(law.weights), 1.0 / len(law.weights)) * v)
+
+    def _ratio(self, law, g, v):
+        return self._mean(law, g * v) / self._mean(law, g)
+
+    def test_oracles_and_moments(self, c):
+        a = self.A
+        law = cluster_law(c, (2.0, 4.0))
+        n2, n4, m, s, l1 = law.norm_p_p, law.norms[4.0], law.max_abs, law.sum_q, law.sum_abs
+        gs = gamma_fn((1 - a) / 2) / (gamma_fn(0.5) * gamma_fn(1 - a / 2))
+        gg = gamma_fn(2 - a) / gamma_fn(1 - a)
+        cases = [
+            (expected_ratio_max(c), 1 / (1 - a), m**a, s / m),
+            (expected_ratio_student(c, p=2.0), gs, n2 ** (a / 2), s / np.sqrt(n2)),
+            (expected_greenwood(c, p=2.0), gg, l1**a, n2 / l1**2),
+            (expected_kurtosis_limit(c), 1 - a / 2, n2 ** (a / 2), n4 / n2**2),
+            (cluster_moment(c, 2.0), 1.0, 1.0, n2 ** (a / 2)),
+            (extremal_index(c, method="cluster_max"), 1.0, 1.0, m**a),
+        ]
+        for est, factor, g, v in cases:
+            assert est.value == pytest.approx(factor * self._ratio(law, g, v), rel=1e-14, abs=0.0)
+            assert est.stderr == pytest.approx(abs(factor) * _weighted_estimate(law, g, v).stderr, rel=1e-14)
+            assert est.reps == len(law.weights) == c._empirical_library().n_anchors
+
+    def test_transforms(self, c):
+        from selfnorm import limits
+
+        a, u, x, lam = self.A, self.U, self.X, self.LAM
+        law = cluster_law(c, (2.0,))
+        s, m, n2 = law.sum_q, law.max_abs, law.norm_p_p
+        stable = limits._stable_atom(u * s, a)
+        hybrid = stable - limits._tail_exp_integral(a, u * s, x / m)
+        damped = limits._damped_log(a, 2.0, u * s, lam * n2, x / m, limits.QUAD_TOL)[0]
+        for tv, per_atom in ((limits.stable_cf(u, c), stable), (limits.hybrid_cf(u, x, c), hybrid),
+                             (limits.joint_cf_laplace(u, x, lam, c, p=2.0), damped)):
+            want = np.exp(self._mean(law, per_atom))
+            assert abs(tv.value - want) <= 1e-14 * abs(want)
+            assert tv.stderr == pytest.approx(abs(want) * _weighted_estimate(law, 1.0, per_atom).stderr, rel=1e-12)
+        # the tilted ratio transforms: ratios of max|Q|^alpha-weighted sums
+        st = s / m
+        num = np.exp(1j * u * st)
+        den = limits._tail_exp_integral(a, u * st, 1.0) - limits._stable_atom(u * st, a)
+        want = self._mean(law, m**a * num) / self._mean(law, m**a * den)
+        assert abs(limits.ratio_cf(u, c).value - want) <= 1e-14 * abs(want)
+        cq, r = lam * n2 / m**2, a / 2
+        num = np.exp(-cq)
+        den = num + cq**r * limits.gammainc(1 - r, cq) * gamma_fn(1 - r)
+        want = self._mean(law, m**a * num) / self._mean(law, m**a * den)
+        assert limits.ratio_modulus_laplace(lam, c, p=2.0).value.real == pytest.approx(want, rel=1e-14)
+        want = math.exp(-gamma_fn(1 - a / 2) * self._mean(law, n2 ** (a / 2)) * lam ** (a / 2))
+        assert limits.laplace_zeta(lam, c, p=2.0).value.real == pytest.approx(want, rel=1e-14)
+
+    def test_kept_keywords_change_nothing(self, c):
+        def bits(obj):
+            if isinstance(obj, ClusterAtoms):
+                return [obj.weights.tobytes(), obj.sum_q.tobytes(), obj.max_abs.tobytes(),
+                        obj.norm_p_p.tobytes(), obj.sum_abs.tobytes(), obj.group.tobytes()]
+            return [complex(obj.value).real.hex(), complex(obj.value).imag.hex(), float(obj.stderr).hex()]
+
+        from selfnorm import limits
+
+        calls = [
+            lambda k, seed: cluster_atoms(c, p=2.0, n_mc=k, seed=seed),
+            lambda k, seed: tilted_atoms(c, p=2.0, n_mc=k, seed=seed),
+            lambda k, seed: limits.laplace_zeta(self.LAM, c, p=2.0, reps=k, seed=seed),
+            lambda k, seed: expected_greenwood(c, p=2.0, n_mc=k, seed=seed),
+            lambda k, seed: expected_ratio_max(c, n_mc=k, seed=seed),
+            lambda k, seed: extremal_index(c, reps=k, seed=seed, method="cluster_max"),
+        ]
+        for call in calls:
+            assert bits(call(500, 1)) == bits(call(100_000, 7))
 
 
 def _lognormal_ab(rng, size):

@@ -724,13 +724,10 @@ def _writer_cases():
     grid = limits.TransformGrid.from_points(u=[0.5, 1.0], x=[1.0])
     grid.values[:] = [1 + 2j, 3 - 4j]
     grid.stderr[:] = [0.1, 0.2]
-    draw = clusters.sample_cluster(clusters.ar1_cluster(-0.5, 0.8), horizon=4, seed=1)
     path = processes.sample_path(processes.iid_model(processes.NoiseSpec("pareto", 0.5)), 5, seed=1)
     decay = diagnostics.DecaySeries(np.arange(1, 4), np.array([0.5, 0.25, 0.125]), np.array([0.01, 0.02, 0.03]),
                                     -0.69, 0.99)
     return {
-        "cluster_to_csv": lambda t: clusters.cluster_to_csv(draw, t),
-        "estimate_to_json": lambda t: clusters.estimate_to_json(clusters.Estimate(0.5, 0.01, 100, "mc"), t),
         "TransformGrid.to_csv": grid.to_csv,
         "Report.rows_to_csv": Report([ReportRow("a", 1.0, None, 0.1, -0.3, True),
                                       ReportRow("b", None, 2.5, None, None, False)], {}).rows_to_csv,

@@ -46,7 +46,7 @@ class TestRatioMax:
         mc = f["sum_q"].mean() / (1 - 0.5)
         assert mc == pytest.approx(4.0, rel=1e-12)  # two-atom law is exact here
         emp = empirical_cluster(ar1_model(0.5, NoiseSpec("pareto", 0.5, (1.0, 0.0))), sample_length=10**6)
-        est = expected_ratio_max(emp, n_mc=50_000, seed=2)
+        est = expected_ratio_max(emp)
         assert abs(est.value - 4.0) < 0.15 + 3 * est.stderr
 
     def test_alpha_above_one(self):
@@ -87,7 +87,7 @@ class TestRatioStudent:
     def test_empirical_matches_analytic(self):
         emp = empirical_cluster(ar1_model(0.5, NoiseSpec("pareto", 0.5, (1.0, 0.0))), sample_length=10**6)
         closed = expected_ratio_student(ar1_cluster(0.5, 0.5, (1.0, 0.0)), p=2.0).value
-        est = expected_ratio_student(emp, p=2.0, n_mc=50_000, seed=3)
+        est = expected_ratio_student(emp, p=2.0)
         assert abs(est.value - closed) < 0.08 * abs(closed) + 3 * est.stderr
 
     def test_iid_path_mc_cross_check(self, within_se, pareto_pos_half):

@@ -2,13 +2,13 @@
 
 ``tests/data/transform_reference.json`` holds, as float hex, the values and
 standard errors of ``stable_cf``, ``hybrid_cf``, ``joint_cf_laplace`` (x finite
-and x = inf) and ``ratio_cf`` on an empirical AR(1) cluster, computed by the
-per-atom reference engine below (mpmath ``expint`` and adaptive ``quad`` for
-every atom), which shares no per-atom code with the array engine. The array
-engine must stay within 1e-10 relative of them.
+and x = inf) and ``ratio_cf`` on every anchor of an empirical AR(1) cluster,
+computed by the per-atom reference engine below (mpmath ``expint`` and
+adaptive ``quad`` for every atom), which shares no per-atom code with the
+array engine. The array engine must stay within 1e-10 relative of them.
 
 Regenerate the record (only for a deliberate change of value, which
-CHANGES.md must then explain; it takes about 20 s) with::
+CHANGES.md must then explain; it takes a few seconds) with::
 
     PYTHONPATH=src python tests/test_transform_engine.py --record
 """
@@ -34,7 +34,7 @@ from selfnorm.experiments import cluster_from_dict
 
 RECORD = Path(__file__).parent / "data" / "transform_reference.json"
 
-# the empirical AR(1) cluster of test_bit_identity, with its atom draws
+# the empirical AR(1) cluster of test_bit_identity (185 anchors)
 AR1_CLUSTER = {"kind": "empirical",
                "source": {"kind": "ar1", "phi": 0.5,
                           "noise": {"kind": "pareto", "alpha": 0.5, "q_plus": 1.0, "q_minus": 0.0}},
@@ -44,10 +44,9 @@ POINTS = [(0.5, 1.0, 0.5), (1.0, 2.0, 1.0), (-0.8, 0.7, 0.3), (2.5, 3.0, 2.0)]
 
 
 def record_atoms() -> tuple[ClusterAtoms, ClusterAtoms]:
-    """The recorded cluster's atom draws and tilted atom draws."""
+    """The recorded cluster's atoms and tilted atoms."""
     c = cluster_from_dict(AR1_CLUSTER)
-    return (clusters.cluster_atoms(c, p=2.0, n_mc=2000, seed=41),
-            clusters.tilted_atoms(c, p=2.0, n_mc=2000, seed=42))
+    return clusters.cluster_atoms(c, p=2.0), clusters.tilted_atoms(c, p=2.0)
 
 
 def transform_values(engine=None, atoms=None, tilted=None) -> dict:
@@ -180,8 +179,8 @@ def test_reference_engine_on_a_few_atoms():
 
 
 def test_reference_engine_reproduces_recorded_stable_cf():
-    # the one family cheap enough to recompute on all 2,000 atoms here; the
-    # full reference reproduces every recorded value within 1e-15 relative
+    # the one family cheap enough to recompute on every atom here; the full
+    # reference is what the record holds
     atoms, _ = record_atoms()
     recorded = json.loads(RECORD.read_text())
     for i, (u, _, _) in enumerate(POINTS):
@@ -231,12 +230,12 @@ def test_fallbacks_and_quad_warnings_are_counted():
     # 200 and 1000 radians of oscillation per unit of y are beyond the finest
     # tanh-sinh step, so both fall back to quad. The first converges at 600
     # subintervals (real and imaginary estimates 7.7e-9 and 9.3e-9, each within
-    # the 1e-8 tolerance). The second's real estimate, 5.4e-7, is not: it is
-    # retried at 4,000 subintervals, returns the same estimate and is accepted
-    # above tolerance (one count), with one warning per attempt (two more)
+    # the 1e-8 tolerance). The second's real estimate, 5.4e-7, is not: quad
+    # stops on roundoff (one count) and the result is accepted above tolerance
+    # (one more) without a retry
     atoms = _atoms(0.5, 2.0, [200.0, 0.5, 1000.0, -0.7])
     tv = limits.joint_cf_laplace(1.0, math.inf, 1.0, iid_cluster(0.5), p=2.0, atoms=atoms)
-    assert (tv.fallbacks, tv.quad_warnings) == (2, 3)
+    assert (tv.fallbacks, tv.quad_warnings) == (2, 2)
     per_atom = [limits._atom_log_damped(0.5, 2.0, b, 1.0, math.inf, limits.QUAD_TOL) for b in atoms.sum_q]
     assert tv.value == pytest.approx(np.exp(np.mean(per_atom)), abs=1e-12)
     settled = limits.joint_cf_laplace(1.0, math.inf, 1.0, iid_cluster(0.5), p=2.0,
@@ -244,34 +243,49 @@ def test_fallbacks_and_quad_warnings_are_counted():
     assert (settled.fallbacks, settled.quad_warnings) == (0, 0)
 
 
-def test_converged_fallback_takes_one_quad_call(monkeypatch):
-    # quad holds the real and imaginary parts to epsabs separately, so an atom
-    # whose two estimates are each within tol is not retried
+@pytest.fixture
+def quad_limits(monkeypatch) -> list:
+    """The subinterval limit of every ``scipy.integrate.quad`` call."""
     import scipy.integrate
 
-    quad, limits_seen = scipy.integrate.quad, []
+    quad, seen = scipy.integrate.quad, []
 
     def counted(*args, **kwargs):
-        limits_seen.append(kwargs["limit"])
+        seen.append(kwargs["limit"])
         return quad(*args, **kwargs)
 
     monkeypatch.setattr(scipy.integrate, "quad", counted)
+    return seen
+
+
+def test_converged_fallback_takes_one_quad_call(quad_limits):
+    # quad holds the real and imaginary parts to epsabs separately, so an atom
+    # whose two estimates are each within tol is not retried
     warned = []
     limits._atom_log_damped(0.5, 2.0, 200.0, 1.0, math.inf, limits.QUAD_TOL, warned)
-    assert (limits_seen, warned) == ([600], [])
+    assert (quad_limits, warned) == ([600], [])
 
 
-# laplace_zeta at lam = 0.5, 1, 2 (n_mc 2000, seed 41) as (re, im, stderr)
-# float hex, equal to one laplace_zeta call per row (which recomputes the
-# cluster moment each time); ar1_empirical is read from a library built with
-# the burn-in derived from the contraction rate
+def test_roundoff_fallback_takes_one_quad_call(quad_limits):
+    # the b = 1000 atom stops on roundoff well inside 600 subintervals; at
+    # 4,000 it returned the same value and estimate, so it is not retried
+    warned = []
+    limits._atom_log_damped(0.5, 2.0, 1000.0, 1.0, math.inf, limits.QUAD_TOL, warned)
+    assert quad_limits == [600]
+    assert len(warned) == 2 and "roundoff" in warned[0] and "accepted" in warned[1]
+
+
+# laplace_zeta at lam = 0.5, 1, 2 as (re, im, stderr) float hex, equal to one
+# laplace_zeta call per row (which recomputes the cluster moment each time);
+# ar1_empirical sums over every anchor of a library built with the burn-in
+# derived from the contraction rate
 LAPLACE_GRID = {
     "iid": [("0x1.6d69445df52cfp-2", "0x0.0p+0", "0x0.0p+0"),
             ("0x1.2caebc8141d8cp-2", "0x0.0p+0", "0x0.0p+0"),
             ("0x1.dceb06efa0b3bp-3", "0x0.0p+0", "0x0.0p+0")],
-    "ar1_empirical": [("0x1.6d678bbcd64d4p-1", "0x0.0p+0", "0x1.ef97e2ba08c32p-12"),
-                      ("0x1.56cfd1efa8199p-1", "0x0.0p+0", "0x1.14762be4ac0b4p-11"),
-                      ("0x1.3dc16dffc70e7p-1", "0x0.0p+0", "0x1.30bd7e53fbdbap-11")],
+    "ar1_empirical": [("0x1.6d53afffb48e0p-1", "0x0.0p+0", "0x1.db7371e762d8dp-12"),
+                      ("0x1.56b9aa3a492bbp-1", "0x0.0p+0", "0x1.0936fa0e3be3fp-11"),
+                      ("0x1.3da9024b5c2dap-1", "0x0.0p+0", "0x1.245437b8d2087p-11")],
 }
 
 
@@ -288,7 +302,7 @@ def test_laplace_zeta_grid_reads_one_cluster_moment(monkeypatch, name):
     monkeypatch.setattr(clusters, "cluster_atoms", counted)
     monkeypatch.setattr(limits, "cluster_atoms", counted)
     grid = limits.TransformGrid.from_points(lam=[0.5, 1.0, 2.0])
-    out = limits.evaluate_transform_grid("laplace_zeta", grid, c, n_mc=2000, seed=41)
+    out = limits.evaluate_transform_grid("laplace_zeta", grid, c)
     assert len(calls) == 1
     got = [(complex(v).real.hex(), complex(v).imag.hex(), float(se).hex()) for v, se in zip(out.values, out.stderr)]
     assert got == LAPLACE_GRID[name]
