@@ -201,7 +201,8 @@ class _BlockLibrary:
     alpha: float
     floor_rel: float
     run_gap: int
-    # per-anchor values: "max_abs", "sum_q", "sum_abs", and ||Q||_q^q under each exponent q
+    # per-anchor values: "max_abs", "sum_q", "sum_abs", and ||Q||_q^q under each
+    # exponent q asked for and under alpha
     columns: dict = field(default_factory=dict)
 
     @classmethod
@@ -243,9 +244,11 @@ class _BlockLibrary:
 
     def table(self, exponents: Sequence[float]) -> dict:
         """The per-anchor columns, with ``||Q||_q^q`` for each q in
-        ``exponents``; each column is computed once per library."""
-        base = () if "max_abs" in self.columns else ("max_abs", "sum_q", "sum_abs")
-        missing = [q for q in dict.fromkeys(exponents) if q not in self.columns]
+        ``exponents``; each column is computed once per library, and the
+        first call fills ``q = alpha`` with the base columns."""
+        # the base pass adds ||Q||_alpha^alpha too: its sum is the one the scale needs
+        base = () if "max_abs" in self.columns else ("max_abs", "sum_q", "sum_abs", self.alpha)
+        missing = [q for q in dict.fromkeys(exponents) if q not in self.columns and q not in base]
         if not (base or missing):
             return self.columns
         # anchor chunks bound the memory of the (chunk, 2h+1) blocks
@@ -256,11 +259,13 @@ class _BlockLibrary:
             sl = slice(lo, min(lo + chunk, n))
             theta = _own_cluster_theta(self.blocks(np.arange(sl.start, sl.stop)), h, self.floor_rel, self.run_gap)
             absth = np.abs(theta)
-            scale = np.sum(absth**self.alpha, axis=1) ** (1.0 / self.alpha)
+            mass = np.sum(absth**self.alpha, axis=1)
+            scale = mass ** (1.0 / self.alpha)
             if base:
                 new["max_abs"][sl] = absth.max(axis=1) / scale
                 new["sum_q"][sl] = theta.sum(axis=1) / scale
                 new["sum_abs"][sl] = absth.sum(axis=1) / scale
+                new[self.alpha][sl] = mass / scale**self.alpha
             for q in missing:
                 new[q][sl] = np.sum(absth**q, axis=1) / scale**q
         for a in new.values():

@@ -284,34 +284,3 @@ def coupled_anticluster_stat(
     with X* the coupled copy and X_0 the state before the shared window.
     ``a_n`` defaults to ``normalizing_an(model, n)``."""
     return _run_diagnostics([_coupled_anticluster_plan(model, n, r_n, k_grid, q, reps, seed, a_n)])[0]
-
-
-def mixing_coupling_sum(
-    model: ProcessModel,
-    n: int,
-    q: float,
-    p: float,
-    reps: int = 2_000,
-    seed: int = 0,
-    ell_n: Optional[int] = None,
-    r_n: Optional[int] = None,
-) -> dict:
-    """Block-mixing coupling aggregate
-    ``k_n a_n^{-q} sum_{t=ell_n}^{r_n} (E|X_t - X*_t|^q)^((1/p) v 1)``.
-
-    The intermediate length defaults to ``ell_n = ceil(2 log n)``; it is
-    exposed because the theory only pins it up to a large-enough constant.
-    """
-    _check_q(model, q)
-    if r_n is None:
-        r_n = int(n**0.4)
-    if ell_n is None:
-        ell_n = max(1, math.ceil(2.0 * math.log(n)))
-    if not (1 <= ell_n < r_n < n):
-        raise ConfigurationError("need 1 <= ell_n < r_n < n")
-    series = coupling_decay(model, q, r_n, reps, seed)
-    expo = max(1.0 / p, 1.0)
-    a_n = normalizing_an(model, n)
-    k_n = n // r_n
-    value = k_n * a_n ** (-q) * float(np.sum(series.values[ell_n - 1:] ** expo))
-    return {"value": value, "ell_n": ell_n, "r_n": r_n, "k_n": k_n, "a_n": a_n, "series": series}

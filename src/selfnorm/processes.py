@@ -51,6 +51,8 @@ _KESTEN_DRAWS = 2_000_000
 _GOLDIE_SEED = 0x601D1E
 _GOLDIE_CHAINS = 64
 _GOLDIE_KEEP = 2_000
+# time steps per tile of sre_recursion: a (tile, rows) slab of A, B and X stays in cache
+_SRE_TILE = 256
 
 
 def _validate_alpha(alpha: float) -> float:
@@ -155,18 +157,36 @@ class SRELaw:
     def mu(self) -> float:
         return -self.alpha * self.sigma**2 / 2.0
 
+    @property
+    def constant_b(self) -> bool:
+        """B is the constant ``b_mean``: a non-custom law with ``b_sd == 0``."""
+        return self.kind != "custom" and self.b_sd == 0
+
     def sample_ab(self, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
         if self.kind == "custom":
             a, b = self.sampler(rng, size)
             return np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        a = self._fill_a(rng, np.empty(size))
+        if self.constant_b:
+            # the B normals come last in the stream and would all be
+            # multiplied by 0, so they are not drawn
+            return a, np.full(size, self.b_mean)
+        return a, self.b_mean + self.b_sd * rng.standard_normal(size)
+
+    def _fill_a(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        """Draw A of a non-custom law into the contiguous array ``out``, in
+        place: ``exp(mu + sigma Z)`` takes the same two IEEE operations as
+        written out, so every value equals the expression's."""
         if self.kind == "constant":
-            a = np.full(size, self.a_const)
-        else:
-            a = np.exp(self.mu + self.sigma * rng.standard_normal(size))
-            if self.neg_prob > 0:
-                a = np.where(rng.random(size) < self.neg_prob, -a, a)
-        b = self.b_mean + self.b_sd * rng.standard_normal(size)
-        return a, b
+            out.fill(self.a_const)
+            return out
+        rng.standard_normal(out=out)
+        out *= self.sigma
+        out += self.mu
+        np.exp(out, out=out)
+        if self.neg_prob > 0:
+            np.negative(out, out=out, where=rng.random(out.size) < self.neg_prob)
+        return out
 
     def abs_a_moment(self, q: float) -> Optional[float]:
         """E|A|^q in closed form where available, else None."""
@@ -377,27 +397,61 @@ def ar1_recursion(phi: float, noise: np.ndarray, x0=0.0) -> np.ndarray:
 
 
 def sre_recursion(a: np.ndarray, b: np.ndarray, x0=0.0) -> np.ndarray:
-    """Run ``X_t = A_t X_{t-1} + B_t`` along the last axis."""
+    """Run ``X_t = A_t X_{t-1} + B_t`` along the last axis from state ``x0``
+    (a scalar or one start per leading index).
+
+    ``b`` is broadcast to the shape of ``a``, so a constant B may be a 0-stride
+    view. The rows run on time-major tiles of ``_SRE_TILE`` steps: each tile
+    of A and B is copied transposed into a preallocated buffer, one ufunc pair
+    per step advances every row at once into preallocated rows, and the tile
+    is written back transposed. Each value takes the same multiply and add as
+    the step written out, so the result does not depend on the tiling.
+    """
     a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    out = np.empty_like(b)
-    state = np.broadcast_to(np.asarray(x0, dtype=float), a.shape[:-1]).copy()
-    for t in range(a.shape[-1]):
-        state = a[..., t] * state + b[..., t]
-        out[..., t] = state
-    return out
+    shape, n = a.shape, a.shape[-1]
+    rows = math.prod(shape[:-1])
+    a = a.reshape(rows, n)
+    b = np.broadcast_to(np.asarray(b, dtype=float), shape).reshape(rows, n)
+    out = np.empty((rows, n))
+    state = np.broadcast_to(np.asarray(x0, dtype=float), shape[:-1]).reshape(rows).copy()
+    tile = max(1, min(n, _SRE_TILE))
+    a_buf, b_buf, x_buf = (np.empty((tile, rows)) for _ in range(3))
+    # the product goes to its own row: numpy's in-place path is slow on one row
+    prod = np.empty(rows)
+    for lo in range(0, n, tile):
+        hi = min(lo + tile, n)
+        a_t, x_t = a_buf[:hi - lo], x_buf[:hi - lo]
+        np.copyto(a_t, a[:, lo:hi].T)
+        b_t = b[:, lo:hi].T  # a B constant in time is read in place
+        if b.strides[1]:
+            b_t = b_buf[:hi - lo]
+            np.copyto(b_t, b[:, lo:hi].T)
+        for a_s, b_s, x_s in zip(a_t, b_t, x_t):
+            np.multiply(a_s, state, prod)
+            np.add(prod, b_s, x_s)
+            state = x_s
+        out[:, lo:hi] = x_t.T
+    return out.reshape(shape)
 
 
 def _innovations(model: ProcessModel, size: int, seed: int, indices, *suffix: int) -> tuple:
     """One row of innovations per replica ``i`` in ``indices``, drawn from
     stream ``(seed, i, *suffix)``: ``(Z,)`` for iid and AR(1), ``(A, B)`` for
-    SRE, each a preallocated ``(len(indices), size)`` array."""
-    block = tuple(np.empty((len(indices), size)) for _ in range(2 if model.kind == "sre" else 1))
+    SRE, each a preallocated ``(len(indices), size)`` array. A constant B
+    (:attr:`SRELaw.constant_b`) is neither drawn nor filled: it is a
+    read-only 0-stride view of ``b_mean``."""
+    rows, law = len(indices), model.sre_law
+    const_b = model.kind == "sre" and law.constant_b
+    block = tuple(np.empty((rows, size)) for _ in range(1 if model.kind != "sre" or const_b else 2))
     for r, rng in enumerate(substreams(seed, indices, *suffix)):
-        if model.kind == "sre":
-            block[0][r], block[1][r] = model.sre_law.sample_ab(rng, size)
-        else:
+        if model.kind != "sre":
             block[0][r] = _draw_noise(model.noise, rng, size)
+        elif const_b:
+            law._fill_a(rng, block[0][r])
+        else:
+            block[0][r], block[1][r] = law.sample_ab(rng, size)
+    if const_b:
+        return block[0], np.broadcast_to(law.b_mean, (rows, size))
     return block
 
 
@@ -620,8 +674,3 @@ def write_csv(target, header, rows) -> None:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(map(_csv_cell, row)) + "\n")
-
-
-def path_to_csv(path: Path, target) -> None:
-    """Write a path as a single-column CSV with header ``value``."""
-    write_csv(target, ["value"], ((v,) for v in np.asarray(path.values)))

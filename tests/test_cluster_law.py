@@ -350,10 +350,33 @@ class TestSharedLibrary:
         lib = c._empirical_library()
         arrays = [lib.segments, lib.anchor_chain, lib.anchor_pos, *lib.columns.values(),
                   law.sum_q, law.max_abs, law.norm_p_p, law.norms[3.0], law.group]
-        assert len(lib.columns) == 5
+        # max_abs, sum_q, sum_abs, and the exponents 2, 3 and alpha
+        assert len(lib.columns) == 6
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0
+
+    def test_one_trim_per_library(self, monkeypatch):
+        # h = 1500 puts about 2,000 anchors in chunks of 666: several chunks
+        h = 1500
+        c = empirical_cluster(self.SOURCE, threshold_quantile=0.99, block_half_width=h,
+                              sample_length=200_000, library_seed=5)
+        lib, alpha = c._empirical_library(), c.alpha
+        trim = clusters._own_cluster_theta
+        chunks = []
+        monkeypatch.setattr(clusters, "_own_cluster_theta", lambda blocks, *a: chunks.append(1) or trim(blocks, *a))
+        lib.table((2.0,))
+        lib.table((alpha,))
+        n, chunk = lib.n_anchors, 2_000_000 // (2 * h + 1)
+        assert len(chunks) == -(-n // chunk) > 1
+        # the alpha column as its own per-exponent pass over the anchors gives it
+        ref = np.empty(n)
+        for lo in range(0, n, chunk):
+            theta = trim(lib.blocks(np.arange(lo, min(lo + chunk, n))), h, lib.floor_rel, lib.run_gap)
+            absth = np.abs(theta)
+            scale = np.sum(absth**alpha, axis=1) ** (1.0 / alpha)
+            ref[lo:lo + chunk] = np.sum(absth**alpha, axis=1) / scale**alpha
+        assert np.array_equal(lib.columns[alpha], ref)
 
     def test_custom_sre_library_is_not_shared(self, builds):
         def cluster():

@@ -13,7 +13,6 @@ from selfnorm.diagnostics import (
     anticluster_stat,
     coupled_anticluster_stat,
     coupling_decay,
-    mixing_coupling_sum,
 )
 from selfnorm.processes import _coupled_rows, normalizing_an
 
@@ -105,14 +104,6 @@ class TestCoupledAnticluster:
                                           k_grid=[1, 300, 400], reps=50, seed=8)
         assert series.values[0] > 0.0
         assert series.values[-1] == 0.0
-
-
-class TestMixingSum:
-    def test_decreases_with_n(self, ar1_pos_half):
-        a = mixing_coupling_sum(ar1_pos_half, 10**4, q=0.4, p=2.0, reps=400, seed=9)
-        b = mixing_coupling_sum(ar1_pos_half, 10**5, q=0.4, p=2.0, reps=400, seed=9)
-        assert b["value"] < a["value"]
-        assert a["ell_n"] == math.ceil(2 * math.log(10**4))
 
 
 class TestWorkers:

@@ -724,7 +724,6 @@ def _writer_cases():
     grid = limits.TransformGrid.from_points(u=[0.5, 1.0], x=[1.0])
     grid.values[:] = [1 + 2j, 3 - 4j]
     grid.stderr[:] = [0.1, 0.2]
-    path = processes.sample_path(processes.iid_model(processes.NoiseSpec("pareto", 0.5)), 5, seed=1)
     decay = diagnostics.DecaySeries(np.arange(1, 4), np.array([0.5, 0.25, 0.125]), np.array([0.01, 0.02, 0.03]),
                                     -0.69, 0.99)
     return {
@@ -733,7 +732,6 @@ def _writer_cases():
                                       ReportRow("b", None, 2.5, None, None, False)], {}).rows_to_csv,
         "stats_rows_to_csv": lambda t: stats.stats_rows_to_csv(
             [(0, 10, "ratio_max", None, 0.5), (1, 10, "greenwood_p2", 2.0, 0.25)], t),
-        "path_to_csv": lambda t: processes.path_to_csv(path, t),
         "DecaySeries.to_csv": decay.to_csv,
     }
 

@@ -19,8 +19,10 @@ from selfnorm import (
     sre_model,
     stationary_mean,
 )
+from selfnorm.clusters import empirical_cluster, extremal_index
 from selfnorm.processes import (
     _BURN_IN_EPS,
+    _SRE_TILE,
     ProcessModel,
     _innovations,
     _simulate_rows,
@@ -28,11 +30,11 @@ from selfnorm.processes import (
     model_from_dict,
     model_to_dict,
     pareto_quantile,
-    path_to_csv,
     sre_recursion,
     stable_tail_constant,
     tail_constant,
 )
+from selfnorm.rng import substream
 
 
 class TestNoise:
@@ -463,11 +465,89 @@ class TestInterfaces:
         assert d["burn_in"] == 580
         assert model_from_dict(d).burn_in == 580
 
-    def test_path_csv(self, tmp_path, pareto_pos_half):
-        p = sample_path(pareto_pos_half, 5, seed=1)
-        target = tmp_path / "path.csv"
-        path_to_csv(p, target)
-        lines = target.read_text().strip().split("\n")
-        assert lines[0] == "value"
-        assert len(lines) == 6
-        assert np.allclose([float(v) for v in lines[1:]], p.values)
+
+# ---------------------------------------------------------------------------
+# the SRE engine against the code it replaced
+
+
+def _sre_recursion_reference(a, b, x0=0.0):
+    """The per-step loop that the tiled ``sre_recursion`` replaced."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    out = np.empty_like(b)
+    state = np.broadcast_to(np.asarray(x0, dtype=float), a.shape[:-1]).copy()
+    for t in range(a.shape[-1]):
+        state = a[..., t] * state + b[..., t]
+        out[..., t] = state
+    return out
+
+
+def _sample_ab_reference(law, rng, size):
+    """``SRELaw.sample_ab`` of a non-custom law as written out before A was
+    computed in place and a constant B went undrawn."""
+    if law.kind == "constant":
+        a = np.full(size, law.a_const)
+    else:
+        a = np.exp(law.mu + law.sigma * rng.standard_normal(size))
+        if law.neg_prob > 0:
+            a = np.where(rng.random(size) < law.neg_prob, -a, a)
+    b = law.b_mean + law.b_sd * rng.standard_normal(size)
+    return a, b
+
+
+class TestSREEngine:
+    @pytest.mark.parametrize("n", [0, 1, _SRE_TILE - 1, _SRE_TILE, _SRE_TILE + 1, 2 * _SRE_TILE + 3])
+    @pytest.mark.parametrize("lead", [(), (5,), (3, 4)], ids=str)
+    def test_tiles_match_the_step_loop(self, n, lead):
+        rng = np.random.default_rng(n + len(lead))
+        shape = (*lead, n)
+        # signed multipliers with E log|A| < 0, so long rows neither overflow nor vanish
+        a = np.exp(rng.normal(-0.3, 1.0, shape)) * rng.choice([-1.0, 1.0], shape)
+        starts = {"zero": 0.0, "scalar": 2.5, "per_row": rng.normal(size=lead)}
+        for b in (rng.normal(size=shape), np.broadcast_to(1.5, shape)):
+            for name, x0 in starts.items():
+                got = sre_recursion(a, b, x0=x0)
+                assert got.shape == shape
+                assert np.array_equal(got, _sre_recursion_reference(a, b, x0)), (name, b.strides)
+
+    @pytest.mark.parametrize("law", [
+        BENCH_LAW,
+        SRELaw(alpha=0.8, sigma=1.0, neg_prob=0.3),
+        SRELaw(alpha=0.9, kind="constant", a_const=0.5),
+        SRELaw(alpha=0.5, sigma=0.7, neg_prob=0.3, b_mean=0.5, b_sd=2.0),
+    ], ids=["bench", "neg_prob", "constant", "b_sd"])
+    def test_sample_ab_matches_the_written_out_formula(self, law):
+        new, old = substream(4, 1), substream(4, 1)
+        a, b = law.sample_ab(new, 1000)
+        ra, rb = _sample_ab_reference(law, old, 1000)
+        assert np.array_equal(a, ra) and np.array_equal(b, rb)
+        if law.b_sd != 0:
+            # the same draws were taken, so the stream goes on where it did
+            assert new.random() == old.random()
+
+    def test_constant_b_rows_are_a_view(self):
+        model = sre_model(BENCH_LAW)
+        a, b = _innovations(model, 300, 3, np.arange(4))
+        assert b.strides == (0, 0) and not b.flags.writeable
+        assert np.array_equal(b, np.full((4, 300), BENCH_LAW.b_mean))
+
+    def test_constant_b_paths_match_the_written_out_engine(self):
+        model = sre_model(BENCH_LAW)
+        n, idx = 700, np.array([0, 3, 8])
+        ref = np.stack([_sre_recursion_reference(*_sample_ab_reference(BENCH_LAW, substream(6, int(i)),
+                                                                        n + model.burn_in))
+                        for i in idx])
+        assert np.array_equal(_simulate_rows(model, n, 6, idx), ref[:, model.burn_in:])
+
+    def test_sre_products_one_chunk_matches_the_written_out_formula(self):
+        # with b_sd = 0 the second chunk's A values moved, since the first
+        # chunk no longer draws B normals; one chunk is unchanged
+        cluster = empirical_cluster(sre_model(BENCH_LAW))
+        reps, seed, t_len = 3000, 4, max(200, math.ceil(80.0 / BENCH_LAW.alpha))
+        assert reps <= 4_000_000 // t_len
+        a, _ = _sample_ab_reference(BENCH_LAW, substream(seed, 17), reps * t_len)
+        sup = np.max(np.cumprod(np.abs(a).reshape(reps, t_len), axis=1) ** BENCH_LAW.alpha, axis=1)
+        vals = np.clip(1.0 - sup, 0.0, None)
+        est = extremal_index(cluster, reps, seed, method="sre_products")
+        assert est.value == float(vals.mean())
+        assert est.stderr == float(vals.std(ddof=1) / math.sqrt(reps))
