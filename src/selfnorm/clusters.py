@@ -9,10 +9,10 @@ measure.
 
 Three cluster kinds are supported:
 
-* ``iid`` -- a single signed spike at t = 0 (asymptotic independence);
 * ``ar1_analytic`` -- the geometric cluster of the AR(1) model, with closed
   forms for all norms, the extremal index ``1 - |phi|^alpha`` and the cluster
   moments;
+* ``iid`` -- the geometric cluster at phi = 0: a single signed spike at t = 0;
 * ``empirical`` -- clusters extracted as normalised blocks around threshold
   exceedances of a simulated source process (the only route shipped for SRE
   models, whose two-sided tail process has no convenient closed form).
@@ -20,11 +20,12 @@ Three cluster kinds are supported:
 Every limit law depends on the cluster only through expectations of its
 functionals ``max|Q|``, ``sum Q``, ``||Q||_1`` and ``||Q||_p^p``, under Q and
 under the tilt. ``cluster_law`` gives their law as weighted atoms: two exact
-atoms for the analytic kinds, one atom per library anchor for an empirical
+atoms for a geometric cluster, one atom per library anchor for an empirical
 cluster. The tilted law is the same atoms reweighted exactly by
 ``max|Q|^alpha``. Batched draws, the transform engine's atoms, the oracles and
 the moment estimators all read this one law; ``cluster_law`` is the only place
-where a cluster expectation depends on the kind.
+where a cluster expectation depends on the kind. Single tail, cluster and
+tilted paths come from one sampler; tilted draws are by reweighting, no rejection.
 
 An empirical library is simulated on first use and shared, read-only, by every
 equal model in the process (:func:`_shared_library`), so runs on one cluster
@@ -92,6 +93,11 @@ class ClusterModel:
         if qp < 0 or qm < 0 or abs(qp + qm - 1.0) > 1e-12:
             raise ConfigurationError("tail balance must be nonnegative and sum to 1")
         object.__setattr__(self, "tail_balance", (qp, qm))  # a hashable model, whatever was passed
+        if self.kind == "iid":
+            # the geometric cluster at phi = 0: every analytic formula reads phi
+            if self.phi not in (None, 0.0):
+                raise ConfigurationError("an iid cluster takes no phi (it is the geometric cluster at phi = 0)")
+            object.__setattr__(self, "phi", 0.0)
         if self.kind == "ar1_analytic":
             if self.phi is None or not (-1.0 < self.phi < 1.0) or self.phi == 0.0:
                 raise ConfigurationError("ar1_analytic requires phi in (-1, 1) \\ {0}")
@@ -110,7 +116,7 @@ class ClusterModel:
     def spike_probs(self) -> tuple[float, float]:
         """Marginal sign probabilities P(Theta_0 = +1), P(Theta_0 = -1)."""
         qp, qm = self.tail_balance
-        if self.kind != "ar1_analytic" or self.phi > 0:
+        if self.kind == "empirical" or self.phi >= 0:
             return qp, qm
         r = abs(self.phi) ** self.alpha
         pp = (qp + qm * r) / (1.0 + r)
@@ -306,9 +312,6 @@ class TailProcessDraw:
             return 0.0
         return float(self.values[t - self.t_min])
 
-    def window(self, lo: int, hi: int) -> np.ndarray:
-        return np.array([self.value_at(t) for t in range(lo, hi + 1)])
-
 
 @dataclass(frozen=True)
 class ClusterDraw:
@@ -327,33 +330,35 @@ class ClusterDraw:
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
 
-    def lp_norm(self, p: float) -> float:
-        return float(np.sum(np.abs(self.values) ** p) ** (1.0 / p))
-
     def sum(self) -> float:
         return float(np.sum(self.values))
 
 
 @dataclass(frozen=True)
 class TiltedClusterDraw(ClusterDraw):
-    """Cluster renormalised so that ``max_t |values_t| = 1``."""
+    """Cluster renormalised so that its maximum modulus over all t is 1."""
 
 
 def default_horizon(model: ClusterModel) -> int:
     """Forward truncation horizon leaving l^alpha mass below 1e-10 (AR(1));
-    the block half-width for empirical clusters; 0 for iid."""
-    if model.kind == "iid":
-        return 0
+    the block half-width for empirical clusters; 0 at phi = 0 (iid)."""
     if model.kind == "empirical":
         return model.block_half_width
+    if model.phi == 0.0:
+        return 0
     r = abs(model.phi) ** model.alpha
     h = math.log(TRUNCATION_TARGET * (1.0 - r)) / math.log(r)
     return max(1, math.ceil(h))
 
 
-def _phi_pow(phi: float, t: np.ndarray) -> np.ndarray:
-    # integer exponents keep negative phi exact
-    return np.asarray(phi, dtype=float) ** t.astype(np.int64)
+def _horizon(model: ClusterModel, horizon: Optional[int]) -> int:
+    """The checked horizon of a single-path draw (``default_horizon`` for
+    None); 0 at phi = 0, whose tail process is the spike at t = 0."""
+    if horizon is None:
+        horizon = default_horizon(model)
+    if horizon < 0:
+        raise ConfigurationError("horizon must be >= 0")
+    return 0 if model.phi == 0.0 else horizon
 
 
 def _own_cluster_theta(blocks: np.ndarray, centre: int, floor_rel: float, gap: int) -> np.ndarray:
@@ -391,139 +396,114 @@ def _own_cluster_theta(blocks: np.ndarray, centre: int, floor_rel: float, gap: i
 
 
 def _draw_ar1_tail(model: ClusterModel, rng: np.random.Generator, size: int):
-    """(J, Theta_0) for the AR(1) tail process: J geometric with
-    P(J = j) = |phi|^(alpha j) (1 - |phi|^alpha); the noise spike sign
-    theta_Z (probabilities q+/q-) independent of J; Theta_0 = theta_Z sign(phi)^J.
-    The marginal law of Theta_0 is ``spike_probs``."""
+    """(J, Theta_0) for the geometric tail process: J geometric with
+    P(J = j) = |phi|^(alpha j) (1 - |phi|^alpha), so J = 0 at phi = 0; the
+    noise spike sign theta_Z (probabilities q+/q-) independent of J;
+    Theta_0 = theta_Z sign(phi)^J. The marginal law of Theta_0 is ``spike_probs``."""
     r = abs(model.phi) ** model.alpha
     j = rng.geometric(1.0 - r, size=size) - 1
     theta_z = np.where(rng.random(size) < model.tail_balance[0], 1.0, -1.0)
-    if model.phi > 0:
-        theta0 = theta_z
-    else:
-        theta0 = theta_z * np.where(j % 2 == 0, 1.0, -1.0)
-    return j, theta0
+    return j, theta_z * np.sign(model.phi) ** j
 
 
-def _tail_windows(model: ClusterModel, rng: np.random.Generator, reps: int, lo: int, hi: int) -> np.ndarray:
-    """Tail-process values on [lo, hi] for ``reps`` draws, shape (reps, hi-lo+1)."""
+def _tail_windows(model: ClusterModel, rng: np.random.Generator, reps: int, lo: int, hi: int,
+                  tilted: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """(J, windows): tail-process values on [lo, hi] for ``reps`` draws, shape
+    (reps, hi-lo+1). J is a geometric draw's backward extent (zeros below -J)
+    and an empirical draw's library anchor (zeros outside its block), drawn
+    with ``tilted`` from the max|Q|^alpha-reweighted law; a geometric law is
+    its own tilt, its max|Q| being the same for every J."""
     t_idx = np.arange(lo, hi + 1)
-    if model.kind == "iid":
+    if model.kind == "empirical":
+        lib = model._empirical_library()
+        lib.require_anchors()
+        if tilted:
+            which = cluster_law(model, (model.alpha,)).tilted().draw(reps, rng)
+        else:
+            which = rng.integers(0, lib.n_anchors, size=reps)
+        h = lib.half_width
+        theta = _own_cluster_theta(lib.blocks(which), h, model.floor_rel, model.run_gap)
         vals = np.zeros((reps, len(t_idx)))
-        if lo <= 0 <= hi:
-            vals[:, -lo] = np.where(rng.random(reps) < model.tail_balance[0], 1.0, -1.0)
-        return vals
+        a, b = max(lo, -h), min(hi, h)
+        if a <= b:
+            vals[:, a - lo: b - lo + 1] = theta[:, a + h: b + h + 1]
+        return which, vals
     j, theta0 = _draw_ar1_tail(model, rng, reps)
-    pows = _phi_pow(model.phi, t_idx)
-    vals = theta0[:, None] * pows[None, :]
-    return np.where(t_idx[None, :] >= -j[:, None], vals, 0.0)
+    # integer exponents keep negative phi exact; lags below every -J are zeroed
+    # anyway, so clipping them keeps phi^t finite (phi = 0 included)
+    pows = np.asarray(model.phi, dtype=float) ** np.maximum(t_idx, -j.max(initial=0))
+    return j, np.where(t_idx[None, :] >= -j[:, None], theta0[:, None] * pows[None, :], 0.0)
 
 
 def sample_spectral_tail(model: ClusterModel, horizon: int, seed: int) -> TailProcessDraw:
     """Draw the spectral tail process on the window [-min(J, horizon), horizon].
 
     A backward extent J beyond the horizon is recorded as truncation, not an
-    error.
+    error. An empirical draw lies on its block: the window is [-h, h] with h
+    the smaller of the horizon and the block half-width.
     """
-    if horizon < 0:
-        raise ConfigurationError("horizon must be >= 0")
-    rng = substream(seed)
-    if model.kind == "iid":
-        sign = 1.0 if rng.random() < model.tail_balance[0] else -1.0
-        return TailProcessDraw(0, 0, np.array([sign]), backward_extent=0)
+    h = _horizon(model, horizon)
     if model.kind == "empirical":
-        lib = model._empirical_library()
-        lib.require_anchors()
-        which = rng.integers(0, lib.n_anchors, size=1)
-        block = lib.blocks(which)
-        centre = lib.half_width
-        theta_full = _own_cluster_theta(block, centre, model.floor_rel, model.run_gap)[0]
-        h = min(horizon, lib.half_width)
-        theta = theta_full[centre - h: centre + h + 1]
-        return TailProcessDraw(-h, h, theta, backward_extent=h, truncated=horizon > lib.half_width)
-    j, theta0 = _draw_ar1_tail(model, rng, 1)
+        w = min(h, model.block_half_width)
+        _, win = _tail_windows(model, substream(seed), 1, -w, w)
+        return TailProcessDraw(-w, w, win[0], backward_extent=w, truncated=h > w)
+    j, win = _tail_windows(model, substream(seed), 1, -h, h)
     j = int(j[0])
-    back = min(j, horizon)
-    t = np.arange(-back, horizon + 1)
-    values = theta0[0] * _phi_pow(model.phi, t)
-    return TailProcessDraw(-back, horizon, values, backward_extent=j, truncated=j > horizon)
+    back = min(j, h)
+    return TailProcessDraw(-back, h, win[0, h - back:], backward_extent=j, truncated=j > h)
 
 
-def _ar1_cluster_from_tail(model: ClusterModel, j: int, theta0: float, horizon: int):
-    """Normalised AR(1) cluster on [-min(J, horizon), horizon] with the exact
-    geometric norm ``||Theta||_alpha^alpha = |phi|^(-alpha J) / (1 - |phi|^alpha)``
-    and the exactly-known discarded l^alpha mass."""
-    phi, alpha = model.phi, model.alpha
-    r = abs(phi) ** alpha
-    norm_pow = abs(phi) ** (-alpha * j) / (1.0 - r)
-    back = min(j, horizon)
-    t = np.arange(-back, horizon + 1)
-    theta = theta0 * _phi_pow(phi, t)
+def _cluster_path(model: ClusterModel, horizon: Optional[int], seed: int, tilted: bool):
+    """One path of Q = Theta / ||Theta||_alpha, or with ``tilted`` of the
+    tilted law over its max|Q|. A geometric path lies on [-min(J, horizon),
+    horizon], with the exact norm ``|phi|^(-alpha J) / (1 - |phi|^alpha)`` of
+    Theta, the exactly-known discarded l^alpha mass and, whatever the window
+    holds, ``max|Q| = (1 - |phi|^alpha)^(1/alpha)``. An empirical path is its
+    anchor's whole block."""
+    h, alpha = _horizon(model, horizon), model.alpha
+    if model.kind == "empirical":
+        h = model.block_half_width
+        which, win = _tail_windows(model, substream(seed), 1, -h, h, tilted)
+        theta, t_min = win[0], -h
+        norm_pow = float(np.sum(np.abs(theta) ** alpha))
+        block = model._empirical_library().blocks(which)[0]
+        raw = block / abs(block[h])
+        # the measured sub-floor mass that the own-cluster restriction discarded
+        # stands in for the unobserved mass outside the kept window
+        cut = np.sum(np.abs(raw[(theta == 0.0) & (np.abs(raw) <= model.floor_rel)]) ** alpha)
+    else:
+        j, win = _tail_windows(model, substream(seed), 1, -h, h)
+        j, phi_abs, r = int(j[0]), abs(model.phi), abs(model.phi) ** alpha
+        t_min = -min(j, h)
+        theta = win[0, h + t_min:]
+        norm_pow = phi_abs ** (-alpha * j) / (1.0 - r)
+        # the l^alpha mass of Theta beyond the window: forward past h, backward below -h
+        cut = phi_abs ** (alpha * (h + 1)) / (1.0 - r) + float(np.sum(phi_abs ** (-alpha * np.arange(h + 1, j + 1))))
     q = theta / norm_pow ** (1.0 / alpha)
-    forward_tail = abs(phi) ** (alpha * (horizon + 1)) / (1.0 - r)
-    backward_cut = 0.0
-    if j > horizon:
-        s = np.arange(horizon + 1, j + 1)
-        backward_cut = float(np.sum(abs(phi) ** (-alpha * s)))
-    trunc = (forward_tail + backward_cut) / norm_pow
-    return int(t[0]), q, trunc
-
-
-def _cluster_from_rng(model: ClusterModel, horizon: int, rng: np.random.Generator) -> ClusterDraw:
-    if model.kind == "iid":
-        sign = 1.0 if rng.random() < model.tail_balance[0] else -1.0
-        return ClusterDraw(0, 0, np.array([sign]), alpha=model.alpha)
-    if model.kind == "ar1_analytic":
-        j, theta0 = _draw_ar1_tail(model, rng, 1)
-        t0, q, trunc = _ar1_cluster_from_tail(model, int(j[0]), float(theta0[0]), horizon)
-        return ClusterDraw(t0, horizon, q, alpha=model.alpha, truncation_error=trunc)
-    lib = model._empirical_library()
-    lib.require_anchors()
-    which = rng.integers(0, lib.n_anchors, size=1)
-    block = lib.blocks(which)
-    h = lib.half_width
-    raw = block[0] / abs(block[0, h])
-    theta = _own_cluster_theta(block, h, model.floor_rel, model.run_gap)[0]
-    norm_pow = float(np.sum(np.abs(theta) ** model.alpha))
-    q = theta / norm_pow ** (1.0 / model.alpha)
-    # the measured sub-floor mass that the own-cluster restriction discarded
-    # stands in for the unobserved mass outside the kept window
-    dropped = (theta == 0.0) & (np.abs(raw) <= model.floor_rel)
-    trunc = float(np.sum(np.abs(raw[dropped]) ** model.alpha) / norm_pow)
-    return ClusterDraw(-h, h, q, alpha=model.alpha, truncation_error=trunc)
+    trunc = float(cut / norm_pow)
+    if not tilted:
+        return ClusterDraw(t_min, h, q, alpha=alpha, truncation_error=trunc)
+    max_q = np.max(np.abs(q)) if model.kind == "empirical" else (1.0 - r) ** (1.0 / alpha)
+    return TiltedClusterDraw(t_min, h, q / max_q, alpha=alpha, truncation_error=trunc)
 
 
 def sample_cluster(model: ClusterModel, horizon: Optional[int] = None, seed: int = 0) -> ClusterDraw:
     """Draw the cluster process Q = Theta / ||Theta||_alpha."""
-    if horizon is None:
-        horizon = default_horizon(model)
-    if horizon < 0:
-        raise ConfigurationError("horizon must be >= 0")
-    return _cluster_from_rng(model, horizon, substream(seed))
+    return _cluster_path(model, horizon, seed, tilted=False)
 
 
 def sample_tilted_cluster(model: ClusterModel, horizon: Optional[int] = None, seed: int = 0) -> TiltedClusterDraw:
-    """One whole tilted cluster path, by rejection: propose Q, accept with
-    probability ``max_t |Q_t|^alpha`` (valid since ``max|Q| <= 1``), return
-    ``Q / max_t |Q_t|``. A truncated AR(1) window's max depends on how far its
-    backward extent J overshoots the horizon, which the two-atom law does not
-    hold; batched tilted functionals come from the reweighted law instead."""
-    if horizon is None:
-        horizon = default_horizon(model)
-    rng = substream(seed)
-    for _ in range(100_000):
-        draw = _cluster_from_rng(model, horizon, rng)
-        m = draw.max_abs
-        if rng.random() < m**model.alpha:
-            return TiltedClusterDraw(
-                draw.t_min, draw.t_max, draw.values / m, alpha=model.alpha,
-                truncation_error=draw.truncation_error,
-            )
-    raise SamplingError("tilted-cluster rejection sampler failed to accept")
+    """One whole tilted cluster path ``Q / max|Q|``, Q drawn from the
+    ``max|Q|^alpha``-reweighted law: an empirical anchor with weight
+    proportional to its tabulated ``max|Q|^alpha``; a geometric path as
+    :func:`sample_cluster` draws it, since its max|Q| does not depend on J. A
+    truncated geometric window may miss the max, which sits at t = -J."""
+    return _cluster_path(model, horizon, seed, tilted=True)
 
 
 def tilted_acceptance(model: ClusterModel, reps: int, seed: int = 0) -> Estimate:
-    """Acceptance rate of the tilted-cluster rejection step.
+    """Acceptance rate of the rejection step that proposes Q and accepts it
+    with probability ``max_t |Q_t|^alpha`` (valid since ``max|Q| <= 1``).
 
     Its expectation is ``E[max|Q|^alpha]``, i.e. the extremal index, so the
     rate doubles as an estimator of theta.
@@ -592,7 +572,7 @@ def cluster_law(model: ClusterModel, exponents: Sequence[float]) -> ClusterAtoms
     """The law of the cluster functionals, with ``||Q||_q^q`` for every q in
     ``exponents`` (the first is ``p``).
 
-    iid and ar1_analytic clusters are exact: one atom per sign of the spike,
+    A geometric cluster is exact: one atom per sign of the spike,
     weighted by the tail balance, holding the closed-form functionals of the
     geometric cluster ``Q_t = (1 - |phi|^alpha)^(1/alpha) phi^t``, t >= 0
     (phi = 0 for iid). An empirical cluster has one atom per library anchor,
@@ -610,8 +590,7 @@ def cluster_law(model: ClusterModel, exponents: Sequence[float]) -> ClusterAtoms
             reps=n, group=lib.anchor_chain, norms={q: table[q] for q in qs},
             draw_chunk=max(1, 2_000_000 // (2 * lib.half_width + 1)),
         )
-    alpha = model.alpha
-    phi = model.phi if model.kind == "ar1_analytic" else 0.0
+    alpha, phi = model.alpha, model.phi
     r = abs(phi) ** alpha
     scale = (1.0 - r) ** (1.0 / alpha)
     mag = scale / (1.0 - phi)
@@ -731,15 +710,6 @@ def cluster_moment(model: ClusterModel, p: float) -> Estimate:
     return _weighted_estimate(atoms, 1.0, atoms.norm_p_p ** (model.alpha / p))
 
 
-def truncated_abs_mean_series(model: ClusterModel, lags, reps: int = 20_000, seed: int = 0) -> np.ndarray:
-    """Monte-Carlo series E[|Theta_j| ^ 1] over ``lags = (lo, hi)``; the partial
-    sums of this series being numerically Cauchy is the summability probe that
-    backs the anti-clustering hypothesis for the shipped models."""
-    lo, hi = lags
-    wins = _tail_windows(model, substream(seed, 19), reps, lo, hi)
-    return np.minimum(np.abs(wins), 1.0).mean(axis=0)
-
-
 # ---------------------------------------------------------------------------
 # time-change diagnostics
 
@@ -816,11 +786,11 @@ def verify_time_change(
         rng_l = substream(seed, 31, k)
         rng_r = substream(seed, 32, k)
         lo_l, hi_l = min(-hw, -t), max(hw, -t)
-        win_l = _tail_windows(model, rng_l, reps, lo_l, hi_l)
+        _, win_l = _tail_windows(model, rng_l, reps, lo_l, hi_l)
         cond = win_l[:, -t - lo_l] != 0.0
         sub = win_l[cond][:, (-hw - lo_l): (hw - lo_l) + 1]
         lo_r, hi_r = min(t - hw, t), max(t + hw, t)
-        win_r = _tail_windows(model, rng_r, reps, lo_r, hi_r)
+        _, win_r = _tail_windows(model, rng_r, reps, lo_r, hi_r)
         theta_t = win_r[:, t - lo_r]
         wts = np.abs(theta_t) ** alpha
         nz = wts > 0.0

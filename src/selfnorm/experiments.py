@@ -217,7 +217,7 @@ def cluster_to_dict(model: ClusterModel) -> dict:
                 for k in _CLUSTER_KEYS["empirical"]}
     d = {"kind": model.kind, "alpha": model.alpha,
          "q_plus": model.tail_balance[0], "q_minus": model.tail_balance[1]}
-    if model.phi is not None:
+    if model.kind == "ar1_analytic":
         d["phi"] = model.phi
     return d
 
@@ -738,7 +738,7 @@ def _check_extremal_index(config, workers, cluster, paths):
     acc = clusters.tilted_acceptance(cluster, reps=config.reps, seed=seed)
     mx = clusters.extremal_index(cluster, method="cluster_max")
     closed = None
-    if cluster.kind in ("iid", "ar1_analytic"):
+    if cluster.kind != "empirical":
         closed = clusters.extremal_index(cluster)
     elif cluster.source is not None and cluster.source.kind == "ar1":
         closed = Estimate(1.0 - abs(cluster.source.phi) ** cluster.alpha)

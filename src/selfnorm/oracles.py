@@ -133,25 +133,6 @@ def expected_ratio_student(
     return Estimate(gfac * cluster_factor.value, abs(gfac) * cluster_factor.stderr, cluster_factor.reps, method)
 
 
-def expected_ratio_student_p2(cluster: ClusterModel, alpha: Optional[float] = None) -> Estimate:
-    """The p = 2 studentized-moment oracle computed through the l^2-normalised,
-    ``||Q||_2^alpha``-tilted cluster; agrees with
-    ``expected_ratio_student(..., p=2)`` to machine precision on analytic kinds.
-    """
-    a = _alpha_of(cluster, alpha)
-    if cluster.kind == "empirical":
-        raise UnsupportedError("the l^2 rewriting is provided for analytic kinds")
-    gfac = gamma_fn((1.0 - a) / 2.0) / (gamma_fn(0.5) * gamma_fn(1.0 - a / 2.0))
-    qp, qm = cluster.tail_balance
-    if cluster.kind == "iid":
-        mean_qhat_sum = qp - qm
-    else:
-        phi = cluster.phi
-        # geometric cluster normalised in l^2: sum = (q+-q-) sqrt(1-phi^2)/(1-phi)
-        mean_qhat_sum = (qp - qm) * math.sqrt(1.0 - phi**2) / (1.0 - phi)
-    return Estimate(gfac * mean_qhat_sum)
-
-
 def expected_greenwood(
     cluster: ClusterModel,
     alpha: Optional[float] = None,

@@ -165,7 +165,7 @@ def test_criterion_08_time_change():
 
 
 def test_criterion_09_dependent_ratio(ar1_ratio_5k):
-    # oracle E[sum Qtilde]/(1-a) = 4, first confirmed through the rejection sampler
+    # oracle E[sum Qtilde]/(1-a) = 4, first confirmed through single tilted-cluster paths
     oracle = expected_ratio_max(AR1_CLUSTER).value
     tilted_draws = np.array([sample_tilted_cluster(AR1_CLUSTER, seed=s).sum() for s in range(200)])
     oracle_mc = tilted_draws.mean() / (1.0 - ALPHA)

@@ -38,6 +38,7 @@ from selfnorm.clusters import (
     tilted_atoms,
     tilted_functionals,
 )
+from selfnorm.experiments import cluster_to_dict
 from selfnorm.rng import substream
 
 REL = 1e-12
@@ -51,7 +52,8 @@ ANALYTIC = [
     ar1_cluster(0.7, 1.3, (0.8, 0.2)),
     ar1_cluster(-0.6, 0.6, (0.3, 0.7)),
 ]
-IDS = [f"{c.kind}-phi{c.phi}-a{c.alpha}-q{c.tail_balance[0]}" for c in ANALYTIC]
+# ids read the config form, in which an iid cluster has no phi
+IDS = [f"{c.kind}-phi{cluster_to_dict(c).get('phi')}-a{c.alpha}-q{c.tail_balance[0]}" for c in ANALYTIC]
 POSITIVE = [c for c in ANALYTIC if c.tail_balance[1] == 0.0 and (c.phi or 0.0) >= 0.0 and c.alpha < 1.0]
 
 

@@ -25,13 +25,24 @@ from selfnorm import (
     verify_time_change,
 )
 from selfnorm.clusters import (
+    ClusterModel,
     _draw_ar1_tail,
+    _tail_windows,
     cluster_functionals,
     default_horizon,
+    tilted_atoms,
     tilted_functionals,
-    truncated_abs_mean_series,
 )
 from selfnorm.rng import substream
+
+
+def truncated_abs_mean_series(model, lags, reps, seed):
+    """Monte-Carlo series E[|Theta_j| ^ 1] over ``lags = (lo, hi)``; the partial
+    sums of this series being numerically Cauchy is the summability probe that
+    backs the anti-clustering hypothesis for the shipped models."""
+    lo, hi = lags
+    _, wins = _tail_windows(model, substream(seed, 19), reps, lo, hi)
+    return np.minimum(np.abs(wins), 1.0).mean(axis=0)
 
 
 class TestSpectralTail:
@@ -104,6 +115,17 @@ class TestClusterDraws:
         d = sample_cluster(iid_cluster(0.5, (0.0, 1.0)), seed=3)
         assert np.array_equal(d.values, [-1.0])
 
+    @pytest.mark.parametrize("sampler", [sample_cluster, sample_tilted_cluster])
+    def test_horizon_domain(self, sampler):
+        with pytest.raises(ConfigurationError, match="horizon"):
+            sampler(ar1_cluster(0.5, 0.8), horizon=-2, seed=1)
+
+    def test_iid_rejects_phi(self):
+        with pytest.raises(ConfigurationError, match="phi"):
+            ClusterModel(kind="iid", alpha=0.5, phi=0.3)
+        assert ClusterModel(kind="iid", alpha=0.5, phi=0).phi == 0.0
+        assert iid_cluster(0.5).phi == 0.0
+
     def test_default_horizon_mass(self):
         model = ar1_cluster(0.8, 0.6)
         h = default_horizon(model)
@@ -129,6 +151,33 @@ class TestTilted:
         for seed in range(10):
             d = sample_tilted_cluster(model, seed=seed)
             assert d.sum() == pytest.approx(2.0, abs=1e-9)
+
+    @pytest.mark.parametrize("phi,alpha", [(0.5, 0.8), (-0.7, 0.9), (0.9, 1.5)])
+    def test_geometric_tilt_is_the_same_draw(self, phi, alpha):
+        # max|Q| = (1 - |phi|^alpha)^(1/alpha) for every J: the tilt leaves the law as it is
+        model = ar1_cluster(phi, alpha, (0.3, 0.7))
+        max_q = (1.0 - abs(phi) ** alpha) ** (1.0 / alpha)
+        for seed in range(30):
+            d, t = sample_cluster(model, seed=seed), sample_tilted_cluster(model, seed=seed)
+            assert (t.t_min, t.t_max, t.truncation_error) == (d.t_min, d.t_max, d.truncation_error)
+            assert np.array_equal(t.values, d.values / max_q)
+
+    def test_empirical_tilt_is_the_reweighted_law(self, within_se):
+        # anchors drawn with weight max|Q|^alpha: the mean tilted sum is the tilted atoms' mean
+        model = empirical_cluster(ar1_model(0.5, NoiseSpec("pareto", 0.8)), sample_length=200_000)
+        sums = np.array([sample_tilted_cluster(model, seed=s).sum() for s in range(2000)])
+        law = tilted_atoms(model, p=2.0)
+        within_se(sums.mean(), float(np.sum(law.weights * law.sum_q)), sums.std(ddof=1) / math.sqrt(2000), k=3)
+
+    def test_iid_tilt_is_the_spike(self):
+        model = iid_cluster(0.5, (0.4, 0.6))
+        signs = set()
+        for seed in range(20):
+            d = sample_tilted_cluster(model, horizon=5, seed=seed)
+            assert (d.t_min, d.t_max, d.truncation_error) == (0, 0, 0.0)
+            assert np.array_equal(d.values, sample_cluster(model, seed=seed).values)
+            signs.add(float(d.values[0]))
+        assert signs == {1.0, -1.0}
 
     def test_acceptance_rate_frozen(self, within_se):
         # acceptance probability is deterministic: 1 - |phi|^alpha

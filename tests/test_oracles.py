@@ -21,9 +21,19 @@ from selfnorm import (
 )
 from selfnorm.clusters import tilted_functionals
 from selfnorm.experiments import simulate_statistics
-from selfnorm.oracles import MomentReport, expected_ratio_student_p2
+from selfnorm.oracles import MomentReport
 from selfnorm.processes import pareto_quantile
 from selfnorm.rng import substream
+
+
+def ratio_student_l2(cluster) -> float:
+    """The p = 2 studentized-moment oracle computed through the l^2-normalised,
+    ``||Q||_2^alpha``-tilted geometric cluster, whose sum is
+    ``(q+ - q-) sqrt(1 - phi^2) / (1 - phi)`` (phi = 0 for iid)."""
+    a, phi = cluster.alpha, cluster.phi
+    gfac = gamma_fn((1.0 - a) / 2.0) / (gamma_fn(0.5) * gamma_fn(1.0 - a / 2.0))
+    qp, qm = cluster.tail_balance
+    return gfac * (qp - qm) * math.sqrt(1.0 - phi**2) / (1.0 - phi)
 
 
 class TestRatioMax:
@@ -72,7 +82,7 @@ class TestRatioStudent:
     ])
     def test_p2_rewriting_agrees(self, cluster):
         a = expected_ratio_student(cluster, p=2.0).value
-        b = expected_ratio_student_p2(cluster).value
+        b = ratio_student_l2(cluster)
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_p_domain(self):
