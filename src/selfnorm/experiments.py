@@ -187,13 +187,14 @@ _CLUSTER_KEYS = {
     "empirical": ("kind", "alpha", "source", "threshold_quantile", "block_half_width", "sample_length",
                   "library_seed", "floor_rel", "run_gap"),
 }
+_CLUSTER_REQUIRED = {"iid": ("alpha",), "ar1_analytic": ("alpha", "phi"), "empirical": ("source",)}
 
 
 def cluster_from_dict(d: dict) -> ClusterModel:
     kind = d.get("kind")
     if kind not in _CLUSTER_KEYS:
         raise ConfigurationError(f"unknown cluster kind {kind!r}")
-    check_keys(d, _CLUSTER_KEYS[kind], f"{kind} cluster")
+    check_keys(d, _CLUSTER_KEYS[kind], f"{kind} cluster", _CLUSTER_REQUIRED[kind])
     tb = (float(d.get("q_plus", 0.5)), float(d.get("q_minus", 0.5)))
     if kind == "iid":
         return clusters.iid_cluster(float(d["alpha"]), tb)

@@ -26,12 +26,17 @@ package.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+import scipy
 from scipy.special import gamma as gamma_fn
 
 from .errors import ConfigurationError, ModelError, UnsupportedError
@@ -53,6 +58,8 @@ _GOLDIE_CHAINS = 64
 _GOLDIE_KEEP = 2_000
 # time steps per tile of sre_recursion: a (tile, rows) slab of A, B and X stays in cache
 _SRE_TILE = 256
+# lfilter's compiled kernel, ``_linear_filter(b, a, x, axis)``, set by :func:`_ar1_kernel`
+_LINEAR_FILTER = None
 
 
 def _validate_alpha(alpha: float) -> float:
@@ -249,10 +256,8 @@ class ProcessModel:
         if self.kind == "ar1":
             if self.phi is None or not (-1.0 < self.phi < 1.0) or self.phi == 0.0:
                 raise ConfigurationError("ar1 requires phi in (-1, 1) \\ {0}")
-            # scipy.signal, as slow to import as the rest of the package, is
-            # loaded only where an AR(1) model is built: always in the driver,
-            # so a forked pool inherits it instead of importing it per worker
-            import scipy.signal  # noqa: F401
+            # the driver builds every model, so a forked pool inherits the kernel
+            _ar1_kernel()
             rate = (math.log(abs(self.phi)), 0.0)
         if self.kind == "sre":
             if self.sre_law is None:
@@ -379,16 +384,40 @@ def sample_noise(spec: NoiseSpec, count: int, seed: int) -> np.ndarray:
     return _draw_noise(spec, substream(seed, 0), count)
 
 
+def _ar1_kernel():
+    """``scipy.signal._sigtools._linear_filter``, the C loop behind ``lfilter``.
+
+    The extension module is loaded from its file on its own, so
+    ``scipy/signal/__init__.py``, which takes longer to import than this whole
+    package and pulls in ``scipy.stats``, ``scipy.interpolate`` and
+    ``scipy.optimize``, never runs. Held in a module global for the life of
+    the process; a ``scipy.signal`` already imported lends its own module.
+    """
+    global _LINEAR_FILTER
+    if _LINEAR_FILTER is None:
+        name = "scipy.signal._sigtools"
+        module = sys.modules.get(name)
+        if module is None:
+            spec = importlib.machinery.PathFinder.find_spec(name, [os.path.join(scipy.__path__[0], "signal")])
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            # loading registers the bare module; a later ``import scipy.signal`` makes its own
+            sys.modules.pop(name, None)
+        _LINEAR_FILTER = module._linear_filter
+    return _LINEAR_FILTER
+
+
 def ar1_recursion(phi: float, noise: np.ndarray, x0=0.0) -> np.ndarray:
     """Run ``X_t = phi X_{t-1} + Z_t`` from state ``x0`` over a noise array.
 
     Batched over the leading axes of ``noise`` (recursion along the last);
-    ``x0`` is a scalar or one start per leading index.
+    ``x0`` is a scalar or one start per leading index. The zero-start
+    recursion is ``lfilter([1], [1, -phi], noise)`` bit for bit: the same
+    compiled kernel, called without importing ``scipy.signal``
+    (:func:`_ar1_kernel`).
     """
-    from scipy.signal import lfilter  # already loaded wherever an AR(1) model was built
-
     noise = np.asarray(noise, dtype=float)
-    out = lfilter([1.0], [1.0, -phi], noise, axis=-1)
+    out = _ar1_kernel()(np.array([1.0]), np.array([1.0, -phi]), noise, -1)
     x0 = np.asarray(x0, dtype=float)
     if x0.any():
         t = np.arange(1, noise.shape[-1] + 1)
@@ -598,11 +627,15 @@ _SRE_LAW_KEYS = {"lognormal": ("kind", "alpha", "sigma", "neg_prob", "b_mean", "
                  "constant": ("kind", "alpha", "a_const", "b_mean", "b_sd")}
 
 
-def check_keys(d: dict, allowed, what: str) -> None:
-    """Reject a config dict holding a key that ``allowed`` does not name."""
+def check_keys(d: dict, allowed, what: str, required=()) -> None:
+    """Reject a config dict holding a key that ``allowed`` does not name, or
+    lacking a key that ``required`` names."""
     unknown = sorted(set(d) - set(allowed))
     if unknown:
         raise ConfigurationError(f"{what}: unknown keys {unknown}; it reads {sorted(allowed)}")
+    missing = [k for k in required if k not in d]
+    if missing:
+        raise ConfigurationError(f"{what}: missing keys {missing}")
 
 
 def model_to_dict(model: ProcessModel) -> dict:
@@ -629,7 +662,7 @@ def model_from_dict(d: dict) -> ProcessModel:
     noise = law = None
     if "noise" in d:
         nd = d["noise"]
-        check_keys(nd, _NOISE_KEYS, "noise")
+        check_keys(nd, _NOISE_KEYS, "noise", required=("kind", "alpha"))
         noise = NoiseSpec(nd["kind"], float(nd["alpha"]),
                           (float(nd.get("q_plus", 0.5)), float(nd.get("q_minus", 0.5))))
     if "sre_law" in d:

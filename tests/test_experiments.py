@@ -135,6 +135,17 @@ BAD_KEYS = [
 # each case as "<field>-d<k>", the id pytest gives a (field, dict) pair
 BAD_KEY_CASES = [pytest.param(field, d, "reads no burn-in" if "burn_in" in d else "unknown keys",
                               id=f"{field}-d{k}") for k, (field, d) in enumerate(BAD_KEYS)]
+# (field, dict, the key it lacks): a key without a default is a configuration
+# error that names it, not a bare KeyError
+MISSING_KEYS = [
+    ("cluster", {"kind": "iid"}, "alpha"),
+    ("cluster", {"kind": "ar1_analytic", "phi": 0.5}, "alpha"),
+    ("cluster", {"kind": "ar1_analytic", "alpha": 0.5}, "phi"),
+    ("cluster", {"kind": "empirical", "alpha": 0.5}, "source"),
+    ("model", {"kind": "ar1", "phi": 0.5, "noise": {"kind": "pareto"}}, "alpha"),
+    ("model", {"kind": "ar1", "phi": 0.5, "noise": {"alpha": 0.5}}, "kind"),
+    ("cluster", {"kind": "empirical", "source": {"kind": "iid", "noise": {"kind": "pareto"}}}, "alpha"),
+]
 
 
 class TestConfigKeys:
@@ -160,6 +171,19 @@ class TestConfigKeys:
         kind = "verify" if field == "model" else "limit"
         assert cli_main([kind, "--config", str(cfg_path)]) == 2
         assert match in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,d,key", MISSING_KEYS)
+    def test_missing_key_cli_exit_2(self, field, d, key, tmp_path, capsys):
+        with pytest.raises(ConfigurationError, match=f"missing keys \\['{key}'\\]"):
+            (model_from_dict if field == "model" else cluster_from_dict)(d)
+        with pytest.raises(ConfigurationError, match=f"{field}: .*missing keys \\['{key}'\\]"):
+            self._config(field, d).validate()
+        cfg_path = tmp_path / "cfg.yaml"
+        with open(cfg_path, "w") as fh:
+            yaml.safe_dump(self._config(field, d).to_dict(), fh)
+        kind = "verify" if field == "model" else "limit"
+        assert cli_main([kind, "--config", str(cfg_path)]) == 2
+        assert f"missing keys ['{key}']" in capsys.readouterr().err
 
     def test_shipped_dicts_read_every_key(self):
         for path in sorted((Path(__file__).parents[1] / "configs").glob("*.yaml")):

@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,6 +139,65 @@ class TestPaths:
     def test_n_domain(self, pareto_pos_half):
         with pytest.raises(ConfigurationError):
             sample_path(pareto_pos_half, 0, seed=1)
+
+
+def _lfilter_reference(phi, noise, x0=0.0):
+    """The AR(1) recursion through ``scipy.signal.lfilter`` itself, plus the
+    start's geometric decay: what ``ar1_recursion`` must equal bit for bit."""
+    from scipy.signal import lfilter
+
+    out = lfilter([1.0], [1.0, -phi], noise, axis=-1)
+    x0 = np.asarray(x0, dtype=float)
+    if x0.any():
+        out = out + x0[..., None] * phi ** np.arange(1, noise.shape[-1] + 1)
+    return out
+
+
+AR1_KERNEL_PHIS = [-0.95, -0.5, 0.3, 0.5, 0.95]
+
+
+class TestAR1Kernel:
+    """``ar1_recursion`` calls lfilter's compiled kernel without importing
+    ``scipy.signal``; its values are lfilter's, bit for bit."""
+
+    @pytest.mark.parametrize("phi", AR1_KERNEL_PHIS)
+    @pytest.mark.parametrize("shape", [(400,), (6, 300), (2, 3, 200)])
+    def test_matches_lfilter(self, phi, shape):
+        z = np.random.default_rng(31).standard_cauchy(shape)
+        assert np.array_equal(ar1_recursion(phi, z), _lfilter_reference(phi, z))
+        assert np.array_equal(ar1_recursion(phi, z, 1.7), _lfilter_reference(phi, z, 1.7))
+        if len(shape) > 1:
+            x0 = np.random.default_rng(32).standard_normal(shape[:-1])
+            assert np.array_equal(ar1_recursion(phi, z, x0), _lfilter_reference(phi, z, x0))
+
+    @pytest.mark.parametrize("phi", AR1_KERNEL_PHIS)
+    def test_non_contiguous_noise(self, phi):
+        base = np.random.default_rng(33).standard_cauchy((300, 8))
+        x0 = np.linspace(-2.0, 2.0, 8)
+        for z in (base.T, base.T[::2, ::3], base[::-2, 1]):
+            assert not z.flags.c_contiguous
+            assert np.array_equal(ar1_recursion(phi, z), _lfilter_reference(phi, z))
+            starts = x0[: z.shape[0]] if z.ndim > 1 else 0.5
+            assert np.array_equal(ar1_recursion(phi, z, starts), _lfilter_reference(phi, z, starts))
+
+    def test_later_scipy_signal_import(self):
+        # in a fresh interpreter: the kernel runs without scipy.signal, which
+        # still imports afterwards, with an lfilter that agrees
+        code = """
+            import sys
+            import numpy as np
+            from selfnorm import processes
+            z = np.random.default_rng(34).standard_cauchy((5, 400))
+            before = processes.ar1_recursion(-0.8, z)
+            assert processes._LINEAR_FILTER is not None and 'scipy.signal' not in sys.modules
+            import scipy.signal
+            assert np.array_equal(before, scipy.signal.lfilter([1.0], [1.0, 0.8], z))
+            assert np.array_equal(scipy.signal._sigtools._linear_filter(
+                np.array([1.0]), np.array([1.0, 0.8]), z, -1), before)
+            assert np.array_equal(processes.ar1_recursion(-0.8, z), before)
+        """
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env, check=True, timeout=120)
 
 
 class TestCoupled:

@@ -316,10 +316,12 @@ def _fresh(code: str) -> None:
 
 
 def test_import_leaves_mpmath_out():
-    # nor scipy.signal (the AR(1) filter) or scipy.integrate (the quad fallbacks)
+    # nor scipy.signal (the AR(1) filter's package), scipy.integrate (the quad
+    # fallbacks), or what scipy.signal would pull in
     _fresh("""
         import sys, selfnorm
-        assert {'mpmath', 'scipy.signal', 'scipy.integrate'}.isdisjoint(sys.modules)
+        assert {'mpmath', 'scipy.signal', 'scipy.integrate', 'scipy.stats', 'scipy.interpolate',
+                'scipy.optimize'}.isdisjoint(sys.modules)
     """)
 
 
@@ -348,19 +350,26 @@ def test_sre_runs_leave_scipy_signal_out(tmp_path):
     """)
 
 
-def test_ar1_model_loads_scipy_signal_before_the_pool():
-    _fresh("""
-    import sys
+def test_ar1_runs_leave_scipy_signal_out(tmp_path):
+    # the AR(1) model holds lfilter's kernel, loaded without scipy.signal; the
+    # forked workers inherit it, and results stay the same for any worker count
+    _fresh(_BLOCK_SIGNAL + f"""
     import numpy as np
-    from selfnorm import NoiseSpec, ar1_model
+    from selfnorm import ExperimentConfig, NoiseSpec, ar1_model, processes, run_experiment
     from selfnorm.experiments import simulate_statistics
-    assert 'scipy.signal' not in sys.modules
     model = ar1_model(0.5, NoiseSpec(kind="pareto", alpha=0.5, tail_balance=(1.0, 0.0)), burn_in=50)
-    assert 'scipy.signal' in sys.modules
-    specs = [{"name": "ratio_max"}, {"name": "greenwood", "p": 2.0}]
+    assert processes._LINEAR_FILTER is not None and 'scipy.signal' not in sys.modules
+    ar1 = {{"kind": "ar1", "phi": 0.5, "noise": {{"kind": "pareto", "alpha": 0.5, "q_plus": 1.0, "q_minus": 0.0}}}}
+    cluster = {{"kind": "empirical", "source": ar1, "sample_length": 20_000, "library_seed": 4}}
+    for cfg in (dict(kind="verify", name="v", model=ar1, cluster=cluster, n=2000, reps=40, p=2.0,
+                     checks=["greenwood", "lepage_laplace"], seed=1),
+                dict(kind="diagnose", name="d", model=ar1, n=2000, reps=20, seed=2)):
+        run_experiment(ExperimentConfig.from_dict(cfg), out_dir={str(tmp_path)!r}, workers=2)
+    specs = [{{"name": "ratio_max"}}, {{"name": "greenwood", "p": 2.0}}]
     one = simulate_statistics(model, 300, 40, specs, seed=5, workers=1)
     two = simulate_statistics(model, 300, 40, specs, seed=5, workers=2)
     assert one.keys() == two.keys() and all(np.array_equal(one[k], two[k]) for k in one)
+    assert 'scipy.signal' not in sys.modules
     """)
 
 
