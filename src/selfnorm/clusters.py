@@ -548,13 +548,27 @@ class ClusterAtoms:
 
     def draw(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Atom indices of ``count`` independent draws from the law; a weighted
-        law is drawn by the inverse CDF of ``rng.random``."""
+        law is drawn by the inverse CDF of ``rng.random``: the number of
+        cumulative weights at most u, at most n - 1. The two atoms of an exact
+        law count by comparison, which equals ``searchsorted`` on the same
+        uniforms."""
         n = len(self.weights)
         if self.draw_chunk:
             step = self.draw_chunk
             return np.concatenate([rng.integers(0, n, size=min(step, count - lo))
                                    for lo in range(0, count, step)] or [np.zeros(0, dtype=np.int64)])
-        return np.minimum(np.searchsorted(np.cumsum(self.weights), rng.random(count), side="right"), n - 1)
+        cdf = np.cumsum(self.weights)
+        u = rng.random(count)
+        if n == 2:
+            return (u >= cdf[0]).astype(np.intp)
+        return np.minimum(np.searchsorted(cdf, u, side="right"), n - 1)
+
+    @property
+    def sole_atom(self) -> Optional[int]:
+        """The atom that holds all the weight (its weight exactly 1, every
+        other 0), which :meth:`draw` returns for every uniform; else None."""
+        hit = np.flatnonzero(self.weights)
+        return int(hit[0]) if len(hit) == 1 and self.weights[hit[0]] == 1.0 and not self.draw_chunk else None
 
     def tilted(self) -> "ClusterAtoms":
         """The tilted cluster law by exact reweighting: weights proportional to

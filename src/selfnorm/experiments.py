@@ -334,12 +334,13 @@ def _parse_spec(spec) -> tuple[str, str, dict]:
 class _ReductionPlan:
     """How a block of paths becomes per-replica statistics.
 
-    Every statistic is a function of a few per-row primitives of the block
-    (:func:`stats._block_sums`): the sum, the maximum modulus and max-rescaled
-    power sums, taken about the run's center (``centered_ps``; ratio_max,
-    sum, max_abs, gamma, studentized) or about 0 (``raw_ps``; greenwood,
-    kurtosis, norm_ratio). Each primitive is computed once per block and
-    center, and at center 0 the two sets are one.
+    Every statistic is a function of a few per-row primitives of the paths
+    (:class:`stats._BlockSums`): the sum, the maximum modulus and
+    max-rescaled power sums, taken about the run's center (``centered_ps``;
+    ratio_max, sum, max_abs, gamma, studentized) or about 0 (``raw_ps``;
+    greenwood, kurtosis, norm_ratio), whatever the run's centering. Each
+    primitive is accumulated once per center, tile by tile, and at center 0
+    the two sets are one.
     """
 
     specs: tuple  # (label, name, parameters) per spec
@@ -365,17 +366,27 @@ class _ReductionPlan:
                 raise ConfigurationError("the ratio statistic needs alpha < min(p, 1)")
         return cls(parsed, centered, raw, any(name == "greenwood" for _, name, _ in parsed))
 
-    def reduce(self, values: np.ndarray, center: float) -> dict:
-        """Per-replica statistics of a (m, n) block of paths."""
-        if self.greenwood and np.any(values <= 0):
-            raise ConfigurationError("the ratio statistic needs strictly positive paths")
-        sums = stats._block_sums
-        if center == 0.0:
-            centered = raw = sums(values, (self.centered_ps or ()) + (self.raw_ps or ()),
+    def reduce(self, values: np.ndarray, center) -> dict:
+        """Per-replica statistics of a whole (m, n) block of paths."""
+        return self.reduce_tiles([values], len(values), center)
+
+    def reduce_tiles(self, tiles, rows: int, center) -> dict:
+        """Per-replica statistics of ``rows`` paths given as (rows, t) tiles
+        in time order: the centered set about ``center`` (a scalar or one
+        center per row, shaped (rows, 1)), the raw set about 0."""
+        sums = stats._BlockSums
+        if np.ndim(center) == 0 and center == 0.0:
+            centered = raw = sums(rows, (self.centered_ps or ()) + (self.raw_ps or ()),
                                   total=self.centered_ps is not None, first=self.greenwood)
         else:
-            centered = None if self.centered_ps is None else sums(values, self.centered_ps, center)
-            raw = None if self.raw_ps is None else sums(values, self.raw_ps, total=False, first=self.greenwood)
+            centered = None if self.centered_ps is None else sums(rows, self.centered_ps, center)
+            raw = None if self.raw_ps is None else sums(rows, self.raw_ps, total=False, first=self.greenwood)
+        folds = [b for b in dict.fromkeys((centered, raw)) if b is not None]
+        for tile in tiles:
+            if self.greenwood and np.any(tile <= 0):
+                raise ConfigurationError("the ratio statistic needs strictly positive paths")
+            for b in folds:
+                b.add(tile)
         out = {}
         for label, name, params in self.specs:
             b = raw if name in _RAW else centered
@@ -399,23 +410,32 @@ class _ReductionPlan:
 
 
 def _stats_block_worker(args) -> dict:
+    """Per-replica statistics of the replicas ``[start, stop)``, streamed.
+
+    The replicas advance in groups of at most ``processes._TILE_ROWS``
+    through :func:`processes._path_tiles`, ``processes._TILE_STEPS`` steps
+    at a time, and each tile is folded into the plan's per-row accumulators
+    and dropped, so the worker holds a few tiles whatever n is. Empirical
+    centering takes two passes over the same counter-based streams: the
+    first accumulates the row sums, whose means center the second.
+    """
     model_dict, n, start, stop, seed, plan, centering = args
     model = model_from_dict(model_dict)
-    center = 0.0
-    if centering == "analytic":
-        center = stationary_mean(model)
+    center = stationary_mean(model) if centering == "analytic" else 0.0
     indices = np.arange(start, stop)
-    # the budget covers the worker's peak: the simulated block and the two
-    # (rows, n) buffers of stats._block_sums (the rescaled moduli and a power)
-    chunk = max(1, 8_000_000 // (n + model.burn_in + 2 * n))
+
+    def tiles(idx):
+        return processes._path_tiles(model, n + model.burn_in, seed, idx, skip=model.burn_in)
+
     pieces = []
-    for lo in range(0, len(indices), chunk):
-        idx = indices[lo: lo + chunk]
-        values = processes._simulate_rows(model, n, seed, idx)
+    for rows in processes._row_groups(len(indices)):
+        idx = indices[rows]
         if centering == "empirical":
-            c = values.mean(axis=1, keepdims=True)
-            values = values - c
-        pieces.append(plan.reduce(values, center))
+            total = np.zeros(len(idx))
+            for x in tiles(idx):
+                total += x.sum(axis=1)
+            center = (total / n)[:, None]
+        pieces.append(plan.reduce_tiles(tiles(idx), len(idx), center))
     return {k: np.concatenate([p[k] for p in pieces]) for k in pieces[0]}
 
 
@@ -432,8 +452,9 @@ def simulate_statistics(
     identical output for any worker count.
 
     The specs become one reduction plan in the calling process, so a bad
-    spec or centering fails before any path is simulated. Each block of paths is then
-    simulated once and every statistic is reduced from it.
+    spec or centering fails before any path is simulated. Each path is then
+    simulated once (twice under empirical centering) and every statistic is
+    reduced from its tiles as they are made.
     """
     if centering not in _CENTERINGS:
         raise ConfigurationError(f"centering must be one of {_CENTERINGS}, got {centering!r}")

@@ -625,21 +625,26 @@ def sample_limit_lepage_batch(
 
     Each replica draws its n_terms exponentials and then its atoms from its
     own stream; the arithmetic runs on blocks of about ``_SERIES_BLOCK`` values.
-    The final root and the truncation bound stay per-replica scalar powers,
-    which numpy's array ``pow`` need not match to the last bit."""
+    When one atom holds all the weight (one-signed geometric clusters) the
+    atom draws are skipped: they come last in the stream and would all
+    return that atom. The final root and the truncation bound stay
+    per-replica scalar powers, which numpy's array ``pow`` need not match to
+    the last bit."""
     _lepage_validate(cluster, alpha, p, n_terms)
     law = cluster_law(cluster, (p,))
     out = {k: np.empty(reps) for k in ("xi", "eta", "zeta_p", "truncation_bound")}
     rows = max(1, min(reps, _SERIES_BLOCK // n_terms))
     expo = np.empty((rows, n_terms))
-    k = np.empty((rows, n_terms), dtype=np.intp)
+    sole = law.sole_atom
+    k = np.full((rows, n_terms), 0 if sole is None else sole, dtype=np.intp)
     streams = substreams(seed, range(first_index, first_index + reps))
     for lo in range(0, reps, rows):
         m = min(rows, reps - lo)
         for j in range(m):
             rng = next(streams)
             rng.standard_exponential(n_terms, out=expo[j])
-            k[j] = law.draw(n_terms, rng)
+            if sole is None:
+                k[j] = law.draw(n_terms, rng)
         gam = np.cumsum(expo[:m], axis=1)
         km = k[:m]
         w = gam ** (-1.0 / alpha)

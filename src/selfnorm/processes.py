@@ -12,12 +12,19 @@ Three model families are shipped, all univariate:
   ``E|A|^alpha = 1``.
 
 All three are Markov chains ``X_t = A_t X_{t-1} + B_t`` (AR(1): ``A = phi``,
-``B = Z``; iid: ``A = 0``), so one engine simulates them: ``_innovations``
-draws one row per replica stream, ``(Z,)`` or ``(A, B)``, and ``_recurse``
-runs every row through the model's recursion at once. These two functions
-are the only place where path simulation depends on the model kind. An iid
-model reads no burn-in; AR(1) and SRE models burn in from a zero start for as
-long as their contraction rate needs to forget it (:func:`_burn_in_steps`).
+``B = Z``; iid: ``A = 0``), so one engine simulates them. A replica's
+innovations come from its own Philox stream in a fixed layout: the model's
+draw calls (``NoiseSpec.draw_calls``, ``SRELaw.draw_calls``), each of the
+row's full length, one after another. ``_innovations`` draws whole rows in
+that layout. ``_path_tiles`` streams paths through time in tiles of
+``_TILE_STEPS`` steps: every row keeps one generator per draw call, each
+positioned where its call starts in the layout, draws its next values per
+tile, and the recursion carries its state from tile to tile. Joined, the
+tiles are the whole-row paths bit for bit, so a consumer that folds tiles
+into accumulators needs memory for one tile, whatever the path length. An
+iid model reads no burn-in; AR(1) and SRE models burn in from a zero start
+for as long as their contraction rate needs to forget it
+(:func:`_burn_in_steps`).
 
 All samplers are pure functions of ``(model, n, seed)``: identical arguments
 produce bit-identical paths. ``write_csv`` is the one CSV writer of the
@@ -40,7 +47,7 @@ import scipy
 from scipy.special import gamma as gamma_fn
 
 from .errors import ConfigurationError, ModelError, UnsupportedError
-from .rng import substream, substreams
+from .rng import _stream_keys, substream, substreams
 
 PARETO = "pareto"
 SYMMETRIC_STABLE = "symmetric_stable"
@@ -58,6 +65,10 @@ _GOLDIE_CHAINS = 64
 _GOLDIE_KEEP = 2_000
 # time steps per tile of sre_recursion: a (tile, rows) slab of A, B and X stays in cache
 _SRE_TILE = 256
+# the path engine's tiles: at most _TILE_ROWS replicas advance together, _TILE_STEPS
+# steps at a time, so one float64 tile is at most 2 MB whatever the path length
+_TILE_ROWS = 256
+_TILE_STEPS = 1024
 # lfilter's compiled kernel, ``_linear_filter(b, a, x, axis)``, set by :func:`_ar1_kernel`
 _LINEAR_FILTER = None
 
@@ -118,6 +129,34 @@ class NoiseSpec:
             return (self.q_plus - self.q_minus) * self.alpha / (self.alpha - 1.0)
         return 0.0
 
+    @property
+    def draw_calls(self) -> tuple[str, ...]:
+        """The ``Generator`` methods a row of noise is drawn by, in stream
+        order: the Pareto moduli's uniforms, then (two-sided only) the signs'
+        uniforms; the stable law's uniforms, then its exponentials. One-signed
+        noise draws no signs: they would come last and compare alike."""
+        if self.kind == SYMMETRIC_STABLE:
+            return ("random", "standard_exponential")
+        return ("random",) if self.q_plus in (0.0, 1.0) else ("random", "random")
+
+    def _from_draws(self, draws) -> np.ndarray:
+        """The noise from one array per :attr:`draw_calls` entry, all of one
+        shape; a Pareto draw is computed in place in the first array."""
+        if self.kind == PARETO:
+            z = np.power(draws[0], -1.0 / self.alpha, out=draws[0])  # pareto_quantile's map
+            if self.q_plus != 1.0:
+                # a sign of -1 where the sign's uniform is at least q_plus: z * -1 is -z exactly
+                np.negative(z, out=z, where=True if self.q_plus == 0.0 else draws[1] >= self.q_plus)
+            return z
+        # Chambers-Mallows-Stuck, symmetric case
+        a = self.alpha
+        v = math.pi * (draws[0] - 0.5)
+        return (
+            np.sin(a * v)
+            / np.cos(v) ** (1.0 / a)
+            * (np.cos((1.0 - a) * v) / draws[1]) ** ((1.0 - a) / a)
+        )
+
 
 def stable_tail_constant(alpha: float) -> float:
     """c_alpha with P(|Z| > z) ~ c_alpha z^-alpha for a standard symmetric
@@ -173,27 +212,42 @@ class SRELaw:
         if self.kind == "custom":
             a, b = self.sampler(rng, size)
             return np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-        a = self._fill_a(rng, np.empty(size))
-        if self.constant_b:
-            # the B normals come last in the stream and would all be
-            # multiplied by 0, so they are not drawn
-            return a, np.full(size, self.b_mean)
-        return a, self.b_mean + self.b_sd * rng.standard_normal(size)
+        a, b = self._from_draws([getattr(rng, call)(size) for call in self.draw_calls], size)
+        return a, np.full(size, self.b_mean) if self.constant_b else b
 
-    def _fill_a(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-        """Draw A of a non-custom law into the contiguous array ``out``, in
-        place: ``exp(mu + sigma Z)`` takes the same two IEEE operations as
-        written out, so every value equals the expression's."""
+    @property
+    def draw_calls(self) -> tuple[str, ...]:
+        """The ``Generator`` methods a row of (A, B) of a non-custom law is
+        drawn by, in stream order: the normals of log|A| (lognormal), the
+        uniforms of A's sign (if ``neg_prob > 0``), the normals of B. A
+        constant A or B is not drawn: B's normals come last and would all be
+        multiplied by 0."""
+        return (("standard_normal",) if self.kind == "lognormal" else ()) + (
+            ("random",) if self.kind == "lognormal" and self.neg_prob > 0 else ()) + (
+            () if self.constant_b else ("standard_normal",))
+
+    def _from_draws(self, draws, shape) -> tuple[np.ndarray, np.ndarray]:
+        """(A, B) of the given shape from one array per :attr:`draw_calls`
+        entry, computed in place in those arrays: ``exp(mu + sigma Z)`` and
+        ``b_mean + b_sd Z`` take the same IEEE operations as written out, so
+        every value equals the expression's. A constant B is a read-only
+        0-stride view of ``b_mean``."""
+        draws = iter(draws)
         if self.kind == "constant":
-            out.fill(self.a_const)
-            return out
-        rng.standard_normal(out=out)
-        out *= self.sigma
-        out += self.mu
-        np.exp(out, out=out)
-        if self.neg_prob > 0:
-            np.negative(out, out=out, where=rng.random(out.size) < self.neg_prob)
-        return out
+            a = np.full(shape, self.a_const)
+        else:
+            a = next(draws)
+            a *= self.sigma
+            a += self.mu
+            np.exp(a, out=a)
+            if self.neg_prob > 0:
+                np.negative(a, out=a, where=next(draws) < self.neg_prob)
+        if self.constant_b:
+            return a, np.broadcast_to(self.b_mean, shape)
+        b = next(draws)
+        b *= self.b_sd
+        b += self.b_mean
+        return a, b
 
     def abs_a_moment(self, q: float) -> Optional[float]:
         """E|A|^q in closed form where available, else None."""
@@ -265,6 +319,8 @@ class ProcessModel:
             rate = _check_sre_law(self.sre_law, self.kesten_check)
         if self.burn_in is None:
             object.__setattr__(self, "burn_in", _burn_in_steps(*rate))
+        # likewise a forked pool inherits the generators for one tile group
+        _warm_generators(_TILE_ROWS)
 
 
 def iid_model(noise: NoiseSpec) -> ProcessModel:
@@ -354,23 +410,7 @@ def pareto_quantile(u, alpha: float):
 
 
 def _draw_noise(spec: NoiseSpec, rng: np.random.Generator, size: int) -> np.ndarray:
-    if spec.kind == PARETO:
-        z = rng.random(size) ** (-1.0 / spec.alpha)  # pareto_quantile's map, without a call per row
-        if spec.q_plus in (0.0, 1.0):
-            # one-signed noise: the sign draws come last in the stream and
-            # would all compare the same way, so they are skipped
-            return z if spec.q_plus == 1.0 else -z
-        signs = np.where(rng.random(size) < spec.q_plus, 1.0, -1.0)
-        return z * signs
-    # Chambers-Mallows-Stuck, symmetric case
-    a = spec.alpha
-    v = math.pi * (rng.random(size) - 0.5)
-    w = rng.standard_exponential(size)
-    return (
-        np.sin(a * v)
-        / np.cos(v) ** (1.0 / a)
-        * (np.cos((1.0 - a) * v) / w) ** ((1.0 - a) / a)
-    )
+    return spec._from_draws([getattr(rng, call)(size) for call in spec.draw_calls])
 
 
 def sample_noise(spec: NoiseSpec, count: int, seed: int) -> np.ndarray:
@@ -463,25 +503,37 @@ def sre_recursion(a: np.ndarray, b: np.ndarray, x0=0.0) -> np.ndarray:
     return out.reshape(shape)
 
 
+def _law_of(model: ProcessModel):
+    """What a model's innovations are drawn from: its SRE law or its noise."""
+    return model.sre_law if model.kind == "sre" else model.noise
+
+
+def _from_draws(model: ProcessModel, draws: list, shape: tuple) -> tuple:
+    """``(Z,)`` or ``(A, B)`` from one array per draw call of the model's law."""
+    if model.kind == "sre":
+        return model.sre_law._from_draws(draws, shape)
+    return (model.noise._from_draws(draws),)
+
+
 def _innovations(model: ProcessModel, size: int, seed: int, indices, *suffix: int) -> tuple:
-    """One row of innovations per replica ``i`` in ``indices``, drawn from
-    stream ``(seed, i, *suffix)``: ``(Z,)`` for iid and AR(1), ``(A, B)`` for
-    SRE, each a preallocated ``(len(indices), size)`` array. A constant B
+    """One whole row of innovations per replica ``i`` in ``indices``, drawn
+    from stream ``(seed, i, *suffix)`` in the layout of the law's
+    ``draw_calls``: ``(Z,)`` for iid and AR(1), ``(A, B)`` for SRE, each a
+    ``(len(indices), size)`` array. A constant B
     (:attr:`SRELaw.constant_b`) is neither drawn nor filled: it is a
     read-only 0-stride view of ``b_mean``."""
-    rows, law = len(indices), model.sre_law
-    const_b = model.kind == "sre" and law.constant_b
-    block = tuple(np.empty((rows, size)) for _ in range(1 if model.kind != "sre" or const_b else 2))
-    for r, rng in enumerate(substreams(seed, indices, *suffix)):
-        if model.kind != "sre":
-            block[0][r] = _draw_noise(model.noise, rng, size)
-        elif const_b:
-            law._fill_a(rng, block[0][r])
-        else:
+    rows, law = len(indices), _law_of(model)
+    if model.kind == "sre" and law.kind == "custom":
+        block = (np.empty((rows, size)), np.empty((rows, size)))
+        for r, rng in enumerate(substreams(seed, indices, *suffix)):
             block[0][r], block[1][r] = law.sample_ab(rng, size)
-    if const_b:
-        return block[0], np.broadcast_to(law.b_mean, (rows, size))
-    return block
+        return block
+    draws = [np.empty((rows, size)) for _ in law.draw_calls]
+    if draws:
+        for r, rng in enumerate(substreams(seed, indices, *suffix)):
+            for call, out in zip(law.draw_calls, draws):
+                getattr(rng, call)(out=out[r])
+    return _from_draws(model, draws, (rows, size))
 
 
 def _recurse(model: ProcessModel, block: tuple, x0=0.0) -> np.ndarray:
@@ -494,10 +546,149 @@ def _recurse(model: ProcessModel, block: tuple, x0=0.0) -> np.ndarray:
     return sre_recursion(*block, x0=x0)
 
 
-def _simulate_rows(model: ProcessModel, n: int, seed: int, indices: np.ndarray) -> np.ndarray:
+# idle generators for the path engine, which re-keys them with _seek
+_IDLE_GENERATORS: list = []
+
+
+def _warm_generators(count: int) -> None:
+    """At least ``count`` idle generators; each costs about 10 us to build."""
+    while len(_IDLE_GENERATORS) < count:
+        _IDLE_GENERATORS.append(np.random.Generator(np.random.Philox(0)))
+
+
+def _take_generators(count: int) -> list:
+    _warm_generators(count)
+    taken = _IDLE_GENERATORS[len(_IDLE_GENERATORS) - count:]
+    del _IDLE_GENERATORS[len(_IDLE_GENERATORS) - count:]
+    return taken
+
+
+def _seek(gen: np.random.Generator, key: list, position: int) -> None:
+    """Put ``gen`` on the Philox stream ``key`` (two uint64 words), at
+    ``position`` 64-bit outputs from its start. Philox makes four outputs per
+    counter step: the counter goes to ``position // 4`` and the first
+    ``position % 4`` outputs of the next block are drawn off."""
+    gen.bit_generator.state = {
+        "bit_generator": "Philox", "state": {"counter": [position // 4, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    if position % 4:
+        gen.random(position % 4)
+
+
+def _position(gen: np.random.Generator) -> int:
+    """The number of 64-bit outputs ``gen`` has taken from its stream."""
+    state = gen.bit_generator.state
+    return 4 * int(state["state"]["counter"][0]) - 4 + int(state["buffer_pos"])
+
+
+class _TileDraws:
+    """The innovations of a group of replica rows, drawn tile after tile:
+    ``next(t)`` returns the next ``t`` innovations of every row, as
+    :func:`_innovations` would hold them in those columns, bit for bit.
+
+    Each row holds one generator per draw call of its law, positioned where
+    that call's ``size`` values start in the row's stream: a uniform takes
+    one 64-bit output, so a call after uniforms starts ``size`` outputs
+    later; a call after normals or exponentials (whose ziggurat samplers
+    take a variable count) starts where a scan that draws and drops them
+    ends. A user sampler fixes no layout, so a custom law's rows are drawn
+    whole. The returned arrays are reused by the next call.
+    """
+
+    def __init__(self, model: ProcessModel, size: int, seed: int, indices, *suffix: int):
+        self.model, self.rows, law = model, len(indices), _law_of(model)
+        self.gens, self.whole, self.offset = [], None, 0
+        if model.kind == "sre" and law.kind == "custom":
+            self.whole = _innovations(model, size, seed, indices, *suffix)
+            return
+        calls, tile = law.draw_calls, _TILE_STEPS
+        keys = _stream_keys(seed, indices, *suffix).tolist()
+        self.gens = [_take_generators(self.rows) for _ in calls]
+        self.buffers = [np.empty(self.rows * min(size, tile)) for _ in calls]
+        for r, key in enumerate(keys):
+            position = 0
+            for k, call in enumerate(calls):
+                gen = self.gens[k][r]
+                _seek(gen, key, position)
+                if k + 1 == len(calls):
+                    break
+                if call == "random":
+                    position += size
+                    continue
+                scratch = self.buffers[k][:tile]
+                for lo in range(0, size, tile):
+                    getattr(gen, call)(out=scratch[:min(tile, size - lo)])
+                gen_end = _position(gen)
+                _seek(gen, key, position)  # back to this call's start
+                position = gen_end
+        self.calls = [[getattr(g, call) for g in gens] for call, gens in zip(calls, self.gens)]
+
+    def next(self, t: int) -> tuple:
+        if self.whole is not None:
+            self.offset += t
+            return tuple(w[:, self.offset - t:self.offset] for w in self.whole)
+        draws = [buf[:self.rows * t].reshape(self.rows, t) for buf in self.buffers]
+        for out, calls in zip(draws, self.calls):
+            for row, call in zip(out, calls):
+                call(out=row)
+        return _from_draws(self.model, draws, (self.rows, t))
+
+    def close(self) -> None:
+        for gens in self.gens:
+            _IDLE_GENERATORS.extend(gens)
+        self.gens = []
+
+
+def _path_tiles(model: ProcessModel, steps: int, seed: int, indices, *suffix: int, skip: int = 0):
+    """The paths of the replica rows ``indices`` (at most ``_TILE_ROWS``
+    of them, for the memory bound) from a zero start, over ``steps`` steps
+    of the streams ``(seed, i, *suffix)``, ``_TILE_STEPS`` steps at a time.
+
+    Yields the ``(rows, t)`` tiles of steps ``skip`` to ``steps - 1`` in
+    order; the steps before ``skip`` run through tiles of their own. An
+    AR(1) tile runs lfilter's kernel with its state ``zi`` carried from the
+    last tile's ``zf``, an SRE tile runs :func:`sre_recursion` from the last
+    tile's final values, so the joined tiles equal :func:`_recurse` over
+    :func:`_innovations` bit for bit. A tile is valid until the next one is
+    asked for.
+    """
+    draws, tile, state = _TileDraws(model, steps, seed, indices, *suffix), _TILE_STEPS, 0.0
+    if model.kind == "ar1":
+        coef, state = (np.array([1.0]), np.array([1.0, -model.phi])), np.zeros((len(indices), 1))
+    try:
+        for start, stop in ((0, skip), (skip, steps)):
+            for lo in range(start, stop, tile):
+                block = draws.next(min(tile, stop - lo))
+                if model.kind == "iid":
+                    x = block[0]
+                elif model.kind == "ar1":
+                    x, state = _ar1_kernel()(*coef, block[0], -1, state)
+                else:
+                    x = sre_recursion(*block, x0=state)
+                    state = x[:, -1].copy()
+                if start == skip:
+                    yield x
+    finally:
+        draws.close()
+
+
+def _row_groups(count: int) -> list:
+    """Slices of at most ``_TILE_ROWS`` rows that cover ``range(count)``."""
+    return [slice(lo, lo + _TILE_ROWS) for lo in range(0, count, _TILE_ROWS)]
+
+
+def _simulate_rows(model: ProcessModel, n: int, seed: int, indices) -> np.ndarray:
     """Stationary-regime paths for the given replica indices, one Philox
-    substream per replica; rows are independent of how they are batched."""
-    return _recurse(model, _innovations(model, n + model.burn_in, seed, indices))[:, model.burn_in:]
+    substream per replica: the joined tiles of :func:`_path_tiles`, burn-in
+    dropped. Rows are independent of how they are batched and tiled."""
+    indices = np.asarray(indices)
+    out = np.empty((len(indices), n))
+    for rows in _row_groups(len(indices)):
+        col = 0
+        for x in _path_tiles(model, n + model.burn_in, seed, indices[rows], skip=model.burn_in):
+            out[rows, col:col + x.shape[1]] = x
+            col += x.shape[1]
+    return out
 
 
 def sample_path(model: ProcessModel, n: int, seed: int, index: int = 0) -> Path:
@@ -518,11 +709,15 @@ def _coupled_rows(model: ProcessModel, n: int, seed: int, indices: np.ndarray):
 
     Replica ``idx`` reads substream ``(seed, idx, 0)`` for the shared window
     and ``(seed, idx, 1)``, ``(seed, idx, 2)`` for the two burn-ins, each of
-    ``model.burn_in`` steps; each recursion runs once across all rows."""
-    burn = model.burn_in
-    # copied so that no burn-in block outlives its last column
-    x0, x0s = (_recurse(model, _innovations(model, burn, seed, indices, k))[:, -1].copy() if burn
-               else np.zeros(len(indices)) for k in (1, 2))
+    ``model.burn_in`` steps, of which only the final states are kept; the
+    shared window's recursion runs once across all rows."""
+    burn, indices = model.burn_in, np.asarray(indices)
+    x0, x0s = np.zeros(len(indices)), np.zeros(len(indices))
+    for k, start in ((1, x0), (2, x0s)):
+        for rows in _row_groups(len(indices)) if burn else ():
+            for x in _path_tiles(model, burn, seed, indices[rows], k):
+                pass
+            start[rows] = x[:, -1]
     shared = _innovations(model, n, seed, indices, 0)
     return _recurse(model, shared, x0), _recurse(model, shared, x0s), x0, x0s
 

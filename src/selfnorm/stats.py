@@ -5,8 +5,9 @@ accumulated in max-rescaled form (factor out ``max|X_t|`` before taking
 powers), which keeps ``sum |X_t|^p`` inside double range even when the raw
 powers would overflow at small tail indices, and makes the ratios exactly
 invariant under ``X -> c X``. Single-path reductions use exact (fsum)
-accumulation; batched reductions rely on numpy's pairwise summation after the
-same rescaling.
+accumulation. Batched reductions fold a block one time tile at a time: numpy's
+pairwise summation within a tile, the same rescaling carried against the
+running maximum from tile to tile.
 """
 
 from __future__ import annotations
@@ -105,21 +106,71 @@ def compute_stats(
     return PathStats(sum=total, max_abs=m, moduli=moduli, n=len(a), centering=centering)
 
 
-@dataclass(frozen=True)
 class _BlockSums:
-    """Per-row primitives of a (reps, n) block of paths about a center c.
+    """Per-row primitives of a (reps, n) block of paths about a center c,
+    folded in one time tile after another with :meth:`add`.
 
     ``total`` is ``sum_t (X_t - c)``, ``max_abs`` is ``M = max_t |X_t - c|``,
     ``powers[p]`` is the max-rescaled power sum ``sum_t (|X_t - c| / M)^p`` and
     ``first`` the rescaled first power ``sum_t |X_t - c| / M``; a row with
     ``M = 0`` is rescaled by 1. ``total`` and ``first`` are None unless asked
-    for.
+    for. The power sums are carried against the running max: a tile is
+    rescaled by the max so far, and when a tile raises it from M to M' the
+    sums so far are multiplied by ``(M / M')^p``, so every power stays at
+    most 1 however heavy the tail. ``c`` is a scalar or one center per row,
+    shaped (reps, 1).
     """
 
-    total: Optional[np.ndarray]
-    max_abs: np.ndarray
-    powers: Mapping[float, np.ndarray]
-    first: Optional[np.ndarray] = None
+    def __init__(self, rows: int, ps: Sequence[float], center=0.0, total: bool = True,
+                 first: bool = False):
+        self.center = center
+        self.total = np.zeros(rows) if total else None
+        self.max_abs = np.zeros(rows)
+        self.powers = {p: np.zeros(rows) for p in dict.fromkeys(ps)}
+        self.first = np.zeros(rows) if first else None
+        self._empty = True
+        # two tile-sized work arrays (the rescaled moduli and a power), kept
+        # from tile to tile: allocating them afresh costs a page fault per page
+        self._work = [np.empty(0), np.empty(0)]
+
+    def _tile(self, k: int, shape: tuple) -> np.ndarray:
+        size = shape[0] * shape[1]
+        if self._work[k].size < size:
+            self._work[k] = np.empty(size)
+        return self._work[k][:size].reshape(shape)
+
+    def add(self, values: np.ndarray) -> None:
+        """Fold in the next (reps, t) tile of the paths; ``values`` is not
+        written. At ``center == 0`` the centered copy is skipped: ``x - 0.0``
+        is ``x`` bit for bit."""
+        values = np.asarray(values, dtype=float)
+        scaled = self._tile(0, values.shape)
+        if np.ndim(self.center) == 0 and self.center == 0.0:
+            row_sums = values.sum(axis=1) if self.total is not None else None
+            np.abs(values, out=scaled)
+        else:
+            np.subtract(values, self.center, out=scaled)
+            row_sums = scaled.sum(axis=1) if self.total is not None else None
+            np.abs(scaled, out=scaled)
+        m = scaled.max(axis=1)
+        if not self._empty:
+            m = np.maximum(m, self.max_abs)
+        scale = np.where(m > 0, m, 1.0)
+        scaled /= scale[:, None]
+        # M / M' for the sums so far; the first tile is the whole of a
+        # one-tile block and is taken as it is, bit for bit
+        carry = None if self._empty else self.max_abs / scale
+        power = self._tile(1, values.shape)
+        for p, acc in self.powers.items():
+            tile = np.sum(np.power(scaled, p, out=power), axis=1)
+            self.powers[p] = tile if carry is None else acc * carry**p + tile
+        if self.first is not None:
+            tile = np.sum(scaled, axis=1)
+            self.first = tile if carry is None else self.first * carry + tile
+        if row_sums is not None:
+            self.total = row_sums if carry is None else self.total + row_sums
+        self.max_abs = m
+        self._empty = False
 
     def gamma(self, p: float) -> np.ndarray:
         """``gamma_p = M (sum_t (|X_t - c| / M)^p)^(1/p)``, 0 on an all-zero row."""
@@ -128,37 +179,15 @@ class _BlockSums:
         return np.where(m > 0, g, 0.0)
 
 
-def _block_sums(values: np.ndarray, ps: Sequence[float], center: float = 0.0, total: bool = True,
-                first: bool = False) -> _BlockSums:
-    """One pass of each primitive over a (reps, n) block: the row sums (if
-    ``total``), the row maxima of ``|X - center|``, one rescaled power sum per
-    p and the rescaled first power (if ``first``).
-
-    The block-sized buffers (the centered copy, the rescaled moduli, each
-    power) are released before this returns. At ``center == 0`` the centered
-    copy is skipped: ``x - 0.0`` is ``x`` bit for bit.
-    """
-    values = np.asarray(values, dtype=float)
-    if center == 0.0:
-        row_sums = values.sum(axis=1) if total else None
-        scaled = np.abs(values)
-    else:
-        scaled = values - center
-        row_sums = scaled.sum(axis=1) if total else None
-        np.abs(scaled, out=scaled)
-    m = scaled.max(axis=1)
-    scaled /= np.where(m > 0, m, 1.0)[:, None]
-    powers = {p: np.sum(scaled**p, axis=1) for p in dict.fromkeys(ps)}
-    return _BlockSums(row_sums, m, powers, np.sum(scaled, axis=1) if first else None)
-
-
 def batch_stats(values: np.ndarray, ps: Sequence[float], center: float = 0.0) -> dict:
     """Vectorised sums, maxima and moduli for a (reps, n) matrix of paths.
 
     Returns arrays ``sum`` and ``max_abs`` plus one ``gamma_p`` array per p,
     using the same max-rescaled accumulation as :func:`compute_stats`.
     """
-    b = _block_sums(values, ps, center)
+    values = np.asarray(values, dtype=float)
+    b = _BlockSums(len(values), ps, center)
+    b.add(values)
     out = {"sum": b.total, "max_abs": b.max_abs}
     for p in ps:
         out[f"gamma_{p:g}"] = b.gamma(p)

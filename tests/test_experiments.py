@@ -414,6 +414,7 @@ class TestReductionPlan:
             raise AssertionError("simulated a path")
 
         monkeypatch.setattr(processes, "_simulate_rows", no_paths)
+        monkeypatch.setattr(processes, "_path_tiles", no_paths)
         model = model_from_dict({"kind": "iid", "noise": {"kind": "pareto", "alpha": 1.5}})
         with pytest.raises(ConfigurationError, match="alpha < min"):
             simulate_statistics(model, 100, 4, [{"name": "ratio_max"}, {"name": "greenwood"}])

@@ -1,0 +1,244 @@
+"""The streaming path engine: time tiles against whole rows, streamed
+statistics against a whole-row reduction, worker counts and the memory
+bound; the series sampler's atom draws against the ``searchsorted`` formula.
+"""
+
+from __future__ import annotations
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from selfnorm import clusters, limits, processes
+from selfnorm.clusters import ClusterAtoms
+from selfnorm.errors import ConfigurationError
+from selfnorm.experiments import _ReductionPlan, _parse_spec, _stats_block_worker, simulate_statistics
+from selfnorm.processes import (NoiseSpec, SRELaw, ar1_model, ar1_recursion, iid_model, model_to_dict,
+                                sre_model, sre_recursion, stationary_mean)
+from selfnorm.rng import substream
+
+BENCH_LAW = SRELaw(alpha=0.8, sigma=1.0, b_mean=1.0, b_sd=0.0)
+MODELS = {
+    "iid_pareto_pos": iid_model(NoiseSpec("pareto", 0.5, (1.0, 0.0))),
+    "iid_pareto_neg": iid_model(NoiseSpec("pareto", 1.5, (0.0, 1.0))),
+    "iid_pareto_two_sided": iid_model(NoiseSpec("pareto", 1.5, (0.3, 0.7))),
+    "iid_stable": iid_model(NoiseSpec("symmetric_stable", 1.5)),
+    "ar1_pos_phi": ar1_model(0.5, NoiseSpec("pareto", 1.5)),
+    "ar1_neg_phi": ar1_model(-0.95, NoiseSpec("pareto", 0.8, (1.0, 0.0))),
+    "sre_constant_b": sre_model(BENCH_LAW),
+    # laws whose later draw calls start after a ziggurat scan
+    "sre_neg_prob": sre_model(SRELaw(alpha=0.8, sigma=1.0, neg_prob=0.3)),
+    "sre_b_sd": sre_model(SRELaw(alpha=0.5, sigma=0.7, neg_prob=0.3, b_mean=0.5, b_sd=2.0)),
+    "sre_constant_a": sre_model(SRELaw(alpha=0.9, kind="constant", a_const=0.5, b_sd=1.0),
+                                kesten_check=False),
+}
+
+
+def _whole_rows(model, n, seed, indices):
+    """Each replica's path as one whole row: its noise or (A, B) drawn at
+    once from ``substream(seed, i)``, then one recursion over the row."""
+    size = n + model.burn_in
+    rows = []
+    for i in indices:
+        rng = substream(seed, int(i))
+        if model.kind == "sre":
+            x = sre_recursion(*model.sre_law.sample_ab(rng, size))
+        else:
+            z = processes._draw_noise(model.noise, rng, size)
+            x = z if model.kind == "iid" else ar1_recursion(model.phi, z)
+        rows.append(x[model.burn_in:])
+    return np.stack(rows)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+@pytest.mark.parametrize("tile", [processes._TILE_STEPS, 100, 7])
+def test_joined_tiles_equal_whole_rows(monkeypatch, name, tile):
+    # 1501 + burn-in is a multiple of none of the tile lengths
+    model, idx = MODELS[name], np.array([0, 3, 8, 300])
+    assert (1501 + model.burn_in) % tile
+    monkeypatch.setattr(processes, "_TILE_STEPS", tile)
+    got = processes._simulate_rows(model, 1501, 6, idx)
+    assert np.array_equal(got, _whole_rows(model, 1501, 6, idx))
+
+
+def test_row_groups_and_coupled_burn_in():
+    # more rows than one group, and coupled start states from streamed burn-ins
+    model, idx = MODELS["ar1_neg_phi"], np.arange(processes._TILE_ROWS + 5)
+    assert np.array_equal(processes._simulate_rows(model, 50, 2, idx), _whole_rows(model, 50, 2, idx))
+    x, xs, x0, x0s = processes._coupled_rows(model, 20, 2, idx[:3])
+    for r, i in enumerate(idx[:3]):
+        for k, start in ((1, x0), (2, x0s)):
+            z = processes._draw_noise(model.noise, substream(2, int(i), k), model.burn_in)
+            assert start[r] == ar1_recursion(model.phi, z)[-1]
+
+
+STATISTICS = [
+    {"name": "ratio_max"}, {"name": "sum"}, {"name": "max_abs"}, {"name": "gamma", "p": 0.7},
+    {"name": "gamma", "p": 4.0}, {"name": "studentized", "p": 2.0}, {"name": "studentized", "p": 1.0},
+    {"name": "kurtosis"}, {"name": "norm_ratio"}, {"name": "norm_ratio", "q": 4.0, "r": 0.5},
+]
+GREENWOOD = [{"name": "greenwood", "p": 2.0}, {"name": "greenwood", "p": 1.5}]
+
+
+def _gamma(a, p):
+    m = a.max(axis=1)
+    return m * np.sum((a / m[:, None]) ** p, axis=1) ** (1.0 / p)
+
+
+def _reference_statistics(values, specs, center):
+    """Every statistic of whole rows, written out: the centered set about
+    ``center``, the raw set about 0. Also, per label, the scale of the
+    rounding a sum carries (its l1 norm over its normaliser)."""
+    v = values - center
+    a, raw = np.abs(v), np.abs(values)
+    total, l1 = v.sum(axis=1), a.sum(axis=1)
+    out, scale = {}, {}
+    for spec in specs:
+        label, name, params = _parse_spec(spec)
+        p = params.get("p")
+        if name == "ratio_max":
+            out[label], scale[label] = total / a.max(axis=1), l1 / a.max(axis=1)
+        elif name == "sum":
+            out[label], scale[label] = total, l1
+        elif name == "max_abs":
+            out[label] = a.max(axis=1)
+        elif name == "gamma":
+            out[label] = _gamma(a, p)
+        elif name == "studentized":
+            out[label], scale[label] = total / _gamma(a, p), l1 / _gamma(a, p)
+        elif name == "greenwood":
+            m = values.max(axis=1, keepdims=True)
+            out[label] = np.sum((values / m) ** p, axis=1) / np.sum(values / m, axis=1) ** p
+        elif name == "kurtosis":
+            out[label] = (_gamma(raw, 4.0) / _gamma(raw, 2.0)) ** 4
+        else:
+            out[label] = _gamma(raw, params["q"]) / _gamma(raw, params["r"])
+    return out, scale
+
+
+@pytest.mark.parametrize("name", ["iid_pareto_pos", "iid_pareto_two_sided", "iid_stable", "ar1_pos_phi",
+                                  "ar1_neg_phi", "sre_constant_b"])
+@pytest.mark.parametrize("centering", ["none", "analytic", "empirical"])
+def test_streamed_statistics_match_whole_rows(name, centering):
+    model, n, reps = MODELS[name], 5000, 12
+    if centering == "analytic" and model.alpha < 1.0:
+        pytest.skip("analytic centering needs alpha > 1")
+    positive = name in ("iid_pareto_pos", "sre_constant_b")
+    specs = STATISTICS + (GREENWOOD if positive and model.alpha < 1.0 else [])
+    got = simulate_statistics(model, n, reps, specs, centering, seed=4)
+    values = processes._simulate_rows(model, n, 4, np.arange(reps))
+    center = {"none": 0.0, "analytic": stationary_mean(model) if centering == "analytic" else 0.0,
+              "empirical": values.mean(axis=1, keepdims=True)}[centering]
+    want, scale = _reference_statistics(values, specs, center)
+    assert list(got) == list(want)
+    for label in want:
+        bound = 1e-13 * (np.abs(want[label]) + scale.get(label, 0.0))
+        assert np.all(np.abs(got[label] - want[label]) <= bound), label
+
+
+def test_raw_statistics_ignore_the_centering():
+    # kurtosis and norm_ratio are taken about 0 under every centering, and
+    # greenwood reads the uncentered, strictly positive paths
+    model = ar1_model(0.5, NoiseSpec("pareto", 1.5))
+    specs = [{"name": "kurtosis"}, {"name": "norm_ratio", "q": 4.0, "r": 0.5}]
+    runs = [simulate_statistics(model, 500, 4, specs, c, seed=3) for c in ("none", "analytic", "empirical")]
+    for run in runs[1:]:
+        for label in run:
+            assert np.array_equal(run[label], runs[0][label]), label
+    positive = ar1_model(0.5, NoiseSpec("pareto", 0.5, (1.0, 0.0)))
+    specs = [{"name": "greenwood", "p": 2.0}, {"name": "sum"}]
+    none = simulate_statistics(positive, 500, 4, specs, "none", seed=3)
+    empirical = simulate_statistics(positive, 500, 4, specs, "empirical", seed=3)
+    assert np.array_equal(empirical["greenwood_p2"], none["greenwood_p2"])
+    assert np.all(np.abs(empirical["sum"]) <= 1e-9 * np.abs(none["sum"]))
+
+
+def test_greenwood_rejects_a_signed_tile():
+    model = iid_model(NoiseSpec("pareto", 0.5, (0.5, 0.5)))
+    with pytest.raises(ConfigurationError, match="strictly positive"):
+        simulate_statistics(model, 3000, 4, GREENWOOD, seed=1)
+
+
+@pytest.mark.parametrize("centering", ["none", "empirical"])
+def test_any_worker_count(centering):
+    # 600 replicas: groups of 256 rows split differently at 1, 2 and 3 workers
+    for model in (MODELS["ar1_pos_phi"], MODELS["sre_constant_b"]):
+        specs = STATISTICS + (GREENWOOD if model.alpha < 1.0 and centering == "none" else [])
+        one = simulate_statistics(model, 1100, 600, specs, centering, seed=9, workers=1)
+        for workers in (2, 3):
+            many = simulate_statistics(model, 1100, 600, specs, centering, seed=9, workers=workers)
+            for label in one:
+                assert np.array_equal(many[label], one[label]), (workers, label)
+
+
+def _worker_peak(model, n, rows, plan):
+    tracemalloc.start()
+    try:
+        _stats_block_worker((model_to_dict(model), n, 0, rows, 5, plan, "none"))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_worker_memory_does_not_grow_with_n():
+    model = ar1_model(0.5, NoiseSpec("pareto", 0.5, (1.0, 0.0)))
+    specs = [{"name": "greenwood", "p": 2.0}, {"name": "ratio_max"}, {"name": "studentized", "p": 2.0},
+             {"name": "kurtosis"}]
+    plan = _ReductionPlan.build(specs, model.alpha)
+    _worker_peak(model, 2000, 64, plan)  # the generator pool and the kernel, once
+    small, large = _worker_peak(model, 10_000, 64, plan), _worker_peak(model, 100_000, 64, plan)
+    assert large <= 1.2 * small, (small, large)
+
+
+# ---------------------------------------------------------------------------
+# the series sampler's atom draws
+
+
+class _Uniforms:
+    """A stand-in generator whose ``random`` returns the given values."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, count):
+        assert count == len(self.u)
+        return self.u
+
+
+def _atoms(weights):
+    w = np.asarray(weights, dtype=float)
+    one = np.ones(len(w))
+    return ClusterAtoms(alpha=0.5, p=2.0, weights=w, sum_q=one, max_abs=one, norm_p_p=one, sum_abs=one,
+                        exact=True)
+
+
+@pytest.mark.parametrize("weights", [(0.5, 0.5), (0.3, 0.7), (0.9, 0.1), (1.0, 0.0), (0.0, 1.0),
+                                     (0.2, 0.3, 0.5)])
+def test_atom_draws_equal_searchsorted(weights):
+    law = _atoms(weights)
+    cdf = np.cumsum(law.weights)
+    rng = np.random.default_rng(1)
+    u = np.concatenate([rng.random(5000), cdf[:-1], np.nextafter(cdf[:-1], 0.0),
+                        np.nextafter(cdf[:-1], 1.0), [0.0, np.nextafter(1.0, 0.0)]])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    want = np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
+    got = law.draw(len(u), _Uniforms(u))
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_sole_atom():
+    assert _atoms((1.0, 0.0)).sole_atom == 0 and _atoms((0.0, 1.0)).sole_atom == 1
+    assert _atoms((0.5, 0.5)).sole_atom is None and _atoms((0.999, 0.0)).sole_atom is None
+
+
+@pytest.mark.parametrize("tail_balance", [(1.0, 0.0), (0.0, 1.0)])
+def test_series_sampler_skips_sole_atom_draws(monkeypatch, tail_balance):
+    # one-signed clusters: the skipped draws were the last of each replica's
+    # stream and all returned the sole atom, so nothing moves
+    cluster = clusters.ar1_cluster(0.5, 0.5, tail_balance)
+    skipped = limits.sample_limit_lepage_batch(cluster, 0.5, 2.0, reps=30, n_terms=400, seed=2)
+    monkeypatch.setattr(ClusterAtoms, "sole_atom", property(lambda self: None))
+    drawn = limits.sample_limit_lepage_batch(cluster, 0.5, 2.0, reps=30, n_terms=400, seed=2)
+    for key in drawn:
+        assert np.array_equal(skipped[key], drawn[key]), key
