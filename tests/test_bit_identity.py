@@ -12,15 +12,17 @@ The ``paths`` group holds digests of the per-replica arrays of
 ``simulate_statistics`` for iid Pareto (every sign balance), symmetric-stable
 iid, AR(1) and SRE models, every statistic and every centering the model
 allows, and of the report and ``verify.csv`` of small ``verify`` runs with the
-four path checks. A change to how these are computed must reproduce them
-exactly.
+four path checks; ``paths_tiles`` holds the same arrays at a path length that
+spans three time tiles, the last one partial. A change to how these are
+computed must reproduce them exactly.
 
 Regenerate the record (only for a deliberate change of value, which
 CHANGES.md must then explain) with::
 
     PYTHONPATH=src python tests/test_bit_identity.py --record [GROUP ...]
 
-Named groups (``ar1``, ``sre``, ``sre_paths``, ``paths``, ``ar1_paths``) are
+Named groups (``ar1``, ``sre``, ``sre_paths``, ``paths``, ``paths_tiles``,
+``ar1_paths``) are
 computed afresh and every other group is kept byte for byte, so a change of
 value in one group shows the others unchanged; no name records them all.
 """
@@ -179,9 +181,8 @@ PATH_VERIFY = dict(kind="verify", name="ar1-paths-verify", model=AR1, n=1500, re
                    checks=["greenwood", "ratio_max", "ratio_student", "kurtosis"], seed=5)
 
 
-def path_digests() -> dict:
-    """Per-replica statistics arrays, and small verify runs with the four
-    path checks (one with the ratio checks under empirical centering)."""
+def _statistics_digests(n: int, reps: int) -> dict:
+    """Per-replica statistics arrays of every path model and centering."""
     out = {}
     for name, (model, centerings) in PATH_MODELS.items():
         m = processes.model_from_dict(model)
@@ -189,16 +190,32 @@ def path_digests() -> dict:
             specs = list(PATH_STATISTICS)
             if name in POSITIVE and centering == "none":
                 specs += GREENWOOD
-            arrays = simulate_statistics(m, 700, 40, specs, centering, seed=60)
+            arrays = simulate_statistics(m, n, reps, specs, centering, seed=60)
             out[f"{name}_{centering}"] = _dict_digests(arrays)
+    return out
+
+
+def path_digests() -> dict:
+    """Per-replica statistics arrays within one time tile, and small verify
+    runs with the four path checks (one with the ratio checks under
+    empirical centering)."""
+    out = _statistics_digests(700, 40)
     out["verify"] = _run_digests(PATH_VERIFY)
     out["verify_empirical"] = _run_digests({**PATH_VERIFY, "centering": "empirical"})
     return out
 
 
+def path_tile_digests() -> dict:
+    """Per-replica statistics arrays of paths 2500 steps long: two whole time
+    tiles of ``processes._TILE_STEPS`` and a partial third, so every
+    accumulator carries its sums from tile to tile."""
+    return _statistics_digests(2500, 12)
+
+
 # every group of the record, in its order in the file
 GROUPS = {**{name: (lambda name=name: digests(name)) for name in sorted(CLUSTERS)},
-          "sre_paths": sre_path_digests, "paths": path_digests, "ar1_paths": ar1_path_digests}
+          "sre_paths": sre_path_digests, "paths": path_digests,
+          "paths_tiles": path_tile_digests, "ar1_paths": ar1_path_digests}
 
 
 def record(names=tuple(GROUPS)) -> dict:
@@ -237,6 +254,14 @@ def test_ar1_paths_bit_identical():
 def test_paths_bit_identical():
     recorded = json.loads(RECORD.read_text())["paths"]
     now = path_digests()
+    assert now.keys() == recorded.keys()
+    for call in recorded:
+        assert now[call] == recorded[call], call
+
+
+def test_paths_tiles_bit_identical():
+    recorded = json.loads(RECORD.read_text())["paths_tiles"]
+    now = path_tile_digests()
     assert now.keys() == recorded.keys()
     for call in recorded:
         assert now[call] == recorded[call], call
