@@ -80,12 +80,3 @@ from .processes import (
     stationary_mean,
     tail_constant,
 )
-from .stats import (
-    PathStats,
-    compute_stats,
-    greenwood,
-    kurtosis_ratio,
-    norm_ratio,
-    ratio_max,
-    studentized,
-)

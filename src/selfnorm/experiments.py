@@ -14,7 +14,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import numbers
 import os
 import time
 from dataclasses import dataclass
@@ -31,6 +30,7 @@ from .errors import ConfigurationError
 from .processes import (ProcessModel, check_keys, model_from_dict, model_to_dict, stationary_mean,
                         write_csv)
 from .rng import derive_seed
+from .stats import _parse_spec, _positive, _ReductionPlan
 
 WORKERS_ENV = "SELFNORM_WORKERS"
 
@@ -141,9 +141,10 @@ class ExperimentConfig:
         return d
 
     def config_hash(self) -> str:
-        """Hash of the config with its model and cluster resolved, so that
-        spelling out a default value leaves it unchanged."""
+        """Hash of the config with its statistic specs, model and cluster
+        resolved, so that spelling out a default value leaves it unchanged."""
         d = self.to_dict()
+        d["statistics"] = [{"name": name, **params} for _, name, params in map(_parse_spec, self.statistics)]
         if self.model is not None:
             d["model"] = model_to_dict(self.process_model())
         if self.cluster is not None:
@@ -294,121 +295,6 @@ def _tol_row(name: str, reference: float, value: float, tol: float) -> ReportRow
 # batched path statistics
 
 
-# statistic name -> the parameters its spec may set, with their defaults
-_STATISTICS = {
-    "ratio_max": {}, "sum": {}, "max_abs": {}, "gamma": {"p": 2.0}, "studentized": {"p": 2.0},
-    "greenwood": {"p": 2.0}, "kurtosis": {}, "norm_ratio": {"q": 2.0, "r": 1.0},
-}
-# statistics of the path about 0, whatever the run's centering
-_RAW = ("greenwood", "kurtosis", "norm_ratio")
-
-
-def _positive(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and 0 < value < math.inf
-
-
-def _parse_spec(spec) -> tuple[str, str, dict]:
-    """(label, name, parameters) of one statistic spec, or ConfigurationError."""
-    if not isinstance(spec, dict):
-        raise ConfigurationError(f"a statistic spec must be a mapping, got {spec!r}")
-    name = spec.get("name")
-    if not isinstance(name, str) or name not in _STATISTICS:
-        raise ConfigurationError(f"unknown statistic {name!r}; known: {sorted(_STATISTICS)}")
-    check_keys(spec, ("name", *_STATISTICS[name]), f"statistic {name}")
-    params = {}
-    for key, default in _STATISTICS[name].items():
-        value = spec.get(key, default)
-        if not _positive(value):
-            raise ConfigurationError(f"statistic {name}: {key} must be a positive number, got {value!r}")
-        params[key] = float(value)
-    if name == "norm_ratio":
-        label = f"norm_ratio_{params['q']:g}_{params['r']:g}"
-    elif params:
-        label = f"{name}_p{params['p']:g}"
-    else:
-        label = name
-    return label, name, params
-
-
-@dataclass(frozen=True)
-class _ReductionPlan:
-    """How a block of paths becomes per-replica statistics.
-
-    Every statistic is a function of a few per-row primitives of the paths
-    (:class:`stats._BlockSums`): the sum, the maximum modulus and
-    max-rescaled power sums, taken about the run's center (``centered_ps``;
-    ratio_max, sum, max_abs, gamma, studentized) or about 0 (``raw_ps``;
-    greenwood, kurtosis, norm_ratio), whatever the run's centering. Each
-    primitive is accumulated once per center, tile by tile, and at center 0
-    the two sets are one.
-    """
-
-    specs: tuple  # (label, name, parameters) per spec
-    centered_ps: Optional[tuple]  # None: no statistic reads the centered set
-    raw_ps: Optional[tuple]
-    greenwood: bool
-
-    @classmethod
-    def build(cls, specs: Sequence[dict], alpha: Optional[float] = None) -> "_ReductionPlan":
-        """Check every spec (and, given the tail index, greenwood's
-        ``alpha < min(p, 1)``) before any path is simulated."""
-        if not isinstance(specs, (list, tuple)):
-            raise ConfigurationError(f"statistic specs must be a list, got {specs!r}")
-        parsed = tuple(_parse_spec(spec) for spec in specs)
-        centered, raw = None, None
-        for _, name, params in parsed:
-            ps = (4.0, 2.0) if name == "kurtosis" else tuple(params.values())
-            if name in _RAW:
-                raw = (raw or ()) + ps
-            else:
-                centered = (centered or ()) + ps
-            if name == "greenwood" and alpha is not None and not (alpha < 1.0 and alpha < params["p"]):
-                raise ConfigurationError("the ratio statistic needs alpha < min(p, 1)")
-        return cls(parsed, centered, raw, any(name == "greenwood" for _, name, _ in parsed))
-
-    def reduce(self, values: np.ndarray, center) -> dict:
-        """Per-replica statistics of a whole (m, n) block of paths."""
-        return self.reduce_tiles([values], len(values), center)
-
-    def reduce_tiles(self, tiles, rows: int, center) -> dict:
-        """Per-replica statistics of ``rows`` paths given as (rows, t) tiles
-        in time order: the centered set about ``center`` (a scalar or one
-        center per row, shaped (rows, 1)), the raw set about 0."""
-        sums = stats._BlockSums
-        if np.ndim(center) == 0 and center == 0.0:
-            centered = raw = sums(rows, (self.centered_ps or ()) + (self.raw_ps or ()),
-                                  total=self.centered_ps is not None, first=self.greenwood)
-        else:
-            centered = None if self.centered_ps is None else sums(rows, self.centered_ps, center)
-            raw = None if self.raw_ps is None else sums(rows, self.raw_ps, total=False, first=self.greenwood)
-        folds = [b for b in dict.fromkeys((centered, raw)) if b is not None]
-        for tile in tiles:
-            if self.greenwood and np.any(tile <= 0):
-                raise ConfigurationError("the ratio statistic needs strictly positive paths")
-            for b in folds:
-                b.add(tile)
-        out = {}
-        for label, name, params in self.specs:
-            b = raw if name in _RAW else centered
-            if name == "ratio_max":
-                out[label] = b.total / b.max_abs
-            elif name == "sum":
-                out[label] = b.total
-            elif name == "max_abs":
-                out[label] = b.max_abs
-            elif name == "gamma":
-                out[label] = b.gamma(params["p"])
-            elif name == "studentized":
-                out[label] = b.total / b.gamma(params["p"])
-            elif name == "greenwood":
-                out[label] = b.powers[params["p"]] / b.first ** params["p"]
-            elif name == "kurtosis":
-                out[label] = (b.gamma(4.0) / b.gamma(2.0)) ** 4
-            else:
-                out[label] = b.gamma(params["q"]) / b.gamma(params["r"])
-        return out
-
-
 def _stats_block_worker(args) -> dict:
     """Per-replica statistics of the replicas ``[start, stop)``, streamed.
 
@@ -458,6 +344,8 @@ def simulate_statistics(
     """
     if centering not in _CENTERINGS:
         raise ConfigurationError(f"centering must be one of {_CENTERINGS}, got {centering!r}")
+    if n < 1 or reps < 1:
+        raise ConfigurationError(f"n and reps must be >= 1, got n={n}, reps={reps}")
     plan = _ReductionPlan.build(specs, model.alpha)
     model_dict = model_to_dict(model)
     blocks = partition(reps, workers)

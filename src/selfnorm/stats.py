@@ -1,109 +1,27 @@
-"""Self-normalised sample functionals of one path.
+"""Self-normalised statistics of blocks of paths: the statistic specs, the
+reduction plan that turns a block into per-replica values, and the per-row
+accumulators it folds the block into, one time tile at a time.
 
 All ratio statistics are scale equivariant by construction: the moduli are
 accumulated in max-rescaled form (factor out ``max|X_t|`` before taking
 powers), which keeps ``sum |X_t|^p`` inside double range even when the raw
 powers would overflow at small tail indices, and makes the ratios exactly
-invariant under ``X -> c X``. Single-path reductions use exact (fsum)
-accumulation. Batched reductions fold a block one time tile at a time: numpy's
-pairwise summation within a tile, the same rescaling carried against the
-running maximum from tile to tile.
+invariant under ``X -> c X``. A block is folded one time tile at a time:
+numpy's pairwise summation within a tile, the same rescaling carried against
+the running maximum from tile to tile.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, DegeneratePathError
-from .processes import Path, stationary_mean, write_csv
-
-
-@dataclass(frozen=True)
-class PathStats:
-    """The triple (sum, max, moduli) of one path plus the centering policy.
-
-    ``moduli`` maps p to ``gamma_p = (sum_t |X_t|^p)^(1/p)``.
-    """
-
-    sum: float
-    max_abs: float
-    moduli: Mapping[float, float]
-    n: int
-    centering: str = "none"
-
-    @property
-    def degenerate(self) -> bool:
-        return self.max_abs == 0.0
-
-    def modulus(self, p: float) -> float:
-        try:
-            return self.moduli[float(p)]
-        except KeyError:
-            raise ConfigurationError(f"gamma_{p} was not computed for this path") from None
-
-
-def _values_of(path: Union[Path, np.ndarray]) -> np.ndarray:
-    if isinstance(path, Path):
-        return np.asarray(path.values, dtype=float)
-    return np.asarray(path, dtype=float)
-
-
-def _abs_of(values: np.ndarray) -> np.ndarray:
-    if values.ndim == 1:
-        return np.abs(values)
-    return np.sqrt(np.sum(values**2, axis=-1))
-
-
-def _centering_value(path, values, centering, mean):
-    if centering == "none":
-        return 0.0
-    if centering == "empirical":
-        return values.mean(axis=0)
-    if centering == "analytic":
-        if mean is not None:
-            return mean
-        if isinstance(path, Path):
-            return stationary_mean(path.model)
-        raise ConfigurationError("analytic centering needs a Path with a model, or an explicit mean")
-    raise ConfigurationError(f"unknown centering policy {centering!r}")
-
-
-def compute_stats(
-    path: Union[Path, np.ndarray],
-    ps: Sequence[float],
-    centering: str = "none",
-    mean: Optional[float] = None,
-) -> PathStats:
-    """Sum, maximum modulus and the gamma_p moduli of one path.
-
-    Under ``analytic`` or ``empirical`` centering the same centered series
-    feeds both the sum and the moduli.
-    """
-    if len(ps) == 0:
-        raise ConfigurationError("ps must be non-empty")
-    if any(p <= 0 for p in ps):
-        raise ConfigurationError("every p must be positive")
-    values = _values_of(path)
-    if values.size == 0:
-        raise ConfigurationError("empty path")
-    c = _centering_value(path, values, centering, mean)
-    centered = values - c
-    a = _abs_of(centered)
-    m = float(a.max())
-    total = math.fsum(centered) if centered.ndim == 1 else centered.sum(axis=0)
-    moduli = {}
-    if m == 0.0:
-        for p in ps:
-            moduli[float(p)] = 0.0
-    else:
-        scaled = a / m
-        for p in ps:
-            moduli[float(p)] = m * math.fsum(scaled**p) ** (1.0 / p)
-    return PathStats(sum=total, max_abs=m, moduli=moduli, n=len(a), centering=centering)
+from .errors import ConfigurationError
+from .processes import check_keys, write_csv
 
 
 class _BlockSums:
@@ -183,7 +101,7 @@ def batch_stats(values: np.ndarray, ps: Sequence[float], center: float = 0.0) ->
     """Vectorised sums, maxima and moduli for a (reps, n) matrix of paths.
 
     Returns arrays ``sum`` and ``max_abs`` plus one ``gamma_p`` array per p,
-    using the same max-rescaled accumulation as :func:`compute_stats`.
+    from one max-rescaled fold of the whole block.
     """
     values = np.asarray(values, dtype=float)
     b = _BlockSums(len(values), ps, center)
@@ -194,56 +112,125 @@ def batch_stats(values: np.ndarray, ps: Sequence[float], center: float = 0.0) ->
     return out
 
 
-def ratio_max(stats: PathStats) -> float:
-    """Sum over maximum, S_n / M_n."""
-    if stats.degenerate:
-        raise DegeneratePathError("ratio of a degenerate (all-zero) path")
-    return stats.sum / stats.max_abs
+# statistic name -> the parameters its spec may set, with their defaults
+_STATISTICS = {
+    "ratio_max": {}, "sum": {}, "max_abs": {}, "gamma": {"p": 2.0}, "studentized": {"p": 2.0},
+    "greenwood": {"p": 2.0}, "kurtosis": {}, "norm_ratio": {"q": 2.0, "r": 1.0},
+}
+# statistics of the path about 0, whatever the run's centering
+_RAW = ("greenwood", "kurtosis", "norm_ratio")
 
 
-def studentized(stats: PathStats, p: float) -> float:
-    """Sum over the l^p modulus, S_n / gamma_p."""
-    g = stats.modulus(p)
-    if g <= 0.0:
-        raise DegeneratePathError("studentizing by a vanishing modulus")
-    return stats.sum / g
+def _positive(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and 0 < value < math.inf
 
 
-def greenwood(path: Union[Path, np.ndarray], p: float, alpha: Optional[float] = None) -> float:
-    """Ratio statistic ``sum X^p / (sum X)^p`` on strictly positive data.
+def _parse_spec(spec) -> tuple[str, str, dict]:
+    """(label, name, parameters) of one statistic spec, or ConfigurationError."""
+    if not isinstance(spec, dict):
+        raise ConfigurationError(f"a statistic spec must be a mapping, got {spec!r}")
+    name = spec.get("name")
+    if not isinstance(name, str) or name not in _STATISTICS:
+        raise ConfigurationError(f"unknown statistic {name!r}; known: {sorted(_STATISTICS)}")
+    check_keys(spec, ("name", *_STATISTICS[name]), f"statistic {name}")
+    params = {}
+    for key, default in _STATISTICS[name].items():
+        value = spec.get(key, default)
+        if not _positive(value):
+            raise ConfigurationError(f"statistic {name}: {key} must be a positive number, got {value!r}")
+        params[key] = float(value)
+    if name == "norm_ratio":
+        label = f"norm_ratio_{params['q']:g}_{params['r']:g}"
+    elif params:
+        label = f"{name}_p{params['p']:g}"
+    else:
+        label = name
+    return label, name, params
 
-    Requires a declared tail index ``alpha < min(p, 1)``; taken from the
-    path's model when available.
+
+@dataclass(frozen=True)
+class _ReductionPlan:
+    """How a block of paths becomes per-replica statistics.
+
+    Every statistic is a function of a few per-row primitives of the paths
+    (:class:`_BlockSums`): the sum, the maximum modulus and
+    max-rescaled power sums, taken about the run's center (``centered_ps``;
+    ratio_max, sum, max_abs, gamma, studentized) or about 0 (``raw_ps``;
+    greenwood, kurtosis, norm_ratio), whatever the run's centering. Each
+    primitive is accumulated once per center, tile by tile, and at center 0
+    the two sets are one.
     """
-    values = _values_of(path)
-    if values.ndim != 1:
-        raise ConfigurationError("the ratio statistic is univariate")
-    if values.size == 0 or np.any(values <= 0.0):
-        raise ConfigurationError("the ratio statistic needs strictly positive data")
-    if alpha is None and isinstance(path, Path):
-        alpha = path.model.alpha
-    if alpha is None:
-        raise ConfigurationError("declare the tail index alpha")
-    if not (alpha < 1.0 and alpha < p):
-        raise ConfigurationError("the ratio statistic needs alpha < min(p, 1)")
-    m = float(values.max())
-    scaled = values / m
-    return math.fsum(scaled**p) / math.fsum(scaled) ** p
 
+    specs: tuple  # (label, name, parameters) per spec
+    centered_ps: Optional[tuple]  # None: no statistic reads the centered set
+    raw_ps: Optional[tuple]
+    greenwood: bool
 
-def norm_ratio(path: Union[Path, np.ndarray], q: float, r: float) -> float:
-    """gamma_q / gamma_r; at most 1 when q >= r."""
-    if q <= 0 or r <= 0:
-        raise ConfigurationError("norm orders must be positive")
-    stats = compute_stats(path, ps=(q, r))
-    if stats.degenerate:
-        raise DegeneratePathError("norm ratio of a degenerate path")
-    return stats.modulus(q) / stats.modulus(r)
+    @classmethod
+    def build(cls, specs: Sequence[dict], alpha: Optional[float] = None) -> "_ReductionPlan":
+        """Check every spec (and, given the tail index, greenwood's
+        ``alpha < min(p, 1)``) before any path is simulated. Two specs with
+        one label (``p: 2`` and ``p: 2.0``, or a default spelled out) would
+        write every replica twice and are rejected."""
+        if not isinstance(specs, (list, tuple)):
+            raise ConfigurationError(f"statistic specs must be a list, got {specs!r}")
+        parsed = tuple(_parse_spec(spec) for spec in specs)
+        centered, raw = None, None
+        labels = set()
+        for label, name, params in parsed:
+            if label in labels:
+                raise ConfigurationError(f"statistic {label} is listed twice")
+            labels.add(label)
+            ps = (4.0, 2.0) if name == "kurtosis" else tuple(params.values())
+            if name in _RAW:
+                raw = (raw or ()) + ps
+            else:
+                centered = (centered or ()) + ps
+            if name == "greenwood" and alpha is not None and not (alpha < 1.0 and alpha < params["p"]):
+                raise ConfigurationError("the ratio statistic needs alpha < min(p, 1)")
+        return cls(parsed, centered, raw, any(name == "greenwood" for _, name, _ in parsed))
 
+    def reduce(self, values: np.ndarray, center) -> dict:
+        """Per-replica statistics of a whole (m, n) block of paths."""
+        return self.reduce_tiles([values], len(values), center)
 
-def kurtosis_ratio(path: Union[Path, np.ndarray]) -> float:
-    """Scaled sample kurtosis ``||X||_4^4 / ||X||_2^4``, always in (0, 1]."""
-    return norm_ratio(path, 4.0, 2.0) ** 4
+    def reduce_tiles(self, tiles, rows: int, center) -> dict:
+        """Per-replica statistics of ``rows`` paths given as (rows, t) tiles
+        in time order: the centered set about ``center`` (a scalar or one
+        center per row, shaped (rows, 1)), the raw set about 0."""
+        if np.ndim(center) == 0 and center == 0.0:
+            centered = raw = _BlockSums(rows, (self.centered_ps or ()) + (self.raw_ps or ()),
+                                        total=self.centered_ps is not None, first=self.greenwood)
+        else:
+            centered = None if self.centered_ps is None else _BlockSums(rows, self.centered_ps, center)
+            raw = (None if self.raw_ps is None
+                   else _BlockSums(rows, self.raw_ps, total=False, first=self.greenwood))
+        folds = [b for b in dict.fromkeys((centered, raw)) if b is not None]
+        for tile in tiles:
+            if self.greenwood and np.any(tile <= 0):
+                raise ConfigurationError("the ratio statistic needs strictly positive paths")
+            for b in folds:
+                b.add(tile)
+        out = {}
+        for label, name, params in self.specs:
+            b = raw if name in _RAW else centered
+            if name == "ratio_max":
+                out[label] = b.total / b.max_abs
+            elif name == "sum":
+                out[label] = b.total
+            elif name == "max_abs":
+                out[label] = b.max_abs
+            elif name == "gamma":
+                out[label] = b.gamma(params["p"])
+            elif name == "studentized":
+                out[label] = b.total / b.gamma(params["p"])
+            elif name == "greenwood":
+                out[label] = b.powers[params["p"]] / b.first ** params["p"]
+            elif name == "kurtosis":
+                out[label] = (b.gamma(4.0) / b.gamma(2.0)) ** 4
+            else:
+                out[label] = b.gamma(params["q"]) / b.gamma(params["r"])
+        return out
 
 
 def stats_rows_to_csv(rows, target) -> None:

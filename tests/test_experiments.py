@@ -27,9 +27,9 @@ from selfnorm import (
 )
 from selfnorm import clusters, stats
 from selfnorm.cli import main as cli_main
-from selfnorm.experiments import (_ReductionPlan, cluster_from_dict, cluster_to_dict, derive_cluster,
-                                  load_config)
+from selfnorm.experiments import cluster_from_dict, cluster_to_dict, derive_cluster, load_config
 from selfnorm.processes import model_from_dict, model_to_dict
+from selfnorm.stats import _parse_spec, _ReductionPlan
 
 
 IID_POS_HALF = {"kind": "iid", "noise": {"kind": "pareto", "alpha": 0.5, "q_plus": 1.0, "q_minus": 0.0}}
@@ -205,6 +205,11 @@ class TestConfigKeys:
         sre_hash = small_verify_config(model=SRE_POS).config_hash()
         assert small_verify_config(model={**SRE_POS, "burn_in": 580}).config_hash() == sre_hash
         assert small_verify_config(model={**SRE_POS, "burn_in": 579}).config_hash() != sre_hash
+        # a statistic's default p, spelled out as an int or a float, leaves the hash
+        spellings = ({"name": "studentized"}, {"name": "studentized", "p": 2}, {"name": "studentized", "p": 2.0})
+        hashes = {small_verify_config(statistics=[spec]).config_hash() for spec in spellings}
+        assert len(hashes) == 1
+        assert small_verify_config(statistics=[{"name": "studentized", "p": 3}]).config_hash() not in hashes
 
 
 def _reference_batch_stats(values, ps, center=0.0):
@@ -224,8 +229,6 @@ def _reference_batch_stats(values, ps, center=0.0):
 def _reference_row_statistics(values, specs, center, alpha):
     """Per-replica statistics one spec at a time, as before the reduction
     plan: the reference the plan must reproduce bit for bit."""
-    from selfnorm.experiments import _parse_spec
-
     out = {}
     centered_ps = sorted({float(s.get("p", 2.0)) for s in specs if s["name"] in ("studentized", "gamma")})
     bs = _reference_batch_stats(values, centered_ps or (2.0,), center=center)
@@ -263,7 +266,7 @@ def _reference_row_statistics(values, specs, center, alpha):
 
 PLAN_SPECS = [
     {"name": "ratio_max"}, {"name": "sum"}, {"name": "max_abs"}, {"name": "gamma", "p": 2.0},
-    {"name": "gamma", "p": 0.5}, {"name": "gamma", "p": 4}, {"name": "studentized", "p": 2.0},
+    {"name": "gamma", "p": 0.5}, {"name": "gamma", "p": 4}, {"name": "studentized", "p": 4},
     {"name": "studentized", "p": 1.0}, {"name": "studentized"}, {"name": "kurtosis"},
     {"name": "norm_ratio"}, {"name": "norm_ratio", "q": 4.0, "r": 0.5},
 ]
@@ -436,6 +439,7 @@ BAD_STATISTICS = [
     ([{"name": "greenwood", "p": "2"}], "positive number"),
     ([{"name": "norm_ratio", "q": 0.0}], "positive number"),
     ([{"name": "norm_ratio", "r": -1.0}], "positive number"),
+    ([{"name": "studentized"}, {"name": "studentized", "p": 2}], "studentized_p2 is listed twice"),
 ]
 BAD_FIELDS = [
     ({"p": 0.0}, "p: must be a positive number"),

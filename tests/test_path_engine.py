@@ -13,10 +13,11 @@ import pytest
 from selfnorm import clusters, limits, processes
 from selfnorm.clusters import ClusterAtoms
 from selfnorm.errors import ConfigurationError
-from selfnorm.experiments import _ReductionPlan, _parse_spec, _stats_block_worker, simulate_statistics
+from selfnorm.experiments import _stats_block_worker, simulate_statistics
 from selfnorm.processes import (NoiseSpec, SRELaw, ar1_model, ar1_recursion, iid_model, model_to_dict,
                                 sre_model, sre_recursion, stationary_mean)
 from selfnorm.rng import substream
+from selfnorm.stats import _parse_spec, _ReductionPlan
 
 BENCH_LAW = SRELaw(alpha=0.8, sigma=1.0, b_mean=1.0, b_sd=0.0)
 MODELS = {
