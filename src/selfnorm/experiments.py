@@ -96,7 +96,8 @@ class ExperimentConfig:
         if not _positive(self.p):
             problems.append(f"p: must be a positive number, got {self.p!r}")
         try:
-            _ReductionPlan.build(self.statistics)
+            # only a simulate run reads the list, so only there must it name a statistic
+            _ReductionPlan.build(self.statistics, required=self.kind == "simulate")
         except ConfigurationError as exc:
             problems.append(f"statistics: {exc}")
         if self.kind in ("simulate", "verify", "diagnose") and self.model is None:
@@ -311,7 +312,7 @@ def _stats_block_worker(args) -> dict:
     indices = np.arange(start, stop)
 
     def tiles(idx):
-        return processes._path_tiles(model, n + model.burn_in, seed, idx, skip=model.burn_in)
+        return (x for x, _ in processes._path_tiles(model, n + model.burn_in, seed, idx, skip=model.burn_in))
 
     pieces = []
     for rows in processes._row_groups(len(indices)):
@@ -346,7 +347,7 @@ def simulate_statistics(
         raise ConfigurationError(f"centering must be one of {_CENTERINGS}, got {centering!r}")
     if n < 1 or reps < 1:
         raise ConfigurationError(f"n and reps must be >= 1, got n={n}, reps={reps}")
-    plan = _ReductionPlan.build(specs, model.alpha)
+    plan = _ReductionPlan.build(specs, model.alpha, required=True)
     model_dict = model_to_dict(model)
     blocks = partition(reps, workers)
     tasks = [(model_dict, n, start, stop, seed, plan, centering) for start, stop in blocks]

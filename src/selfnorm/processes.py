@@ -12,18 +12,19 @@ Three model families are shipped, all univariate:
   ``E|A|^alpha = 1``.
 
 All three are Markov chains ``X_t = A_t X_{t-1} + B_t`` (AR(1): ``A = phi``,
-``B = Z``; iid: ``A = 0``), so one engine simulates them. A replica's
-innovations come from its own Philox stream in a fixed layout: the model's
-draw calls (``NoiseSpec.draw_calls``, ``SRELaw.draw_calls``), each of the
-row's full length, one after another. ``_innovations`` draws whole rows in
-that layout. ``_path_tiles`` streams paths through time in tiles of
-``_TILE_STEPS`` steps: every row keeps one generator per draw call, each
+``B = Z``; iid: ``A = 0``), so one engine, :func:`_path_tiles`, simulates
+them: every path, coupled window and Goldie chain. A replica's innovations
+come from its own Philox stream in a fixed layout: the model's draw calls
+(``NoiseSpec.draw_calls``, ``SRELaw.draw_calls``), each of the row's full
+length, one after another. The engine streams paths through time in tiles
+of ``_TILE_STEPS`` steps: every row keeps one generator per draw call, each
 positioned where its call starts in the layout, draws its next values per
 tile, and the recursion carries its state from tile to tile. Joined, the
-tiles are the whole-row paths bit for bit, so a consumer that folds tiles
-into accumulators needs memory for one tile, whatever the path length. An
-iid model reads no burn-in; AR(1) and SRE models burn in from a zero start
-for as long as their contraction rate needs to forget it
+tiles are the same at any tile length, bit for bit, so a consumer that folds
+tiles into accumulators needs memory for one tile, whatever the path length.
+Only a custom SRE law, whose sampler fixes no layout, has its rows drawn
+whole. An iid model reads no burn-in; AR(1) and SRE models burn in from a
+zero start for as long as their contraction rate needs to forget it
 (:func:`_burn_in_steps`).
 
 All samplers are pure functions of ``(model, n, seed)``: identical arguments
@@ -447,22 +448,13 @@ def _ar1_kernel():
     return _LINEAR_FILTER
 
 
-def ar1_recursion(phi: float, noise: np.ndarray, x0=0.0) -> np.ndarray:
-    """Run ``X_t = phi X_{t-1} + Z_t`` from state ``x0`` over a noise array.
-
-    Batched over the leading axes of ``noise`` (recursion along the last);
-    ``x0`` is a scalar or one start per leading index. The zero-start
-    recursion is ``lfilter([1], [1, -phi], noise)`` bit for bit: the same
-    compiled kernel, called without importing ``scipy.signal``
-    (:func:`_ar1_kernel`).
+def ar1_recursion(phi: float, noise: np.ndarray) -> np.ndarray:
+    """Run ``X_t = phi X_{t-1} + Z_t`` from a zero start over a noise array,
+    batched over its leading axes (recursion along the last):
+    ``lfilter([1], [1, -phi], noise)`` bit for bit, the same compiled kernel,
+    called without importing ``scipy.signal`` (:func:`_ar1_kernel`).
     """
-    noise = np.asarray(noise, dtype=float)
-    out = _ar1_kernel()(np.array([1.0]), np.array([1.0, -phi]), noise, -1)
-    x0 = np.asarray(x0, dtype=float)
-    if x0.any():
-        t = np.arange(1, noise.shape[-1] + 1)
-        out = out + x0[..., None] * phi**t
-    return out
+    return _ar1_kernel()(np.array([1.0]), np.array([1.0, -phi]), np.asarray(noise, dtype=float), -1)
 
 
 def sre_recursion(a: np.ndarray, b: np.ndarray, x0=0.0) -> np.ndarray:
@@ -503,49 +495,6 @@ def sre_recursion(a: np.ndarray, b: np.ndarray, x0=0.0) -> np.ndarray:
     return out.reshape(shape)
 
 
-def _law_of(model: ProcessModel):
-    """What a model's innovations are drawn from: its SRE law or its noise."""
-    return model.sre_law if model.kind == "sre" else model.noise
-
-
-def _from_draws(model: ProcessModel, draws: list, shape: tuple) -> tuple:
-    """``(Z,)`` or ``(A, B)`` from one array per draw call of the model's law."""
-    if model.kind == "sre":
-        return model.sre_law._from_draws(draws, shape)
-    return (model.noise._from_draws(draws),)
-
-
-def _innovations(model: ProcessModel, size: int, seed: int, indices, *suffix: int) -> tuple:
-    """One whole row of innovations per replica ``i`` in ``indices``, drawn
-    from stream ``(seed, i, *suffix)`` in the layout of the law's
-    ``draw_calls``: ``(Z,)`` for iid and AR(1), ``(A, B)`` for SRE, each a
-    ``(len(indices), size)`` array. A constant B
-    (:attr:`SRELaw.constant_b`) is neither drawn nor filled: it is a
-    read-only 0-stride view of ``b_mean``."""
-    rows, law = len(indices), _law_of(model)
-    if model.kind == "sre" and law.kind == "custom":
-        block = (np.empty((rows, size)), np.empty((rows, size)))
-        for r, rng in enumerate(substreams(seed, indices, *suffix)):
-            block[0][r], block[1][r] = law.sample_ab(rng, size)
-        return block
-    draws = [np.empty((rows, size)) for _ in law.draw_calls]
-    if draws:
-        for r, rng in enumerate(substreams(seed, indices, *suffix)):
-            for call, out in zip(law.draw_calls, draws):
-                getattr(rng, call)(out=out[r])
-    return _from_draws(model, draws, (rows, size))
-
-
-def _recurse(model: ProcessModel, block: tuple, x0=0.0) -> np.ndarray:
-    """Every row of an innovations block through the model's recursion from
-    ``x0`` (a scalar or one start per row); iid noise is its own path."""
-    if model.kind == "iid":
-        return block[0]
-    if model.kind == "ar1":
-        return ar1_recursion(model.phi, block[0], x0)
-    return sre_recursion(*block, x0=x0)
-
-
 # idle generators for the path engine, which re-keys them with _seek
 _IDLE_GENERATORS: list = []
 
@@ -583,8 +532,10 @@ def _position(gen: np.random.Generator) -> int:
 
 class _TileDraws:
     """The innovations of a group of replica rows, drawn tile after tile:
-    ``next(t)`` returns the next ``t`` innovations of every row, as
-    :func:`_innovations` would hold them in those columns, bit for bit.
+    ``next(t)`` returns the next ``t`` innovations of every row, ``(Z,)``
+    for iid and AR(1) and ``(A, B)`` for SRE, each a ``(rows, t)`` array.
+    A constant B (:attr:`SRELaw.constant_b`) is not drawn: it is a
+    read-only 0-stride view of ``b_mean``.
 
     Each row holds one generator per draw call of its law, positioned where
     that call's ``size`` values start in the row's stream: a uniform takes
@@ -596,10 +547,12 @@ class _TileDraws:
     """
 
     def __init__(self, model: ProcessModel, size: int, seed: int, indices, *suffix: int):
-        self.model, self.rows, law = model, len(indices), _law_of(model)
+        self.model, self.rows, law = model, len(indices), model.sre_law if model.kind == "sre" else model.noise
         self.gens, self.whole, self.offset = [], None, 0
-        if model.kind == "sre" and law.kind == "custom":
-            self.whole = _innovations(model, size, seed, indices, *suffix)
+        if law.kind == "custom":
+            self.whole = (np.empty((self.rows, size)), np.empty((self.rows, size)))
+            for r, rng in enumerate(substreams(seed, indices, *suffix)):
+                self.whole[0][r], self.whole[1][r] = law.sample_ab(rng, size)
             return
         calls, tile = law.draw_calls, _TILE_STEPS
         keys = _stream_keys(seed, indices, *suffix).tolist()
@@ -631,7 +584,9 @@ class _TileDraws:
         for out, calls in zip(draws, self.calls):
             for row, call in zip(out, calls):
                 call(out=row)
-        return _from_draws(self.model, draws, (self.rows, t))
+        if self.model.kind == "sre":
+            return self.model.sre_law._from_draws(draws, (self.rows, t))
+        return (self.model.noise._from_draws(draws),)
 
     def close(self) -> None:
         for gens in self.gens:
@@ -639,37 +594,57 @@ class _TileDraws:
         self.gens = []
 
 
-def _path_tiles(model: ProcessModel, steps: int, seed: int, indices, *suffix: int, skip: int = 0):
+def _path_tiles(model: ProcessModel, steps: int, seed: int, indices, *suffix: int, skip: int = 0,
+                start=None):
     """The paths of the replica rows ``indices`` (at most ``_TILE_ROWS``
-    of them, for the memory bound) from a zero start, over ``steps`` steps
-    of the streams ``(seed, i, *suffix)``, ``_TILE_STEPS`` steps at a time.
+    of them, for the memory bound) over ``steps`` steps of the streams
+    ``(seed, i, *suffix)``, ``_TILE_STEPS`` steps at a time.
 
-    Yields the ``(rows, t)`` tiles of steps ``skip`` to ``steps - 1`` in
-    order; the steps before ``skip`` run through tiles of their own. An
-    AR(1) tile runs lfilter's kernel with its state ``zi`` carried from the
-    last tile's ``zf``, an SRE tile runs :func:`sre_recursion` from the last
-    tile's final values, so the joined tiles equal :func:`_recurse` over
-    :func:`_innovations` bit for bit. A tile is valid until the next one is
-    asked for.
+    Yields ``(x, block)`` for steps ``skip`` to ``steps - 1`` in order: the
+    path tile and the innovations block (:class:`_TileDraws`) it was run
+    over; the steps before ``skip`` run through tiles of their own. Paths
+    start from zero, shaped ``(rows, t)``, or from each row of ``start``, a
+    ``(k, rows)`` stack of states before step 0 run over the same
+    innovations, shaped ``(k, rows, t)``. An AR(1) tile runs lfilter's
+    kernel from zero with its state ``zi`` carried from the last tile's
+    ``zf`` and adds each start's decay ``x0 phi^t``, t counted from the
+    start; an SRE tile runs :func:`sre_recursion` from the last tile's final
+    values. Joined, the tiles are the same at any tile length, bit for bit.
+    A tile and its block are valid until the next one is asked for.
     """
-    draws, tile, state = _TileDraws(model, steps, seed, indices, *suffix), _TILE_STEPS, 0.0
+    draws, tile = _TileDraws(model, steps, seed, indices, *suffix), _TILE_STEPS
+    state = np.zeros(len(indices)) if start is None else np.asarray(start, dtype=float)
     if model.kind == "ar1":
-        coef, state = (np.array([1.0]), np.array([1.0, -model.phi])), np.zeros((len(indices), 1))
+        coef, zi = (np.array([1.0]), np.array([1.0, -model.phi])), np.zeros((len(indices), 1))
     try:
-        for start, stop in ((0, skip), (skip, steps)):
-            for lo in range(start, stop, tile):
-                block = draws.next(min(tile, stop - lo))
+        for first, stop in ((0, skip), (skip, steps)):
+            for lo in range(first, stop, tile):
+                t = min(tile, stop - lo)
+                block = draws.next(t)
                 if model.kind == "iid":
                     x = block[0]
                 elif model.kind == "ar1":
-                    x, state = _ar1_kernel()(*coef, block[0], -1, state)
+                    x, zi = _ar1_kernel()(*coef, block[0], -1, zi)
+                    if start is not None:
+                        x = x + state[..., None] * model.phi ** np.arange(lo + 1, lo + t + 1)
                 else:
-                    x = sre_recursion(*block, x0=state)
-                    state = x[:, -1].copy()
-                if start == skip:
-                    yield x
+                    x = sre_recursion(np.broadcast_to(block[0], state.shape + (t,)), block[1], x0=state)
+                    state = x[..., -1].copy()
+                if first == skip:
+                    yield x, block
     finally:
         draws.close()
+
+
+def _join(tiles, out: np.ndarray, b_out: Optional[np.ndarray] = None) -> None:
+    """Write the path tiles of :func:`_path_tiles` side by side into
+    ``out``, time last, and, given ``b_out``, their blocks' B into it."""
+    col = 0
+    for x, block in tiles:
+        out[..., col:col + x.shape[-1]] = x
+        if b_out is not None:
+            b_out[:, col:col + x.shape[-1]] = block[-1]
+        col += x.shape[-1]
 
 
 def _row_groups(count: int) -> list:
@@ -684,10 +659,7 @@ def _simulate_rows(model: ProcessModel, n: int, seed: int, indices) -> np.ndarra
     indices = np.asarray(indices)
     out = np.empty((len(indices), n))
     for rows in _row_groups(len(indices)):
-        col = 0
-        for x in _path_tiles(model, n + model.burn_in, seed, indices[rows], skip=model.burn_in):
-            out[rows, col:col + x.shape[1]] = x
-            col += x.shape[1]
+        _join(_path_tiles(model, n + model.burn_in, seed, indices[rows], skip=model.burn_in), out[rows])
     return out
 
 
@@ -709,17 +681,18 @@ def _coupled_rows(model: ProcessModel, n: int, seed: int, indices: np.ndarray):
 
     Replica ``idx`` reads substream ``(seed, idx, 0)`` for the shared window
     and ``(seed, idx, 1)``, ``(seed, idx, 2)`` for the two burn-ins, each of
-    ``model.burn_in`` steps, of which only the final states are kept; the
-    shared window's recursion runs once across all rows."""
+    ``model.burn_in`` steps, of which only the final states are kept; each
+    group of rows draws its shared window once and runs it from both
+    starts."""
     burn, indices = model.burn_in, np.asarray(indices)
-    x0, x0s = np.zeros(len(indices)), np.zeros(len(indices))
-    for k, start in ((1, x0), (2, x0s)):
-        for rows in _row_groups(len(indices)) if burn else ():
-            for x in _path_tiles(model, burn, seed, indices[rows], k):
+    x, starts = np.empty((2, len(indices), n)), np.zeros((2, len(indices)))
+    for rows in _row_groups(len(indices)):
+        for k in (0, 1) if burn else ():
+            for last, _ in _path_tiles(model, burn, seed, indices[rows], k + 1):
                 pass
-            start[rows] = x[:, -1]
-    shared = _innovations(model, n, seed, indices, 0)
-    return _recurse(model, shared, x0), _recurse(model, shared, x0s), x0, x0s
+            starts[k, rows] = last[:, -1]
+        _join(_path_tiles(model, n, seed, indices[rows], 0, start=starts[:, rows]), x[:, rows])
+    return x[0], x[1], starts[0], starts[1]
 
 
 def sample_coupled_paths(model: ProcessModel, n: int, seed: int, index: int = 0) -> tuple[Path, Path]:
@@ -771,9 +744,10 @@ def tail_constant(model: ProcessModel) -> tuple[float, float]:
         abs_a = np.abs(law.sample_ab(substream(_KESTEN_SEED, 2), _KESTEN_DRAWS)[0])
         terms = abs_a**alpha * np.log(np.where(abs_a > 0, abs_a, 1.0))  # 0 where A = 0
         slope, slope_se = float(terms.mean()), float(terms.std(ddof=1) / math.sqrt(terms.size))
-    chains = _innovations(model, burn + _GOLDIE_KEEP, _GOLDIE_SEED, range(_GOLDIE_CHAINS))
-    x = _recurse(model, chains)[:, burn:]
-    per_chain = (np.abs(x) ** alpha - np.abs(x - chains[1][:, burn:]) ** alpha).mean(axis=1)
+    # the burn-in streams through tiles; only the kept steps and their B are held
+    x, b = np.empty((_GOLDIE_CHAINS, _GOLDIE_KEEP)), np.empty((_GOLDIE_CHAINS, _GOLDIE_KEEP))
+    _join(_path_tiles(model, burn + _GOLDIE_KEEP, _GOLDIE_SEED, np.arange(_GOLDIE_CHAINS), skip=burn), x, b)
+    per_chain = (np.abs(x) ** alpha - np.abs(x - b) ** alpha).mean(axis=1)
     num, num_se = float(per_chain.mean()), float(per_chain.std(ddof=1) / math.sqrt(_GOLDIE_CHAINS))
     if slope <= 0 or num <= 0:
         raise ModelError(f"no Kesten tail: E|A|^alpha log|A| = {slope:.6g} and "

@@ -167,13 +167,16 @@ class _ReductionPlan:
     greenwood: bool
 
     @classmethod
-    def build(cls, specs: Sequence[dict], alpha: Optional[float] = None) -> "_ReductionPlan":
+    def build(cls, specs: Sequence[dict], alpha: Optional[float] = None, required: bool = False) -> "_ReductionPlan":
         """Check every spec (and, given the tail index, greenwood's
         ``alpha < min(p, 1)``) before any path is simulated. Two specs with
         one label (``p: 2`` and ``p: 2.0``, or a default spelled out) would
-        write every replica twice and are rejected."""
+        write every replica twice and are rejected, and so is an empty list
+        where a statistic is ``required``."""
         if not isinstance(specs, (list, tuple)):
             raise ConfigurationError(f"statistic specs must be a list, got {specs!r}")
+        if required and not specs:
+            raise ConfigurationError("statistic specs must name at least one statistic")
         parsed = tuple(_parse_spec(spec) for spec in specs)
         centered, raw = None, None
         labels = set()

@@ -440,6 +440,7 @@ BAD_STATISTICS = [
     ([{"name": "norm_ratio", "q": 0.0}], "positive number"),
     ([{"name": "norm_ratio", "r": -1.0}], "positive number"),
     ([{"name": "studentized"}, {"name": "studentized", "p": 2}], "studentized_p2 is listed twice"),
+    ([], "at least one statistic"),
 ]
 BAD_FIELDS = [
     ({"p": 0.0}, "p: must be a positive number"),
@@ -479,6 +480,9 @@ class TestStatisticSpecs:
 
     def test_good_specs_validate(self):
         self._config(statistics=PLAN_SPECS + GREENWOOD_SPECS, p=0.5).validate()
+        # only a simulate run reads the statistics, so another kind may list none
+        for kind in ("limit", "diagnose"):
+            self._config(kind=kind, statistics=[]).validate()
 
     def test_bench_workload_configs_validate(self, monkeypatch):
         workloads = _bench_workloads(monkeypatch)

@@ -192,6 +192,22 @@ def test_worker_memory_does_not_grow_with_n():
     assert large <= 1.2 * small, (small, large)
 
 
+def test_goldie_burn_in_streams():
+    # tail_constant streams its 64 chains' burn-in through tiles and holds
+    # only the 2000 kept steps and their B, so a 100,000-step burn-in (52 MB
+    # per whole-row array) peaks below 16 MB; (c, se) are pinned bit for bit,
+    # as recorded when the chains were drawn as whole rows
+    model = sre_model(SRELaw(alpha=0.8, sigma=1.0, b_mean=1.0, b_sd=0.5), burn_in=100_000)
+    tracemalloc.start()
+    try:
+        c, se = processes.tail_constant(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
+    assert (c.hex(), se.hex()) == ("0x1.dd3d07dddefd5p+0", "0x1.3d37847aad8d1p-8")
+
+
 # ---------------------------------------------------------------------------
 # the series sampler's atom draws
 

@@ -18,6 +18,7 @@ from selfnorm import (
     ar1_model,
     iid_model,
     normalizing_an,
+    processes,
     sample_coupled_paths,
     sample_noise,
     sample_path,
@@ -29,7 +30,6 @@ from selfnorm.processes import (
     _BURN_IN_EPS,
     _SRE_TILE,
     ProcessModel,
-    _innovations,
     _simulate_rows,
     ar1_recursion,
     model_from_dict,
@@ -113,8 +113,11 @@ class TestPaths:
         assert np.allclose(ar1_recursion(0.5, np.ones(3)), [1.0, 1.5, 1.75])
 
     def test_ar1_recursion_with_state(self):
-        out = ar1_recursion(0.5, np.array([1.0, 1.0]), x0=2.0)
-        assert np.allclose(out, [2.0, 2.0])
+        # the engine runs a start of 2 and one of 0 over the same noise: the
+        # paths differ by the start's decay 2 * 0.5^t
+        model = ar1_model(0.5, NoiseSpec("pareto", 1.5))
+        ((x, _),) = processes._path_tiles(model, 2, 3, np.arange(1), start=[[2.0], [0.0]])
+        assert np.allclose(x[0] - x[1], [[1.0, 0.5]])
 
     def test_sre_recursion_hook(self):
         a = np.array([0.5, 0.5])
@@ -165,20 +168,26 @@ class TestAR1Kernel:
     def test_matches_lfilter(self, phi, shape):
         z = np.random.default_rng(31).standard_cauchy(shape)
         assert np.array_equal(ar1_recursion(phi, z), _lfilter_reference(phi, z))
-        assert np.array_equal(ar1_recursion(phi, z, 1.7), _lfilter_reference(phi, z, 1.7))
-        if len(shape) > 1:
-            x0 = np.random.default_rng(32).standard_normal(shape[:-1])
-            assert np.array_equal(ar1_recursion(phi, z, x0), _lfilter_reference(phi, z, x0))
 
     @pytest.mark.parametrize("phi", AR1_KERNEL_PHIS)
     def test_non_contiguous_noise(self, phi):
         base = np.random.default_rng(33).standard_cauchy((300, 8))
-        x0 = np.linspace(-2.0, 2.0, 8)
         for z in (base.T, base.T[::2, ::3], base[::-2, 1]):
             assert not z.flags.c_contiguous
             assert np.array_equal(ar1_recursion(phi, z), _lfilter_reference(phi, z))
-            starts = x0[: z.shape[0]] if z.ndim > 1 else 0.5
-            assert np.array_equal(ar1_recursion(phi, z, starts), _lfilter_reference(phi, z, starts))
+
+    @pytest.mark.parametrize("phi", AR1_KERNEL_PHIS)
+    @pytest.mark.parametrize("tile", [processes._TILE_STEPS, 100, 7])
+    def test_start_decay_through_the_engine(self, monkeypatch, phi, tile):
+        # a scalar start and one start per row, run by the path engine over
+        # its own noise in tiles, equal lfilter plus the start's decay
+        model, idx, n = ar1_model(phi, NoiseSpec("pareto", 1.5), burn_in=0), np.arange(6), 1100
+        z = np.stack([processes._draw_noise(model.noise, substream(31, int(i)), n) for i in idx])
+        starts = np.stack([np.full(6, 1.7), np.random.default_rng(32).standard_normal(6)])
+        monkeypatch.setattr(processes, "_TILE_STEPS", tile)
+        got = np.empty((2, 6, n))
+        processes._join(processes._path_tiles(model, n, 31, idx, start=starts), got)
+        assert np.array_equal(got, _lfilter_reference(phi, z, starts))
 
     def test_later_scipy_signal_import(self):
         # in a fresh interpreter: the kernel runs without scipy.signal, which
@@ -250,9 +259,9 @@ def _coupled_rows_per_replica(model, n, seed, indices):
 
 
 def _ar1_coupled_rows_per_replica(model, n, seed, indices):
-    """The coupled AR(1) rows one replica at a time, each a one-row
-    ``lfilter``: the reference the batched ``_coupled_rows`` must reproduce
-    bit for bit."""
+    """The coupled AR(1) rows one replica at a time, each window a one-row
+    ``lfilter`` plus its start's decay: the reference the batched
+    ``_coupled_rows`` must reproduce bit for bit."""
     from selfnorm.processes import _draw_noise
     from selfnorm.rng import substream
 
@@ -265,8 +274,8 @@ def _ar1_coupled_rows_per_replica(model, n, seed, indices):
         z = _draw_noise(model.noise, substream(seed, int(idx), 0), n)
         s_a = ar1_recursion(model.phi, za)[-1] if burn else 0.0
         s_b = ar1_recursion(model.phi, zb)[-1] if burn else 0.0
-        x[r] = ar1_recursion(model.phi, z, x0=s_a)
-        xs[r] = ar1_recursion(model.phi, z, x0=s_b)
+        x[r] = _lfilter_reference(model.phi, z, s_a)
+        xs[r] = _lfilter_reference(model.phi, z, s_b)
         x0[r], x0s[r] = s_a, s_b
     return x, xs, x0, x0s
 
@@ -298,6 +307,22 @@ class TestCoupledRowsBatched:
         indices = np.arange(4, 4 + 13)
         got = _coupled_rows(model, 37, 8, indices)
         want = _ar1_coupled_rows_per_replica(model, 37, 8, indices)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("tile", [100, 7])
+    @pytest.mark.parametrize("model, reference", [
+        (sre_model(SRELaw(alpha=0.8, sigma=1.0, b_mean=1.0, b_sd=0.5), burn_in=300), _coupled_rows_per_replica),
+        (sre_model(SRELaw(alpha=1.2, sigma=0.7, neg_prob=0.3), burn_in=0), _coupled_rows_per_replica),
+        (ar1_model(-0.8, NoiseSpec("pareto", 1.5), burn_in=50), _ar1_coupled_rows_per_replica),
+        (ar1_model(0.5, NoiseSpec("pareto", 0.5, (1.0, 0.0)), burn_in=0), _ar1_coupled_rows_per_replica),
+    ], ids=["sre-burn", "sre-no-burn", "ar1-burn", "ar1-no-burn"])
+    def test_any_tile_length(self, monkeypatch, model, reference, tile):
+        # windows and burn-ins over several tiles: the AR(1) start's decay
+        # and the SRE state are carried from tile to tile
+        monkeypatch.setattr(processes, "_TILE_STEPS", tile)
+        indices = np.arange(2, 2 + 13)
+        got = processes._coupled_rows(model, 250, 8, indices)
+        want = reference(model, 250, 8, indices)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
     def test_rows_independent_of_batching(self):
@@ -351,9 +376,16 @@ class TestScaleConstants:
         within_se(c, 1.867, se, k=3)
         assert normalizing_an(self.BENCH_SRE, 10**4) == pytest.approx((1e4 * c) ** 1.25, rel=1e-12)
 
-    def test_goldie_stderr_covers_seed_spread(self, monkeypatch):
-        from selfnorm import processes
+    @pytest.mark.parametrize("tile", [100, 7])
+    @pytest.mark.parametrize("b_sd", [0.0, 0.5], ids=["constant-b", "drawn-b"])
+    def test_goldie_any_tile_length(self, monkeypatch, b_sd, tile):
+        # the chains stream through the path engine: the same bits at any tile length
+        model = sre_model(SRELaw(alpha=0.8, sigma=1.0, b_mean=1.0, b_sd=b_sd))
+        want = tail_constant(model)
+        monkeypatch.setattr(processes, "_TILE_STEPS", tile)
+        assert tail_constant(model) == want
 
+    def test_goldie_stderr_covers_seed_spread(self, monkeypatch):
         cs, ses = [], []
         for seed in range(10):
             monkeypatch.setattr(processes, "_GOLDIE_SEED", 1000 + seed)
@@ -504,17 +536,23 @@ class TestBurnIn:
         model = ar1_model(phi, NoiseSpec("pareto", 1.5))
         idx = np.arange(200)
         x0 = _simulate_rows(model, 1, 7, idx)[:, 0]
-        (z,) = _innovations(model, model.burn_in, 8, idx)
-        zero_start = ar1_recursion(phi, z)[:, -1]
-        gap = np.abs(ar1_recursion(phi, z, x0)[:, -1] - zero_start)
+        # the engine's last burn-in step from both starts
+        ends, burn = np.empty((2, len(idx), 1)), model.burn_in
+        tiles = processes._path_tiles(model, burn, 8, idx, skip=burn - 1, start=[np.zeros(len(idx)), x0])
+        processes._join(tiles, ends)
+        zero_start = ends[0, :, 0]
+        gap = np.abs(ends[1, :, 0] - zero_start)
         assert np.all(gap <= _BURN_IN_EPS * np.abs(x0) + np.spacing(np.abs(zero_start)))
 
     def test_sre_start_forgotten(self):
         # the start's weight after the burn-in is |A_1 ... A_t|, at most eps on
         # every one of 2000 chains
-        model = sre_model(BENCH_LAW)
-        a, _ = _innovations(model, model.burn_in, 9, np.arange(2000))
-        assert np.abs(np.prod(a, axis=1)).max() <= _BURN_IN_EPS
+        model, idx = sre_model(BENCH_LAW), np.arange(2000)
+        for rows in processes._row_groups(len(idx)):
+            draws = processes._TileDraws(model, model.burn_in, 9, idx[rows])
+            a, _ = draws.next(model.burn_in)
+            assert np.abs(np.prod(a, axis=1)).max() <= _BURN_IN_EPS
+            draws.close()
 
 
 class TestInterfaces:
@@ -590,8 +628,9 @@ class TestSREEngine:
             assert new.random() == old.random()
 
     def test_constant_b_rows_are_a_view(self):
-        model = sre_model(BENCH_LAW)
-        a, b = _innovations(model, 300, 3, np.arange(4))
+        draws = processes._TileDraws(sre_model(BENCH_LAW), 300, 3, np.arange(4))
+        _, b = draws.next(300)
+        draws.close()
         assert b.strides == (0, 0) and not b.flags.writeable
         assert np.array_equal(b, np.full((4, 300), BENCH_LAW.b_mean))
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selfnorm import ConfigurationError, sample_path, simulate_statistics
+from selfnorm import ConfigurationError, processes, sample_path, simulate_statistics
 from selfnorm.stats import _ReductionPlan, batch_stats, stats_rows_to_csv
 
 
@@ -42,7 +42,13 @@ class TestComputeStats:
         assert s["gamma_p1"] == pytest.approx(17.0)
         assert s["max_abs"] == 1.0
 
-    def test_empty_rejected(self, pareto_pos_half):
+    def test_empty_rejected(self, pareto_pos_half, monkeypatch):
+        def no_paths(*args, **kwargs):
+            raise AssertionError("simulated a path")
+
+        monkeypatch.setattr(processes, "_path_tiles", no_paths)
+        with pytest.raises(ConfigurationError, match="at least one statistic"):
+            simulate_statistics(pareto_pos_half, 10, 3, [])
         with pytest.raises(ConfigurationError):
             simulate_statistics(pareto_pos_half, 0, 3, [{"name": "ratio_max"}])
         with pytest.raises(ConfigurationError):
