@@ -55,6 +55,14 @@ from .rng import substream
 TRUNCATION_TARGET = 1e-10
 # empirical libraries kept by _shared_library: one per distinct cluster model
 LIBRARY_CACHE_SIZE = 4
+# values of the (anchors, 2h+1) block array per chunk of _BlockLibrary.table:
+# a memory budget only, since every table column is a per-anchor reduction
+_TABLE_VALUES = 2**16
+# a uniform library law is drawn by rng.integers calls of at most
+# _DRAW_VALUES // (2h+1) indices. This is no memory budget: the call sizes
+# are part of the seeded draw sequence, and another value would change every
+# seeded empirical result.
+_DRAW_VALUES = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -108,6 +116,8 @@ class ClusterModel:
                 raise ConfigurationError("threshold_quantile must lie in (0, 1)")
             if self.block_half_width < 1:
                 raise ConfigurationError("block_half_width must be >= 1")
+            if self.sample_length < 1:
+                raise ConfigurationError("sample_length must be >= 1")
             if not (0.0 <= self.floor_rel < 1.0) or self.run_gap < 1:
                 raise ConfigurationError("need 0 <= floor_rel < 1 and run_gap >= 1")
         object.__setattr__(self, "_library", None)
@@ -217,12 +227,12 @@ class _BlockLibrary:
         chains = 64
         seg_len = max(-(-model.sample_length // chains), 4 * h + 4)
         rows = _simulate_rows(model.source, seg_len, model.library_seed, np.arange(chains))
-        absrows = np.abs(rows)
-        threshold = float(np.quantile(absrows, model.threshold_quantile))
-        mask = absrows > threshold
-        mask[:, :h] = False
-        mask[:, seg_len - h:] = False
-        chain_idx, pos_idx = np.nonzero(mask)
+        threshold = _abs_quantile(rows, model.threshold_quantile)
+        # anchors in the C order of np.nonzero on the whole exceedance mask,
+        # one chain row at a time; h steps at either end are never anchors
+        pos = [np.flatnonzero(np.abs(row[h:seg_len - h]) > threshold) + h for row in rows]
+        chain_idx = np.repeat(np.arange(chains), [len(p) for p in pos])
+        pos_idx = np.concatenate(pos)
         for a in (rows, chain_idx, pos_idx):
             a.flags.writeable = False
         return cls(rows, chain_idx, pos_idx, threshold, h, model.alpha, model.floor_rel, model.run_gap)
@@ -257,10 +267,9 @@ class _BlockLibrary:
         missing = [q for q in dict.fromkeys(exponents) if q not in self.columns and q not in base]
         if not (base or missing):
             return self.columns
-        # anchor chunks bound the memory of the (chunk, 2h+1) blocks
         n, h = self.n_anchors, self.half_width
         new = {k: np.empty(n) for k in (*base, *missing)}
-        chunk = max(1, 2_000_000 // (2 * h + 1))
+        chunk = max(1, _TABLE_VALUES // (2 * h + 1))
         for lo in range(0, n, chunk):
             sl = slice(lo, min(lo + chunk, n))
             theta = _own_cluster_theta(self.blocks(np.arange(sl.start, sl.stop)), h, self.floor_rel, self.run_gap)
@@ -278,6 +287,39 @@ class _BlockLibrary:
             a.flags.writeable = False
         self.columns.update(new)
         return self.columns
+
+
+def _abs_quantile(rows: np.ndarray, q: float) -> float:
+    """``float(np.quantile(np.abs(rows), q))``, bit for bit, without a
+    temporary of the size of ``rows``: a radix select over the bit patterns
+    of |x|, which sort like the values since none is negative.
+
+    A pass over the rows counts the top 16 bits of each |x|. Their cumulative
+    counts give the bins that hold order statistics k = floor(q (N - 1)) and
+    k + 1, and a second pass gathers the values of those bins, where
+    ``np.partition`` picks the two. numpy's own interpolation between them,
+    at the fraction ``q (N - 1) - k``, then gives numpy's bits. A NaN
+    anywhere gives NaN, as in ``np.quantile``.
+    """
+    counts = np.zeros(1 << 16, dtype=np.int64)
+    for row in rows:
+        counts += np.bincount((np.abs(row).view(np.uint64) >> 48).view(np.int64), minlength=1 << 16)
+    # bins from 0x7FF0 up hold +inf and every NaN
+    if counts[0x7FF0:].any() and any(np.isnan(row).any() for row in rows):
+        return math.nan
+    n = rows.size
+    virtual = (n - 1) * q
+    k = min(math.floor(virtual), n - 1)
+    ks = (k, min(k + 1, n - 1))
+    cum = np.cumsum(counts)
+    lo, hi = np.searchsorted(cum, ks, side="right")
+    # bins lo to hi hold order statistics below + 0, 1, ...: any bin between
+    # the two is empty, since they hold neighbours
+    below = int(cum[lo - 1]) if lo else 0
+    low, high = np.uint64(int(lo) << 48), np.uint64(int(hi + 1) << 48)
+    pool = np.concatenate([a[(a.view(np.uint64) >= low) & (a.view(np.uint64) < high)] for a in map(np.abs, rows)])
+    kth = [i - below for i in ks]
+    return float(np.quantile(np.partition(pool, kth)[kth], virtual - k))
 
 
 @functools.lru_cache(maxsize=LIBRARY_CACHE_SIZE)
@@ -602,7 +644,7 @@ def cluster_law(model: ClusterModel, exponents: Sequence[float]) -> ClusterAtoms
             alpha=model.alpha, p=qs[0], weights=np.full(n, 1.0 / n), sum_q=table["sum_q"],
             max_abs=table["max_abs"], norm_p_p=table[qs[0]], sum_abs=table["sum_abs"], exact=False,
             reps=n, group=lib.anchor_chain, norms={q: table[q] for q in qs},
-            draw_chunk=max(1, 2_000_000 // (2 * lib.half_width + 1)),
+            draw_chunk=max(1, _DRAW_VALUES // (2 * lib.half_width + 1)),
         )
     alpha, phi = model.alpha, model.phi
     r = abs(phi) ** alpha

@@ -543,10 +543,12 @@ class _TileDraws:
     later; a call after normals or exponentials (whose ziggurat samplers
     take a variable count) starts where a scan that draws and drops them
     ends. A user sampler fixes no layout, so a custom law's rows are drawn
-    whole. The returned arrays are reused by the next call.
+    whole. ``tile`` is the longest ``t`` asked for (default
+    ``_TILE_STEPS``). The returned arrays are reused by the next call.
     """
 
-    def __init__(self, model: ProcessModel, size: int, seed: int, indices, *suffix: int):
+    def __init__(self, model: ProcessModel, size: int, seed: int, indices, *suffix: int,
+                 tile: Optional[int] = None):
         self.model, self.rows, law = model, len(indices), model.sre_law if model.kind == "sre" else model.noise
         self.gens, self.whole, self.offset = [], None, 0
         if law.kind == "custom":
@@ -554,7 +556,7 @@ class _TileDraws:
             for r, rng in enumerate(substreams(seed, indices, *suffix)):
                 self.whole[0][r], self.whole[1][r] = law.sample_ab(rng, size)
             return
-        calls, tile = law.draw_calls, _TILE_STEPS
+        calls, tile = law.draw_calls, tile or _TILE_STEPS
         keys = _stream_keys(seed, indices, *suffix).tolist()
         self.gens = [_take_generators(self.rows) for _ in calls]
         self.buffers = [np.empty(self.rows * min(size, tile)) for _ in calls]
@@ -595,10 +597,11 @@ class _TileDraws:
 
 
 def _path_tiles(model: ProcessModel, steps: int, seed: int, indices, *suffix: int, skip: int = 0,
-                start=None):
+                start=None, tile: Optional[int] = None):
     """The paths of the replica rows ``indices`` (at most ``_TILE_ROWS``
     of them, for the memory bound) over ``steps`` steps of the streams
-    ``(seed, i, *suffix)``, ``_TILE_STEPS`` steps at a time.
+    ``(seed, i, *suffix)``, ``tile`` steps at a time (default
+    ``_TILE_STEPS``).
 
     Yields ``(x, block)`` for steps ``skip`` to ``steps - 1`` in order: the
     path tile and the innovations block (:class:`_TileDraws`) it was run
@@ -612,7 +615,8 @@ def _path_tiles(model: ProcessModel, steps: int, seed: int, indices, *suffix: in
     values. Joined, the tiles are the same at any tile length, bit for bit.
     A tile and its block are valid until the next one is asked for.
     """
-    draws, tile = _TileDraws(model, steps, seed, indices, *suffix), _TILE_STEPS
+    tile = tile or _TILE_STEPS
+    draws = _TileDraws(model, steps, seed, indices, *suffix, tile=tile)
     state = np.zeros(len(indices)) if start is None else np.asarray(start, dtype=float)
     if model.kind == "ar1":
         coef, zi = (np.array([1.0]), np.array([1.0, -model.phi])), np.zeros((len(indices), 1))
@@ -652,14 +656,14 @@ def _row_groups(count: int) -> list:
     return [slice(lo, lo + _TILE_ROWS) for lo in range(0, count, _TILE_ROWS)]
 
 
-def _simulate_rows(model: ProcessModel, n: int, seed: int, indices) -> np.ndarray:
+def _simulate_rows(model: ProcessModel, n: int, seed: int, indices, tile: Optional[int] = None) -> np.ndarray:
     """Stationary-regime paths for the given replica indices, one Philox
     substream per replica: the joined tiles of :func:`_path_tiles`, burn-in
     dropped. Rows are independent of how they are batched and tiled."""
     indices = np.asarray(indices)
     out = np.empty((len(indices), n))
     for rows in _row_groups(len(indices)):
-        _join(_path_tiles(model, n + model.burn_in, seed, indices[rows], skip=model.burn_in), out[rows])
+        _join(_path_tiles(model, n + model.burn_in, seed, indices[rows], skip=model.burn_in, tile=tile), out[rows])
     return out
 
 
@@ -671,7 +675,9 @@ def sample_path(model: ProcessModel, n: int, seed: int, index: int = 0) -> Path:
     """
     if n < 1:
         raise ConfigurationError("n must be >= 1")
-    values = _simulate_rows(model, n, seed, np.array([index]))[0]
+    # one row runs as one tile of its whole length: 1024-step tiles would pay
+    # a draw call, a kernel call and a copy per tile on a single row
+    values = _simulate_rows(model, n, seed, np.array([index]), tile=n + model.burn_in)[0]
     return Path(values=values, model=model, seed=seed)
 
 

@@ -11,6 +11,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gamma as gamma_fn
 
 from selfnorm import (
@@ -359,7 +361,8 @@ class TestSharedLibrary:
                 a[0] = 0
 
     def test_one_trim_per_library(self, monkeypatch):
-        # h = 1500 puts about 2,000 anchors in chunks of 666: several chunks
+        # h = 1500 puts about 2,000 anchors in chunks of 21 (of the table's
+        # value budget): several chunks, one trim each
         h = 1500
         c = empirical_cluster(self.SOURCE, threshold_quantile=0.99, block_half_width=h,
                               sample_length=200_000, library_seed=5)
@@ -369,9 +372,12 @@ class TestSharedLibrary:
         monkeypatch.setattr(clusters, "_own_cluster_theta", lambda blocks, *a: chunks.append(1) or trim(blocks, *a))
         lib.table((2.0,))
         lib.table((alpha,))
-        n, chunk = lib.n_anchors, 2_000_000 // (2 * h + 1)
-        assert len(chunks) == -(-n // chunk) > 1
-        # the alpha column as its own per-exponent pass over the anchors gives it
+        n = lib.n_anchors
+        assert len(chunks) == -(-n // (clusters._TABLE_VALUES // (2 * h + 1))) > 1
+        # the alpha column as its own per-exponent pass over the anchors, in
+        # chunks of 2,000,000 values (666 anchors), gives it: every column is
+        # a per-anchor reduction, whatever the chunk
+        chunk = 2_000_000 // (2 * h + 1)
         ref = np.empty(n)
         for lo in range(0, n, chunk):
             theta = trim(lib.blocks(np.arange(lo, min(lo + chunk, n))), h, lib.floor_rel, lib.run_gap)
@@ -390,3 +396,49 @@ class TestSharedLibrary:
         assert a._empirical_library() is not b._empirical_library()
         assert len(builds) == 2
         assert clusters._shared_library.cache_info().currsize == 0
+
+
+# laws of the threshold test's values: heavy tails, ties, one repeated value,
+# and signed zeros
+_ABS_LAWS = {
+    "pareto_half": lambda rng, shape: rng.pareto(0.5, shape) * rng.choice((-1.0, 1.0), shape),
+    "cauchy": lambda rng, shape: rng.standard_cauchy(shape),
+    "normal": lambda rng, shape: rng.standard_normal(shape),
+    "ties": lambda rng, shape: rng.integers(-3, 4, shape).astype(float),
+    "all_equal": lambda rng, shape: np.full(shape, -2.5),
+    "zeros": lambda rng, shape: rng.choice((0.0, -0.0), shape),
+}
+
+
+class TestAbsQuantile:
+    """The library threshold's radix select equals ``np.quantile`` of |x|
+    bit for bit, NaN for NaN."""
+
+    @staticmethod
+    def _check(x, q):
+        with np.errstate(invalid="ignore"):  # inf - inf, interpolated by both
+            want = float(np.quantile(np.abs(x), q))
+            got = clusters._abs_quantile(x, q)
+        if math.isnan(want):
+            assert math.isnan(got)
+        else:
+            assert got.hex() == want.hex(), (got, want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.integers(1, 64), cols=st.integers(1, 300), law=st.sampled_from(sorted(_ABS_LAWS)),
+           seed=st.integers(0, 2**32 - 1),
+           q=st.sampled_from([0.0, 1.0, 0.999]) | st.floats(0.0, 1.0),
+           specials=st.lists(st.sampled_from([np.inf, -np.inf, np.nan, 0.0, -0.0]), max_size=4))
+    def test_equals_numpy(self, rows, cols, law, seed, q, specials):
+        rng = np.random.default_rng(seed)
+        x = _ABS_LAWS[law](rng, (rows, cols))
+        x.flat[rng.integers(0, x.size, len(specials))] = specials
+        self._check(x, q)
+
+    @pytest.mark.parametrize("law", ["pareto_half", "cauchy"])
+    def test_library_size(self, law):
+        # 64 rows of 3,125 values, a tenth of the default library, at the
+        # default threshold quantile and two others
+        x = _ABS_LAWS[law](np.random.default_rng(7), (64, 3125))
+        for q in (0.999, 0.5, 0.9999999):
+            self._check(x, q)

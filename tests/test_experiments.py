@@ -147,6 +147,12 @@ MISSING_KEYS = [
     ("cluster", {"kind": "empirical", "source": {"kind": "iid", "noise": {"kind": "pareto"}}}, "alpha"),
 ]
 
+# (field, dict, what the error names): a value the model or cluster rejects
+BAD_VALUES = [
+    ("cluster", {"kind": "empirical", "source": AR1_POS_HALF, "sample_length": -5}, "sample_length"),
+    ("cluster", {"kind": "empirical", "source": AR1_POS_HALF, "sample_length": 0}, "sample_length"),
+]
+
 
 class TestConfigKeys:
     """A key that the model, cluster, noise or SRE-law kind does not read is
@@ -184,6 +190,20 @@ class TestConfigKeys:
         kind = "verify" if field == "model" else "limit"
         assert cli_main([kind, "--config", str(cfg_path)]) == 2
         assert f"missing keys ['{key}']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,d,key", BAD_VALUES)
+    def test_bad_value_cli_exit_2(self, field, d, key, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(clusters._BlockLibrary, "build", lambda model: pytest.fail("built a library"))
+        with pytest.raises(ConfigurationError, match=key):
+            (model_from_dict if field == "model" else cluster_from_dict)(d)
+        with pytest.raises(ConfigurationError, match=f"{field}: .*{key}"):
+            self._config(field, d).validate()
+        cfg_path = tmp_path / "cfg.yaml"
+        with open(cfg_path, "w") as fh:
+            yaml.safe_dump(self._config(field, d).to_dict(), fh)
+        kind = "verify" if field == "model" else "limit"
+        assert cli_main([kind, "--config", str(cfg_path)]) == 2
+        assert key in capsys.readouterr().err
 
     def test_shipped_dicts_read_every_key(self):
         for path in sorted((Path(__file__).parents[1] / "configs").glob("*.yaml")):

@@ -59,8 +59,11 @@ def test_joined_tiles_equal_whole_rows(monkeypatch, name, tile):
     model, idx = MODELS[name], np.array([0, 3, 8, 300])
     assert (1501 + model.burn_in) % tile
     monkeypatch.setattr(processes, "_TILE_STEPS", tile)
-    got = processes._simulate_rows(model, 1501, 6, idx)
-    assert np.array_equal(got, _whole_rows(model, 1501, 6, idx))
+    got, want = processes._simulate_rows(model, 1501, 6, idx), _whole_rows(model, 1501, 6, idx)
+    assert np.array_equal(got, want)
+    # a single path runs as one tile of its whole length
+    for i, row in zip(idx, want):
+        assert np.array_equal(processes.sample_path(model, 1501, 6, int(i)).values, row)
 
 
 def test_row_groups_and_coupled_burn_in():
@@ -206,6 +209,23 @@ def test_goldie_burn_in_streams():
         tracemalloc.stop()
     assert peak < 16 * 2**20, peak
     assert (c.hex(), se.hex()) == ("0x1.dd3d07dddefd5p+0", "0x1.3d37847aad8d1p-8")
+
+
+def test_library_build_streams():
+    # the default-size library of the benchmark AR(1) keeps its 64 chains
+    # (15.3 MB) and adds a few MB on top while it finds its threshold and
+    # anchors and fills its table: no temporary the size of the chains
+    source = ar1_model(0.5, NoiseSpec("pareto", 0.5, (1.0, 0.0)))
+    cluster = clusters.empirical_cluster(source, sample_length=2_000_000)
+    tracemalloc.start()
+    try:
+        lib = clusters._BlockLibrary.build(cluster)
+        lib.table((2.0,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lib.n_anchors > 1000
+    assert peak < lib.segments.nbytes + 4 * 2**20, (peak, lib.segments.nbytes)
 
 
 # ---------------------------------------------------------------------------
