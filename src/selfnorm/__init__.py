@@ -58,7 +58,6 @@ from .limits import (
     stable_cf,
 )
 from .oracles import (
-    MomentReport,
     expected_greenwood,
     expected_kurtosis_limit,
     expected_ratio_max,

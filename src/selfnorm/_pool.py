@@ -4,8 +4,6 @@ list of tasks with results in task order."""
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-
 
 def partition(reps: int, workers: int) -> list[tuple[int, int]]:
     """Contiguous replica index ranges, one per worker."""
@@ -18,5 +16,8 @@ def run_tasks(fn, tasks, workers: int):
     """``fn`` over ``tasks``, results in task order: in this process, or on a pool."""
     if workers <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
+    # imported on this branch only: a run without a pool never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks))

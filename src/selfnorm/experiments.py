@@ -21,7 +21,6 @@ from pathlib import Path as FsPath
 from typing import Optional, Sequence
 
 import numpy as np
-import yaml
 
 from . import clusters, diagnostics, limits, oracles, processes, stats
 from ._pool import partition, run_tasks
@@ -176,8 +175,15 @@ class ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path) as fh:
-        data = yaml.safe_load(fh)
+    import yaml  # only a config file needs PyYAML: kept out of the package import
+
+    try:
+        with open(path, "rb") as fh:  # bytes: PyYAML reports a bad encoding as a YAMLError
+            data = yaml.safe_load(fh)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read config file {path}: {exc.strerror or exc}") from None
+    except yaml.YAMLError as exc:
+        raise ConfigurationError(f"config file {path} is not valid YAML: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigurationError("config file must hold a mapping")
     return ExperimentConfig.from_dict(data)
@@ -282,9 +288,17 @@ class Report:
 
 
 def _mc_row(name: str, analytic: Estimate, mc_value: float, mc_se: float, z_bound: float) -> ReportRow:
-    rep = oracles.MomentReport.compare(name, analytic, mc_value, mc_se)
-    return ReportRow(name, rep.analytic_value, rep.mc_value, rep.stderr, rep.z_score,
-                     abs(rep.z_score) <= z_bound)
+    """One oracle-versus-Monte-Carlo row: z is the difference over the combined stderr."""
+    se = math.hypot(analytic.stderr, mc_se)
+    diff = mc_value - analytic.value
+    scale = max(1.0, abs(analytic.value), abs(mc_value))
+    if se < 1e-10 * scale:
+        # degenerate comparison (e.g. a deterministic cluster functional):
+        # fall back to exact agreement instead of dividing by ~0
+        z = 0.0 if abs(diff) <= 1e-9 * scale else math.inf
+    else:
+        z = diff / se
+    return ReportRow(name, analytic.value, mc_value, se, z, abs(z) <= z_bound)
 
 
 def _tol_row(name: str, reference: float, value: float, tol: float) -> ReportRow:

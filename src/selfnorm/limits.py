@@ -35,14 +35,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import gamma as gamma_fn, gammainc, gammaln
 
 from .clusters import (
     ClusterAtoms, ClusterModel, Estimate, _weighted_estimate, cluster_atoms, cluster_law, cluster_moment,
     tilted_atoms,
 )
 from .errors import ConfigurationError, DegeneratePathError, NumericalError, UnsupportedError
-from .processes import write_csv
+from .processes import gamma_fn, gammainc, gammaln, write_csv
 from .rng import substreams
 
 QUAD_TOL = 1e-8

@@ -19,49 +19,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
 from .clusters import ClusterAtoms, ClusterModel, Estimate, _weighted_estimate, cluster_atoms, cluster_law
 from .errors import ConfigurationError, DegeneratePathError, NumericalError, UnsupportedError
-
-
-@dataclass(frozen=True)
-class MomentReport:
-    """One oracle-versus-Monte-Carlo comparison."""
-
-    name: str
-    analytic_value: float
-    mc_value: float
-    stderr: float
-    z_score: float
-    components: dict = field(default_factory=dict)
-
-    @classmethod
-    def compare(cls, name: str, analytic: Estimate, mc_value: float, mc_stderr: float, components=None):
-        se = math.hypot(analytic.stderr, mc_stderr)
-        diff = mc_value - analytic.value
-        scale = max(1.0, abs(analytic.value), abs(mc_value))
-        if se < 1e-10 * scale:
-            # degenerate comparison (e.g. a deterministic cluster functional):
-            # fall back to exact agreement instead of dividing by ~0
-            z = 0.0 if abs(diff) <= 1e-9 * scale else math.inf
-        else:
-            z = diff / se
-        return cls(name, analytic.value, mc_value, se, z, components or {})
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "analytic": self.analytic_value,
-            "mc": self.mc_value,
-            "stderr": self.stderr,
-            "z": self.z_score,
-            "components": self.components,
-        }
+from .processes import gamma_fn
 
 
 def _alpha_of(cluster: ClusterModel, alpha: Optional[float]) -> float:

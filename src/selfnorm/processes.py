@@ -45,7 +45,6 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy
-from scipy.special import gamma as gamma_fn
 
 from .errors import ConfigurationError, ModelError, UnsupportedError
 from .rng import _stream_keys, substream, substreams
@@ -72,6 +71,44 @@ _TILE_ROWS = 256
 _TILE_STEPS = 1024
 # lfilter's compiled kernel, ``_linear_filter(b, a, x, axis)``, set by :func:`_ar1_kernel`
 _LINEAR_FILTER = None
+
+
+def _scipy_extension(name: str):
+    """The compiled scipy module ``name`` (say ``scipy.signal._sigtools``),
+    loaded from its file on its own, so the ``__init__.py`` of its package
+    never runs; None when scipy has no such file. A module already in
+    ``sys.modules`` lends itself.
+    """
+    module = sys.modules.get(name)
+    if module is None:
+        package = name.split(".")[1:-1]
+        spec = importlib.machinery.PathFinder.find_spec(name, [os.path.join(scipy.__path__[0], *package)])
+        if spec is None:
+            return None
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        # loading registers the bare module; a later import of its package makes its own
+        sys.modules.pop(name, None)
+    return module
+
+
+def _gamma_ufuncs():
+    """``gamma``, ``gammainc`` and ``gammaln`` from ``scipy.special._special_ufuncs``:
+    the very ufuncs ``scipy.special`` exports, without the array-API layer its
+    ``__init__.py`` imports (``numpy.testing``, ``numpy.f2py``), which is most
+    of the time an import of ``scipy.special`` takes. A scipy without that
+    module, or whose module lacks one of the three, gives them the usual way.
+    """
+    module = _scipy_extension("scipy.special._special_ufuncs")
+    try:
+        return module.gamma, module.gammainc, module.gammaln
+    except AttributeError:  # no module (None) or an older layout
+        from scipy.special import gamma, gammainc, gammaln
+
+        return gamma, gammainc, gammaln
+
+
+gamma_fn, gammainc, gammaln = _gamma_ufuncs()
 
 
 def _validate_alpha(alpha: float) -> float:
@@ -428,23 +465,14 @@ def sample_noise(spec: NoiseSpec, count: int, seed: int) -> np.ndarray:
 def _ar1_kernel():
     """``scipy.signal._sigtools._linear_filter``, the C loop behind ``lfilter``.
 
-    The extension module is loaded from its file on its own, so
-    ``scipy/signal/__init__.py``, which takes longer to import than this whole
-    package and pulls in ``scipy.stats``, ``scipy.interpolate`` and
-    ``scipy.optimize``, never runs. Held in a module global for the life of
-    the process; a ``scipy.signal`` already imported lends its own module.
+    Loaded by :func:`_scipy_extension`, so ``scipy/signal/__init__.py``, which
+    takes longer to import than this whole package and pulls in
+    ``scipy.stats``, ``scipy.interpolate`` and ``scipy.optimize``, never runs.
+    Held in a module global for the life of the process.
     """
     global _LINEAR_FILTER
     if _LINEAR_FILTER is None:
-        name = "scipy.signal._sigtools"
-        module = sys.modules.get(name)
-        if module is None:
-            spec = importlib.machinery.PathFinder.find_spec(name, [os.path.join(scipy.__path__[0], "signal")])
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-            # loading registers the bare module; a later ``import scipy.signal`` makes its own
-            sys.modules.pop(name, None)
-        _LINEAR_FILTER = module._linear_filter
+        _LINEAR_FILTER = _scipy_extension("scipy.signal._sigtools")._linear_filter
     return _LINEAR_FILTER
 
 

@@ -17,6 +17,7 @@ from scipy.stats import ks_2samp
 
 from selfnorm import (
     ConfigurationError,
+    Estimate,
     ExperimentConfig,
     compare_to_limit,
     ks_bound,
@@ -27,7 +28,7 @@ from selfnorm import (
 )
 from selfnorm import clusters, stats
 from selfnorm.cli import main as cli_main
-from selfnorm.experiments import cluster_from_dict, cluster_to_dict, derive_cluster, load_config
+from selfnorm.experiments import _mc_row, cluster_from_dict, cluster_to_dict, derive_cluster, load_config
 from selfnorm.processes import model_from_dict, model_to_dict
 from selfnorm.stats import _parse_spec, _ReductionPlan
 
@@ -204,6 +205,20 @@ class TestConfigKeys:
         kind = "verify" if field == "model" else "limit"
         assert cli_main([kind, "--config", str(cfg_path)]) == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content,match", [(None, "cannot read config file"),
+                                               (b"kind: [unclosed\n", "not valid YAML"),
+                                               (b"\x80\x81\xff", "not valid YAML")],
+                             ids=["missing", "malformed", "not_utf8"])
+    def test_bad_config_file_cli_exit_2(self, content, match, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.yaml"
+        if content is not None:
+            cfg_path.write_bytes(content)
+        with pytest.raises(ConfigurationError, match=match):
+            load_config(cfg_path)
+        assert cli_main(["verify", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert match in err and str(cfg_path) in err
 
     def test_shipped_dicts_read_every_key(self):
         for path in sorted((Path(__file__).parents[1] / "configs").glob("*.yaml")):
@@ -737,6 +752,27 @@ class TestRunExperiment:
         ))
         report = run_experiment(cfg)
         assert report.all_passed
+
+
+class TestMcRow:
+    """An oracle-versus-Monte-Carlo report row: z is the difference over the
+    combined stderr, and exact agreement decides when that stderr vanishes."""
+
+    def test_z_score(self):
+        row = _mc_row("x", Estimate(1.0, 0.0), 1.3, 0.1, z_bound=4.0)
+        assert (row.name, row.analytic, row.mc, row.stderr) == ("x", 1.0, 1.3, 0.1)
+        assert row.z == pytest.approx(3.0) and row.passed
+        assert not _mc_row("x", Estimate(1.0, 0.0), 1.3, 0.1, z_bound=2.0).passed
+        combined = _mc_row("x", Estimate(2.0, 0.3), 1.0, 0.4, z_bound=4.0)
+        assert combined.stderr == pytest.approx(0.5) and combined.z == pytest.approx(-2.0)
+
+    def test_exact_agreement_passes(self):
+        row = _mc_row("x", Estimate(0.75, 0.0), 0.75 + 1e-12, 0.0, z_bound=4.0)
+        assert row.stderr == 0.0 and row.z == 0.0 and row.passed
+
+    def test_disagreement_fails(self):
+        row = _mc_row("x", Estimate(0.75, 0.0), 0.7501, 0.0, z_bound=4.0)
+        assert row.z == math.inf and not row.passed
 
 
 class TestCompareToLimit:

@@ -21,7 +21,6 @@ from selfnorm import (
 )
 from selfnorm.clusters import tilted_functionals
 from selfnorm.experiments import simulate_statistics
-from selfnorm.oracles import MomentReport
 from selfnorm.processes import pareto_quantile
 from selfnorm.rng import substream
 
@@ -200,12 +199,3 @@ class TestGammaIdentity:
             gamma_identity_check(-1.0, [1.0])
         with pytest.raises(ConfigurationError):
             gamma_identity_check(1.0, [0.0])
-
-
-class TestMomentReport:
-    def test_z_score(self):
-        from selfnorm.clusters import Estimate
-
-        rep = MomentReport.compare("x", Estimate(1.0, 0.0), 1.3, 0.1)
-        assert rep.z_score == pytest.approx(3.0)
-        assert rep.to_json()["z"] == pytest.approx(3.0)

@@ -1,8 +1,10 @@
+import importlib.machinery
 import math
 import os
 import subprocess
 import sys
 import textwrap
+import types
 from pathlib import Path
 
 import numpy as np
@@ -207,6 +209,53 @@ class TestAR1Kernel:
         """
         env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
         subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env, check=True, timeout=120)
+
+
+class TestGammaUfuncs:
+    """gamma, gammainc and gammaln come from scipy.special's extension module,
+    loaded without running scipy/special/__init__.py: the same ufunc objects."""
+
+    @pytest.mark.parametrize("special_first", [False, True], ids=["special_after", "special_before"])
+    def test_same_ufuncs_as_scipy_special(self, special_first):
+        # in a fresh interpreter, with scipy.special imported after selfnorm or before it
+        code = f"""
+            import sys
+            import numpy as np
+            if {special_first}:
+                import scipy.special
+            from selfnorm import limits, oracles, processes
+            assert ('scipy.special' in sys.modules) == {special_first}
+            import scipy.special
+            x = np.array([0.3, 1.5, 4.0, 7.25, 40.0])
+            for ours, theirs in ((processes.gamma_fn, scipy.special.gamma), (processes.gammaln, scipy.special.gammaln)):
+                assert ours is theirs
+                assert np.array_equal(ours(x), theirs(x))
+            assert processes.gammainc is scipy.special.gammainc
+            assert np.array_equal(processes.gammainc(0.5, x), scipy.special.gammainc(0.5, x))
+            assert limits.gamma_fn is oracles.gamma_fn is scipy.special.gamma
+            assert limits.gammainc is scipy.special.gammainc and limits.gammaln is scipy.special.gammaln
+        """
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env, check=True, timeout=120)
+
+    @pytest.mark.parametrize("missing", ["module", "name"])
+    def test_fallback_gives_the_same_ufuncs(self, monkeypatch, missing):
+        import scipy.special
+
+        name = "scipy.special._special_ufuncs"
+        if missing == "module":
+            # the extension is not loaded and its file is not found
+            monkeypatch.delitem(sys.modules, name, raising=False)
+            find = importlib.machinery.PathFinder.find_spec
+            monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", classmethod(
+                lambda cls, fullname, path=None, target=None: None if fullname == name else find(fullname, path, target)))
+            assert processes._scipy_extension(name) is None
+        else:
+            # an extension without gammaln
+            monkeypatch.setattr(processes, "_scipy_extension", lambda _: types.SimpleNamespace(gamma=None, gammainc=None))
+        got = processes._gamma_ufuncs()
+        assert got[0] is scipy.special.gamma and got[1] is scipy.special.gammainc and got[2] is scipy.special.gammaln
+        assert got == (processes.gamma_fn, processes.gammainc, processes.gammaln)
 
 
 class TestCoupled:

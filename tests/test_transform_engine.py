@@ -317,11 +317,16 @@ def _fresh(code: str) -> None:
 
 def test_import_leaves_mpmath_out():
     # nor scipy.signal (the AR(1) filter's package), scipy.integrate (the quad
-    # fallbacks), or what scipy.signal would pull in
+    # fallbacks), or what scipy.signal would pull in; nor the scipy.special
+    # package (the gamma ufuncs come from its extension) with the numpy.testing
+    # and numpy.f2py its array-API layer imports, PyYAML (read by load_config)
+    # or the process pool (started by run_tasks)
     _fresh("""
         import sys, selfnorm
-        assert {'mpmath', 'scipy.signal', 'scipy.integrate', 'scipy.stats', 'scipy.interpolate',
-                'scipy.optimize'}.isdisjoint(sys.modules)
+        loaded = {'mpmath', 'scipy.signal', 'scipy.integrate', 'scipy.stats', 'scipy.interpolate',
+                  'scipy.optimize', 'scipy.special', 'numpy.testing', 'numpy.f2py', 'yaml',
+                  'concurrent.futures.process'} & set(sys.modules)
+        assert not loaded, sorted(loaded)
     """)
 
 
