@@ -8,7 +8,6 @@ from .clusters import (
     ClusterDraw,
     ClusterModel,
     Estimate,
-    TailProcessDraw,
     TiltedClusterDraw,
     ar1_cluster,
     cluster_moment,
@@ -16,7 +15,6 @@ from .clusters import (
     extremal_index,
     iid_cluster,
     sample_cluster,
-    sample_spectral_tail,
     sample_tilted_cluster,
     standard_functionals,
     tilted_acceptance,
@@ -44,16 +42,13 @@ from .experiments import (
     simulate_statistics,
 )
 from .limits import (
-    LimitSample,
     TransformGrid,
     TransformValue,
-    empirical_transform,
     hybrid_cf,
     joint_cf_laplace,
     laplace_zeta,
     ratio_cf,
     ratio_modulus_laplace,
-    sample_limit_lepage,
     sample_limit_lepage_batch,
     stable_cf,
 )

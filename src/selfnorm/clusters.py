@@ -335,27 +335,6 @@ def _shared_library(model: ClusterModel) -> _BlockLibrary:
 
 
 @dataclass(frozen=True)
-class TailProcessDraw:
-    """Spectral tail process on a finite window; values outside are zero."""
-
-    t_min: int
-    t_max: int
-    values: np.ndarray
-    backward_extent: int  # J; indices below -J carry exact zeros
-    truncated: bool = False
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-
-    def value_at(self, t: int) -> float:
-        if t < self.t_min or t > self.t_max:
-            return 0.0
-        return float(self.values[t - self.t_min])
-
-
-@dataclass(frozen=True)
 class ClusterDraw:
     t_min: int
     t_max: int
@@ -475,24 +454,6 @@ def _tail_windows(model: ClusterModel, rng: np.random.Generator, reps: int, lo: 
     # anyway, so clipping them keeps phi^t finite (phi = 0 included)
     pows = np.asarray(model.phi, dtype=float) ** np.maximum(t_idx, -j.max(initial=0))
     return j, np.where(t_idx[None, :] >= -j[:, None], theta0[:, None] * pows[None, :], 0.0)
-
-
-def sample_spectral_tail(model: ClusterModel, horizon: int, seed: int) -> TailProcessDraw:
-    """Draw the spectral tail process on the window [-min(J, horizon), horizon].
-
-    A backward extent J beyond the horizon is recorded as truncation, not an
-    error. An empirical draw lies on its block: the window is [-h, h] with h
-    the smaller of the horizon and the block half-width.
-    """
-    h = _horizon(model, horizon)
-    if model.kind == "empirical":
-        w = min(h, model.block_half_width)
-        _, win = _tail_windows(model, substream(seed), 1, -w, w)
-        return TailProcessDraw(-w, w, win[0], backward_extent=w, truncated=h > w)
-    j, win = _tail_windows(model, substream(seed), 1, -h, h)
-    j = int(j[0])
-    back = min(j, h)
-    return TailProcessDraw(-back, h, win[0, h - back:], backward_extent=j, truncated=j > h)
 
 
 def _cluster_path(model: ClusterModel, horizon: Optional[int], seed: int, tilted: bool):
@@ -803,9 +764,6 @@ class TimeChangeReport:
     t: int
     reps: int
     rows: tuple
-
-    def to_json(self) -> dict:
-        return {"t": self.t, "reps": self.reps, "rows": [row.__dict__ for row in self.rows]}
 
     def max_abs_z(self) -> float:
         zs = [abs(r.z) for r in self.rows if not r.vacuous]

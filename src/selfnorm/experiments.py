@@ -29,7 +29,7 @@ from .errors import ConfigurationError
 from .processes import (ProcessModel, check_keys, model_from_dict, model_to_dict, stationary_mean,
                         write_csv)
 from .rng import derive_seed
-from .stats import _parse_spec, _positive, _ReductionPlan
+from .stats import _integer, _parse_spec, _positive, _real, _ReductionPlan
 
 WORKERS_ENV = "SELFNORM_WORKERS"
 
@@ -78,22 +78,26 @@ class ExperimentConfig:
         problems = []
         if self.kind not in self.KINDS:
             problems.append(f"kind: must be one of {self.KINDS}, got {self.kind!r}")
-        if self.reps < 1:
-            problems.append("reps: must be >= 1")
-        if self.n < 1:
-            problems.append("n: must be >= 1")
-        if self.n_terms < 10:
-            problems.append("n_terms: must be >= 10")
-        if self.workers < 1:
-            problems.append("workers: must be >= 1")
-        if self.z_bound <= 0:
-            problems.append("z_bound: must be positive")
-        if self.quad_tol <= 0:
-            problems.append("quad_tol: must be positive")
+        # the least value of each integer field (cluster_mc has none); every
+        # verify row reports a sample stderr, which needs two replicas
+        least = {"reps": 2 if self.kind == "verify" else 1, "n": 1, "n_terms": 10, "seed": 0, "workers": 1,
+                 "cluster_mc": None}
+        for key, low in least.items():
+            value = getattr(self, key)
+            if not _integer(value):
+                problems.append(f"{key}: must be an integer, got {value!r}")
+            elif low is not None and value < low:
+                problems.append(f"{key}: must be >= {low}")
+        for key in ("p", "z_bound", "quad_tol"):
+            value = getattr(self, key)
+            if not _positive(value):
+                problems.append(f"{key}: must be a positive number, got {value!r}")
+        for key in ("u_points", "x_points", "lambda_points"):
+            bad = [v for v in getattr(self, key) or () if not _real(v)]
+            if bad:
+                problems.append(f"{key}: every point must be a real number, got {bad[0]!r}")
         if self.centering not in _CENTERINGS:
             problems.append("centering: must be none, analytic or empirical")
-        if not _positive(self.p):
-            problems.append(f"p: must be a positive number, got {self.p!r}")
         try:
             # only a simulate run reads the list, so only there must it name a statistic
             _ReductionPlan.build(self.statistics, required=self.kind == "simulate")
@@ -695,7 +699,7 @@ def _check_lepage_laplace(config, workers, cluster, paths):
     moment = clusters.cluster_moment(cluster, config.p)
     rows = []
     for lam in lams:
-        closed = limits.laplace_zeta(lam, cluster, alpha, config.p, moment=moment)
+        closed = limits.laplace_zeta(lam, cluster, p=config.p, moment=moment)
         terms = np.exp(-lam * zp)
         mc, se = float(terms.mean()), float(terms.std(ddof=1) / math.sqrt(len(terms)))
         analytic = Estimate(closed.value.real, closed.stderr, 0, closed.method)

@@ -64,13 +64,6 @@ class TransformValue:
     fallbacks: int = 0
     quad_warnings: int = 0
 
-    def __complex__(self) -> complex:
-        return complex(self.value)
-
-    @property
-    def real(self) -> float:
-        return self.value.real
-
 
 def _validate_alpha_transform(alpha: float) -> None:
     if not (0.0 < alpha < 2.0) or alpha == 1.0:
@@ -376,12 +369,7 @@ def _weighted_log(atoms: ClusterAtoms, per_atom: np.ndarray) -> tuple[complex, f
 # transforms
 
 
-def stable_cf(
-    u: float,
-    cluster: ClusterModel,
-    alpha: Optional[float] = None,
-    atoms: Optional[ClusterAtoms] = None,
-) -> TransformValue:
+def stable_cf(u: float, cluster: ClusterModel, *, atoms: Optional[ClusterAtoms] = None) -> TransformValue:
     """Characteristic function of the alpha-stable sum limit.
 
     ``exp(-c_alpha sigma^alpha(u) (1 - i beta(u) tan(alpha pi/2)))`` with
@@ -390,8 +378,7 @@ def stable_cf(
     ``u sum Q_t``. Cluster expectations are exact for the analytic kinds and
     sums over the library anchors (with reported standard error) otherwise.
     """
-    alpha = cluster.alpha if alpha is None else float(alpha)
-    _check_cluster_alpha(cluster, alpha)
+    alpha = cluster.alpha
     _validate_alpha_transform(alpha)
     if atoms is None:
         atoms = cluster_atoms(cluster)
@@ -402,21 +389,15 @@ def stable_cf(
     return TransformValue(val, abs(val) * se_log, "monte_carlo")
 
 
-def hybrid_cf(
-    u: float,
-    x: float,
-    cluster: ClusterModel,
-    alpha: Optional[float] = None,
-    atoms: Optional[ClusterAtoms] = None,
-) -> TransformValue:
+def hybrid_cf(u: float, x: float, cluster: ClusterModel, *,
+              atoms: Optional[ClusterAtoms] = None) -> TransformValue:
     """Joint transform ``E[e^{iu xi} 1(eta <= x)]`` of the sum and max limits.
 
     Evaluated as ``phi(u) exp(-E[int_{x/max|Q|}^inf e^{iyu sum Q} d(-y^-a)])``
     with the oscillatory tail computed exactly per atom; at ``u = 0`` this
     reduces to the Frechet law ``exp(-theta x^-alpha)``.
     """
-    alpha = cluster.alpha if alpha is None else float(alpha)
-    _check_cluster_alpha(cluster, alpha)
+    alpha = cluster.alpha
     _validate_alpha_transform(alpha)
     if x <= 0:
         raise ConfigurationError("x must be positive")
@@ -434,7 +415,7 @@ def hybrid_cf(
 def laplace_zeta(
     lam: float,
     cluster: ClusterModel,
-    alpha: Optional[float] = None,
+    *,
     p: float = 2.0,
     reps=None,
     seed=None,
@@ -449,8 +430,7 @@ def laplace_zeta(
     ``reps`` and ``seed`` are accepted for existing callers; no cluster kind
     reads them.
     """
-    alpha = cluster.alpha if alpha is None else float(alpha)
-    _check_cluster_alpha(cluster, alpha)
+    alpha = cluster.alpha
     if p <= alpha:
         raise ConfigurationError("the modulus order must satisfy p > alpha")
     if lam < 0:
@@ -468,7 +448,7 @@ def joint_cf_laplace(
     x: float,
     lam: float,
     cluster: ClusterModel,
-    alpha: Optional[float] = None,
+    *,
     p: float = 2.0,
     quad_tol: float = QUAD_TOL,
     atoms: Optional[ClusterAtoms] = None,
@@ -479,8 +459,7 @@ def joint_cf_laplace(
     ``(u, x) = (0, inf)``. For ``alpha > 1`` the linear compensator is included
     in the integrand.
     """
-    alpha = cluster.alpha if alpha is None else float(alpha)
-    _check_cluster_alpha(cluster, alpha)
+    alpha = cluster.alpha
     _validate_alpha_transform(alpha)
     if p <= alpha:
         raise ConfigurationError("the modulus order must satisfy p > alpha")
@@ -491,7 +470,7 @@ def joint_cf_laplace(
     if atoms is None:
         atoms = cluster_atoms(cluster, p=p)
     if lam == 0.0:
-        return hybrid_cf(u, x, cluster, alpha, atoms=atoms)
+        return hybrid_cf(u, x, cluster, atoms=atoms)
     with np.errstate(divide="ignore"):
         x_m = x / atoms.max_abs
     per_atom, fallbacks, quad_warnings = _damped_log(
@@ -502,13 +481,8 @@ def joint_cf_laplace(
     return TransformValue(val, abs(val) * se_log, method, fallbacks, quad_warnings)
 
 
-def ratio_modulus_laplace(
-    lam: float,
-    cluster: ClusterModel,
-    alpha: Optional[float] = None,
-    p: float = 2.0,
-    atoms: Optional[ClusterAtoms] = None,
-) -> TransformValue:
+def ratio_modulus_laplace(lam: float, cluster: ClusterModel, *, p: float = 2.0,
+                          atoms: Optional[ClusterAtoms] = None) -> TransformValue:
     """Laplace transform of ``(zeta_p / eta)^p``, the p-th power of the
     modulus/max ratio limit.
 
@@ -519,8 +493,7 @@ def ratio_modulus_laplace(
     parts, ``e^{-c} + c^a gamma(1 - a, c)`` with the lower incomplete gamma
     function: no quadrature.
     """
-    alpha = cluster.alpha if alpha is None else float(alpha)
-    _check_cluster_alpha(cluster, alpha)
+    alpha = cluster.alpha
     if p <= alpha:
         raise ConfigurationError("the modulus order must satisfy p > alpha")
     if lam < 0:
@@ -536,12 +509,7 @@ def ratio_modulus_laplace(
     return TransformValue(complex(est.value), est.stderr, "gammainc_exact" if atoms.exact else "gammainc_monte_carlo")
 
 
-def ratio_cf(
-    u: float,
-    cluster: ClusterModel,
-    alpha: Optional[float] = None,
-    atoms: Optional[ClusterAtoms] = None,
-) -> TransformValue:
+def ratio_cf(u: float, cluster: ClusterModel, *, atoms: Optional[ClusterAtoms] = None) -> TransformValue:
     """Characteristic function of the sum/max ratio limit xi/eta.
 
     A ratio of tilted-cluster expectations: the numerator is
@@ -550,8 +518,7 @@ def ratio_cf(
     power-law measure, which reduces per atom to the stable atom plus an exact
     exponential-integral tail.
     """
-    alpha = cluster.alpha if alpha is None else float(alpha)
-    _check_cluster_alpha(cluster, alpha)
+    alpha = cluster.alpha
     _validate_alpha_transform(alpha)
     if atoms is None:
         atoms = tilted_atoms(cluster)
@@ -569,31 +536,13 @@ def ratio_cf(
     return TransformValue(complex(est.value), est.stderr, "expint_exact" if atoms.exact else "expint_monte_carlo")
 
 
-def _check_cluster_alpha(cluster: ClusterModel, alpha: float) -> None:
-    if abs(cluster.alpha - alpha) > 1e-12:
-        raise ConfigurationError(
-            f"alpha {alpha} disagrees with the cluster model's {cluster.alpha}"
-        )
-
-
 # ---------------------------------------------------------------------------
 # series sampler
 
 
-@dataclass(frozen=True)
-class LimitSample:
-    """One joint draw of the (sum, max, modulus) limit triple."""
-
-    xi: float
-    eta: float
-    zeta_p: float
-    alpha: float
-    p: float
-    truncation_bound: float
-
-
 def _lepage_validate(cluster: ClusterModel, alpha: float, p: float, n_terms: int) -> None:
-    _check_cluster_alpha(cluster, alpha)
+    if abs(cluster.alpha - alpha) > 1e-12:
+        raise ConfigurationError(f"alpha {alpha} disagrees with the cluster model's {cluster.alpha}")
     if alpha >= 1.0:
         raise UnsupportedError("the series sampler requires alpha < 1 (absolute convergence)")
     if alpha <= 0.0:
@@ -658,29 +607,8 @@ def sample_limit_lepage_batch(
     return out
 
 
-def sample_limit_lepage(
-    cluster: ClusterModel,
-    alpha: float,
-    p: float,
-    n_terms: int = DEFAULT_N_TERMS,
-    seed: int = 0,
-) -> LimitSample:
-    """One joint draw of (xi, eta, zeta_p) from the cluster series
-    representation (alpha < 1), with the recorded bound on the discarded
-    series tail."""
-    d = sample_limit_lepage_batch(cluster, alpha, p, reps=1, n_terms=n_terms, seed=seed)
-    return LimitSample(
-        xi=float(d["xi"][0]),
-        eta=float(d["eta"][0]),
-        zeta_p=float(d["zeta_p"][0]),
-        alpha=alpha,
-        p=p,
-        truncation_bound=float(d["truncation_bound"][0]),
-    )
-
-
 # ---------------------------------------------------------------------------
-# empirical transforms on sample sets
+# transform grids
 
 
 @dataclass
@@ -733,79 +661,26 @@ class TransformGrid:
              self.values[i].real, self.values[i].imag, self.stderr[i], self.method)
             for i in range(len(self))))
 
-    def to_json(self) -> dict:
-        return {
-            "method": self.method,
-            "points": [
-                {
-                    "u": _none_if_nan(self.u[i]),
-                    "x": _none_if_nan(self.x[i]),
-                    "lambda": _none_if_nan(self.lam[i]),
-                    "re": self.values[i].real,
-                    "im": self.values[i].imag,
-                    "stderr": float(self.stderr[i]),
-                }
-                for i in range(len(self))
-            ],
-        }
-
 
 def _none_if_nan(v: float):
     return None if math.isnan(v) else float(v)
-
-
-def empirical_transform(samples, kind: str, grid: TransformGrid) -> TransformGrid:
-    """Plain Monte-Carlo transform estimates on a sample set.
-
-    ``cf``: mean of ``exp(i u s)``; ``laplace``: mean of ``exp(-lam s)``;
-    ``hybrid``: mean of ``exp(i u s) 1(m <= x)`` over (s, m) pairs. Per-point
-    standard errors accompany every value.
-    """
-    arr = np.asarray(samples, dtype=float)
-    if kind == "hybrid":
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise ConfigurationError("hybrid transforms need (sum, max) sample pairs")
-        s, m = arr[:, 0], arr[:, 1]
-    else:
-        if arr.ndim != 1:
-            raise ConfigurationError("cf/laplace transforms take a 1-d sample array")
-        s, m = arr, None
-    n = len(s)
-    if n < 100:
-        raise ConfigurationError("need at least 100 samples")
-    out = TransformGrid.from_points(u=grid.u, x=grid.x, lam=grid.lam, method=f"empirical_{kind}")
-    for i in range(len(out)):
-        if kind == "cf":
-            terms = np.exp(1j * out.u[i] * s)
-        elif kind == "laplace":
-            terms = np.exp(-out.lam[i] * s) + 0j
-        elif kind == "hybrid":
-            terms = np.exp(1j * out.u[i] * s) * (m <= out.x[i])
-        else:
-            raise ConfigurationError(f"unknown transform kind {kind!r}")
-        out.values[i] = terms.mean()
-        out.stderr[i] = math.sqrt(
-            (np.var(terms.real, ddof=1) + np.var(terms.imag, ddof=1)) / n
-        )
-    return out
 
 
 def evaluate_transform_grid(
     kind: str,
     grid: TransformGrid,
     cluster: ClusterModel,
-    alpha: Optional[float] = None,
+    *,
     p: float = 2.0,
     quad_tol: float = QUAD_TOL,
 ) -> TransformGrid:
     """Evaluate one of the limit transforms on every row of a grid."""
-    alpha = cluster.alpha if alpha is None else float(alpha)
     out = TransformGrid.from_points(u=grid.u, x=grid.x, lam=grid.lam, method=kind)
     if kind == "ratio_cf":
         atoms = tilted_atoms(cluster, p=p)
     elif kind == "laplace_zeta":
         # reads only the cluster moment; a p <= alpha row raises before it is used
-        moment = cluster_moment(cluster, p) if p > alpha else None
+        moment = cluster_moment(cluster, p) if p > cluster.alpha else None
     else:
         atoms = cluster_atoms(cluster, p=p)
     for i in range(len(out)):
@@ -813,15 +688,15 @@ def evaluate_transform_grid(
         x = math.inf if math.isnan(out.x[i]) else out.x[i]
         lam = 0.0 if math.isnan(out.lam[i]) else out.lam[i]
         if kind == "stable_cf":
-            tv = stable_cf(u, cluster, alpha, atoms=atoms)
+            tv = stable_cf(u, cluster, atoms=atoms)
         elif kind == "hybrid_cf":
-            tv = hybrid_cf(u, x, cluster, alpha, atoms=atoms)
+            tv = hybrid_cf(u, x, cluster, atoms=atoms)
         elif kind == "laplace_zeta":
-            tv = laplace_zeta(lam, cluster, alpha, p, moment=moment)
+            tv = laplace_zeta(lam, cluster, p=p, moment=moment)
         elif kind == "joint_cf_laplace":
-            tv = joint_cf_laplace(u, x, lam, cluster, alpha, p, quad_tol=quad_tol, atoms=atoms)
+            tv = joint_cf_laplace(u, x, lam, cluster, p=p, quad_tol=quad_tol, atoms=atoms)
         elif kind == "ratio_cf":
-            tv = ratio_cf(u, cluster, alpha, atoms=atoms)
+            tv = ratio_cf(u, cluster, atoms=atoms)
         else:
             raise ConfigurationError(f"unknown transform kind {kind!r}")
         out.values[i] = complex(tv.value)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,33 +29,20 @@ from .errors import ConfigurationError, DegeneratePathError, NumericalError, Uns
 from .processes import gamma_fn
 
 
-def _alpha_of(cluster: ClusterModel, alpha: Optional[float]) -> float:
-    if alpha is None:
-        return cluster.alpha
-    if abs(alpha - cluster.alpha) > 1e-12:
-        raise ConfigurationError("alpha disagrees with the cluster model's tail index")
-    return float(alpha)
-
-
 def _require_positive_cluster(atoms: ClusterAtoms) -> None:
     live = atoms.weights > 0
     if not np.allclose(atoms.sum_q[live], atoms.sum_abs[live]):
         raise ConfigurationError("this oracle needs a positive cluster; negative cluster values found")
 
 
-def expected_ratio_max(
-    cluster: ClusterModel,
-    alpha: Optional[float] = None,
-    n_mc=None,
-    seed=None,
-) -> Estimate:
+def expected_ratio_max(cluster: ClusterModel, *, n_mc=None, seed=None) -> Estimate:
     """Mean of the sum/max ratio limit: ``E[sum Qtilde] / (1 - alpha)``, the
     ``max|Q|^alpha``-weighted mean of ``sum Q / max|Q|`` (``q+ - q-`` for the
     iid kind, ``(q+ - q-) / (1 - phi)`` for the AR(1) kind). For alpha > 1 the
     formula applies to the mean-centered model. ``n_mc`` and ``seed`` are
     accepted for existing callers; no cluster kind reads them.
     """
-    a = _alpha_of(cluster, alpha)
+    a = cluster.alpha
     if a == 1.0:
         raise UnsupportedError("alpha = 1 is outside the supported domain")
     atoms = cluster_atoms(cluster, max(a, 1.0) + 1.0)
@@ -66,17 +53,13 @@ def expected_ratio_max(
     return Estimate(mean_sum.value / (1.0 - a), mean_sum.stderr / abs(1.0 - a), mean_sum.reps, mean_sum.method)
 
 
-def expected_ratio_student(
-    cluster: ClusterModel,
-    alpha: Optional[float] = None,
-    p: float = 2.0,
-) -> Estimate:
+def expected_ratio_student(cluster: ClusterModel, *, p: float = 2.0) -> Estimate:
     """Mean of the studentized-sum limit xi / zeta_p:
 
     ``Gamma((1-a)/p) / (Gamma(1/p) Gamma(1-a/p))`` times the
     ``||Q||_p^alpha``-weighted mean of ``sum Q / ||Q||_p``.
     """
-    a = _alpha_of(cluster, alpha)
+    a = cluster.alpha
     if a == 1.0 or a >= 2.0 or a <= 0.0:
         raise UnsupportedError("requires alpha in (0,1) or (1,2)")
     if p <= a:
@@ -98,13 +81,7 @@ def expected_ratio_student(
     return Estimate(gfac * cluster_factor.value, abs(gfac) * cluster_factor.stderr, cluster_factor.reps, method)
 
 
-def expected_greenwood(
-    cluster: ClusterModel,
-    alpha: Optional[float] = None,
-    p: float = 2.0,
-    n_mc=None,
-    seed=None,
-) -> Estimate:
+def expected_greenwood(cluster: ClusterModel, *, p: float = 2.0, n_mc=None, seed=None) -> Estimate:
     """Limit mean of the ratio statistic ``sum X^p / (sum X)^p``:
 
     ``Gamma(p - a) / (Gamma(p) Gamma(1 - a))`` times the
@@ -112,7 +89,7 @@ def expected_greenwood(
     ratio alone in the iid case (value ``1 - alpha`` at p = 2). ``n_mc`` and
     ``seed`` are accepted for existing callers; no cluster kind reads them.
     """
-    a = _alpha_of(cluster, alpha)
+    a = cluster.alpha
     if a >= 1.0 or a >= p:
         raise UnsupportedError("requires alpha < min(p, 1)")
     gfac = gamma_fn(p - a) / (gamma_fn(p) * gamma_fn(1.0 - a))
@@ -122,17 +99,14 @@ def expected_greenwood(
     return Estimate(gfac * factor.value, gfac * factor.stderr, factor.reps, factor.method)
 
 
-def expected_kurtosis_limit(
-    cluster: ClusterModel,
-    alpha: Optional[float] = None,
-) -> Estimate:
+def expected_kurtosis_limit(cluster: ClusterModel) -> Estimate:
     """Limit mean of the scaled sample kurtosis ``||X||_4^4 / ||X||_2^4``:
 
     ``(1 - alpha/2)`` times the ``||Q||_2^alpha``-weighted mean of
     ``||Q||_4^4 / ||Q||_2^4`` (the squared series is regularly varying with
     index alpha/2, so this is the p = 2 ratio-statistic oracle applied to it).
     """
-    a = _alpha_of(cluster, alpha)
+    a = cluster.alpha
     if not (0.0 < a < 2.0):
         raise UnsupportedError("requires alpha in (0, 2)")
     atoms = cluster_law(cluster, (2.0, 4.0))

@@ -121,8 +121,16 @@ _STATISTICS = {
 _RAW = ("greenwood", "kurtosis", "norm_ratio")
 
 
+def _integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _positive(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and 0 < value < math.inf
+    return _real(value) and 0 < value < math.inf
 
 
 def _parse_spec(spec) -> tuple[str, str, dict]:

@@ -17,7 +17,6 @@ from selfnorm import (
     extremal_index,
     iid_cluster,
     sample_cluster,
-    sample_spectral_tail,
     sample_tilted_cluster,
     sre_model,
     standard_functionals,
@@ -46,17 +45,18 @@ def truncated_abs_mean_series(model, lags, reps, seed):
 
 
 class TestSpectralTail:
+    """The tail-process windows of ``_tail_windows``, the sampler behind
+    cluster paths and ``verify_time_change``."""
+
     def test_iid_spike(self):
-        d = sample_spectral_tail(iid_cluster(0.5, (1.0, 0.0)), horizon=4, seed=1)
-        assert (d.t_min, d.t_max) == (0, 0)
-        assert d.values[0] == 1.0
-        assert d.value_at(3) == 0.0
+        j, win = _tail_windows(iid_cluster(0.5, (1.0, 0.0)), substream(1), 1, -4, 4)
+        assert j[0] == 0
+        assert np.array_equal(win[0], [0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
 
     def test_theta0_modulus_one(self):
         model = ar1_cluster(-0.6, 0.9, (0.3, 0.7))
-        for seed in range(40):
-            d = sample_spectral_tail(model, horizon=6, seed=seed)
-            assert abs(d.value_at(0)) == pytest.approx(1.0, abs=1e-14)
+        _, win = _tail_windows(model, substream(0), 40, -6, 6)
+        assert np.allclose(np.abs(win[:, 6]), 1.0, rtol=0.0, atol=1e-14)
 
     def test_geometric_j_law_frozen(self, within_se):
         # phi = 0.5, alpha = 1: P(J = 0) = 1 - 0.5 = 0.5 and P(J = 1) = 0.25
@@ -66,16 +66,18 @@ class TestSpectralTail:
         within_se(np.mean(j == 1), 0.25, math.sqrt(0.1875 / 10**5), k=3)
 
     def test_forward_shape(self):
+        # Theta_t = Theta_0 phi^t from t = -J on, zero below -J
         model = ar1_cluster(0.5, 0.8, (1.0, 0.0))
-        d = sample_spectral_tail(model, horizon=8, seed=5)
-        t = np.arange(d.t_min, d.t_max + 1)
-        assert np.allclose(d.values, d.value_at(0) * 0.5 ** (t - 0.0) * np.sign(0.5) ** t)
+        j, win = _tail_windows(model, substream(5), 50, -8, 8)
+        t = np.arange(-8, 9)
+        kept = t[None, :] >= -j[:, None]
+        assert np.allclose(win, np.where(kept, win[:, 8:9] * 0.5**t, 0.0), rtol=1e-14, atol=0.0)
+        assert kept.sum() < win.size  # some draw has J < 8
 
     def test_negative_phi_alternates(self):
         model = ar1_cluster(-0.5, 0.8, (1.0, 0.0))
-        d = sample_spectral_tail(model, horizon=6, seed=7)
-        vals = [d.value_at(t) for t in range(0, 4)]
-        signs = np.sign(vals)
+        _, win = _tail_windows(model, substream(7), 1, 0, 3)
+        signs = np.sign(win[0])
         assert np.allclose(signs, [signs[0] * (-1) ** t for t in range(4)])
 
     def test_spike_probs_negative_phi(self, within_se):
@@ -88,8 +90,8 @@ class TestSpectralTail:
         within_se(np.mean(theta0 > 0), pp, math.sqrt(pp * (1 - pp) / 10**5), k=3.5)
 
     def test_horizon_domain(self):
-        with pytest.raises(ConfigurationError):
-            sample_spectral_tail(iid_cluster(0.5), horizon=-1, seed=0)
+        with pytest.raises(ConfigurationError, match="horizon"):
+            sample_cluster(iid_cluster(0.5), horizon=-1, seed=0)
 
 
 class TestClusterDraws:

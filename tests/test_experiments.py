@@ -484,6 +484,21 @@ BAD_FIELDS = [
     ({"ks_level": 0.01}, "unknown config fields"),
     ({"statistics": {"name": "ratio_max"}}, "statistics: must be a list"),
     ({"statistics": None}, "statistic specs must be a list"),
+    # a scalar of the wrong type, or out of range, as a YAML file may give it
+    ({"reps": "10"}, "reps: must be an integer, got '10'"),
+    ({"reps": 1.5}, "reps: must be an integer, got 1.5"),
+    ({"n": 1.5}, "n: must be an integer, got 1.5"),
+    ({"n_terms": True}, "n_terms: must be an integer, got True"),
+    ({"workers": "2"}, "workers: must be an integer, got '2'"),
+    ({"cluster_mc": "1000"}, "cluster_mc: must be an integer, got '1000'"),
+    ({"seed": 1.5}, "seed: must be an integer, got 1.5"),
+    ({"seed": -1}, "seed: must be >= 0"),
+    ({"z_bound": "abc"}, "z_bound: must be a positive number, got 'abc'"),
+    ({"quad_tol": "1e-8"}, "quad_tol: must be a positive number, got '1e-8'"),
+    ({"u_points": ["a", 1.0]}, "u_points: every point must be a real number, got 'a'"),
+    ({"lambda_points": [0.5, None]}, "lambda_points: every point must be a real number, got None"),
+    # every verify row reports a sample stderr
+    ({"kind": "verify", "checks": ["greenwood"], "reps": 1}, "reps: must be >= 2"),
 ]
 
 
@@ -510,7 +525,8 @@ class TestStatisticSpecs:
             cfg_path = tmp_path / f"cfg{k}.yaml"
             with open(cfg_path, "w") as fh:
                 yaml.safe_dump({**self.BASE, **over}, fh)
-            assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2, over
+            command = over.get("kind", self.BASE["kind"])
+            assert cli_main([command, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2, over
             assert match in capsys.readouterr().err, over
 
     def test_good_specs_validate(self):

@@ -14,14 +14,17 @@ from selfnorm import (
     TransformGrid,
     UnsupportedError,
     ar1_cluster,
-    empirical_transform,
+    expected_greenwood,
+    expected_kurtosis_limit,
+    expected_ratio_max,
+    expected_ratio_student,
     hybrid_cf,
     iid_cluster,
     joint_cf_laplace,
     laplace_zeta,
     normalizing_an,
     ratio_cf,
-    sample_limit_lepage,
+    ratio_modulus_laplace,
     sample_limit_lepage_batch,
     stable_cf,
 )
@@ -421,32 +424,34 @@ class TestLepageSampler:
     def test_eta_is_first_arrival_iid(self):
         # single positive spike: the sup is attained at the first arrival
         c = iid_cluster(0.5, (1.0, 0.0))
-        s = sample_limit_lepage(c, 0.5, 2.0, n_terms=500, seed=27)
+        d = sample_limit_lepage_batch(c, 0.5, 2.0, reps=1, n_terms=500, seed=27)
         rng = substream(27, 0)
         gam1 = np.cumsum(rng.standard_exponential(500))[0]
-        assert s.eta == pytest.approx(gam1 ** (-2.0), rel=1e-12)
+        assert d["eta"][0] == pytest.approx(gam1 ** (-2.0), rel=1e-12)
 
     def test_preconditions(self):
         c = iid_cluster(0.5)
         with pytest.raises(ConfigurationError):
-            sample_limit_lepage(c, 0.5, 0.4, seed=1)  # p <= alpha
+            sample_limit_lepage_batch(c, 0.5, 0.4, reps=1, seed=1)  # p <= alpha
         with pytest.raises(UnsupportedError):
-            sample_limit_lepage(iid_cluster(1.5), 1.5, 2.0, seed=1)
+            sample_limit_lepage_batch(iid_cluster(1.5), 1.5, 2.0, reps=1, seed=1)
         with pytest.raises(ConfigurationError):
-            sample_limit_lepage(c, 0.5, 2.0, n_terms=5, seed=1)
+            sample_limit_lepage_batch(c, 0.5, 2.0, reps=1, n_terms=5, seed=1)
+        with pytest.raises(ConfigurationError, match="disagrees"):
+            sample_limit_lepage_batch(c, 0.6, 2.0, reps=1, seed=1)
 
     def test_alpha_near_one_warns(self):
         with pytest.warns(RuntimeWarning):
-            sample_limit_lepage(iid_cluster(0.95), 0.95, 2.0, n_terms=100, seed=1)
+            sample_limit_lepage_batch(iid_cluster(0.95), 0.95, 2.0, reps=1, n_terms=100, seed=1)
 
     def test_determinism_and_truncation_bound(self):
         c = ar1_cluster(0.5, 0.5, (1.0, 0.0))
-        a = sample_limit_lepage(c, 0.5, 2.0, n_terms=1000, seed=28)
-        b = sample_limit_lepage(c, 0.5, 2.0, n_terms=1000, seed=28)
-        assert (a.xi, a.eta, a.zeta_p) == (b.xi, b.eta, b.zeta_p)
-        assert a.truncation_bound > 0
-        big = sample_limit_lepage(c, 0.5, 2.0, n_terms=10_000, seed=28)
-        assert big.truncation_bound < a.truncation_bound
+        a = sample_limit_lepage_batch(c, 0.5, 2.0, reps=1, n_terms=1000, seed=28)
+        b = sample_limit_lepage_batch(c, 0.5, 2.0, reps=1, n_terms=1000, seed=28)
+        assert all(np.array_equal(a[k], b[k]) for k in ("xi", "eta", "zeta_p"))
+        assert a["truncation_bound"][0] > 0
+        big = sample_limit_lepage_batch(c, 0.5, 2.0, reps=1, n_terms=10_000, seed=28)
+        assert big["truncation_bound"][0] < a["truncation_bound"][0]
 
     def test_laplace_oracle_small(self, within_se):
         # E[e^{-zeta^2}] = exp(-Gamma(0.75)) = 0.29366, the mandatory check on
@@ -458,29 +463,7 @@ class TestLepageSampler:
 
 
 class TestEmpiricalTransform:
-    def test_cf_of_zeros(self):
-        grid = TransformGrid.from_points(u=[0.5, 1.0])
-        out = empirical_transform(np.zeros(200), "cf", grid)
-        assert np.allclose(out.values, 1.0)
-        assert np.allclose(out.stderr, 0.0)
-
-    def test_laplace_at_zero(self):
-        grid = TransformGrid.from_points(lam=[0.0, 1.0])
-        out = empirical_transform(np.abs(np.random.default_rng(1).standard_normal(500)), "laplace", grid)
-        assert out.values[0] == pytest.approx(1.0)
-
-    def test_hybrid_saturates_to_cf(self):
-        rng = np.random.default_rng(2)
-        s = rng.standard_normal(400)
-        m = np.abs(rng.standard_normal(400))
-        pairs = np.column_stack([s, m])
-        cf = empirical_transform(s, "cf", TransformGrid.from_points(u=[0.7]))
-        hy = empirical_transform(pairs, "hybrid", TransformGrid.from_points(u=[0.7], x=[math.inf]))
-        assert hy.values[0] == pytest.approx(cf.values[0], rel=1e-15)
-
-    def test_minimum_samples(self):
-        with pytest.raises(ConfigurationError):
-            empirical_transform(np.ones(50), "cf", TransformGrid.from_points(u=[1.0]))
+    """Transform grids: their CSV and their pointwise evaluation."""
 
     def test_grid_csv(self):
         grid = TransformGrid.from_points(u=[0.5, 1.0], x=[1.0])
@@ -499,3 +482,28 @@ class TestEmpiricalTransform:
         out = evaluate_transform_grid("hybrid_cf", grid, c)
         for i, (u, x) in enumerate(zip(grid.u, grid.x)):
             assert out.values[i] == pytest.approx(hybrid_cf(u, x, c).value, rel=1e-12)
+
+
+# each transform and oracle, called with the cluster's alpha after the cluster
+_STALE_ALPHA_CALLS = {
+    "stable_cf": lambda c: stable_cf(1.0, c, 0.5),
+    "hybrid_cf": lambda c: hybrid_cf(1.0, 1.0, c, 0.5),
+    "laplace_zeta": lambda c: laplace_zeta(1.0, c, 0.5),
+    "joint_cf_laplace": lambda c: joint_cf_laplace(1.0, 1.0, 1.0, c, 0.5),
+    "ratio_modulus_laplace": lambda c: ratio_modulus_laplace(1.0, c, 0.5),
+    "ratio_cf": lambda c: ratio_cf(1.0, c, 0.5),
+    "evaluate_transform_grid": lambda c: evaluate_transform_grid(
+        "stable_cf", TransformGrid.from_points(u=[1.0]), c, 0.5),
+    "expected_ratio_max": lambda c: expected_ratio_max(c, 0.5),
+    "expected_ratio_student": lambda c: expected_ratio_student(c, 0.5),
+    "expected_greenwood": lambda c: expected_greenwood(c, 0.5),
+    "expected_kurtosis_limit": lambda c: expected_kurtosis_limit(c, 0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STALE_ALPHA_CALLS))
+def test_alpha_comes_from_the_cluster(name):
+    # alpha is the cluster's: a stale positional alpha is a TypeError, never
+    # read as the parameter that follows the cluster
+    with pytest.raises(TypeError):
+        _STALE_ALPHA_CALLS[name](ar1_cluster(0.5, 0.5, (1.0, 0.0)))
