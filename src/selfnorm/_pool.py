@@ -1,6 +1,6 @@
-"""Replica blocks on a process pool, shared by ``experiments`` and
-``diagnostics``: contiguous index ranges, and one function mapped over a
-list of tasks with results in task order."""
+"""Replica blocks on one process pool per run, shared by ``experiments`` and
+``diagnostics``: contiguous index ranges, and a pool that runs one function
+over a list of tasks and hands back the results in task order."""
 
 from __future__ import annotations
 
@@ -12,12 +12,51 @@ def partition(reps: int, workers: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + size, reps)) for lo in range(0, reps, size)]
 
 
-def run_tasks(fn, tasks, workers: int):
-    """``fn`` over ``tasks``, results in task order: in this process, or on a pool."""
-    if workers <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    # imported on this branch only: a run without a pool never loads multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+class Handle:
+    """The results of one :meth:`Pool.submit`, in task order; ``result()``
+    waits for the tasks that are still running."""
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
+    def __init__(self, results=None, futures=()):
+        self._results = results
+        self._futures = futures
+
+    def result(self) -> list:
+        if self._results is None:
+            self._results = [f.result() for f in self._futures]
+        return self._results
+
+
+class Pool:
+    """One run's worker processes, used as a context manager.
+
+    The executor opens on the first submit that has more than one task and
+    more than one worker, so a run that needs no pool forks none; with one
+    worker every task runs in this process when it is submitted. Tasks queue
+    in submit order, so the caller can submit all of its pooled work, then
+    compute in this process while the workers run it. On exit the executor
+    is shut down and its workers joined; after an error, tasks not yet
+    started are cancelled first.
+    """
+
+    def __init__(self, workers: int):
+        self.workers = workers
+        self._executor = None
+
+    def __enter__(self) -> "Pool":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if self._executor is not None:
+            self._executor.shutdown(wait=True, cancel_futures=exc_type is not None)
+            self._executor = None
+
+    def submit(self, fn, tasks) -> Handle:
+        """``fn`` over ``tasks``: in this process now, or queued on the pool."""
+        if self.workers <= 1 or len(tasks) <= 1:
+            return Handle(results=[fn(t) for t in tasks])
+        if self._executor is None:
+            # imported on this branch only: a run without a pool never loads multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            self._executor = ProcessPoolExecutor(max_workers=self.workers)
+        return Handle(futures=[self._executor.submit(fn, t) for t in tasks])

@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, UnsupportedError
-from ._pool import partition, run_tasks
+from ._pool import Pool, partition
 from .processes import ProcessModel, _coupled_rows, _simulate_rows, normalizing_an, write_csv
 
 
@@ -109,7 +109,8 @@ def _run_diagnostics(plans: Sequence[_Plan], workers: int = 1) -> list[DecaySeri
     worker count."""
     blocks = [d.blocks(workers) for d in plans]
     tasks = [(d.block_fn, d.params, d.model, d.seed, lo, hi) for d, bs in zip(plans, blocks) for lo, hi in bs]
-    results = iter(run_tasks(_run_block, tasks, workers))
+    with Pool(workers) as pool:
+        results = iter(pool.submit(_run_block, tasks).result())
     return [d.reduce([next(results) for _ in bs]) for d, bs in zip(plans, blocks)]
 
 

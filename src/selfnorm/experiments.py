@@ -11,6 +11,7 @@ for the recorded wall time.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -23,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import clusters, diagnostics, limits, oracles, processes, stats
-from ._pool import partition, run_tasks
+from ._pool import Handle, Pool, partition
 from .clusters import ClusterModel, Estimate
 from .errors import ConfigurationError
 from .processes import (ProcessModel, check_keys, model_from_dict, model_to_dict, stationary_mean,
@@ -92,6 +93,16 @@ class ExperimentConfig:
             value = getattr(self, key)
             if not _positive(value):
                 problems.append(f"{key}: must be a positive number, got {value!r}")
+        if not isinstance(self.name, str):
+            problems.append(f"name: must be a string, got {self.name!r}")
+        if self.out is not None and not isinstance(self.out, (str, os.PathLike)):
+            problems.append(f"out: must be a path, got {self.out!r}")
+        for key in ("checks", "u_points", "x_points", "lambda_points"):
+            if getattr(self, key) is None:
+                problems.append(f"{key}: must be a list, got None")
+        bad = [c for c in self.checks or () if not isinstance(c, str)]
+        if bad:
+            problems.append(f"checks: every check must be a name, got {bad[0]!r}")
         for key in ("u_points", "x_points", "lambda_points"):
             bad = [v for v in getattr(self, key) or () if not _real(v)]
             if bad:
@@ -107,7 +118,7 @@ class ExperimentConfig:
             problems.append("model: required for this experiment kind")
         if self.kind in ("limit", "transform") and self.cluster is None and self.model is None:
             problems.append("cluster: required (or a model to derive it from)")
-        if self.kind == "verify" and not self.checks:
+        if self.kind == "verify" and self.checks is not None and not self.checks:
             problems.append("checks: at least one named check is required")
         if self.model is not None:
             try:
@@ -361,15 +372,30 @@ def simulate_statistics(
     simulated once (twice under empirical centering) and every statistic is
     reduced from its tiles as they are made.
     """
+    with Pool(workers) as pool:
+        return _gather(_submit_statistics(pool, model, n, reps, specs, centering, seed))
+
+
+def _submit_statistics(pool: Pool, model: ProcessModel, n: int, reps: int, specs: Sequence[dict],
+                       centering: str, seed: int) -> Handle:
+    """Check the arguments of :func:`simulate_statistics`, then queue its
+    replica blocks on ``pool``."""
     if centering not in _CENTERINGS:
         raise ConfigurationError(f"centering must be one of {_CENTERINGS}, got {centering!r}")
     if n < 1 or reps < 1:
         raise ConfigurationError(f"n and reps must be >= 1, got n={n}, reps={reps}")
     plan = _ReductionPlan.build(specs, model.alpha, required=True)
     model_dict = model_to_dict(model)
-    blocks = partition(reps, workers)
-    tasks = [(model_dict, n, start, stop, seed, plan, centering) for start, stop in blocks]
-    results = run_tasks(_stats_block_worker, tasks, workers)
+    tasks = [(model_dict, n, start, stop, seed, plan, centering) for start, stop in partition(reps, pool.workers)]
+    return pool.submit(_stats_block_worker, tasks)
+
+
+def _gather(handle: Handle, key: Optional[str] = None):
+    """The blocks' arrays joined in replica order, or only ``key``'s; waits
+    for the blocks that are still running."""
+    results = handle.result()
+    if key is not None:
+        return np.concatenate([r[key] for r in results])
     return {k: np.concatenate([r[k] for r in results]) for k in results[0]}
 
 
@@ -384,13 +410,19 @@ def sample_limit_batch_parallel(
     cluster: ClusterModel, alpha: float, p: float, reps: int,
     n_terms: int, seed: int, workers: int = 1,
 ) -> dict:
+    with Pool(workers) as pool:
+        return _gather(_submit_limit_batch(pool, cluster, alpha, p, reps, n_terms, seed))
+
+
+def _submit_limit_batch(pool: Pool, cluster: ClusterModel, alpha: float, p: float, reps: int,
+                        n_terms: int, seed: int) -> Handle:
+    """Check the arguments of :func:`sample_limit_batch_parallel`, then queue
+    its replica blocks on ``pool``."""
     limits._lepage_validate(cluster, alpha, p, n_terms)
-    blocks = partition(reps, workers)
     # workers get the driver's per-anchor table, not the library's blocks
     cluster = cluster.table_only((p,))
-    tasks = [(cluster, alpha, p, n_terms, seed, start, stop) for start, stop in blocks]
-    results = run_tasks(_lepage_block_worker, tasks, workers)
-    return {k: np.concatenate([r[k] for r in results]) for k in results[0]}
+    tasks = [(cluster, alpha, p, n_terms, seed, start, stop) for start, stop in partition(reps, pool.workers)]
+    return pool.submit(_lepage_block_worker, tasks)
 
 
 # ---------------------------------------------------------------------------
@@ -600,10 +632,13 @@ def _run_diagnose(config: ExperimentConfig, workers: int):
 def _run_verify(config: ExperimentConfig, workers: int):
     """Run the configured checks in order and write their rows to verify.csv.
 
-    The path checks share one simulation: their statistics are collected
-    first and the run simulates its paths once per distinct centering (once
-    on every shipped config), reducing every statistic from the same blocks.
-    Each check then compares the mean of its array with its oracle.
+    The run holds one pool and queues all of its pooled work before any
+    check runs. First come the path blocks, once per distinct centering (once
+    on every shipped config), with every path check's statistic reduced from
+    the same blocks; then the series sampler's blocks for ``lepage_laplace``.
+    The checks then run in this process. Each computes its oracle before it
+    reads its array, so the oracles (an empirical library's build among them)
+    are computed while the workers simulate.
     """
     unknown = [check for check in config.checks if check not in _CHECKS]
     if unknown:
@@ -616,14 +651,18 @@ def _run_verify(config: ExperimentConfig, workers: int):
             spec, centering = _PATH_STATISTICS[check]
             groups.setdefault(centering or config.centering, {})[check] = spec(config.p)
     model = config.process_model()
-    paths = {}  # path check -> its per-replica array
-    for centering, specs in groups.items():
-        arrays = simulate_statistics(model, config.n, config.reps, list(specs.values()), centering,
-                                     _seed_for(config.seed, "paths"), workers)
-        paths.update({check: arrays[_parse_spec(spec)[0]] for check, spec in specs.items()})
-    rows = []
-    for check in config.checks:
-        rows.extend(_CHECKS[check](config, workers, cluster, paths))
+    with Pool(workers) as pool:
+        pooled = {}  # check -> a call that returns what it reads from the pool
+        for centering, specs in groups.items():
+            handle = _submit_statistics(pool, model, config.n, config.reps, list(specs.values()), centering,
+                                        _seed_for(config.seed, "paths"))
+            for check, spec in specs.items():
+                pooled[check] = functools.partial(_gather, handle, _parse_spec(spec)[0])
+        if "lepage_laplace" in config.checks:
+            handle = _submit_limit_batch(pool, cluster, cluster.alpha, config.p, config.reps, config.n_terms,
+                                         _seed_for(config.seed, "series"))
+            pooled["lepage_laplace"] = functools.partial(_gather, handle, "zeta_p")
+        rows = [row for check in config.checks for row in _CHECKS[check](config, cluster, pooled)]
     return rows, [("verify.csv", lambda fh, rows_=rows: Report(rows_, {}).rows_to_csv(fh))]
 
 
@@ -642,27 +681,27 @@ def _path_row(name: str, analytic: Estimate, vals: np.ndarray, z_bound: float) -
     return _mc_row(name, analytic, mc, se, z_bound)
 
 
-def _check_greenwood(config, workers, cluster, paths):
+def _check_greenwood(config, cluster, pooled):
     analytic = oracles.expected_greenwood(cluster, p=config.p)
-    return [_path_row(f"greenwood_p{config.p:g}", analytic, paths["greenwood"], config.z_bound)]
+    return [_path_row(f"greenwood_p{config.p:g}", analytic, pooled["greenwood"](), config.z_bound)]
 
 
-def _check_ratio_max(config, workers, cluster, paths):
+def _check_ratio_max(config, cluster, pooled):
     analytic = oracles.expected_ratio_max(cluster)
-    return [_path_row("ratio_max", analytic, paths["ratio_max"], config.z_bound)]
+    return [_path_row("ratio_max", analytic, pooled["ratio_max"](), config.z_bound)]
 
 
-def _check_ratio_student(config, workers, cluster, paths):
+def _check_ratio_student(config, cluster, pooled):
     analytic = oracles.expected_ratio_student(cluster, p=config.p)
-    return [_path_row(f"studentized_p{config.p:g}", analytic, paths["ratio_student"], config.z_bound)]
+    return [_path_row(f"studentized_p{config.p:g}", analytic, pooled["ratio_student"](), config.z_bound)]
 
 
-def _check_kurtosis(config, workers, cluster, paths):
+def _check_kurtosis(config, cluster, pooled):
     analytic = oracles.expected_kurtosis_limit(cluster)
-    return [_path_row("kurtosis", analytic, paths["kurtosis"], config.z_bound)]
+    return [_path_row("kurtosis", analytic, pooled["kurtosis"](), config.z_bound)]
 
 
-def _check_extremal_index(config, workers, cluster, paths):
+def _check_extremal_index(config, cluster, pooled):
     seed = _seed_for(config.seed, "cluster")
     acc = clusters.tilted_acceptance(cluster, reps=config.reps, seed=seed)
     mx = clusters.extremal_index(cluster, method="cluster_max")
@@ -688,26 +727,22 @@ def _check_extremal_index(config, workers, cluster, paths):
     return rows
 
 
-def _check_lepage_laplace(config, workers, cluster, paths):
-    alpha = cluster.alpha
-    draws = sample_limit_batch_parallel(
-        cluster, alpha, config.p, config.reps, config.n_terms, _seed_for(config.seed, "series"), workers,
-    )
-    zp = draws["zeta_p"] ** config.p
+def _check_lepage_laplace(config, cluster, pooled):
     lams = config.lambda_points or (0.5, 1.0, 2.0)
     # one cluster moment for every lambda, the one each laplace_zeta call would compute
     moment = clusters.cluster_moment(cluster, config.p)
+    closed = [limits.laplace_zeta(lam, cluster, p=config.p, moment=moment) for lam in lams]
+    zp = pooled["lepage_laplace"]() ** config.p
     rows = []
-    for lam in lams:
-        closed = limits.laplace_zeta(lam, cluster, p=config.p, moment=moment)
+    for lam, oracle in zip(lams, closed):
         terms = np.exp(-lam * zp)
         mc, se = float(terms.mean()), float(terms.std(ddof=1) / math.sqrt(len(terms)))
-        analytic = Estimate(closed.value.real, closed.stderr, 0, closed.method)
+        analytic = Estimate(oracle.value.real, oracle.stderr, 0, oracle.method)
         rows.append(_mc_row(f"lepage_laplace_lam{lam:g}", analytic, mc, se, config.z_bound))
     return rows
 
 
-def _check_gamma_identity(config, workers, cluster, paths):
+def _check_gamma_identity(config, cluster, pooled):
     xs = config.x_points or (0.5, 1.0, 4.0)
     rows = []
     for row in oracles.gamma_identity_check(config.p, xs):
@@ -716,7 +751,7 @@ def _check_gamma_identity(config, workers, cluster, paths):
     return rows
 
 
-def _check_time_change(config, workers, cluster, paths):
+def _check_time_change(config, cluster, pooled):
     report = clusters.verify_time_change(
         cluster, t=1, test_functionals=clusters.standard_functionals(),
         reps=config.reps, seed=_seed_for(config.seed, "cluster"),
@@ -731,7 +766,7 @@ def _check_time_change(config, workers, cluster, paths):
     return rows
 
 
-def _check_self_decomposition(config, workers, cluster, paths):
+def _check_self_decomposition(config, cluster, pooled):
     u = (config.u_points or (1.0,))[0]
     lam = (config.lambda_points or (1.0,))[0]
     c = 0.5

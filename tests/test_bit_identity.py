@@ -273,14 +273,15 @@ def test_verify_simulates_once_per_centering(monkeypatch, centering, calls):
     # config's centering: one simulation per distinct centering
     from selfnorm import experiments
 
+    # verify queues its path blocks through the submit step behind simulate_statistics
     seen = []
-    simulate = experiments.simulate_statistics
+    submit = experiments._submit_statistics
 
-    def counted(model, n, reps, specs, centering="none", *args, **kwargs):
+    def counted(pool, model, n, reps, specs, centering, seed):
         seen.append(centering)
-        return simulate(model, n, reps, specs, centering, *args, **kwargs)
+        return submit(pool, model, n, reps, specs, centering, seed)
 
-    monkeypatch.setattr(experiments, "simulate_statistics", counted)
+    monkeypatch.setattr(experiments, "_submit_statistics", counted)
     run_outputs({**PATH_VERIFY, "centering": centering}, workers=1)
     assert seen == calls
 

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pickle
+import re
 import sys
 from pathlib import Path
 
@@ -497,6 +498,17 @@ BAD_FIELDS = [
     ({"quad_tol": "1e-8"}, "quad_tol: must be a positive number, got '1e-8'"),
     ({"u_points": ["a", 1.0]}, "u_points: every point must be a real number, got 'a'"),
     ({"lambda_points": [0.5, None]}, "lambda_points: every point must be a real number, got None"),
+    # a YAML null where a list belongs
+    ({"checks": None}, "checks: must be a list, got None"),
+    ({"u_points": None}, "u_points: must be a list, got None"),
+    ({"x_points": None}, "x_points: must be a list, got None"),
+    ({"lambda_points": None}, "lambda_points: must be a list, got None"),
+    # checks and the run (its output directory) are named by strings, and the
+    # run writes under a path
+    ({"kind": "verify", "checks": [{"a": 1}]}, "checks: every check must be a name, got {'a': 1}"),
+    ({"kind": "verify", "checks": ["greenwood", 3]}, "checks: every check must be a name, got 3"),
+    ({"name": [1]}, "name: must be a string, got [1]"),
+    ({"out": [1]}, "out: must be a path, got [1]"),
     # every verify row reports a sample stderr
     ({"kind": "verify", "checks": ["greenwood"], "reps": 1}, "reps: must be >= 2"),
 ]
@@ -517,7 +529,7 @@ class TestStatisticSpecs:
 
     def test_validate_rejects(self):
         for over, match in self._cases():
-            with pytest.raises(ConfigurationError, match=match):
+            with pytest.raises(ConfigurationError, match=re.escape(match)):
                 self._config(**over).validate()
 
     def test_cli_exit_2(self, tmp_path, capsys):
@@ -632,6 +644,17 @@ class TestEmpiricalWorkers:
         assert self._run(cfg, 1, tmp_path / "b") == first
         assert len(builds) == 2
 
+    def test_overlapped_verify_any_worker_count(self, tmp_path, builds):
+        # path blocks and series blocks queue on one pool while the driver
+        # builds the SRE-sourced library for the oracles
+        cluster = {"kind": "empirical", "source": SRE_POS, "sample_length": 200_000, "library_seed": 3}
+        cfg = dict(kind="verify", name="overlap", model=SRE_POS, cluster=cluster, n=1000, reps=80, p=2.0,
+                   checks=["greenwood", "ratio_max", "ratio_student", "lepage_laplace", "kurtosis"],
+                   centering="empirical", n_terms=100, seed=6)
+        one, two, three = (self._run(cfg, w, tmp_path / str(w)) for w in (1, 2, 3))
+        assert len(builds) == 1
+        assert one == two == three
+
     def test_shipped_cluster_draws_without_blocks(self, builds):
         c = cluster_from_dict(self.CLUSTER)
         want = clusters.cluster_functionals(c, 3000, 2.0, seed=5)
@@ -640,6 +663,56 @@ class TestEmpiricalWorkers:
         got = clusters.cluster_functionals(shipped, 3000, 2.0, seed=5)
         assert len(builds) == 1
         assert all(np.array_equal(want[k], got[k]) for k in want)
+
+
+class TestOnePool:
+    """A run holds one pool: a verify run queues its path blocks and its series
+    blocks on the same executor, and shuts it down, after an error too."""
+
+    CFG = dict(kind="verify", name="one-pool", model=AR1_POS_HALF, n=4000, reps=200, p=2.0,
+               checks=["greenwood", "ratio_max", "kurtosis", "lepage_laplace"], n_terms=200, seed=3)
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        import concurrent.futures
+
+        made = []
+
+        class Counted(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                made.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+        return made
+
+    def test_verify_starts_one_pool(self, pools):
+        report = run_experiment(ExperimentConfig.from_dict(self.CFG), workers=2)
+        assert [r.name for r in report.rows][-1] == "lepage_laplace_lam2"
+        assert pools == [2]
+
+    def test_one_worker_starts_no_pool(self, pools):
+        run_experiment(ExperimentConfig.from_dict(self.CFG), workers=1)
+        assert pools == []
+
+    def test_failed_oracle_leaves_no_worker(self, monkeypatch, pools):
+        import multiprocessing
+
+        from selfnorm import oracles
+
+        # the first check's oracle raises while the workers still hold path
+        # and series blocks
+        failure = RuntimeError("oracle failed")
+
+        def failing(*args, **kwargs):
+            raise failure
+
+        monkeypatch.setattr(oracles, "expected_greenwood", failing)
+        with pytest.raises(RuntimeError) as raised:
+            run_experiment(ExperimentConfig.from_dict(self.CFG), workers=2)
+        assert raised.value is failure
+        assert pools == [2]
+        assert multiprocessing.active_children() == []
 
 
 class TestRunExperiment:

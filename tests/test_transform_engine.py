@@ -320,7 +320,7 @@ def test_import_leaves_mpmath_out():
     # fallbacks), or what scipy.signal would pull in; nor the scipy.special
     # package (the gamma ufuncs come from its extension) with the numpy.testing
     # and numpy.f2py its array-API layer imports, PyYAML (read by load_config)
-    # or the process pool (started by run_tasks)
+    # or the process pool (opened by a run's first pooled submit)
     _fresh("""
         import sys, selfnorm
         loaded = {'mpmath', 'scipy.signal', 'scipy.integrate', 'scipy.stats', 'scipy.interpolate',
