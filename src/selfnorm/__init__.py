@@ -33,7 +33,6 @@ from .experiments import (
     ExperimentConfig,
     Report,
     ReportRow,
-    compare_to_limit,
     derive_cluster,
     ks_bound,
     ks_distance,

@@ -29,13 +29,13 @@ class Handle:
 class Pool:
     """One run's worker processes, used as a context manager.
 
-    The executor opens on the first submit that has more than one task and
-    more than one worker, so a run that needs no pool forks none; with one
-    worker every task runs in this process when it is submitted. Tasks queue
-    in submit order, so the caller can submit all of its pooled work, then
-    compute in this process while the workers run it. On exit the executor
-    is shut down and its workers joined; after an error, tasks not yet
-    started are cancelled first.
+    With one worker every task runs in this process when it is submitted,
+    and no executor is made. With more, the executor opens on the first
+    submit and every task runs in a worker, a submit of one task too. Tasks
+    queue in submit order, so the caller can submit all of its pooled work,
+    then compute in this process while the workers run it. On exit the
+    executor is shut down and its workers joined; after an error, tasks not
+    yet started are cancelled first.
     """
 
     def __init__(self, workers: int):
@@ -51,8 +51,8 @@ class Pool:
             self._executor = None
 
     def submit(self, fn, tasks) -> Handle:
-        """``fn`` over ``tasks``: in this process now, or queued on the pool."""
-        if self.workers <= 1 or len(tasks) <= 1:
+        """``fn`` over ``tasks``: in this process now at one worker, else queued on the pool."""
+        if self.workers <= 1:
             return Handle(results=[fn(t) for t in tasks])
         if self._executor is None:
             # imported on this branch only: a run without a pool never loads multiprocessing

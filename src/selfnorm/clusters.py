@@ -632,7 +632,7 @@ def tilted_atoms(model: ClusterModel, p: Optional[float] = None, n_mc=None, seed
     return cluster_atoms(model, p).tilted()
 
 
-def cluster_functionals(model: ClusterModel, count: int, p: float, seed=0, rng=None, extra_ps=()) -> dict:
+def cluster_functionals(model: ClusterModel, count: int, p: float, seed=0, extra_ps=()) -> dict:
     """Arrays of per-draw reductions of Q, drawn from :func:`cluster_law`:
     ``max_abs``, ``sum_q`` (signed sum), ``sum_abs`` (l1 norm) and
     ``sum_abs_p`` (l^p norm to the p-th power).
@@ -641,7 +641,7 @@ def cluster_functionals(model: ClusterModel, count: int, p: float, seed=0, rng=N
     keys ``sum_abs_p{q:g}``.
     """
     law = cluster_law(model, (p, *extra_ps))
-    k = law.draw(count, substream(seed, 11) if rng is None else rng)
+    k = law.draw(count, substream(seed, 11))
     out = {"max_abs": law.max_abs[k], "sum_q": law.sum_q[k], "sum_abs": law.sum_abs[k],
            "sum_abs_p": law.norm_p_p[k]}
     out.update({f"sum_abs_p{q:g}": law.norms[q][k] for q in extra_ps})

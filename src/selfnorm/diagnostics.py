@@ -5,16 +5,17 @@ These are evidence, not proofs: every underlying condition is a double limit
 in n and k, so at any fixed budget the reports can only say "consistent with"
 the hypothesised decay.
 
-Each diagnostic is a plan over its replicas (``_coupling_plan``,
-``_anticluster_plan``, ``_coupled_anticluster_plan``): per-block results
-and their reduction. ``_run_diagnostics`` computes the blocks of any number
-of plans on one process pool and reduces them in the calling process, so
-every series is identical for any worker count.
+Each diagnostic has a submit step (``_submit_coupling``,
+``_submit_anticluster``, ``_submit_coupled_anticluster``) that checks its
+arguments, queues its replica blocks on a run's :class:`_pool.Pool` and
+returns a call that waits for the blocks and reduces them in the calling
+process, in replica order, so every series is identical for any worker
+count. A ``diagnose`` run queues all three on its one pool; each public
+estimator runs its own on a one-worker pool.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -68,54 +69,13 @@ def _check_q(model: ProcessModel, q: float) -> None:
         raise ConfigurationError("q must satisfy 0 < q < min(alpha, 1)")
 
 
-@dataclass(frozen=True)
-class _Plan:
-    """A diagnostic over replicas ``0..reps-1``: ``block_fn`` reduces one
-    block of replicas, ``reduce`` the blocks' results, in replica order, to
-    the series.
-
-    ``block_fn(model, seed, start, stop, **params)`` is a module-level
-    function (workers receive it by name) that works a bounded number of
-    replicas at a time, which bounds its memory. Block edges fall on
-    multiples of ``align``: a plan whose reduction adds fixed runs of
-    replicas together aligns its blocks on them, so that each run is added
-    whole, in one place, whatever the worker count."""
-
-    block_fn: Callable
-    params: dict
-    model: ProcessModel
-    seed: int
-    reps: int
-    align: int
-    reduce: Callable  # (block results,) -> DecaySeries
-
-    def blocks(self, workers: int) -> list[tuple[int, int]]:
-        units = partition(-(-self.reps // self.align), workers)
-        return [(lo * self.align, min(hi * self.align, self.reps)) for lo, hi in units]
-
-
 def _chunks(start: int, stop: int, chunk: int):
     return (np.arange(lo, min(lo + chunk, stop)) for lo in range(start, stop, chunk))
 
 
-def _run_block(task):
-    block_fn, params, model, seed, start, stop = task
-    return block_fn(model, seed, start, stop, **params)
-
-
-def _run_diagnostics(plans: Sequence[_Plan], workers: int = 1) -> list[DecaySeries]:
-    """The series of every plan, with all their replica blocks in one pool,
-    reduced in the calling process, so the series are identical for any
-    worker count."""
-    blocks = [d.blocks(workers) for d in plans]
-    tasks = [(d.block_fn, d.params, d.model, d.seed, lo, hi) for d, bs in zip(plans, blocks) for lo, hi in bs]
-    with Pool(workers) as pool:
-        results = iter(pool.submit(_run_block, tasks).result())
-    return [d.reduce([next(results) for _ in bs]) for d, bs in zip(plans, blocks)]
-
-
-def _coupling_block(model, seed, start, stop, q, t_max, chunk):
+def _coupling_block(task):
     """Per chunk, the sums over its replicas of |X_t - X*_t|^q and of its square."""
+    model, seed, start, stop, q, t_max, chunk = task
     out = []
     for idx in _chunks(start, stop, chunk):
         x, xs, _, _ = _coupled_rows(model, t_max, seed, idx)
@@ -139,21 +99,30 @@ def _coupling_series(blocks: list, reps: int, t_max: int) -> DecaySeries:
     return DecaySeries(idx, mean, se, slope, r2)
 
 
-def _coupling_plan(model: ProcessModel, q: float, t_max: int, reps: int, seed: int = 0) -> _Plan:
-    """What :func:`coupling_decay` computes, for :func:`_run_diagnostics`."""
+def _submit_coupling(pool: Pool, model: ProcessModel, q: float, t_max: int, reps: int,
+                     seed: int) -> Callable[[], DecaySeries]:
+    """Check the arguments of :func:`coupling_decay`, then queue its replica
+    blocks on ``pool``; the call returned waits for them and reduces them.
+
+    The series adds fixed chunks of replicas together, so block edges fall on
+    multiples of the chunk: each chunk is added whole, in one place, whatever
+    the worker count."""
     _check_q(model, q)
     if t_max < 2 or reps < 2:
         raise ConfigurationError("need t_max >= 2 and reps >= 2")
     chunk = max(1, 4_000_000 // (t_max + model.burn_in))
-    return _Plan(_coupling_block, {"q": q, "t_max": t_max, "chunk": chunk}, model, seed, reps, chunk,
-                 functools.partial(_coupling_series, reps=reps, t_max=t_max))
+    tasks = [(model, seed, lo * chunk, min(hi * chunk, reps), q, t_max, chunk)
+             for lo, hi in partition(-(-reps // chunk), pool.workers)]
+    handle = pool.submit(_coupling_block, tasks)
+    return lambda: _coupling_series(handle.result(), reps, t_max)
 
 
 def coupling_decay(model: ProcessModel, q: float, t_max: int, reps: int, seed: int = 0) -> DecaySeries:
     """Monte-Carlo series E|X_t - X*_t|^q for t = 1..t_max with the fitted
     log-slope; geometric contraction shows up as a negative linear log trend
     (slope ``q log|phi|`` for AR(1))."""
-    return _run_diagnostics([_coupling_plan(model, q, t_max, reps, seed)])[0]
+    with Pool(1) as pool:
+        return _submit_coupling(pool, model, q, t_max, reps, seed)()
 
 
 def _suffix_rows(terms: np.ndarray, k_grid: np.ndarray) -> np.ndarray:
@@ -164,7 +133,8 @@ def _suffix_rows(terms: np.ndarray, k_grid: np.ndarray) -> np.ndarray:
     return csum[:, k_grid - 1]
 
 
-def _suffix_block(model, seed, start, stop, rows_fn, chunk, **params):
+def _suffix_block(task):
+    model, seed, start, stop, rows_fn, chunk, params = task
     return np.concatenate([rows_fn(model, seed, idx, **params) for idx in _chunks(start, stop, chunk)])
 
 
@@ -177,12 +147,16 @@ def _suffix_series(blocks: list, n: int, k_grid: np.ndarray) -> DecaySeries:
     return DecaySeries(k_grid, mean, se, slope, r2)
 
 
-def _suffix_plan(rows_fn, params, model, n, r_n, k_grid, reps, seed, a_n) -> _Plan:
-    """n * sum_{j=k}^{r_n} E[term_j] for every cutoff k, with standard errors
-    from the replica-level suffix sums. Nested sums on one sample make the
-    series non-increasing in k exactly. ``a_n`` defaults to
-    ``normalizing_an(model, n)``. A replica's row does not depend on the
-    block it is computed in, so blocks need no alignment."""
+def _submit_suffix(pool, rows_fn, params, model, n, r_n, k_grid, reps, seed, a_n) -> Callable[[], DecaySeries]:
+    """Queue on ``pool`` the replica blocks of n * sum_{j=k}^{r_n} E[term_j]
+    for every cutoff k, with standard errors from the replica-level suffix
+    sums; the call returned waits for them and reduces them. Nested sums on
+    one sample make the series non-increasing in k exactly. ``r_n`` defaults
+    to ``floor(n^0.4)`` and ``a_n`` to ``normalizing_an(model, n)``. A
+    replica's row does not depend on the block it is computed in, so blocks
+    need no alignment."""
+    if r_n is None:
+        r_n = int(n**0.4)
     if reps < 2:
         raise ConfigurationError("need reps >= 2")
     if r_n >= n:
@@ -196,9 +170,10 @@ def _suffix_plan(rows_fn, params, model, n, r_n, k_grid, reps, seed, a_n) -> _Pl
     if a_n is None:
         a_n = normalizing_an(model, n)
     chunk = max(1, 2_000_000 // (r_n + 1 + model.burn_in))
-    params = {**params, "rows_fn": rows_fn, "chunk": chunk, "r_n": r_n, "k_grid": k_grid, "a_n": a_n}
-    return _Plan(_suffix_block, params, model, seed, reps, 1,
-                 functools.partial(_suffix_series, n=n, k_grid=k_grid))
+    params = {**params, "r_n": r_n, "k_grid": k_grid, "a_n": a_n}
+    handle = pool.submit(_suffix_block, [(model, seed, lo, hi, rows_fn, chunk, params)
+                                         for lo, hi in partition(reps, pool.workers)])
+    return lambda: _suffix_series(handle.result(), n, k_grid)
 
 
 def _anticluster_rows(model, seed, indices, r_n, k_grid, a_n, x):
@@ -207,22 +182,12 @@ def _anticluster_rows(model, seed, indices, r_n, k_grid, a_n, x):
     return _suffix_rows(t[:, 1:] * t[:, :1], k_grid)
 
 
-def _anticluster_plan(
-    model: ProcessModel,
-    n: int,
-    r_n: Optional[int] = None,
-    k_grid: Optional[Sequence[int]] = None,
-    x: float = 1.0,
-    reps: int = 2_000,
-    seed: int = 0,
-    a_n: Optional[float] = None,
-) -> _Plan:
-    """What :func:`anticluster_stat` computes, for :func:`_run_diagnostics`."""
+def _submit_anticluster(pool, model, n, r_n, k_grid, x, reps, seed, a_n) -> Callable[[], DecaySeries]:
+    """Check the arguments of :func:`anticluster_stat`, then queue its replica
+    blocks on ``pool``; the call returned waits for them and reduces them."""
     if x <= 0:
         raise ConfigurationError("x must be positive")
-    if r_n is None:
-        r_n = int(n**0.4)
-    return _suffix_plan(_anticluster_rows, {"x": x}, model, n, r_n, k_grid, reps, seed, a_n)
+    return _submit_suffix(pool, _anticluster_rows, {"x": x}, model, n, r_n, k_grid, reps, seed, a_n)
 
 
 def anticluster_stat(
@@ -243,7 +208,8 @@ def anticluster_stat(
     ``a_n`` defaults to ``normalizing_an(model, n)``; pass it to reuse one
     already computed.
     """
-    return _run_diagnostics([_anticluster_plan(model, n, r_n, k_grid, x, reps, seed, a_n)])[0]
+    with Pool(1) as pool:
+        return _submit_anticluster(pool, model, n, r_n, k_grid, x, reps, seed, a_n)()
 
 
 def _coupled_anticluster_rows(model, seed, indices, r_n, k_grid, a_n, q):
@@ -253,21 +219,13 @@ def _coupled_anticluster_rows(model, seed, indices, r_n, k_grid, a_n, q):
     return _suffix_rows(left * right[:, None], k_grid)
 
 
-def _coupled_anticluster_plan(
-    model: ProcessModel,
-    n: int,
-    r_n: Optional[int] = None,
-    k_grid: Optional[Sequence[int]] = None,
-    q: float = 0.4,
-    reps: int = 2_000,
-    seed: int = 0,
-    a_n: Optional[float] = None,
-) -> _Plan:
-    """What :func:`coupled_anticluster_stat` computes, for :func:`_run_diagnostics`."""
+def _submit_coupled_anticluster(pool, model, n, r_n, k_grid, q, reps, seed,
+                                a_n) -> Callable[[], DecaySeries]:
+    """Check the arguments of :func:`coupled_anticluster_stat`, then queue its
+    replica blocks on ``pool``; the call returned waits for them and reduces
+    them."""
     _check_q(model, q)
-    if r_n is None:
-        r_n = int(n**0.4)
-    return _suffix_plan(_coupled_anticluster_rows, {"q": q}, model, n, r_n, k_grid, reps, seed, a_n)
+    return _submit_suffix(pool, _coupled_anticluster_rows, {"q": q}, model, n, r_n, k_grid, reps, seed, a_n)
 
 
 def coupled_anticluster_stat(
@@ -284,4 +242,5 @@ def coupled_anticluster_stat(
     E[(|X_t - X*_t|^q / a_n^q ^ 1)(|X_0|^q / a_n^q ^ 1)]`` per cutoff k,
     with X* the coupled copy and X_0 the state before the shared window.
     ``a_n`` defaults to ``normalizing_an(model, n)``."""
-    return _run_diagnostics([_coupled_anticluster_plan(model, n, r_n, k_grid, q, reps, seed, a_n)])[0]
+    with Pool(1) as pool:
+        return _submit_coupled_anticluster(pool, model, n, r_n, k_grid, q, reps, seed, a_n)()

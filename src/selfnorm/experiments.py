@@ -223,16 +223,10 @@ def cluster_from_dict(d: dict) -> ClusterModel:
         return clusters.iid_cluster(float(d["alpha"]), tb)
     if kind == "ar1_analytic":
         return clusters.ar1_cluster(float(d["phi"]), float(d["alpha"]), tb)
-    return clusters.empirical_cluster(
-        model_from_dict(d["source"]),
-        alpha=float(d["alpha"]) if "alpha" in d else None,
-        threshold_quantile=float(d.get("threshold_quantile", 0.999)),
-        block_half_width=int(d.get("block_half_width", 200)),
-        sample_length=int(d.get("sample_length", 2_000_000)),
-        library_seed=int(d.get("library_seed", 0)),
-        floor_rel=float(d.get("floor_rel", 0.005)),
-        run_gap=int(d.get("run_gap", 2)),
-    )
+    # only the keys given, each cast to the type of its field's default: every default lives in clusters.py
+    cast = {**{f.name: type(f.default) for f in dataclasses.fields(ClusterModel)}, "alpha": float}
+    return clusters.empirical_cluster(model_from_dict(d["source"]),
+                                      **{k: cast[k](v) for k, v in d.items() if k not in ("kind", "source")})
 
 
 def cluster_to_dict(model: ClusterModel) -> dict:
@@ -439,41 +433,10 @@ def ks_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(fa - fb)))
 
 
-def ks_bound(m: int, n: int, level: float = 0.01, slack: float = 1.5) -> float:
-    """Two-sample KS critical value at the given level, widened by a slack
-    factor for pre-limit bias."""
+def ks_bound(m: int, n: int, level: float = 0.01) -> float:
+    """Two-sample KS critical value at the given level."""
     c = math.sqrt(-math.log(level / 2.0) / 2.0)
-    return slack * c * math.sqrt((m + n) / (m * n))
-
-
-def compare_to_limit(
-    samples: np.ndarray,
-    limit_samples: np.ndarray,
-    ks_bound_value: Optional[float] = None,
-    level: float = 0.01,
-    slack: float = 1.5,
-    transform_pairs: Sequence[tuple] = (),
-    sup_bound: float = 0.05,
-    metadata: Optional[dict] = None,
-) -> Report:
-    """Distributional comparison of a statistic sample against limit-law
-    samples: the two-sample KS distance, plus sup-differences over any
-    supplied (name, value_a, value_b) transform-grid pairs."""
-    samples = np.asarray(samples, dtype=float)
-    limit_samples = np.asarray(limit_samples, dtype=float)
-    if len(samples) < 1000 or len(limit_samples) < 1000:
-        raise ConfigurationError("need at least 1000 samples on each side")
-    bound = ks_bound_value
-    if bound is None:
-        bound = ks_bound(len(samples), len(limit_samples), level, slack)
-    d = ks_distance(samples, limit_samples)
-    rows = [ReportRow("ks_distance", bound, d, None, None, d <= bound,
-                      detail=f"m={len(samples)} n={len(limit_samples)}")]
-    for name, va, vb in transform_pairs:
-        diff = abs(complex(va) - complex(vb))
-        rows.append(ReportRow(name, None, diff, None, None, diff <= sup_bound,
-                              detail=f"sup_bound={sup_bound}"))
-    return Report(rows, metadata or {})
+    return c * math.sqrt((m + n) / (m * n))
 
 
 # ---------------------------------------------------------------------------
@@ -594,13 +557,15 @@ def _run_diagnose(config: ExperimentConfig, workers: int):
     a_n = float((config.n * c) ** (1.0 / model.alpha))
     rows = [ReportRow("scale_constant_a_n", None, a_n, a_n * c_se / (model.alpha * c), None, True,
                       detail=f"c={c:.6g} c_se={c_se:.3g}")]
-    # the three diagnostics' replica blocks share one pool
-    plans = [diagnostics._anticluster_plan(model, config.n, reps=config.reps, seed=seed, a_n=a_n)]
-    if model.kind != "iid":
-        plans += [diagnostics._coupling_plan(model, q, t_max=30, reps=config.reps, seed=seed),
-                  diagnostics._coupled_anticluster_plan(model, config.n, q=q, reps=config.reps,
-                                                        seed=seed, a_n=a_n)]
-    ac, *coupled = diagnostics._run_diagnostics(plans, workers)
+    # the three diagnostics queue their replica blocks on one pool before any is reduced
+    with Pool(workers) as pool:
+        submitted = [diagnostics._submit_anticluster(pool, model, config.n, r_n=None, k_grid=None, x=1.0,
+                                                     reps=config.reps, seed=seed, a_n=a_n)]
+        if model.kind != "iid":
+            submitted += [diagnostics._submit_coupling(pool, model, q, t_max=30, reps=config.reps, seed=seed),
+                          diagnostics._submit_coupled_anticluster(pool, model, config.n, r_n=None, k_grid=None, q=q,
+                                                                  reps=config.reps, seed=seed, a_n=a_n)]
+        ac, *coupled = [series() for series in submitted]
     artifacts = []
     if coupled:
         dec, cdec = coupled

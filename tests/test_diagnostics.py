@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from selfnorm import ConfigurationError, NoiseSpec, SRELaw, UnsupportedError, ar1_model, sre_model
+from selfnorm._pool import Handle, Pool
 from selfnorm.diagnostics import (
-    _anticluster_plan,
-    _coupled_anticluster_plan,
-    _coupling_plan,
-    _run_diagnostics,
+    _submit_anticluster,
+    _submit_coupled_anticluster,
+    _submit_coupling,
     anticluster_stat,
     coupled_anticluster_stat,
     coupling_decay,
@@ -111,31 +111,47 @@ class TestWorkers:
     the series is the same at any worker count."""
 
     @staticmethod
-    def _same(plan):
-        a, b = (_run_diagnostics([plan], workers)[0] for workers in (1, 3))
+    def _same(submit, *args):
+        def series(workers):
+            with Pool(workers) as pool:
+                return submit(pool, *args)()
+
+        a, b = series(1), series(3)
         assert a.index.tolist() == b.index.tolist()
         assert a.values.tobytes() == b.values.tobytes()
         assert a.stderr.tobytes() == b.stderr.tobytes()
         assert (a.fitted_log_slope, a.r2) == (b.fitted_log_slope, b.r2)
 
     def test_coupling_decay(self, ar1_pos_half):
-        self._same(_coupling_plan(ar1_pos_half, 0.4, 12, 47, seed=11))
+        self._same(_submit_coupling, ar1_pos_half, 0.4, 12, 47, 11)
 
     def test_anticluster_stat(self, ar1_pos_half):
-        self._same(_anticluster_plan(ar1_pos_half, 2000, reps=47, seed=12))
+        self._same(_submit_anticluster, ar1_pos_half, 2000, None, None, 1.0, 47, 12, None)
 
     def test_coupled_anticluster_stat(self, ar1_pos_half):
-        self._same(_coupled_anticluster_plan(ar1_pos_half, 2000, q=0.4, reps=47, seed=13))
+        self._same(_submit_coupled_anticluster, ar1_pos_half, 2000, None, None, 0.4, 47, 13, None)
 
     def test_coupling_blocks_hold_whole_chunks(self):
         # t_max + burn-in = 80,000 makes chunks of 50 replicas: 120 replicas
         # are three chunks, each summed whole in one block at any worker count
         model = ar1_model(0.5, NoiseSpec("pareto", 0.5, (1.0, 0.0)), burn_in=79_990)
-        plan = _coupling_plan(model, 0.4, 10, 120, seed=15)
-        assert plan.align == 50
-        assert plan.blocks(3) == [(0, 50), (50, 100), (100, 120)]
-        assert plan.blocks(2) == [(0, 100), (100, 120)]
-        self._same(plan)
+
+        class Recording:
+            """A one-process pool that records the replica range of each task."""
+
+            def __init__(self, workers):
+                self.workers = workers
+                self.edges = []
+
+            def submit(self, fn, tasks):
+                self.edges += [task[2:4] for task in tasks]
+                return Handle(results=[fn(task) for task in tasks])
+
+        for workers, edges in ((3, [(0, 50), (50, 100), (100, 120)]), (2, [(0, 100), (100, 120)])):
+            pool = Recording(workers)
+            _submit_coupling(pool, model, 0.4, 10, 120, 15)
+            assert pool.edges == edges
+        self._same(_submit_coupling, model, 0.4, 10, 120, 15)
 
 
 class TestSeriesExport:

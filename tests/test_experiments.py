@@ -20,7 +20,6 @@ from selfnorm import (
     ConfigurationError,
     Estimate,
     ExperimentConfig,
-    compare_to_limit,
     ks_bound,
     ks_distance,
     run_experiment,
@@ -28,6 +27,7 @@ from selfnorm import (
     simulate_statistics,
 )
 from selfnorm import clusters, stats
+from selfnorm._pool import Pool
 from selfnorm.cli import main as cli_main
 from selfnorm.experiments import _mc_row, cluster_from_dict, cluster_to_dict, derive_cluster, load_config
 from selfnorm.processes import model_from_dict, model_to_dict
@@ -665,12 +665,18 @@ class TestEmpiricalWorkers:
         assert all(np.array_equal(want[k], got[k]) for k in want)
 
 
+def _pid(_task):
+    return os.getpid()
+
+
 class TestOnePool:
     """A run holds one pool: a verify run queues its path blocks and its series
-    blocks on the same executor, and shuts it down, after an error too."""
+    blocks on the same executor, a diagnose run the blocks of its three
+    diagnostics, and each shuts it down, after an error too."""
 
     CFG = dict(kind="verify", name="one-pool", model=AR1_POS_HALF, n=4000, reps=200, p=2.0,
                checks=["greenwood", "ratio_max", "kurtosis", "lepage_laplace"], n_terms=200, seed=3)
+    DIAGNOSE = dict(kind="diagnose", name="one-pool-diagnose", model=AR1_POS_HALF, n=2000, reps=200, seed=3)
 
     @pytest.fixture
     def pools(self, monkeypatch):
@@ -713,6 +719,37 @@ class TestOnePool:
         assert raised.value is failure
         assert pools == [2]
         assert multiprocessing.active_children() == []
+
+    def test_diagnose_starts_one_pool(self, pools):
+        report = run_experiment(ExperimentConfig.from_dict(self.DIAGNOSE), workers=2)
+        assert [r.name for r in report.rows] == ["scale_constant_a_n", "coupling_decay_slope",
+                                                 "coupled_anticluster_slope", "anticluster_stat_k1"]
+        assert pools == [2]
+
+    def test_failed_diagnose_block_leaves_no_worker(self, monkeypatch, pools):
+        import multiprocessing
+
+        from selfnorm import diagnostics
+
+        # every anticluster block raises in its worker, with the coupled
+        # diagnostics' blocks queued behind them
+        def failing(*args, **kwargs):
+            raise RuntimeError("block failed", os.getpid())
+
+        monkeypatch.setattr(diagnostics, "_simulate_rows", failing)
+        with pytest.raises(RuntimeError) as raised:
+            run_experiment(ExperimentConfig.from_dict(self.DIAGNOSE), workers=2)
+        message, pid = raised.value.args
+        assert type(raised.value) is RuntimeError and message == "block failed" and pid != os.getpid()
+        assert pools == [2]
+        assert multiprocessing.active_children() == []
+
+    def test_one_task_runs_in_a_worker(self):
+        # at one worker a task runs in this process; at more, in a worker, alone in its submit too
+        for workers in (1, 2):
+            with Pool(workers) as pool:
+                (pid,) = pool.submit(_pid, [None]).result()
+            assert (pid == os.getpid()) == (workers == 1)
 
 
 class TestRunExperiment:
@@ -865,11 +902,11 @@ class TestMcRow:
 
 
 class TestCompareToLimit:
+    """The two-sample KS distance and its plain critical value."""
+
     def test_identical_samples_zero_distance(self):
         x = np.random.default_rng(1).standard_normal(2000)
-        report = compare_to_limit(x, x.copy())
-        assert report.rows[0].mc == 0.0
-        assert report.all_passed
+        assert ks_distance(x, x.copy()) == 0.0
 
     def test_ks_matches_scipy(self):
         rng = np.random.default_rng(2)
@@ -877,9 +914,9 @@ class TestCompareToLimit:
         assert ks_distance(a, b) == pytest.approx(ks_2samp(a, b).statistic, rel=1e-12)
 
     def test_bound_formula(self):
-        # c(0.01) = sqrt(-ln(0.005)/2) = 1.6276, times sqrt(2/n), times slack
-        got = ks_bound(5000, 5000, level=0.01, slack=1.5)
-        assert got == pytest.approx(1.5 * math.sqrt(-math.log(0.005) / 2) * math.sqrt(2 / 5000), rel=1e-12)
+        # c(0.01) = sqrt(-ln(0.005)/2) = 1.6276, times sqrt(2/n)
+        got = ks_bound(5000, 5000, level=0.01)
+        assert got == pytest.approx(math.sqrt(-math.log(0.005) / 2) * math.sqrt(2 / 5000), rel=1e-12)
 
     def test_negative_control_mismatched_alpha(self, pareto_pos_half):
         # ratio samples at alpha = 0.5 vs series samples at alpha = 0.8: fail
@@ -887,12 +924,7 @@ class TestCompareToLimit:
 
         arrays = simulate_statistics(pareto_pos_half, 20_000, 1500, [{"name": "ratio_max"}], seed=11)
         wrong = sample_limit_lepage_batch(iid_cluster(0.8, (1.0, 0.0)), 0.8, 2.0, reps=1500, n_terms=1000, seed=12)
-        report = compare_to_limit(arrays["ratio_max"], wrong["xi"] / wrong["eta"])
-        assert not report.all_passed
-
-    def test_minimum_sizes(self):
-        with pytest.raises(ConfigurationError):
-            compare_to_limit(np.ones(10), np.ones(2000))
+        assert ks_distance(arrays["ratio_max"], wrong["xi"] / wrong["eta"]) > ks_bound(1500, 1500)
 
 
 def _writer_cases():
