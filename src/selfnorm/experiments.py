@@ -329,8 +329,7 @@ def _stats_block_worker(args) -> dict:
     centering takes two passes over the same counter-based streams: the
     first accumulates the row sums, whose means center the second.
     """
-    model_dict, n, start, stop, seed, plan, centering = args
-    model = model_from_dict(model_dict)
+    model, n, start, stop, seed, plan, centering = args
     center = stationary_mean(model) if centering == "analytic" else 0.0
     indices = np.arange(start, stop)
 
@@ -379,8 +378,7 @@ def _submit_statistics(pool: Pool, model: ProcessModel, n: int, reps: int, specs
     if n < 1 or reps < 1:
         raise ConfigurationError(f"n and reps must be >= 1, got n={n}, reps={reps}")
     plan = _ReductionPlan.build(specs, model.alpha, required=True)
-    model_dict = model_to_dict(model)
-    tasks = [(model_dict, n, start, stop, seed, plan, centering) for start, stop in partition(reps, pool.workers)]
+    tasks = [(model, n, start, stop, seed, plan, centering) for start, stop in partition(reps, pool.workers)]
     return pool.submit(_stats_block_worker, tasks)
 
 
@@ -412,6 +410,8 @@ def _submit_limit_batch(pool: Pool, cluster: ClusterModel, alpha: float, p: floa
                         n_terms: int, seed: int) -> Handle:
     """Check the arguments of :func:`sample_limit_batch_parallel`, then queue
     its replica blocks on ``pool``."""
+    if reps < 1:
+        raise ConfigurationError(f"reps must be >= 1, got reps={reps}")
     limits._lepage_validate(cluster, alpha, p, n_terms)
     # workers get the driver's per-anchor table, not the library's blocks
     cluster = cluster.table_only((p,))
@@ -612,8 +612,8 @@ def _run_verify(config: ExperimentConfig, workers: int):
     cluster = config.cluster_model()
     groups: dict = {}  # centering -> {path check: its statistic spec}
     for check in config.checks:
-        if check in _PATH_STATISTICS:
-            spec, centering = _PATH_STATISTICS[check]
+        if check in _PATH_CHECKS:
+            spec, centering, _ = _PATH_CHECKS[check]
             groups.setdefault(centering or config.centering, {})[check] = spec(config.p)
     model = config.process_model()
     with Pool(workers) as pool:
@@ -631,39 +631,27 @@ def _run_verify(config: ExperimentConfig, workers: int):
     return rows, [("verify.csv", lambda fh, rows_=rows: Report(rows_, {}).rows_to_csv(fh))]
 
 
-# path check -> its statistic as a function of config.p, and the centering it
-# reads the paths under (None: the config's)
-_PATH_STATISTICS = {
-    "greenwood": (lambda p: {"name": "greenwood", "p": p}, "none"),
-    "ratio_max": (lambda p: {"name": "ratio_max"}, None),
-    "ratio_student": (lambda p: {"name": "studentized", "p": p}, None),
-    "kurtosis": (lambda p: {"name": "kurtosis"}, "none"),
+# path check -> its statistic as a function of config.p, the centering it
+# reads the paths under (None: the config's) and its oracle as a function of
+# (cluster, p); the statistic's label names the report row
+_PATH_CHECKS = {
+    "greenwood": (lambda p: {"name": "greenwood", "p": p}, "none",
+                  lambda cluster, p: oracles.expected_greenwood(cluster, p=p)),
+    "ratio_max": (lambda p: {"name": "ratio_max"}, None, lambda cluster, p: oracles.expected_ratio_max(cluster)),
+    "ratio_student": (lambda p: {"name": "studentized", "p": p}, None,
+                      lambda cluster, p: oracles.expected_ratio_student(cluster, p=p)),
+    "kurtosis": (lambda p: {"name": "kurtosis"}, "none", lambda cluster, p: oracles.expected_kurtosis_limit(cluster)),
 }
 
 
-def _path_row(name: str, analytic: Estimate, vals: np.ndarray, z_bound: float) -> ReportRow:
+def _check_path(check, config, cluster, pooled):
+    """One path check's row: its oracle first, so the oracle is computed
+    while the workers simulate, then the mean of its pooled statistic."""
+    spec, _, oracle = _PATH_CHECKS[check]
+    analytic = oracle(cluster, config.p)
+    vals = pooled[check]()
     mc, se = float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals)))
-    return _mc_row(name, analytic, mc, se, z_bound)
-
-
-def _check_greenwood(config, cluster, pooled):
-    analytic = oracles.expected_greenwood(cluster, p=config.p)
-    return [_path_row(f"greenwood_p{config.p:g}", analytic, pooled["greenwood"](), config.z_bound)]
-
-
-def _check_ratio_max(config, cluster, pooled):
-    analytic = oracles.expected_ratio_max(cluster)
-    return [_path_row("ratio_max", analytic, pooled["ratio_max"](), config.z_bound)]
-
-
-def _check_ratio_student(config, cluster, pooled):
-    analytic = oracles.expected_ratio_student(cluster, p=config.p)
-    return [_path_row(f"studentized_p{config.p:g}", analytic, pooled["ratio_student"](), config.z_bound)]
-
-
-def _check_kurtosis(config, cluster, pooled):
-    analytic = oracles.expected_kurtosis_limit(cluster)
-    return [_path_row("kurtosis", analytic, pooled["kurtosis"](), config.z_bound)]
+    return [_mc_row(_parse_spec(spec(config.p))[0], analytic, mc, se, config.z_bound)]
 
 
 def _check_extremal_index(config, cluster, pooled):
@@ -747,10 +735,7 @@ def _check_self_decomposition(config, cluster, pooled):
 
 
 _CHECKS = {
-    "greenwood": _check_greenwood,
-    "ratio_max": _check_ratio_max,
-    "ratio_student": _check_ratio_student,
-    "kurtosis": _check_kurtosis,
+    **{check: functools.partial(_check_path, check) for check in _PATH_CHECKS},
     "extremal_index": _check_extremal_index,
     "lepage_laplace": _check_lepage_laplace,
     "gamma_identity": _check_gamma_identity,

@@ -14,18 +14,19 @@ Three model families are shipped, all univariate:
 All three are Markov chains ``X_t = A_t X_{t-1} + B_t`` (AR(1): ``A = phi``,
 ``B = Z``; iid: ``A = 0``), so one engine, :func:`_path_tiles`, simulates
 them: every path, coupled window and Goldie chain. A replica's innovations
-come from its own Philox stream in a fixed layout: the model's draw calls
-(``NoiseSpec.draw_calls``, ``SRELaw.draw_calls``), each of the row's full
-length, one after another. The engine streams paths through time in tiles
-of ``_TILE_STEPS`` steps: every row keeps one generator per draw call, each
-positioned where its call starts in the layout, draws its next values per
-tile, and the recursion carries its state from tile to tile. Joined, the
-tiles are the same at any tile length, bit for bit, so a consumer that folds
-tiles into accumulators needs memory for one tile, whatever the path length.
-Only a custom SRE law, whose sampler fixes no layout, has its rows drawn
-whole. An iid model reads no burn-in; AR(1) and SRE models burn in from a
-zero start for as long as their contraction rate needs to forget it
-(:func:`_burn_in_steps`).
+come from one Philox stream per draw call of the model
+(``NoiseSpec.draw_calls``, ``SRELaw.draw_calls``): call 0 reads the replica
+stream ``(seed, i, *suffix)`` and call k >= 1 the stream
+``(derive_seed(seed, _CALL_TAG, k), i, *suffix)``, each from its start. The
+engine streams paths through time in tiles of ``_TILE_STEPS`` steps: every
+row keeps one generator per draw call, draws its next values per tile, and
+the recursion carries its state from tile to tile. Joined, the tiles are the
+same at any tile length, bit for bit, so a consumer that folds tiles into
+accumulators needs memory for one tile, whatever the path length. Only a
+custom SRE law, whose sampler draws from one stream as it likes, has its rows
+drawn whole from the replica stream. An iid model reads no burn-in; AR(1)
+and SRE models burn in from a zero start for as long as their contraction
+rate needs to forget it (:func:`_burn_in_steps`).
 
 All samplers are pure functions of ``(model, n, seed)``: identical arguments
 produce bit-identical paths. ``write_csv`` is the one CSV writer of the
@@ -47,7 +48,7 @@ import numpy as np
 import scipy
 
 from .errors import ConfigurationError, ModelError, UnsupportedError
-from .rng import _stream_keys, substream, substreams
+from .rng import _rekey, _stream_keys, derive_seed, substream, substreams
 
 PARETO = "pareto"
 SYMMETRIC_STABLE = "symmetric_stable"
@@ -69,6 +70,8 @@ _SRE_TILE = 256
 # steps at a time, so one float64 tile is at most 2 MB whatever the path length
 _TILE_ROWS = 256
 _TILE_STEPS = 1024
+# the seed path of a draw call's stream: call k >= 1 reads under derive_seed(seed, _CALL_TAG, k)
+_CALL_TAG = 0xCA11
 # lfilter's compiled kernel, ``_linear_filter(b, a, x, axis)``, set by :func:`_ar1_kernel`
 _LINEAR_FILTER = None
 
@@ -169,10 +172,11 @@ class NoiseSpec:
 
     @property
     def draw_calls(self) -> tuple[str, ...]:
-        """The ``Generator`` methods a row of noise is drawn by, in stream
-        order: the Pareto moduli's uniforms, then (two-sided only) the signs'
-        uniforms; the stable law's uniforms, then its exponentials. One-signed
-        noise draws no signs: they would come last and compare alike."""
+        """The ``Generator`` methods a row of noise is drawn by, each from a
+        stream of its own in the path engine: the Pareto moduli's uniforms,
+        then (two-sided only) the signs' uniforms; the stable law's uniforms,
+        then its exponentials. One-signed noise draws no signs: they would
+        all compare alike."""
         if self.kind == SYMMETRIC_STABLE:
             return ("random", "standard_exponential")
         return ("random",) if self.q_plus in (0.0, 1.0) else ("random", "random")
@@ -247,6 +251,11 @@ class SRELaw:
         return self.kind != "custom" and self.b_sd == 0
 
     def sample_ab(self, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """``size`` iid pairs (A, B) from the one stream ``rng``, the draw
+        calls one after another: what the moment checks and the Monte-Carlo
+        means read. A path of a law with more than one draw call reads each
+        call from its own stream (:class:`_TileDraws`), so it is not this
+        layout; a law with one call, or a custom one, is."""
         if self.kind == "custom":
             a, b = self.sampler(rng, size)
             return np.asarray(a, dtype=float), np.asarray(b, dtype=float)
@@ -256,10 +265,11 @@ class SRELaw:
     @property
     def draw_calls(self) -> tuple[str, ...]:
         """The ``Generator`` methods a row of (A, B) of a non-custom law is
-        drawn by, in stream order: the normals of log|A| (lognormal), the
-        uniforms of A's sign (if ``neg_prob > 0``), the normals of B. A
-        constant A or B is not drawn: B's normals come last and would all be
-        multiplied by 0."""
+        drawn by, in order: the normals of log|A| (lognormal), the uniforms of
+        A's sign (if ``neg_prob > 0``), the normals of B. The path engine
+        reads each call from a stream of its own; :meth:`sample_ab` reads them
+        one after another from one stream. A constant A or B is not drawn: B's
+        normals would all be multiplied by 0."""
         return (("standard_normal",) if self.kind == "lognormal" else ()) + (
             ("random",) if self.kind == "lognormal" and self.neg_prob > 0 else ()) + (
             () if self.constant_b else ("standard_normal",))
@@ -447,21 +457,6 @@ def pareto_quantile(u, alpha: float):
     return np.asarray(u, dtype=float) ** (-1.0 / alpha)
 
 
-def _draw_noise(spec: NoiseSpec, rng: np.random.Generator, size: int) -> np.ndarray:
-    return spec._from_draws([getattr(rng, call)(size) for call in spec.draw_calls])
-
-
-def sample_noise(spec: NoiseSpec, count: int, seed: int) -> np.ndarray:
-    """Draw ``count`` iid noise variables, deterministically from ``seed``.
-
-    Uses the replica-0 stream, so an iid path with the same seed reproduces
-    these draws exactly.
-    """
-    if count < 1:
-        raise ConfigurationError("count must be >= 1")
-    return _draw_noise(spec, substream(seed, 0), count)
-
-
 def _ar1_kernel():
     """``scipy.signal._sigtools._linear_filter``, the C loop behind ``lfilter``.
 
@@ -523,7 +518,7 @@ def sre_recursion(a: np.ndarray, b: np.ndarray, x0=0.0) -> np.ndarray:
     return out.reshape(shape)
 
 
-# idle generators for the path engine, which re-keys them with _seek
+# idle generators for the path engine, which re-keys them with rng._rekey
 _IDLE_GENERATORS: list = []
 
 
@@ -540,24 +535,6 @@ def _take_generators(count: int) -> list:
     return taken
 
 
-def _seek(gen: np.random.Generator, key: list, position: int) -> None:
-    """Put ``gen`` on the Philox stream ``key`` (two uint64 words), at
-    ``position`` 64-bit outputs from its start. Philox makes four outputs per
-    counter step: the counter goes to ``position // 4`` and the first
-    ``position % 4`` outputs of the next block are drawn off."""
-    gen.bit_generator.state = {
-        "bit_generator": "Philox", "state": {"counter": [position // 4, 0, 0, 0], "key": key},
-        "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    if position % 4:
-        gen.random(position % 4)
-
-
-def _position(gen: np.random.Generator) -> int:
-    """The number of 64-bit outputs ``gen`` has taken from its stream."""
-    state = gen.bit_generator.state
-    return 4 * int(state["state"]["counter"][0]) - 4 + int(state["buffer_pos"])
-
-
 class _TileDraws:
     """The innovations of a group of replica rows, drawn tile after tile:
     ``next(t)`` returns the next ``t`` innovations of every row, ``(Z,)``
@@ -565,13 +542,13 @@ class _TileDraws:
     A constant B (:attr:`SRELaw.constant_b`) is not drawn: it is a
     read-only 0-stride view of ``b_mean``.
 
-    Each row holds one generator per draw call of its law, positioned where
-    that call's ``size`` values start in the row's stream: a uniform takes
-    one 64-bit output, so a call after uniforms starts ``size`` outputs
-    later; a call after normals or exponentials (whose ziggurat samplers
-    take a variable count) starts where a scan that draws and drops them
-    ends. A user sampler fixes no layout, so a custom law's rows are drawn
-    whole. ``tile`` is the longest ``t`` asked for (default
+    Each row holds one generator per draw call of its law, each at the start
+    of a stream of its own: call 0 of row ``i`` reads the replica stream
+    ``(seed, i, *suffix)``, call k >= 1 the stream
+    ``(derive_seed(seed, _CALL_TAG, k), i, *suffix)``, so no call depends on
+    how many outputs another takes. A user sampler draws its calls from one
+    stream as it likes, so a custom law's rows are drawn whole from the
+    replica stream. ``tile`` is the longest ``t`` asked for (default
     ``_TILE_STEPS``). The returned arrays are reused by the next call.
     """
 
@@ -585,25 +562,12 @@ class _TileDraws:
                 self.whole[0][r], self.whole[1][r] = law.sample_ab(rng, size)
             return
         calls, tile = law.draw_calls, tile or _TILE_STEPS
-        keys = _stream_keys(seed, indices, *suffix).tolist()
         self.gens = [_take_generators(self.rows) for _ in calls]
         self.buffers = [np.empty(self.rows * min(size, tile)) for _ in calls]
-        for r, key in enumerate(keys):
-            position = 0
-            for k, call in enumerate(calls):
-                gen = self.gens[k][r]
-                _seek(gen, key, position)
-                if k + 1 == len(calls):
-                    break
-                if call == "random":
-                    position += size
-                    continue
-                scratch = self.buffers[k][:tile]
-                for lo in range(0, size, tile):
-                    getattr(gen, call)(out=scratch[:min(tile, size - lo)])
-                gen_end = _position(gen)
-                _seek(gen, key, position)  # back to this call's start
-                position = gen_end
+        for k, gens in enumerate(self.gens):
+            keys = _stream_keys(derive_seed(seed, _CALL_TAG, k) if k else seed, indices, *suffix)
+            for gen, key in zip(gens, keys.tolist()):
+                _rekey(gen, key)
         self.calls = [[getattr(g, call) for g in gens] for call, gens in zip(calls, self.gens)]
 
     def next(self, t: int) -> tuple:
@@ -627,8 +591,9 @@ class _TileDraws:
 def _path_tiles(model: ProcessModel, steps: int, seed: int, indices, *suffix: int, skip: int = 0,
                 start=None, tile: Optional[int] = None):
     """The paths of the replica rows ``indices`` (at most ``_TILE_ROWS``
-    of them, for the memory bound) over ``steps`` steps of the streams
-    ``(seed, i, *suffix)``, ``tile`` steps at a time (default
+    of them, for the memory bound) over ``steps`` steps of the replica
+    streams ``(seed, i, *suffix)`` (each draw call on its own stream,
+    :class:`_TileDraws`), ``tile`` steps at a time (default
     ``_TILE_STEPS``).
 
     Yields ``(x, block)`` for steps ``skip`` to ``steps - 1`` in order: the
@@ -685,9 +650,9 @@ def _row_groups(count: int) -> list:
 
 
 def _simulate_rows(model: ProcessModel, n: int, seed: int, indices, tile: Optional[int] = None) -> np.ndarray:
-    """Stationary-regime paths for the given replica indices, one Philox
-    substream per replica: the joined tiles of :func:`_path_tiles`, burn-in
-    dropped. Rows are independent of how they are batched and tiled."""
+    """Stationary-regime paths for the given replica indices, on the
+    replica streams ``(seed, i)``: the joined tiles of :func:`_path_tiles`,
+    burn-in dropped. Rows are independent of how they are batched and tiled."""
     indices = np.asarray(indices)
     out = np.empty((len(indices), n))
     for rows in _row_groups(len(indices)):
@@ -709,12 +674,23 @@ def sample_path(model: ProcessModel, n: int, seed: int, index: int = 0) -> Path:
     return Path(values=values, model=model, seed=seed)
 
 
+def sample_noise(spec: NoiseSpec, count: int, seed: int) -> np.ndarray:
+    """Draw ``count`` iid noise variables, deterministically from ``seed``:
+    replica 0 of an iid path of that length with the same seed, the path
+    engine's one tile of it."""
+    if count < 1:
+        raise ConfigurationError("count must be >= 1")
+    ((x, _),) = _path_tiles(iid_model(spec), count, seed, np.array([0]), tile=count)
+    return x[0]
+
+
 def _coupled_rows(model: ProcessModel, n: int, seed: int, indices: np.ndarray):
     """Coupled pairs sharing innovations on the observation window but with
     independent stationary initial states. Returns (x, x_star, x0, x0_star).
 
-    Replica ``idx`` reads substream ``(seed, idx, 0)`` for the shared window
-    and ``(seed, idx, 1)``, ``(seed, idx, 2)`` for the two burn-ins, each of
+    Replica ``idx`` reads the streams ``(seed, idx, 0)`` for the shared
+    window and ``(seed, idx, 1)``, ``(seed, idx, 2)`` for the two burn-ins
+    (a later draw call under its derived seed, :class:`_TileDraws`), each of
     ``model.burn_in`` steps, of which only the final states are kept; each
     group of rows draws its shared window once and runs it from both
     starts."""
@@ -843,7 +819,7 @@ def check_keys(d: dict, allowed, what: str, required=()) -> None:
 
 def model_to_dict(model: ProcessModel) -> dict:
     """The model as a config dict with its burn-in resolved: what
-    ``config_hash`` covers and what a pool worker rebuilds the model from."""
+    ``config_hash`` covers."""
     d: dict = {"kind": model.kind, "burn_in": model.burn_in}
     if model.noise is not None:
         d["noise"] = {k: getattr(model.noise, k) for k in _NOISE_KEYS}

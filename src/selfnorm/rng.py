@@ -13,10 +13,11 @@ yields the streams ``(seed, i, *suffix)`` of many replicas, the same
 streams bit for bit, at a fraction of the cost: it runs ``SeedSequence``'s
 uint32 hash once over all indices as numpy array arithmetic (the seed's
 words are mixed once, each index and suffix word on whole arrays) and
-re-keys a single ``Generator(Philox)`` per replica by setting its state,
-counter 0 and buffer empty. Each stream it yields is that same object, so a
-caller finishes with one stream before it takes the next; every call site
-draws one replica's values in sequence.
+re-keys a single ``Generator(Philox)`` per replica (:func:`_rekey`: counter
+0, buffer empty). Each stream it yields is that same object, so a caller
+finishes with one stream before it takes the next; every call site draws one
+replica's values in sequence. The path engine re-keys its generators with
+the same helper.
 """
 
 from __future__ import annotations
@@ -130,6 +131,14 @@ def _stream_keys(seed: int, indices, *suffix: int) -> np.ndarray:
     return np.stack([out[0] | (out[1] << 32), out[2] | (out[3] << 32)], axis=1)
 
 
+def _rekey(gen: np.random.Generator, key) -> None:
+    """Put ``gen``, a ``Generator(Philox)``, at the start of the stream with
+    Philox key ``key`` (two uint64 words): counter 0, buffer empty, no spare
+    32-bit half, as a fresh ``Philox`` is. The one writer of a Philox state."""
+    gen.bit_generator.state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
+                               "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+
 def substreams(seed: int, indices, *suffix: int) -> Iterator[np.random.Generator]:
     """The streams ``substream(seed, i, *suffix)`` for ``i`` in ``indices``,
     in order and bit for bit.
@@ -137,13 +146,7 @@ def substreams(seed: int, indices, *suffix: int) -> Iterator[np.random.Generator
     Every stream yielded is one ``Generator`` re-keyed: take all of a
     stream's draws before asking for the next.
     """
-    keys = _stream_keys(seed, indices, *suffix).tolist()
-    bitgen = np.random.Philox(0)
-    gen = np.random.Generator(bitgen)
-    # a fresh Philox: counter 0, buffer empty, no spare 32-bit half
-    key = [0, 0]
-    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
-             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    for key[0], key[1] in keys:
-        bitgen.state = state
+    gen = np.random.Generator(np.random.Philox(0))
+    for key in _stream_keys(seed, indices, *suffix).tolist():
+        _rekey(gen, key)
         yield gen

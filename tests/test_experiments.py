@@ -20,11 +20,13 @@ from selfnorm import (
     ConfigurationError,
     Estimate,
     ExperimentConfig,
+    SRELaw,
     ks_bound,
     ks_distance,
     run_experiment,
     sample_limit_lepage_batch,
     simulate_statistics,
+    sre_model,
 )
 from selfnorm import clusters, stats
 from selfnorm._pool import Pool
@@ -572,6 +574,29 @@ class TestParallel:
         b = sample_limit_batch_parallel(c, 0.5, 2.0, reps=40, n_terms=200, seed=8, workers=4)
         for key in a:
             assert np.array_equal(a[key], b[key])
+
+    @pytest.mark.parametrize("reps", [0, -1])
+    def test_lepage_reps_domain(self, reps):
+        from selfnorm.experiments import sample_limit_batch_parallel
+
+        c = cluster_from_dict({"kind": "iid", "alpha": 0.5, "q_plus": 1.0, "q_minus": 0.0})
+        with pytest.raises(ConfigurationError, match="reps must be >= 1"):
+            sample_limit_batch_parallel(c, 0.5, 2.0, reps=reps, n_terms=100, seed=8, workers=2)
+
+    def test_custom_sre_law(self):
+        # a custom law has no config dict: its blocks get the model itself.
+        # Its sampler makes the bench law's draws from the replica stream, so
+        # the statistics are the bench law's, bit for bit
+        def sampler(rng, size):
+            return np.exp(-0.4 + rng.standard_normal(size)), np.ones(size)
+
+        custom = sre_model(SRELaw(alpha=0.8, kind="custom", sampler=sampler), burn_in=200, kesten_check=False)
+        bench = sre_model(SRELaw(alpha=0.8, sigma=1.0, b_mean=1.0, b_sd=0.0), burn_in=200)
+        specs = [{"name": "ratio_max"}, {"name": "greenwood", "p": 2.0}]
+        got = simulate_statistics(custom, 300, 5, specs, seed=3, workers=1)
+        want = simulate_statistics(bench, 300, 5, specs, seed=3, workers=1)
+        for key in want:
+            assert np.array_equal(got[key], want[key]), key
 
     def test_batch_matches_library_sampler(self):
         from selfnorm.clusters import iid_cluster

@@ -5,6 +5,7 @@ bound; the series sampler's atom draws against the ``searchsorted`` formula.
 
 from __future__ import annotations
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -14,9 +15,9 @@ from selfnorm import clusters, limits, processes
 from selfnorm.clusters import ClusterAtoms
 from selfnorm.errors import ConfigurationError
 from selfnorm.experiments import _stats_block_worker, simulate_statistics
-from selfnorm.processes import (NoiseSpec, SRELaw, ar1_model, ar1_recursion, iid_model, model_to_dict,
-                                sre_model, sre_recursion, stationary_mean)
-from selfnorm.rng import substream
+from selfnorm.processes import (NoiseSpec, SRELaw, ar1_model, ar1_recursion, iid_model, sre_model, sre_recursion,
+                                stationary_mean)
+from selfnorm.rng import derive_seed, substream
 from selfnorm.stats import _parse_spec, _ReductionPlan
 
 BENCH_LAW = SRELaw(alpha=0.8, sigma=1.0, b_mean=1.0, b_sd=0.0)
@@ -28,7 +29,7 @@ MODELS = {
     "ar1_pos_phi": ar1_model(0.5, NoiseSpec("pareto", 1.5)),
     "ar1_neg_phi": ar1_model(-0.95, NoiseSpec("pareto", 0.8, (1.0, 0.0))),
     "sre_constant_b": sre_model(BENCH_LAW),
-    # laws whose later draw calls start after a ziggurat scan
+    # laws with more than one draw call, each on its own stream
     "sre_neg_prob": sre_model(SRELaw(alpha=0.8, sigma=1.0, neg_prob=0.3)),
     "sre_b_sd": sre_model(SRELaw(alpha=0.5, sigma=0.7, neg_prob=0.3, b_mean=0.5, b_sd=2.0)),
     "sre_constant_a": sre_model(SRELaw(alpha=0.9, kind="constant", a_const=0.5, b_sd=1.0),
@@ -36,20 +37,30 @@ MODELS = {
 }
 
 
+def _call_streams(seed, *path):
+    """The stream of each draw call of the replica ``path``, built by
+    ``substream``: call 0 reads ``(seed, *path)``, call k >= 1
+    ``(derive_seed(seed, processes._CALL_TAG, k), *path)``."""
+    return (substream(derive_seed(seed, processes._CALL_TAG, k) if k else seed, *path) for k in itertools.count())
+
+
+def _whole_row(model, size, streams):
+    """One path of ``size`` steps from zero, burn-in kept: each draw call of
+    the model drawn whole from the next of ``streams``, then one recursion
+    over the row."""
+    law = model.sre_law if model.kind == "sre" else model.noise
+    draws = [getattr(rng, call)(size) for rng, call in zip(streams, law.draw_calls)]
+    if model.kind == "sre":
+        return sre_recursion(*law._from_draws(draws, size))
+    z = law._from_draws(draws)
+    return z if model.kind == "iid" else ar1_recursion(model.phi, z)
+
+
 def _whole_rows(model, n, seed, indices):
-    """Each replica's path as one whole row: its noise or (A, B) drawn at
-    once from ``substream(seed, i)``, then one recursion over the row."""
-    size = n + model.burn_in
-    rows = []
-    for i in indices:
-        rng = substream(seed, int(i))
-        if model.kind == "sre":
-            x = sre_recursion(*model.sre_law.sample_ab(rng, size))
-        else:
-            z = processes._draw_noise(model.noise, rng, size)
-            x = z if model.kind == "iid" else ar1_recursion(model.phi, z)
-        rows.append(x[model.burn_in:])
-    return np.stack(rows)
+    """Each replica's stationary path as one whole row (:func:`_whole_row`
+    on its call streams), burn-in dropped."""
+    return np.stack([_whole_row(model, n + model.burn_in, _call_streams(seed, int(i)))[model.burn_in:]
+                     for i in indices])
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
@@ -73,8 +84,47 @@ def test_row_groups_and_coupled_burn_in():
     x, xs, x0, x0s = processes._coupled_rows(model, 20, 2, idx[:3])
     for r, i in enumerate(idx[:3]):
         for k, start in ((1, x0), (2, x0s)):
-            z = processes._draw_noise(model.noise, substream(2, int(i), k), model.burn_in)
-            assert start[r] == ar1_recursion(model.phi, z)[-1]
+            assert start[r] == _whole_row(model, model.burn_in, _call_streams(2, int(i), k))[-1]
+
+
+def _engine_keys(model, seed, indices, *suffix):
+    """The Philox key of every generator of a :class:`processes._TileDraws`,
+    per draw call, as a list of ``(call, row, key)``."""
+    draws = processes._TileDraws(model, 10, seed, indices, *suffix)
+    try:
+        return [(k, r, tuple(int(w) for w in gen.bit_generator.state["state"]["key"]))
+                for k, gens in enumerate(draws.gens) for r, gen in enumerate(gens)]
+    finally:
+        draws.close()
+
+
+def _seed_sequence_key(seed, *path):
+    return tuple(int(w) for w in np.random.SeedSequence(entropy=seed, spawn_key=path).generate_state(2, np.uint64))
+
+
+def test_draw_call_streams_are_disjoint():
+    # three draw calls (log|A|, A's sign, B) on plain rows and on the three
+    # coupled suffixes: call k's streams are numpy's SeedSequence keys under
+    # derive_seed(seed, _CALL_TAG, k), and none of a later call's keys is a
+    # key of call 0 on a plain or a coupled row of the same seed
+    model, seed, idx = MODELS["sre_b_sd"], 7, np.array([0, 1, 2, 5, 300])
+    assert len(model.sre_law.draw_calls) == 3
+    first, later = set(), set()
+    for suffix in ((), (0,), (1,), (2,)):
+        for k, r, key in _engine_keys(model, seed, idx, *suffix):
+            call_seed = derive_seed(seed, processes._CALL_TAG, k) if k else seed
+            assert key == _seed_sequence_key(call_seed, int(idx[r]), *suffix), (suffix, k, r)
+            (later if k else first).add(key)
+    assert len(first) == 4 * len(idx) and len(later) == 8 * len(idx)
+    assert not first & later
+
+
+@pytest.mark.parametrize("spec", [NoiseSpec("pareto", 1.5, (0.3, 0.7)), NoiseSpec("symmetric_stable", 1.5)],
+                         ids=["two-sided", "stable"])
+def test_sample_noise_is_row_zero_of_an_iid_path(spec):
+    got = processes.sample_noise(spec, 3000, 12)
+    assert np.array_equal(got, processes._simulate_rows(iid_model(spec), 3000, 12, np.array([0]))[0])
+    assert np.array_equal(got, _whole_row(iid_model(spec), 3000, _call_streams(12, 0)))
 
 
 STATISTICS = [
@@ -166,20 +216,22 @@ def test_greenwood_rejects_a_signed_tile():
 
 @pytest.mark.parametrize("centering", ["none", "empirical"])
 def test_any_worker_count(centering):
-    # 600 replicas: groups of 256 rows split differently at 1, 2 and 3 workers
-    for model in (MODELS["ar1_pos_phi"], MODELS["sre_constant_b"]):
-        specs = STATISTICS + (GREENWOOD if model.alpha < 1.0 and centering == "none" else [])
+    # 600 replicas: groups of 256 rows split differently at 1, 2 and 3
+    # workers; a two-sided AR(1), and SRE laws with one and three draw calls
+    for name in ("ar1_pos_phi", "sre_constant_b", "sre_b_sd"):
+        model = MODELS[name]
+        specs = STATISTICS + (GREENWOOD if name == "sre_constant_b" and centering == "none" else [])
         one = simulate_statistics(model, 1100, 600, specs, centering, seed=9, workers=1)
         for workers in (2, 3):
             many = simulate_statistics(model, 1100, 600, specs, centering, seed=9, workers=workers)
             for label in one:
-                assert np.array_equal(many[label], one[label]), (workers, label)
+                assert np.array_equal(many[label], one[label]), (name, workers, label)
 
 
 def _worker_peak(model, n, rows, plan):
     tracemalloc.start()
     try:
-        _stats_block_worker((model_to_dict(model), n, 0, rows, 5, plan, "none"))
+        _stats_block_worker((model, n, 0, rows, 5, plan, "none"))
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -199,7 +251,8 @@ def test_goldie_burn_in_streams():
     # tail_constant streams its 64 chains' burn-in through tiles and holds
     # only the 2000 kept steps and their B, so a 100,000-step burn-in (52 MB
     # per whole-row array) peaks below 16 MB; (c, se) are pinned bit for bit,
-    # as recorded when the chains were drawn as whole rows
+    # as a reference that draws each chain's log|A| and B normals as whole
+    # rows from their two streams computes them
     model = sre_model(SRELaw(alpha=0.8, sigma=1.0, b_mean=1.0, b_sd=0.5), burn_in=100_000)
     tracemalloc.start()
     try:
@@ -208,7 +261,7 @@ def test_goldie_burn_in_streams():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20, peak
-    assert (c.hex(), se.hex()) == ("0x1.dd3d07dddefd5p+0", "0x1.3d37847aad8d1p-8")
+    assert (c.hex(), se.hex()) == ("0x1.de40486f322b0p+0", "0x1.231b1bfc6680ap-8")
 
 
 def test_library_build_streams():

@@ -1,4 +1,5 @@
 import importlib.machinery
+import itertools
 import math
 import os
 import subprocess
@@ -41,7 +42,19 @@ from selfnorm.processes import (
     stable_tail_constant,
     tail_constant,
 )
-from selfnorm.rng import substream
+from selfnorm.rng import derive_seed, substream
+
+
+def _call_streams(seed, *path):
+    """The stream of each draw call of the replica ``path``, built by
+    ``substream``: call 0 reads ``(seed, *path)``, call k >= 1
+    ``(derive_seed(seed, processes._CALL_TAG, k), *path)``."""
+    return (substream(derive_seed(seed, processes._CALL_TAG, k) if k else seed, *path) for k in itertools.count())
+
+
+def _noise(spec, streams, size):
+    """A row of noise, each draw call drawn whole from the next of ``streams``."""
+    return spec._from_draws([getattr(rng, call)(size) for rng, call in zip(streams, spec.draw_calls)])
 
 
 class TestNoise:
@@ -184,7 +197,7 @@ class TestAR1Kernel:
         # a scalar start and one start per row, run by the path engine over
         # its own noise in tiles, equal lfilter plus the start's decay
         model, idx, n = ar1_model(phi, NoiseSpec("pareto", 1.5), burn_in=0), np.arange(6), 1100
-        z = np.stack([processes._draw_noise(model.noise, substream(31, int(i)), n) for i in idx])
+        z = np.stack([_noise(model.noise, _call_streams(31, int(i)), n) for i in idx])
         starts = np.stack([np.full(6, 1.7), np.random.default_rng(32).standard_normal(6)])
         monkeypatch.setattr(processes, "_TILE_STEPS", tile)
         got = np.empty((2, 6, n))
@@ -289,17 +302,16 @@ class TestCoupled:
 
 
 def _coupled_rows_per_replica(model, n, seed, indices):
-    """The coupled SRE rows one replica at a time, as scalar recursions: the
-    reference the batched ``_coupled_rows`` must reproduce bit for bit."""
-    from selfnorm.rng import substream
-
+    """The coupled SRE rows one replica at a time, each draw call from its
+    own stream, as scalar recursions: the reference the batched
+    ``_coupled_rows`` must reproduce bit for bit."""
     law, burn = model.sre_law, model.burn_in
     x, xs = np.empty((len(indices), n)), np.empty((len(indices), n))
     x0, x0s = np.empty(len(indices)), np.empty(len(indices))
     for r, idx in enumerate(indices):
-        aa, ba = law.sample_ab(substream(seed, int(idx), 1), burn)
-        ab, bb = law.sample_ab(substream(seed, int(idx), 2), burn)
-        a, b = law.sample_ab(substream(seed, int(idx), 0), n)
+        aa, ba = _sample_ab_reference(law, _call_streams(seed, int(idx), 1), burn)
+        ab, bb = _sample_ab_reference(law, _call_streams(seed, int(idx), 2), burn)
+        a, b = _sample_ab_reference(law, _call_streams(seed, int(idx), 0), n)
         x0[r] = sre_recursion(aa, ba)[-1] if burn else 0.0
         x0s[r] = sre_recursion(ab, bb)[-1] if burn else 0.0
         x[r] = sre_recursion(a, b, x0=x0[r])
@@ -311,16 +323,13 @@ def _ar1_coupled_rows_per_replica(model, n, seed, indices):
     """The coupled AR(1) rows one replica at a time, each window a one-row
     ``lfilter`` plus its start's decay: the reference the batched
     ``_coupled_rows`` must reproduce bit for bit."""
-    from selfnorm.processes import _draw_noise
-    from selfnorm.rng import substream
-
     burn = model.burn_in
     x, xs = np.empty((len(indices), n)), np.empty((len(indices), n))
     x0, x0s = np.empty(len(indices)), np.empty(len(indices))
     for r, idx in enumerate(indices):
-        za = _draw_noise(model.noise, substream(seed, int(idx), 1), burn)
-        zb = _draw_noise(model.noise, substream(seed, int(idx), 2), burn)
-        z = _draw_noise(model.noise, substream(seed, int(idx), 0), n)
+        za = _noise(model.noise, _call_streams(seed, int(idx), 1), burn)
+        zb = _noise(model.noise, _call_streams(seed, int(idx), 2), burn)
+        z = _noise(model.noise, _call_streams(seed, int(idx), 0), n)
         s_a = ar1_recursion(model.phi, za)[-1] if burn else 0.0
         s_b = ar1_recursion(model.phi, zb)[-1] if burn else 0.0
         x[r] = _lfilter_reference(model.phi, z, s_a)
@@ -401,13 +410,16 @@ class TestScaleConstants:
         within_se(count, 1.0, math.sqrt(n / sample.size), k=4)
 
     def test_an_sre_self_consistent(self, sre_lognormal):
-        n = 10**4
+        # n P(|X| > a_n) on 8000 held-out rows of 2500 steps, 500 rows at a
+        # time; the rows' spread sizes the sample, so the [0.8, 1.2] band is
+        # at least 3 stderr wide on either side of 1
+        n, rows, steps = 10**4, 8000, 2500
         a_n = normalizing_an(sre_lognormal, n)
-        from selfnorm.processes import _simulate_rows
-
-        held_out = np.abs(_simulate_rows(sre_lognormal, 2500, 99, np.arange(400))).ravel()
-        ratio = n * np.mean(held_out > a_n)
-        assert 0.8 <= ratio <= 1.2
+        hits = np.concatenate([np.mean(np.abs(_simulate_rows(sre_lognormal, steps, 99, np.arange(lo, lo + 500))) > a_n,
+                                       axis=1) for lo in range(0, rows, 500)])
+        ratio, se = n * hits.mean(), n * hits.std(ddof=1) / math.sqrt(rows)
+        assert se <= 0.067, se
+        assert 0.8 <= ratio <= 1.2, (ratio, se)
 
     SHORT_BURN = sre_model(SRELaw(alpha=0.8, sigma=1.0, b_mean=1.0, b_sd=0.0), burn_in=200)
     # the bench SRE model: alpha = 0.8, sigma = 1, B = 1, default burn-in
@@ -633,16 +645,19 @@ def _sre_recursion_reference(a, b, x0=0.0):
     return out
 
 
-def _sample_ab_reference(law, rng, size):
-    """``SRELaw.sample_ab`` of a non-custom law as written out before A was
-    computed in place and a constant B went undrawn."""
+def _sample_ab_reference(law, streams, size):
+    """(A, B) of a non-custom law as written out before A was computed in
+    place and a constant B went undrawn, each draw call from the next of
+    ``streams``: ``itertools.repeat(rng)`` is ``SRELaw.sample_ab`` on one
+    stream, :func:`_call_streams` a path's layout."""
+    streams = iter(streams)
     if law.kind == "constant":
         a = np.full(size, law.a_const)
     else:
-        a = np.exp(law.mu + law.sigma * rng.standard_normal(size))
+        a = np.exp(law.mu + law.sigma * next(streams).standard_normal(size))
         if law.neg_prob > 0:
-            a = np.where(rng.random(size) < law.neg_prob, -a, a)
-    b = law.b_mean + law.b_sd * rng.standard_normal(size)
+            a = np.where(next(streams).random(size) < law.neg_prob, -a, a)
+    b = law.b_mean + law.b_sd * next(streams).standard_normal(size)
     return a, b
 
 
@@ -670,7 +685,7 @@ class TestSREEngine:
     def test_sample_ab_matches_the_written_out_formula(self, law):
         new, old = substream(4, 1), substream(4, 1)
         a, b = law.sample_ab(new, 1000)
-        ra, rb = _sample_ab_reference(law, old, 1000)
+        ra, rb = _sample_ab_reference(law, itertools.repeat(old), 1000)
         assert np.array_equal(a, ra) and np.array_equal(b, rb)
         if law.b_sd != 0:
             # the same draws were taken, so the stream goes on where it did
@@ -686,7 +701,7 @@ class TestSREEngine:
     def test_constant_b_paths_match_the_written_out_engine(self):
         model = sre_model(BENCH_LAW)
         n, idx = 700, np.array([0, 3, 8])
-        ref = np.stack([_sre_recursion_reference(*_sample_ab_reference(BENCH_LAW, substream(6, int(i)),
+        ref = np.stack([_sre_recursion_reference(*_sample_ab_reference(BENCH_LAW, _call_streams(6, int(i)),
                                                                         n + model.burn_in))
                         for i in idx])
         assert np.array_equal(_simulate_rows(model, n, 6, idx), ref[:, model.burn_in:])
@@ -697,7 +712,7 @@ class TestSREEngine:
         cluster = empirical_cluster(sre_model(BENCH_LAW))
         reps, seed, t_len = 3000, 4, max(200, math.ceil(80.0 / BENCH_LAW.alpha))
         assert reps <= 4_000_000 // t_len
-        a, _ = _sample_ab_reference(BENCH_LAW, substream(seed, 17), reps * t_len)
+        a, _ = _sample_ab_reference(BENCH_LAW, itertools.repeat(substream(seed, 17)), reps * t_len)
         sup = np.max(np.cumprod(np.abs(a).reshape(reps, t_len), axis=1) ** BENCH_LAW.alpha, axis=1)
         vals = np.clip(1.0 - sup, 0.0, None)
         est = extremal_index(cluster, reps, seed, method="sre_products")
