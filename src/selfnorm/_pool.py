@@ -1,8 +1,25 @@
-"""Replica blocks on one process pool per run, shared by ``experiments`` and
-``diagnostics``: contiguous index ranges, and a pool that runs one function
-over a list of tasks and hands back the results in task order."""
+"""Replica blocks on at most one process pool per run, shared by
+``experiments`` and ``diagnostics``: contiguous index ranges, and a pool that
+runs one function over a list of tasks, in workers only when their work
+repays them, and hands back the results in task order."""
 
 from __future__ import annotations
+
+# A submit's work is the values its tasks simulate or draw (path steps with
+# their burn-in, series terms), plus _REPLICA_VALUES per replica for the Python
+# work a replica pays whatever its length: a series replica on an empirical
+# cluster costs about 13 us, the time of about 400 series terms. A value costs
+# about 30 ns, and a two-worker pool that is opened, used and closed adds about
+# 40 ms of CPU to a run (11-15 ms of wall when empty), so _POOL_VALUES, about
+# twice that fixed cost, is the least work that goes to the pool. A smaller
+# submit costs less in the driver than the pool it would need.
+_REPLICA_VALUES = 400
+_POOL_VALUES = 3_000_000
+
+
+def repays_pool(reps: int, values: int) -> bool:
+    """Whether a submit of ``reps`` replicas of ``values`` values each repays a pool."""
+    return reps * (values + _REPLICA_VALUES) >= _POOL_VALUES
 
 
 def partition(reps: int, workers: int) -> list[tuple[int, int]]:
@@ -29,11 +46,13 @@ class Handle:
 class Pool:
     """One run's worker processes, used as a context manager.
 
-    With one worker every task runs in this process when it is submitted,
-    and no executor is made. With more, the executor opens on the first
-    submit and every task runs in a worker, a submit of one task too. Tasks
-    queue in submit order, so the caller can submit all of its pooled work,
-    then compute in this process while the workers run it. On exit the
+    A submit runs its tasks in this process when it is submitted if the pool
+    has one worker or the submit holds too little work to repay a worker
+    (:func:`repays_pool`); no executor is made for it. Otherwise the executor
+    opens on the first such submit and every task of it runs in a worker, a
+    submit of one task too. Pooled
+    tasks queue in submit order, so the caller can submit all of its pooled
+    work, then compute in this process while the workers run it. On exit the
     executor is shut down and its workers joined; after an error, tasks not
     yet started are cancelled first.
     """
@@ -50,9 +69,11 @@ class Pool:
             self._executor.shutdown(wait=True, cancel_futures=exc_type is not None)
             self._executor = None
 
-    def submit(self, fn, tasks) -> Handle:
-        """``fn`` over ``tasks``: in this process now at one worker, else queued on the pool."""
-        if self.workers <= 1:
+    def submit(self, fn, tasks, reps: int, values: int) -> Handle:
+        """``fn`` over ``tasks``, which hold ``reps`` replicas of ``values``
+        values each: in this process now unless they repay a pool, else queued
+        on it."""
+        if self.workers <= 1 or not repays_pool(reps, values):
             return Handle(results=[fn(t) for t in tasks])
         if self._executor is None:
             # imported on this branch only: a run without a pool never loads multiprocessing

@@ -558,6 +558,8 @@ class ClusterAtoms:
         n = len(self.weights)
         if self.draw_chunk:
             step = self.draw_chunk
+            if 0 < count <= step:  # one call: a series replica's draw, paid once per replica
+                return rng.integers(0, n, size=count)
             return np.concatenate([rng.integers(0, n, size=min(step, count - lo))
                                    for lo in range(0, count, step)] or [np.zeros(0, dtype=np.int64)])
         cdf = np.cumsum(self.weights)

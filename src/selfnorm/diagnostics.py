@@ -10,8 +10,9 @@ Each diagnostic has a submit step (``_submit_coupling``,
 arguments, queues its replica blocks on a run's :class:`_pool.Pool` and
 returns a call that waits for the blocks and reduces them in the calling
 process, in replica order, so every series is identical for any worker
-count. A ``diagnose`` run queues all three on its one pool; each public
-estimator runs its own on a one-worker pool.
+count. A ``diagnose`` run submits all three to its one pool, which runs a
+submit too small to repay a worker in this process; each public estimator
+runs its own on a one-worker pool.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigurationError, UnsupportedError
 from ._pool import Pool, partition
-from .processes import ProcessModel, _coupled_rows, _simulate_rows, normalizing_an, write_csv
+from .processes import _TILE_ROWS, ProcessModel, _coupled_rows, _simulate_rows, normalizing_an, write_csv
 
 
 @dataclass(frozen=True)
@@ -79,8 +80,10 @@ def _coupling_block(task):
     out = []
     for idx in _chunks(start, stop, chunk):
         x, xs, _, _ = _coupled_rows(model, t_max, seed, idx)
-        d = np.abs(x - xs) ** q
-        out.append((d.sum(axis=0), (d**2).sum(axis=0)))
+        # in place over the two paths, the same values as abs(x - xs) ** q and its square
+        d = np.abs(np.subtract(x, xs, out=x), out=x)
+        d **= q
+        out.append((d.sum(axis=0), np.square(d, out=xs).sum(axis=0)))
     return out
 
 
@@ -113,7 +116,7 @@ def _submit_coupling(pool: Pool, model: ProcessModel, q: float, t_max: int, reps
     chunk = max(1, 4_000_000 // (t_max + model.burn_in))
     tasks = [(model, seed, lo * chunk, min(hi * chunk, reps), q, t_max, chunk)
              for lo, hi in partition(-(-reps // chunk), pool.workers)]
-    handle = pool.submit(_coupling_block, tasks)
+    handle = pool.submit(_coupling_block, tasks, reps, t_max + 2 * model.burn_in)
     return lambda: _coupling_series(handle.result(), reps, t_max)
 
 
@@ -134,8 +137,8 @@ def _suffix_rows(terms: np.ndarray, k_grid: np.ndarray) -> np.ndarray:
 
 
 def _suffix_block(task):
-    model, seed, start, stop, rows_fn, chunk, params = task
-    return np.concatenate([rows_fn(model, seed, idx, **params) for idx in _chunks(start, stop, chunk)])
+    model, seed, start, stop, rows_fn, params = task
+    return np.concatenate([rows_fn(model, seed, idx, **params) for idx in _chunks(start, stop, _TILE_ROWS)])
 
 
 def _suffix_series(blocks: list, n: int, k_grid: np.ndarray) -> DecaySeries:
@@ -147,14 +150,16 @@ def _suffix_series(blocks: list, n: int, k_grid: np.ndarray) -> DecaySeries:
     return DecaySeries(k_grid, mean, se, slope, r2)
 
 
-def _submit_suffix(pool, rows_fn, params, model, n, r_n, k_grid, reps, seed, a_n) -> Callable[[], DecaySeries]:
+def _submit_suffix(pool, rows_fn, params, burn_ins, model, n, r_n, k_grid, reps, seed,
+                   a_n) -> Callable[[], DecaySeries]:
     """Queue on ``pool`` the replica blocks of n * sum_{j=k}^{r_n} E[term_j]
     for every cutoff k, with standard errors from the replica-level suffix
     sums; the call returned waits for them and reduces them. Nested sums on
     one sample make the series non-increasing in k exactly. ``r_n`` defaults
     to ``floor(n^0.4)`` and ``a_n`` to ``normalizing_an(model, n)``. A
-    replica's row does not depend on the block it is computed in, so blocks
-    need no alignment."""
+    replica's row, a window of about r_n steps after ``burn_ins`` burn-ins,
+    does not depend on the block or chunk it is computed in, so blocks need
+    no alignment and chunks are the path engine's row groups."""
     if r_n is None:
         r_n = int(n**0.4)
     if reps < 2:
@@ -169,10 +174,10 @@ def _submit_suffix(pool, rows_fn, params, model, n, r_n, k_grid, reps, seed, a_n
         raise ConfigurationError("k_grid must lie inside [1, r_n + 1]")
     if a_n is None:
         a_n = normalizing_an(model, n)
-    chunk = max(1, 2_000_000 // (r_n + 1 + model.burn_in))
     params = {**params, "r_n": r_n, "k_grid": k_grid, "a_n": a_n}
-    handle = pool.submit(_suffix_block, [(model, seed, lo, hi, rows_fn, chunk, params)
-                                         for lo, hi in partition(reps, pool.workers)])
+    handle = pool.submit(_suffix_block, [(model, seed, lo, hi, rows_fn, params)
+                                         for lo, hi in partition(reps, pool.workers)],
+                         reps, r_n + 1 + burn_ins * model.burn_in)
     return lambda: _suffix_series(handle.result(), n, k_grid)
 
 
@@ -187,7 +192,7 @@ def _submit_anticluster(pool, model, n, r_n, k_grid, x, reps, seed, a_n) -> Call
     blocks on ``pool``; the call returned waits for them and reduces them."""
     if x <= 0:
         raise ConfigurationError("x must be positive")
-    return _submit_suffix(pool, _anticluster_rows, {"x": x}, model, n, r_n, k_grid, reps, seed, a_n)
+    return _submit_suffix(pool, _anticluster_rows, {"x": x}, 1, model, n, r_n, k_grid, reps, seed, a_n)
 
 
 def anticluster_stat(
@@ -225,7 +230,7 @@ def _submit_coupled_anticluster(pool, model, n, r_n, k_grid, q, reps, seed,
     replica blocks on ``pool``; the call returned waits for them and reduces
     them."""
     _check_q(model, q)
-    return _submit_suffix(pool, _coupled_anticluster_rows, {"q": q}, model, n, r_n, k_grid, reps, seed, a_n)
+    return _submit_suffix(pool, _coupled_anticluster_rows, {"q": q}, 2, model, n, r_n, k_grid, reps, seed, a_n)
 
 
 def coupled_anticluster_stat(

@@ -379,7 +379,8 @@ def _submit_statistics(pool: Pool, model: ProcessModel, n: int, reps: int, specs
         raise ConfigurationError(f"n and reps must be >= 1, got n={n}, reps={reps}")
     plan = _ReductionPlan.build(specs, model.alpha, required=True)
     tasks = [(model, n, start, stop, seed, plan, centering) for start, stop in partition(reps, pool.workers)]
-    return pool.submit(_stats_block_worker, tasks)
+    passes = 2 if centering == "empirical" else 1  # empirical centering simulates each path twice
+    return pool.submit(_stats_block_worker, tasks, reps, passes * (n + model.burn_in))
 
 
 def _gather(handle: Handle, key: Optional[str] = None):
@@ -410,13 +411,11 @@ def _submit_limit_batch(pool: Pool, cluster: ClusterModel, alpha: float, p: floa
                         n_terms: int, seed: int) -> Handle:
     """Check the arguments of :func:`sample_limit_batch_parallel`, then queue
     its replica blocks on ``pool``."""
-    if reps < 1:
-        raise ConfigurationError(f"reps must be >= 1, got reps={reps}")
-    limits._lepage_validate(cluster, alpha, p, n_terms)
+    limits._lepage_validate(cluster, alpha, p, reps, n_terms)
     # workers get the driver's per-anchor table, not the library's blocks
     cluster = cluster.table_only((p,))
     tasks = [(cluster, alpha, p, n_terms, seed, start, stop) for start, stop in partition(reps, pool.workers)]
-    return pool.submit(_lepage_block_worker, tasks)
+    return pool.submit(_lepage_block_worker, tasks, reps, n_terms)
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +426,8 @@ def ks_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Two-sample Kolmogorov-Smirnov distance."""
     a = np.sort(np.asarray(a, dtype=float))
     b = np.sort(np.asarray(b, dtype=float))
+    if a.size == 0 or b.size == 0:
+        raise ConfigurationError(f"KS distance needs two non-empty samples, got sizes {a.size} and {b.size}")
     grid = np.concatenate([a, b])
     fa = np.searchsorted(a, grid, side="right") / len(a)
     fb = np.searchsorted(b, grid, side="right") / len(b)
@@ -435,6 +436,10 @@ def ks_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 def ks_bound(m: int, n: int, level: float = 0.01) -> float:
     """Two-sample KS critical value at the given level."""
+    if m < 1 or n < 1:
+        raise ConfigurationError(f"sample sizes must be >= 1, got m={m}, n={n}")
+    if not 0.0 < level < 1.0:
+        raise ConfigurationError(f"level must lie in (0, 1), got {level}")
     c = math.sqrt(-math.log(level / 2.0) / 2.0)
     return c * math.sqrt((m + n) / (m * n))
 

@@ -46,8 +46,9 @@ from .rng import substreams
 
 QUAD_TOL = 1e-8
 DEFAULT_N_TERMS = 10_000
-# values per block of the series sampler's arithmetic (about 2 MB per array)
-_SERIES_BLOCK = 250_000
+# values per block of the series sampler's arithmetic (256 KB per array), so
+# that a sample run in the driver adds little to its peak memory
+_SERIES_BLOCK = 2**15
 
 
 @dataclass(frozen=True)
@@ -540,7 +541,9 @@ def ratio_cf(u: float, cluster: ClusterModel, *, atoms: Optional[ClusterAtoms] =
 # series sampler
 
 
-def _lepage_validate(cluster: ClusterModel, alpha: float, p: float, n_terms: int) -> None:
+def _lepage_validate(cluster: ClusterModel, alpha: float, p: float, reps: int, n_terms: int) -> None:
+    if reps < 1:
+        raise ConfigurationError(f"reps must be >= 1, got reps={reps}")
     if abs(cluster.alpha - alpha) > 1e-12:
         raise ConfigurationError(f"alpha {alpha} disagrees with the cluster model's {cluster.alpha}")
     if alpha >= 1.0:
@@ -572,13 +575,15 @@ def sample_limit_lepage_batch(
     starting at ``first_index``).
 
     Each replica draws its n_terms exponentials and then its atoms from its
-    own stream; the arithmetic runs on blocks of about ``_SERIES_BLOCK`` values.
+    own stream; the arithmetic runs on blocks of about ``_SERIES_BLOCK`` values
+    (2**15, a few replicas of a long series), which give the same values as
+    any other block size, since every reduction runs along one replica's row.
     When one atom holds all the weight (one-signed geometric clusters) the
     atom draws are skipped: they come last in the stream and would all
     return that atom. The final root and the truncation bound stay
     per-replica scalar powers, which numpy's array ``pow`` need not match to
     the last bit."""
-    _lepage_validate(cluster, alpha, p, n_terms)
+    _lepage_validate(cluster, alpha, p, reps, n_terms)
     law = cluster_law(cluster, (p,))
     out = {k: np.empty(reps) for k in ("xi", "eta", "zeta_p", "truncation_bound")}
     rows = max(1, min(reps, _SERIES_BLOCK // n_terms))

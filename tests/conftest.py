@@ -40,6 +40,15 @@ def within_se():
 
 
 @pytest.fixture
+def forced_pool(monkeypatch):
+    """Every submit at more than one worker goes to the pool, however little
+    work it holds, so a worker-count test compares driver and workers."""
+    from selfnorm import _pool
+
+    monkeypatch.setattr(_pool, "_POOL_VALUES", 0)
+
+
+@pytest.fixture
 def warning_quad(monkeypatch):
     """``scipy.integrate.quad`` that raises one IntegrationWarning per call."""
     quad = scipy.integrate.quad

@@ -193,7 +193,7 @@ def test_criterion_11_distributional_convergence(iid_ratio_5k):
     report(11, d <= 0.03, f"KS(sum/max, series ratio) = {d:.4f} (tol 0.03)")
 
 
-def test_criterion_12_property_suites():
+def test_criterion_12_property_suites(forced_pool):
     cases = 1000
     rng = substream(111)
     lines = []

@@ -286,11 +286,11 @@ def test_verify_simulates_once_per_centering(monkeypatch, centering, calls):
     assert seen == calls
 
 
-def test_verify_paths_any_worker_count():
+def test_verify_paths_any_worker_count(forced_pool):
     assert run_outputs(PATH_VERIFY, workers=1) == run_outputs(PATH_VERIFY, workers=2)
 
 
-def test_sre_diagnose_one_tail_constant_any_worker_count(monkeypatch):
+def test_sre_diagnose_one_tail_constant_any_worker_count(monkeypatch, forced_pool):
     # the run computes the tail constant behind a_n once (directly or through
     # normalizing_an), and two workers change no byte of the report or the
     # artifacts
@@ -311,7 +311,7 @@ def test_sre_diagnose_one_tail_constant_any_worker_count(monkeypatch):
                            "diagnose_summary.json"}
 
 
-def test_ar1_diagnose_any_worker_count():
+def test_ar1_diagnose_any_worker_count(forced_pool):
     # 47 replicas split unevenly over 2 and 3 workers change no byte of the
     # report or the artifacts
     config = {**AR1_DIAGNOSE, "reps": 47}
@@ -336,7 +336,7 @@ EMPIRICAL_RUNS = {
 
 
 @pytest.mark.parametrize("run", sorted(EMPIRICAL_RUNS))
-def test_empirical_runs_any_worker_count(run):
+def test_empirical_runs_any_worker_count(run, forced_pool):
     config = EMPIRICAL_RUNS[run]
     assert run_outputs(config, workers=1) == run_outputs(config, workers=2)
 

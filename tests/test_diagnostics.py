@@ -7,9 +7,11 @@ import pytest
 from selfnorm import ConfigurationError, NoiseSpec, SRELaw, UnsupportedError, ar1_model, sre_model
 from selfnorm._pool import Handle, Pool
 from selfnorm.diagnostics import (
+    _anticluster_rows,
     _submit_anticluster,
     _submit_coupled_anticluster,
     _submit_coupling,
+    _suffix_block,
     anticluster_stat,
     coupled_anticluster_stat,
     coupling_decay,
@@ -106,9 +108,10 @@ class TestCoupledAnticluster:
         assert series.values[-1] == 0.0
 
 
+@pytest.mark.usefixtures("forced_pool")
 class TestWorkers:
     """Every diagnostic reduces its replica blocks in the calling process, so
-    the series is the same at any worker count."""
+    the series is the same at any worker count, with its blocks in workers."""
 
     @staticmethod
     def _same(submit, *args):
@@ -143,7 +146,7 @@ class TestWorkers:
                 self.workers = workers
                 self.edges = []
 
-            def submit(self, fn, tasks):
+            def submit(self, fn, tasks, reps, values):
                 self.edges += [task[2:4] for task in tasks]
                 return Handle(results=[fn(task) for task in tasks])
 
@@ -152,6 +155,13 @@ class TestWorkers:
             _submit_coupling(pool, model, 0.4, 10, 120, 15)
             assert pool.edges == edges
         self._same(_submit_coupling, model, 0.4, 10, 120, 15)
+
+    def test_suffix_rows_do_not_depend_on_their_chunk(self, ar1_pos_half):
+        # 600 replicas make three chunks of the path engine's row groups
+        params = {"r_n": 20, "k_grid": np.array([1, 5, 21]), "a_n": 1e4, "x": 1.0}
+        chunked = _suffix_block((ar1_pos_half, 16, 0, 600, _anticluster_rows, params))
+        whole = _anticluster_rows(ar1_pos_half, 16, np.arange(600), **params)
+        assert chunked.tobytes() == whole.tobytes()
 
 
 class TestSeriesExport:

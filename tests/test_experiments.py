@@ -558,14 +558,14 @@ class TestStatisticSpecs:
 
 
 class TestParallel:
-    def test_serial_parallel_bit_equality(self, ar1_pos_half):
+    def test_serial_parallel_bit_equality(self, ar1_pos_half, forced_pool):
         specs = [{"name": "ratio_max"}, {"name": "studentized", "p": 2.0}]
         a = simulate_statistics(ar1_pos_half, 2000, 64, specs, seed=7, workers=1)
         b = simulate_statistics(ar1_pos_half, 2000, 64, specs, seed=7, workers=3)
         for key in a:
             assert np.array_equal(a[key], b[key])
 
-    def test_lepage_parallel_equality(self):
+    def test_lepage_parallel_equality(self, forced_pool):
         cluster = {"kind": "iid", "alpha": 0.5, "q_plus": 1.0, "q_minus": 0.0}
         from selfnorm.experiments import sample_limit_batch_parallel
 
@@ -633,7 +633,8 @@ class TestEmpiricalWorkers:
         yield calls
         clusters._shared_library.cache_clear()
 
-    def _run(self, cfg: dict, workers: int, out) -> tuple[dict, dict]:
+    @staticmethod
+    def _run(cfg: dict, workers: int, out) -> tuple[dict, dict]:
         run_experiment(ExperimentConfig.from_dict(cfg), out_dir=out, workers=workers)
         root = out / cfg["name"]
         report = json.loads((root / "report.json").read_text())
@@ -647,7 +648,7 @@ class TestEmpiricalWorkers:
         dict(kind="verify", name="emp-verify", model=AR1_POS_HALF, cluster=CLUSTER, n=1000, reps=300,
              p=2.0, checks=["extremal_index", "lepage_laplace"], n_terms=200, seed=4),
     ], ids=["limit", "verify"])
-    def test_worker_count_invariance(self, cfg, tmp_path, builds):
+    def test_worker_count_invariance(self, cfg, tmp_path, builds, forced_pool):
         one = self._run(cfg, 1, tmp_path / "one")
         two = self._run(cfg, 2, tmp_path / "two")
         assert len(builds) == 1
@@ -669,7 +670,7 @@ class TestEmpiricalWorkers:
         assert self._run(cfg, 1, tmp_path / "b") == first
         assert len(builds) == 2
 
-    def test_overlapped_verify_any_worker_count(self, tmp_path, builds):
+    def test_overlapped_verify_any_worker_count(self, tmp_path, builds, forced_pool):
         # path blocks and series blocks queue on one pool while the driver
         # builds the SRE-sourced library for the oracles
         cluster = {"kind": "empirical", "source": SRE_POS, "sample_length": 200_000, "library_seed": 3}
@@ -694,28 +695,32 @@ def _pid(_task):
     return os.getpid()
 
 
+@pytest.fixture
+def pools(monkeypatch):
+    """The ``max_workers`` of every process pool executor made, in order."""
+    import concurrent.futures
+
+    made = []
+
+    class Counted(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+    return made
+
+
+@pytest.mark.usefixtures("forced_pool")
 class TestOnePool:
     """A run holds one pool: a verify run queues its path blocks and its series
     blocks on the same executor, a diagnose run the blocks of its three
-    diagnostics, and each shuts it down, after an error too."""
+    diagnostics, and each shuts it down, after an error too. Every submit is
+    forced onto the pool, however small."""
 
     CFG = dict(kind="verify", name="one-pool", model=AR1_POS_HALF, n=4000, reps=200, p=2.0,
                checks=["greenwood", "ratio_max", "kurtosis", "lepage_laplace"], n_terms=200, seed=3)
     DIAGNOSE = dict(kind="diagnose", name="one-pool-diagnose", model=AR1_POS_HALF, n=2000, reps=200, seed=3)
-
-    @pytest.fixture
-    def pools(self, monkeypatch):
-        import concurrent.futures
-
-        made = []
-
-        class Counted(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                made.append(kwargs.get("max_workers"))
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
-        return made
 
     def test_verify_starts_one_pool(self, pools):
         report = run_experiment(ExperimentConfig.from_dict(self.CFG), workers=2)
@@ -773,8 +778,73 @@ class TestOnePool:
         # at one worker a task runs in this process; at more, in a worker, alone in its submit too
         for workers in (1, 2):
             with Pool(workers) as pool:
-                (pid,) = pool.submit(_pid, [None]).result()
+                (pid,) = pool.submit(_pid, [None], 1, 1).result()
             assert (pid == os.getpid()) == (workers == 1)
+
+
+class TestSmallSubmits:
+    """A submit that holds too little work to repay a worker runs in the
+    driver at any worker count, and gives what the pool gives."""
+
+    # (reps, values per replica) of submits; the burn-ins are 57 steps for the
+    # benchmark AR(1) model and 580 for the benchmark SRE model
+    IN_DRIVER = {
+        "empirical-limits verify series": (4000, 200),
+        "empirical-limits limit series": (200, 2000),
+        "ar1-paths diagnose anticluster": (2000, 40 + 57),
+        "ar1-paths diagnose coupling": (2000, 30 + 2 * 57),
+        "ar1-paths diagnose coupled anticluster": (2000, 40 + 2 * 57),
+        "sre diagnose anticluster": (20, 40 + 580),
+        "sre diagnose coupling": (20, 30 + 2 * 580),
+        "sre diagnose coupled anticluster": (20, 40 + 2 * 580),
+        "diagnose_ar1 anticluster": (3000, 101 + 57),
+        "diagnose_ar1 coupling": (3000, 30 + 2 * 57),
+        "diagnose_ar1 coupled anticluster": (3000, 101 + 2 * 57),
+    }
+    IN_POOL = {
+        "ar1-paths paths": (2000, 10_000 + 57),
+        "ar1-paths series": (2000, 2000),
+        "sre paths": (500, 10_000 + 580),
+        "limit_iid series": (5000, 4000),
+        "simulate_ar1 paths": (500, 100_000 + 57),
+        "verify_ar1 paths": (3000, 100_000 + 57),
+        "verify_iid paths": (2000, 100_000),
+        "verify_iid series": (2000, 2000),
+        # 100 terms hold little work per replica, 20,000 replicas a lot
+        "empirical series 20,000 x 100": (20_000, 100),
+    }
+
+    def test_burn_ins_of_the_table(self):
+        assert model_from_dict(AR1_POS_HALF).burn_in == 57
+        assert model_from_dict(SRE_POS).burn_in == 580
+
+    def test_classification(self):
+        from selfnorm._pool import repays_pool
+
+        assert {name for name, size in self.IN_DRIVER.items() if repays_pool(*size)} == set()
+        assert {name for name, size in self.IN_POOL.items() if not repays_pool(*size)} == set()
+
+    def test_small_submit_runs_in_the_driver(self, pools):
+        with Pool(2) as pool:
+            (pid,) = pool.submit(_pid, [None], 4000, 200).result()
+        assert pid == os.getpid() and pools == []
+
+    @pytest.mark.parametrize("cfg", [
+        dict(kind="verify", name="emp-verify", model=AR1_POS_HALF, cluster=TestEmpiricalWorkers.CLUSTER, n=1000,
+             reps=4000, p=2.0, checks=["extremal_index", "lepage_laplace", "self_decomposition"], n_terms=200,
+             cluster_mc=1000, seed=5),
+        dict(kind="limit", name="emp-limit", cluster=TestEmpiricalWorkers.CLUSTER, reps=200, n_terms=2000, p=2.0,
+             seed=6),
+    ], ids=["verify", "limit"])
+    def test_empirical_limits_sizes_fork_no_process(self, cfg, tmp_path, pools, monkeypatch):
+        from selfnorm import _pool
+
+        # the benchmark's empirical-limits sizes, at two workers
+        driver = TestEmpiricalWorkers._run(cfg, 2, tmp_path / "driver")
+        assert pools == []
+        monkeypatch.setattr(_pool, "_POOL_VALUES", 0)
+        assert TestEmpiricalWorkers._run(cfg, 2, tmp_path / "pool") == driver
+        assert pools == [2]
 
 
 class TestRunExperiment:
@@ -942,6 +1012,21 @@ class TestCompareToLimit:
         # c(0.01) = sqrt(-ln(0.005)/2) = 1.6276, times sqrt(2/n)
         got = ks_bound(5000, 5000, level=0.01)
         assert got == pytest.approx(math.sqrt(-math.log(0.005) / 2) * math.sqrt(2 / 5000), rel=1e-12)
+
+    @pytest.mark.parametrize("a,b", [([], [1.0, 2.0]), ([1.0, 2.0], [])], ids=["first", "second"])
+    def test_empty_sample_is_refused(self, a, b):
+        with pytest.raises(ConfigurationError, match="non-empty"):
+            ks_distance(np.array(a), np.array(b))
+
+    @pytest.mark.parametrize("m,n", [(0, 10), (10, 0), (-1, 10)])
+    def test_bound_refuses_empty_sizes(self, m, n):
+        with pytest.raises(ConfigurationError, match="sample sizes"):
+            ks_bound(m, n)
+
+    @pytest.mark.parametrize("level", [0.0, 1.0, 2.0, -0.1])
+    def test_bound_refuses_levels_outside_zero_one(self, level):
+        with pytest.raises(ConfigurationError, match="level"):
+            ks_bound(10, 10, level=level)
 
     def test_negative_control_mismatched_alpha(self, pareto_pos_half):
         # ratio samples at alpha = 0.5 vs series samples at alpha = 0.8: fail

@@ -429,6 +429,11 @@ class TestLepageSampler:
         gam1 = np.cumsum(rng.standard_exponential(500))[0]
         assert d["eta"][0] == pytest.approx(gam1 ** (-2.0), rel=1e-12)
 
+    @pytest.mark.parametrize("reps", [0, -1])
+    def test_refuses_reps_below_one(self, reps):
+        with pytest.raises(ConfigurationError, match="reps must be >= 1"):
+            sample_limit_lepage_batch(iid_cluster(0.5), 0.5, 2.0, reps=reps, n_terms=100, seed=1)
+
     def test_preconditions(self):
         c = iid_cluster(0.5)
         with pytest.raises(ConfigurationError):

@@ -215,7 +215,7 @@ def test_greenwood_rejects_a_signed_tile():
 
 
 @pytest.mark.parametrize("centering", ["none", "empirical"])
-def test_any_worker_count(centering):
+def test_any_worker_count(centering, forced_pool):
     # 600 replicas: groups of 256 rows split differently at 1, 2 and 3
     # workers; a two-sided AR(1), and SRE laws with one and three draw calls
     for name in ("ar1_pos_phi", "sre_constant_b", "sre_b_sd"):

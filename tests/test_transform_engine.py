@@ -343,7 +343,8 @@ _BLOCK_SIGNAL = """
 
 def test_sre_runs_leave_scipy_signal_out(tmp_path):
     _fresh(_BLOCK_SIGNAL + f"""
-    from selfnorm import ExperimentConfig, run_experiment
+    from selfnorm import ExperimentConfig, _pool, run_experiment
+    _pool._POOL_VALUES = 0  # every submit at two workers goes to the pool
     sre = {{"kind": "sre", "burn_in": 200,
             "sre_law": {{"kind": "lognormal", "alpha": 0.8, "sigma": 1.0, "b_mean": 1.0, "b_sd": 0.0}}}}
     cluster = {{"kind": "empirical", "source": sre, "sample_length": 20_000, "library_seed": 4}}
@@ -360,8 +361,9 @@ def test_ar1_runs_leave_scipy_signal_out(tmp_path):
     # forked workers inherit it, and results stay the same for any worker count
     _fresh(_BLOCK_SIGNAL + f"""
     import numpy as np
-    from selfnorm import ExperimentConfig, NoiseSpec, ar1_model, processes, run_experiment
+    from selfnorm import ExperimentConfig, NoiseSpec, _pool, ar1_model, processes, run_experiment
     from selfnorm.experiments import simulate_statistics
+    _pool._POOL_VALUES = 0  # every submit at two workers goes to the pool
     model = ar1_model(0.5, NoiseSpec(kind="pareto", alpha=0.5, tail_balance=(1.0, 0.0)), burn_in=50)
     assert processes._LINEAR_FILTER is not None and 'scipy.signal' not in sys.modules
     ar1 = {{"kind": "ar1", "phi": 0.5, "noise": {{"kind": "pareto", "alpha": 0.5, "q_plus": 1.0, "q_minus": 0.0}}}}
