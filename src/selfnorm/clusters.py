@@ -523,6 +523,28 @@ def tilted_acceptance(model: ClusterModel, reps: int, seed: int = 0) -> Estimate
 # series sampler, the transform engine, the oracles and the moment estimators
 
 
+def _uniform_indices(raw: np.ndarray, n: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """``rng.integers(0, n, size=count)`` for each row of ``raw``, the words
+    of a stream with no spare 32-bit half, by numpy's arithmetic: each word
+    splits into 32-bit halves, low half first (calls of any sizes read one
+    sequence, the spare half kept between them); an index is ``u * n >> 32``
+    (Lemire), resampled when the low 32 bits of ``u * n`` fall below
+    ``(2**32 - n) % n``. Returns the indices and a per-row flag, set on every
+    row where numpy would have resampled, whose indices are then not numpy's.
+    ``n`` is at most 2**32 (numpy reads whole words beyond), as the atoms of
+    any law held in memory are.
+    """
+    rows = len(raw)
+    if n == 1:  # numpy reads no word
+        return np.zeros((rows, count), np.int64), np.zeros(rows, bool)
+    u = np.empty((rows, 2 * raw.shape[1]), np.uint64)
+    u[:, 0::2] = raw & np.uint64(0xFFFFFFFF)
+    u[:, 1::2] = raw >> np.uint64(32)
+    scaled = u[:, :count] * np.uint64(n)
+    redo = ((scaled & np.uint64(0xFFFFFFFF)) < (2**32 - n) % n).any(axis=1)
+    return (scaled >> np.uint64(32)).astype(np.int64), redo
+
+
 @dataclass(frozen=True)
 class ClusterAtoms:
     """Weighted atoms of (sum Q, max|Q|, ||Q||_p^p, ||Q||_1).
@@ -531,9 +553,12 @@ class ClusterAtoms:
     are the ``reps`` anchors of an empirical library, and ``group`` holds each
     atom's library chain. ``norms`` maps every exponent q the law was built
     for to ``||Q||_q^q``; ``norm_p_p`` is the one at ``p``.
-    A law with ``draw_chunk > 0`` is uniform and is drawn by ``rng.integers``
-    calls of at most that many indices: the chunks are part of the draw
-    sequence, and other sizes would change every seeded empirical result.
+    A law with ``draw_chunk > 0`` is uniform: :meth:`draw` takes its indices
+    from ``rng.integers`` calls of at most that many. Any other law is
+    weighted and drawn by the inverse CDF of ``rng.random``. The series
+    sampler reads the same indices without those calls: it takes a replica's
+    64-bit Philox words with one ``random_raw`` and maps whole blocks of
+    replicas at once (:meth:`raw_words`, :meth:`draw_raw`).
     """
 
     alpha: float
@@ -562,11 +587,33 @@ class ClusterAtoms:
                 return rng.integers(0, n, size=count)
             return np.concatenate([rng.integers(0, n, size=min(step, count - lo))
                                    for lo in range(0, count, step)] or [np.zeros(0, dtype=np.int64)])
+        return self._inverse_cdf(rng.random(count))
+
+    def _inverse_cdf(self, u: np.ndarray) -> np.ndarray:
         cdf = np.cumsum(self.weights)
-        u = rng.random(count)
-        if n == 2:
+        if len(cdf) == 2:
             return (u >= cdf[0]).astype(np.intp)
-        return np.minimum(np.searchsorted(cdf, u, side="right"), n - 1)
+        return np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
+
+    def raw_words(self, count: int) -> int:
+        """The 64-bit words that ``draw(count, rng)`` reads from a stream that
+        holds no spare 32-bit half, if ``rng.integers`` resamples none: one
+        per uniform of a weighted law, one per two indices of a uniform law
+        (none for one atom)."""
+        if not self.draw_chunk:
+            return count
+        return (count + 1) // 2 if len(self.weights) > 1 else 0
+
+    def draw_raw(self, raw: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """``draw(count, rng)`` for each row of ``raw``, the first
+        ``raw_words(count)`` words of its stream, on the whole array: the
+        ``(rows, count)`` atom indices and a per-row flag, set where
+        ``rng.integers`` would have resampled, whose row the caller redraws
+        with :meth:`draw`. ``rng.random`` is ``(word >> 11) * 2**-53``; a
+        uniform law maps the words by :func:`_uniform_indices`."""
+        if self.draw_chunk:
+            return _uniform_indices(raw, len(self.weights), count)
+        return self._inverse_cdf((raw >> np.uint64(11)) * (1.0 / 9007199254740992.0)), np.zeros(len(raw), bool)
 
     @property
     def sole_atom(self) -> Optional[int]:

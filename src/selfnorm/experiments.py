@@ -393,10 +393,8 @@ def _gather(handle: Handle, key: Optional[str] = None):
 
 
 def _lepage_block_worker(args) -> dict:
-    cluster, alpha, p, n_terms, seed, start, stop = args
-    return limits.sample_limit_lepage_batch(
-        cluster, alpha, p, reps=stop - start, n_terms=n_terms, seed=seed, first_index=start,
-    )
+    cluster, alpha, p, n_terms, seed, start, stop, keys = args
+    return limits._lepage_series(cluster, alpha, p, stop - start, n_terms, seed, start, keys)
 
 
 def sample_limit_batch_parallel(
@@ -408,13 +406,14 @@ def sample_limit_batch_parallel(
 
 
 def _submit_limit_batch(pool: Pool, cluster: ClusterModel, alpha: float, p: float, reps: int,
-                        n_terms: int, seed: int) -> Handle:
+                        n_terms: int, seed: int, keys=limits._LEPAGE_KEYS) -> Handle:
     """Check the arguments of :func:`sample_limit_batch_parallel`, then queue
-    its replica blocks on ``pool``."""
+    its replica blocks on ``pool``; they compute only the arrays in ``keys``."""
     limits._lepage_validate(cluster, alpha, p, reps, n_terms)
     # workers get the driver's per-anchor table, not the library's blocks
     cluster = cluster.table_only((p,))
-    tasks = [(cluster, alpha, p, n_terms, seed, start, stop) for start, stop in partition(reps, pool.workers)]
+    tasks = [(cluster, alpha, p, n_terms, seed, start, stop, keys)
+             for start, stop in partition(reps, pool.workers)]
     return pool.submit(_lepage_block_worker, tasks, reps, n_terms)
 
 
@@ -630,7 +629,7 @@ def _run_verify(config: ExperimentConfig, workers: int):
                 pooled[check] = functools.partial(_gather, handle, _parse_spec(spec)[0])
         if "lepage_laplace" in config.checks:
             handle = _submit_limit_batch(pool, cluster, cluster.alpha, config.p, config.reps, config.n_terms,
-                                         _seed_for(config.seed, "series"))
+                                         _seed_for(config.seed, "series"), ("zeta_p",))
             pooled["lepage_laplace"] = functools.partial(_gather, handle, "zeta_p")
         rows = [row for check in config.checks for row in _CHECKS[check](config, cluster, pooled)]
     return rows, [("verify.csv", lambda fh, rows_=rows: Report(rows_, {}).rows_to_csv(fh))]

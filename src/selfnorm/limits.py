@@ -42,7 +42,8 @@ from .clusters import (
 )
 from .errors import ConfigurationError, DegeneratePathError, NumericalError, UnsupportedError
 from .processes import gamma_fn, gammainc, gammaln, write_csv
-from .rng import substreams
+from .rng import substream, substreams
+from .stats import _integer
 
 QUAD_TOL = 1e-8
 DEFAULT_N_TERMS = 10_000
@@ -542,6 +543,9 @@ def ratio_cf(u: float, cluster: ClusterModel, *, atoms: Optional[ClusterAtoms] =
 
 
 def _lepage_validate(cluster: ClusterModel, alpha: float, p: float, reps: int, n_terms: int) -> None:
+    for name, value in (("reps", reps), ("n_terms", n_terms)):
+        if not _integer(value):
+            raise ConfigurationError(f"{name} must be an integer, got {value!r}")
     if reps < 1:
         raise ConfigurationError(f"reps must be >= 1, got reps={reps}")
     if abs(cluster.alpha - alpha) > 1e-12:
@@ -561,6 +565,9 @@ def _lepage_validate(cluster: ClusterModel, alpha: float, p: float, reps: int, n
         )
 
 
+_LEPAGE_KEYS = ("xi", "eta", "zeta_p", "truncation_bound")
+
+
 def sample_limit_lepage_batch(
     cluster: ClusterModel,
     alpha: float,
@@ -575,40 +582,71 @@ def sample_limit_lepage_batch(
     starting at ``first_index``).
 
     Each replica draws its n_terms exponentials and then its atoms from its
-    own stream; the arithmetic runs on blocks of about ``_SERIES_BLOCK`` values
+    own stream, and pays only for those draws: a re-key, one
+    ``standard_exponential`` and one ``random_raw`` of the words its atom
+    draw reads. The rest runs on blocks of about ``_SERIES_BLOCK`` values
     (2**15, a few replicas of a long series), which give the same values as
-    any other block size, since every reduction runs along one replica's row.
-    When one atom holds all the weight (one-signed geometric clusters) the
-    atom draws are skipped: they come last in the stream and would all
-    return that atom. The final root and the truncation bound stay
-    per-replica scalar powers, which numpy's array ``pow`` need not match to
-    the last bit."""
+    any other block size, since every reduction runs along one replica's
+    row. :meth:`ClusterAtoms.draw_raw` maps a block's words to the atom
+    indices ``law.draw`` would give, which holds because the atom draws come
+    last in the stream and start with no spare 32-bit half (the exponentials
+    read whole words); a replica whose ``rng.integers`` would have resampled
+    is drawn again from its own stream. The final root and the truncation
+    bound are ``math.pow``, the libm ``pow`` of a float64 scalar ``**``, over
+    the block's values: numpy's array ``pow`` need not match it to the last
+    bit. When one atom holds all the weight (one-signed geometric clusters)
+    the atom draws are skipped: they come last in the stream and would all
+    return that atom."""
     _lepage_validate(cluster, alpha, p, reps, n_terms)
+    return _lepage_series(cluster, alpha, p, reps, n_terms, seed, first_index, _LEPAGE_KEYS)
+
+
+def _lepage_series(cluster: ClusterModel, alpha: float, p: float, reps: int, n_terms: int, seed: int,
+                   first_index: int, keys) -> dict:
+    """:func:`sample_limit_lepage_batch`'s arrays named in ``keys``, unchecked;
+    each is computed only when asked for, and is the same either way."""
     law = cluster_law(cluster, (p,))
-    out = {k: np.empty(reps) for k in ("xi", "eta", "zeta_p", "truncation_bound")}
+    out = {k: np.empty(reps) for k in keys}
     rows = max(1, min(reps, _SERIES_BLOCK // n_terms))
     expo = np.empty((rows, n_terms))
     sole = law.sole_atom
-    k = np.full((rows, n_terms), 0 if sole is None else sole, dtype=np.intp)
+    words = law.raw_words(n_terms) if sole is None else 0
+    raw = np.empty((rows, words), dtype=np.uint64)
+    if sole is not None:
+        # every row is the same constant row: its mean is taken once
+        sole_l1 = float(np.full((1, n_terms), law.sum_abs[sole]).mean(axis=1)[0])
     streams = substreams(seed, range(first_index, first_index + reps))
     for lo in range(0, reps, rows):
         m = min(rows, reps - lo)
         for j in range(m):
             rng = next(streams)
             rng.standard_exponential(n_terms, out=expo[j])
-            if sole is None:
-                k[j] = law.draw(n_terms, rng)
+            if words:
+                raw[j] = rng.bit_generator.random_raw(words)
         gam = np.cumsum(expo[:m], axis=1)
-        km = k[:m]
-        w = gam ** (-1.0 / alpha)
-        out["eta"][lo:lo + m] = np.max(w * law.max_abs[km], axis=1)
-        out["xi"][lo:lo + m] = np.sum(w * law.sum_q[km], axis=1)
-        norm_p_p = np.sum(gam ** (-p / alpha) * law.norm_p_p[km], axis=1)
-        mean_l1 = law.sum_abs[km].mean(axis=1)
-        for j in range(m):
-            out["zeta_p"][lo + j] = norm_p_p[j] ** (1.0 / p)
-            out["truncation_bound"][lo + j] = (float(mean_l1[j]) * gam[j, -1] ** (-1.0 / alpha)
-                                               * n_terms / (1.0 / alpha - 1.0))
+        if sole is None:
+            k, redo = law.draw_raw(raw[:m], n_terms)
+            for j in np.flatnonzero(redo).tolist():
+                rng = substream(seed, first_index + lo + j)
+                rng.standard_exponential(n_terms)
+                k[j] = law.draw(n_terms, rng)
+        else:
+            k = sole  # a scalar atom: each product is the one a gathered row gives
+        if "eta" in out or "xi" in out:
+            w = gam ** (-1.0 / alpha)
+            if "eta" in out:
+                out["eta"][lo:lo + m] = np.max(w * law.max_abs[k], axis=1)
+            if "xi" in out:
+                out["xi"][lo:lo + m] = np.sum(w * law.sum_q[k], axis=1)
+        if "zeta_p" in out:
+            norm_p_p = np.sum(gam ** (-p / alpha) * law.norm_p_p[k], axis=1)
+            out["zeta_p"][lo:lo + m] = [math.pow(v, 1.0 / p) for v in norm_p_p.tolist()]
+        if "truncation_bound" in out:
+            mean_l1 = law.sum_abs[k].mean(axis=1).tolist() if sole is None else [sole_l1] * m
+            out["truncation_bound"][lo:lo + m] = [
+                l1 * math.pow(g, -1.0 / alpha) * n_terms / (1.0 / alpha - 1.0)
+                for l1, g in zip(mean_l1, gam[:, -1].tolist())
+            ]
     return out
 
 

@@ -131,12 +131,18 @@ def _stream_keys(seed: int, indices, *suffix: int) -> np.ndarray:
     return np.stack([out[0] | (out[1] << 32), out[2] | (out[3] << 32)], axis=1)
 
 
+# the state _rekey sets: only its key changes, and the Philox setter copies
+# every value, so one dict serves every call
+_START = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
+          "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+
 def _rekey(gen: np.random.Generator, key) -> None:
     """Put ``gen``, a ``Generator(Philox)``, at the start of the stream with
     Philox key ``key`` (two uint64 words): counter 0, buffer empty, no spare
     32-bit half, as a fresh ``Philox`` is. The one writer of a Philox state."""
-    gen.bit_generator.state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
-                               "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    _START["state"]["key"] = key
+    gen.bit_generator.state = _START
 
 
 def substreams(seed: int, indices, *suffix: int) -> Iterator[np.random.Generator]:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selfnorm import SelfnormError
-from selfnorm.rng import _stream_keys, substream, substreams
+from selfnorm.rng import _rekey, _stream_keys, substream, substreams
 
 INDICES = [0, 1, 2**32 - 1]
 
@@ -36,6 +36,19 @@ def test_a_stream_is_rekeyed_fresh():
         drawn.append(rng.random(3).tolist())
         rng.integers(0, 10, dtype=np.uint32)
     assert drawn == [substream(7, i, 2).random(3).tolist() for i in range(4)]
+
+
+def test_rekey_a_then_b_then_a_gives_a_twice():
+    # _rekey writes one shared state dict: re-keying to B must not leave its
+    # key behind for the next re-key to A
+    (key_a, key_b) = _stream_keys(5, [3, 4]).tolist()
+    gen = np.random.Generator(np.random.Philox(0))
+    draws = []
+    for key in (key_a, key_b, key_a):
+        _rekey(gen, key)
+        draws.append(gen.random(4).tolist())
+    assert draws[0] == draws[2] == substream(5, 3).random(4).tolist()
+    assert draws[1] == substream(5, 4).random(4).tolist()
 
 
 def test_empty_indices():
