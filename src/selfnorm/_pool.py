@@ -8,9 +8,9 @@ from __future__ import annotations
 # A submit's work is the values its tasks simulate or draw (path steps with
 # their burn-in, series terms), plus _REPLICA_VALUES per replica for the Python
 # work a replica pays whatever its length: a series replica on an empirical
-# cluster costs about 4 us, the time of about 130 series terms (9 us, about
-# 300 terms, before its atom draws came from raw words), so 400 is a generous
-# charge that splits every bench size as before. A value costs
+# cluster costs about 3.6 us, the time of about 125 series terms (9 us, about
+# 300 terms, when each replica mapped its own atom draws), so 400 is a
+# generous charge that splits every bench size as before. A value costs
 # about 30 ns, and a two-worker pool that is opened, used and closed adds about
 # 40 ms of CPU to a run (11-15 ms of wall when empty), so _POOL_VALUES, about
 # twice that fixed cost, is the least work that goes to the pool. A smaller

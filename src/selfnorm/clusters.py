@@ -51,6 +51,7 @@ import numpy as np
 from .errors import ConfigurationError, SamplingError, UnsupportedError
 from .processes import ProcessModel, _simulate_rows
 from .rng import substream
+from .stats import _integer
 
 TRUNCATION_TARGET = 1e-10
 # empirical libraries kept by _shared_library: one per distinct cluster model
@@ -58,11 +59,6 @@ LIBRARY_CACHE_SIZE = 4
 # values of the (anchors, 2h+1) block array per chunk of _BlockLibrary.table:
 # a memory budget only, since every table column is a per-anchor reduction
 _TABLE_VALUES = 2**16
-# a uniform library law is drawn by rng.integers calls of at most
-# _DRAW_VALUES // (2h+1) indices. This is no memory budget: the call sizes
-# are part of the seeded draw sequence, and another value would change every
-# seeded empirical result.
-_DRAW_VALUES = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -377,8 +373,8 @@ def _horizon(model: ClusterModel, horizon: Optional[int]) -> int:
     None); 0 at phi = 0, whose tail process is the spike at t = 0."""
     if horizon is None:
         horizon = default_horizon(model)
-    if horizon < 0:
-        raise ConfigurationError("horizon must be >= 0")
+    if not _integer(horizon) or horizon < 0:
+        raise ConfigurationError(f"horizon must be an integer >= 0, got {horizon!r}")
     return 0 if model.phi == 0.0 else horizon
 
 
@@ -436,12 +432,9 @@ def _tail_windows(model: ClusterModel, rng: np.random.Generator, reps: int, lo: 
     its own tilt, its max|Q| being the same for every J."""
     t_idx = np.arange(lo, hi + 1)
     if model.kind == "empirical":
+        law = cluster_law(model, (model.alpha,))
+        which = (law.tilted() if tilted else law).draw(reps, rng)
         lib = model._empirical_library()
-        lib.require_anchors()
-        if tilted:
-            which = cluster_law(model, (model.alpha,)).tilted().draw(reps, rng)
-        else:
-            which = rng.integers(0, lib.n_anchors, size=reps)
         h = lib.half_width
         theta = _own_cluster_theta(lib.blocks(which), h, model.floor_rel, model.run_gap)
         vals = np.zeros((reps, len(t_idx)))
@@ -511,6 +504,8 @@ def tilted_acceptance(model: ClusterModel, reps: int, seed: int = 0) -> Estimate
     Its expectation is ``E[max|Q|^alpha]``, i.e. the extremal index, so the
     rate doubles as an estimator of theta.
     """
+    if not _integer(reps) or reps < 1:
+        raise ConfigurationError(f"reps must be an integer >= 1, got {reps!r}")
     f = cluster_functionals(model, reps, p=model.alpha, seed=seed)
     acc = substream(seed, 7).random(reps) < f["max_abs"] ** model.alpha
     rate = float(np.mean(acc))
@@ -523,28 +518,6 @@ def tilted_acceptance(model: ClusterModel, reps: int, seed: int = 0) -> Estimate
 # series sampler, the transform engine, the oracles and the moment estimators
 
 
-def _uniform_indices(raw: np.ndarray, n: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """``rng.integers(0, n, size=count)`` for each row of ``raw``, the words
-    of a stream with no spare 32-bit half, by numpy's arithmetic: each word
-    splits into 32-bit halves, low half first (calls of any sizes read one
-    sequence, the spare half kept between them); an index is ``u * n >> 32``
-    (Lemire), resampled when the low 32 bits of ``u * n`` fall below
-    ``(2**32 - n) % n``. Returns the indices and a per-row flag, set on every
-    row where numpy would have resampled, whose indices are then not numpy's.
-    ``n`` is at most 2**32 (numpy reads whole words beyond), as the atoms of
-    any law held in memory are.
-    """
-    rows = len(raw)
-    if n == 1:  # numpy reads no word
-        return np.zeros((rows, count), np.int64), np.zeros(rows, bool)
-    u = np.empty((rows, 2 * raw.shape[1]), np.uint64)
-    u[:, 0::2] = raw & np.uint64(0xFFFFFFFF)
-    u[:, 1::2] = raw >> np.uint64(32)
-    scaled = u[:, :count] * np.uint64(n)
-    redo = ((scaled & np.uint64(0xFFFFFFFF)) < (2**32 - n) % n).any(axis=1)
-    return (scaled >> np.uint64(32)).astype(np.int64), redo
-
-
 @dataclass(frozen=True)
 class ClusterAtoms:
     """Weighted atoms of (sum Q, max|Q|, ||Q||_p^p, ||Q||_1).
@@ -553,12 +526,9 @@ class ClusterAtoms:
     are the ``reps`` anchors of an empirical library, and ``group`` holds each
     atom's library chain. ``norms`` maps every exponent q the law was built
     for to ``||Q||_q^q``; ``norm_p_p`` is the one at ``p``.
-    A law with ``draw_chunk > 0`` is uniform: :meth:`draw` takes its indices
-    from ``rng.integers`` calls of at most that many. Any other law is
-    weighted and drawn by the inverse CDF of ``rng.random``. The series
-    sampler reads the same indices without those calls: it takes a replica's
-    64-bit Philox words with one ``random_raw`` and maps whole blocks of
-    replicas at once (:meth:`raw_words`, :meth:`draw_raw`).
+    Every draw maps uniforms of ``rng.random`` to atoms by :meth:`index`:
+    ``floor(u n)`` for a ``uniform`` law (an untilted library, n anchors
+    of weight 1/n), the inverse CDF for any other law.
     """
 
     alpha: float
@@ -572,55 +542,36 @@ class ClusterAtoms:
     reps: int = 0
     group: Optional[np.ndarray] = None
     norms: dict = field(default_factory=dict)
-    draw_chunk: int = 0
+    uniform: bool = False
 
     def draw(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        """Atom indices of ``count`` independent draws from the law; a weighted
-        law is drawn by the inverse CDF of ``rng.random``: the number of
-        cumulative weights at most u, at most n - 1. The two atoms of an exact
-        law count by comparison, which equals ``searchsorted`` on the same
-        uniforms."""
+        """Atom indices of ``count`` independent draws from the law."""
+        if not _integer(count) or count < 0:
+            raise ConfigurationError(f"the draw count must be an integer >= 0, got {count!r}")
+        return self.index(rng.random(count))
+
+    def index(self, u: np.ndarray) -> np.ndarray:
+        """The atom of each uniform ``u`` in [0, 1). A uniform law takes
+        ``floor(u n)``: u is a multiple of 2**-53, and the rounded product
+        moves each boundary k/n by at most one such step, so each atom has
+        probability within 2**-52 of 1/n; ``u n`` never rounds up to n.
+        A weighted law takes the number of cumulative weights at most u, at
+        most n - 1; two atoms count by comparison, which equals
+        ``searchsorted`` on the same uniforms."""
         n = len(self.weights)
-        if self.draw_chunk:
-            step = self.draw_chunk
-            if 0 < count <= step:  # one call: a series replica's draw, paid once per replica
-                return rng.integers(0, n, size=count)
-            return np.concatenate([rng.integers(0, n, size=min(step, count - lo))
-                                   for lo in range(0, count, step)] or [np.zeros(0, dtype=np.int64)])
-        return self._inverse_cdf(rng.random(count))
-
-    def _inverse_cdf(self, u: np.ndarray) -> np.ndarray:
+        if self.uniform:
+            return (u * n).astype(np.intp)
         cdf = np.cumsum(self.weights)
-        if len(cdf) == 2:
+        if n == 2:
             return (u >= cdf[0]).astype(np.intp)
-        return np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
-
-    def raw_words(self, count: int) -> int:
-        """The 64-bit words that ``draw(count, rng)`` reads from a stream that
-        holds no spare 32-bit half, if ``rng.integers`` resamples none: one
-        per uniform of a weighted law, one per two indices of a uniform law
-        (none for one atom)."""
-        if not self.draw_chunk:
-            return count
-        return (count + 1) // 2 if len(self.weights) > 1 else 0
-
-    def draw_raw(self, raw: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """``draw(count, rng)`` for each row of ``raw``, the first
-        ``raw_words(count)`` words of its stream, on the whole array: the
-        ``(rows, count)`` atom indices and a per-row flag, set where
-        ``rng.integers`` would have resampled, whose row the caller redraws
-        with :meth:`draw`. ``rng.random`` is ``(word >> 11) * 2**-53``; a
-        uniform law maps the words by :func:`_uniform_indices`."""
-        if self.draw_chunk:
-            return _uniform_indices(raw, len(self.weights), count)
-        return self._inverse_cdf((raw >> np.uint64(11)) * (1.0 / 9007199254740992.0)), np.zeros(len(raw), bool)
+        return np.minimum(np.searchsorted(cdf, u, side="right"), n - 1)
 
     @property
     def sole_atom(self) -> Optional[int]:
         """The atom that holds all the weight (its weight exactly 1, every
-        other 0), which :meth:`draw` returns for every uniform; else None."""
+        other 0), which :meth:`index` returns for every uniform; else None."""
         hit = np.flatnonzero(self.weights)
-        return int(hit[0]) if len(hit) == 1 and self.weights[hit[0]] == 1.0 and not self.draw_chunk else None
+        return int(hit[0]) if len(hit) == 1 and self.weights[hit[0]] == 1.0 else None
 
     def tilted(self) -> "ClusterAtoms":
         """The tilted cluster law by exact reweighting: weights proportional to
@@ -630,7 +581,7 @@ class ClusterAtoms:
         return dataclasses.replace(
             self, weights=w / w.sum(), sum_q=self.sum_q / m, max_abs=np.ones(len(m)),
             norm_p_p=self.norm_p_p / m**self.p, sum_abs=self.sum_abs / m,
-            norms={q: v / m**q for q, v in self.norms.items()}, draw_chunk=0,
+            norms={q: v / m**q for q, v in self.norms.items()}, uniform=False,
         )
 
 
@@ -653,8 +604,7 @@ def cluster_law(model: ClusterModel, exponents: Sequence[float]) -> ClusterAtoms
         return ClusterAtoms(
             alpha=model.alpha, p=qs[0], weights=np.full(n, 1.0 / n), sum_q=table["sum_q"],
             max_abs=table["max_abs"], norm_p_p=table[qs[0]], sum_abs=table["sum_abs"], exact=False,
-            reps=n, group=lib.anchor_chain, norms={q: table[q] for q in qs},
-            draw_chunk=max(1, _DRAW_VALUES // (2 * lib.half_width + 1)),
+            reps=n, group=lib.anchor_chain, norms={q: table[q] for q in qs}, uniform=True,
         )
     alpha, phi = model.alpha, model.phi
     r = abs(phi) ** alpha
@@ -836,6 +786,8 @@ def verify_time_change(
     """
     if model.kind == "empirical":
         raise UnsupportedError("time-change verification needs two-sided analytic draws")
+    if not _integer(reps) or reps < 2:
+        raise ConfigurationError(f"need reps >= 2, got reps={reps!r}")
     for f in test_functionals:
         if not isinstance(f, BoundedFunctional):
             raise ConfigurationError("test functionals must be BoundedFunctional instances")

@@ -104,9 +104,19 @@ class ExperimentConfig:
         if bad:
             problems.append(f"checks: every check must be a name, got {bad[0]!r}")
         for key in ("u_points", "x_points", "lambda_points"):
-            bad = [v for v in getattr(self, key) or () if not _real(v)]
+            points = getattr(self, key) or ()
+            bad = [v for v in points if not _real(v)]
             if bad:
                 problems.append(f"{key}: every point must be a real number, got {bad[0]!r}")
+                continue
+            # a transform grid reads NaN (v != v) as an unused coordinate; x = +inf
+            # drops the max. Comparisons, unlike math.isnan, take any int.
+            if key == "x_points":
+                bad, kind = [v for v in points if v != v], "other than NaN"
+            else:
+                bad, kind = [v for v in points if v != v or abs(v) == math.inf], "finite"
+            if bad:
+                problems.append(f"{key}: every point must be {kind}, got {bad[0]!r}")
         if self.centering not in _CENTERINGS:
             problems.append("centering: must be none, analytic or empirical")
         try:

@@ -42,7 +42,7 @@ from .clusters import (
 )
 from .errors import ConfigurationError, DegeneratePathError, NumericalError, UnsupportedError
 from .processes import gamma_fn, gammainc, gammaln, write_csv
-from .rng import substream, substreams
+from .rng import substreams
 from .stats import _integer
 
 QUAD_TOL = 1e-8
@@ -581,22 +581,18 @@ def sample_limit_lepage_batch(
     truncation_bound, one entry per replica (replica i uses substream(seed, i),
     starting at ``first_index``).
 
-    Each replica draws its n_terms exponentials and then its atoms from its
-    own stream, and pays only for those draws: a re-key, one
-    ``standard_exponential`` and one ``random_raw`` of the words its atom
-    draw reads. The rest runs on blocks of about ``_SERIES_BLOCK`` values
-    (2**15, a few replicas of a long series), which give the same values as
-    any other block size, since every reduction runs along one replica's
-    row. :meth:`ClusterAtoms.draw_raw` maps a block's words to the atom
-    indices ``law.draw`` would give, which holds because the atom draws come
-    last in the stream and start with no spare 32-bit half (the exponentials
-    read whole words); a replica whose ``rng.integers`` would have resampled
-    is drawn again from its own stream. The final root and the truncation
-    bound are ``math.pow``, the libm ``pow`` of a float64 scalar ``**``, over
-    the block's values: numpy's array ``pow`` need not match it to the last
-    bit. When one atom holds all the weight (one-signed geometric clusters)
-    the atom draws are skipped: they come last in the stream and would all
-    return that atom."""
+    Each replica draws its n_terms exponentials and then the uniforms of
+    its atoms from its own stream, and pays only for those draws: a re-key,
+    one ``standard_exponential`` and one ``random``. The rest runs on blocks
+    of about ``_SERIES_BLOCK`` values (2**15, a few replicas of a long
+    series), which give the same values as any other block size, since
+    every reduction runs along one replica's row; :meth:`ClusterAtoms.index`
+    maps a whole block's uniforms to atoms at once, as ``law.draw`` maps one
+    replica's. The final root and the truncation bound are ``math.pow``, the
+    libm ``pow`` of a float64 scalar ``**``, over the block's values: numpy's
+    array ``pow`` need not match it to the last bit. When one atom holds all
+    the weight (one-signed geometric clusters) the atom draws are skipped:
+    they come last in the stream and would all return that atom."""
     _lepage_validate(cluster, alpha, p, reps, n_terms)
     return _lepage_series(cluster, alpha, p, reps, n_terms, seed, first_index, _LEPAGE_KEYS)
 
@@ -610,8 +606,7 @@ def _lepage_series(cluster: ClusterModel, alpha: float, p: float, reps: int, n_t
     rows = max(1, min(reps, _SERIES_BLOCK // n_terms))
     expo = np.empty((rows, n_terms))
     sole = law.sole_atom
-    words = law.raw_words(n_terms) if sole is None else 0
-    raw = np.empty((rows, words), dtype=np.uint64)
+    uniforms = np.empty((rows, n_terms if sole is None else 0))
     if sole is not None:
         # every row is the same constant row: its mean is taken once
         sole_l1 = float(np.full((1, n_terms), law.sum_abs[sole]).mean(axis=1)[0])
@@ -621,17 +616,11 @@ def _lepage_series(cluster: ClusterModel, alpha: float, p: float, reps: int, n_t
         for j in range(m):
             rng = next(streams)
             rng.standard_exponential(n_terms, out=expo[j])
-            if words:
-                raw[j] = rng.bit_generator.random_raw(words)
+            if sole is None:
+                uniforms[j] = rng.random(n_terms)
         gam = np.cumsum(expo[:m], axis=1)
-        if sole is None:
-            k, redo = law.draw_raw(raw[:m], n_terms)
-            for j in np.flatnonzero(redo).tolist():
-                rng = substream(seed, first_index + lo + j)
-                rng.standard_exponential(n_terms)
-                k[j] = law.draw(n_terms, rng)
-        else:
-            k = sole  # a scalar atom: each product is the one a gathered row gives
+        # a scalar sole atom: each product is the one a gathered row gives
+        k = law.index(uniforms[:m]) if sole is None else sole
         if "eta" in out or "xi" in out:
             w = gam ** (-1.0 / alpha)
             if "eta" in out:

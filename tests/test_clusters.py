@@ -136,6 +136,22 @@ class TestClusterDraws:
         assert r ** (h - 1) / (1 - r) >= 1e-10
 
 
+class TestDrawSizes:
+    """A size that no draw can take is a configuration error (a config run
+    exits 2), not a bare numpy or Python error."""
+
+    @pytest.mark.parametrize("call, match", [
+        (lambda c: tilted_acceptance(c, 0), "reps must be an integer >= 1"),
+        (lambda c: tilted_acceptance(c, -1), "reps must be an integer >= 1"),
+        (lambda c: cluster_functionals(c, -1, p=2.0), "draw count must be an integer >= 0"),
+        (lambda c: cluster_functionals(c, 2.5, p=2.0), "draw count must be an integer >= 0"),
+        (lambda c: sample_cluster(c, horizon=2.5), "horizon must be an integer >= 0"),
+    ], ids=["acceptance-0", "acceptance-neg", "functionals-neg", "functionals-frac", "horizon-frac"])
+    def test_refused(self, call, match):
+        with pytest.raises(ConfigurationError, match=match):
+            call(ar1_cluster(0.5, 0.8))
+
+
 class TestTilted:
     def test_iid_tilt_is_identity(self):
         d = sample_tilted_cluster(iid_cluster(0.5, (1.0, 0.0)), seed=4)
@@ -308,6 +324,12 @@ class TestTimeChange:
     def test_plain_callable_rejected(self):
         with pytest.raises(ConfigurationError):
             verify_time_change(ar1_cluster(0.5, 1.0), 1, [lambda w: 0.0], reps=100, seed=19)
+
+    @pytest.mark.parametrize("reps", [0, 1])
+    def test_refuses_fewer_than_two_reps(self, reps):
+        # one draw has no sample stderr (it gave z = inf), none gave NaN rows
+        with pytest.raises(ConfigurationError, match="need reps >= 2"):
+            verify_time_change(ar1_cluster(0.5, 1.0), 1, standard_functionals(1), reps=reps, seed=20)
 
 
 class TestEmpirical:

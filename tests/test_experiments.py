@@ -543,6 +543,21 @@ class TestStatisticSpecs:
             assert cli_main([command, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2, over
             assert match in capsys.readouterr().err, over
 
+    @pytest.mark.parametrize("key, value", [("x_points", math.nan), ("lambda_points", math.nan),
+                                            ("u_points", math.nan), ("u_points", math.inf),
+                                            ("u_points", -math.inf), ("lambda_points", math.inf),
+                                            ("lambda_points", -math.inf)])
+    def test_refuses_points_a_grid_cannot_read(self, key, value):
+        # a transform grid reads NaN as an unused coordinate, so x = nan gave
+        # the x = inf value and lambda = nan the lambda = 0 value; u = inf ran
+        # the continued fraction to its term limit
+        with pytest.raises(ConfigurationError, match=f"{key}: every point must be (finite|other than NaN), got"):
+            self._config(kind="transform", **{key: [1.0, value]}).validate()
+
+    def test_x_point_at_infinity_validates(self):
+        # x = +inf drops the max from the hybrid transform
+        self._config(kind="transform", x_points=[math.inf, 1.0]).validate()
+
     def test_good_specs_validate(self):
         self._config(statistics=PLAN_SPECS + GREENWOOD_SPECS, p=0.5).validate()
         # only a simulate run reads the statistics, so another kind may list none

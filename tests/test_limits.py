@@ -28,7 +28,7 @@ from selfnorm import (
     sample_limit_lepage_batch,
     stable_cf,
 )
-from selfnorm.clusters import ClusterAtoms, _uniform_indices, cluster_law
+from selfnorm.clusters import ClusterAtoms, cluster_law
 from selfnorm.experiments import cluster_from_dict, simulate_statistics
 from selfnorm.limits import (
     _SERIES_BLOCK,
@@ -411,7 +411,7 @@ _SERIES_CLUSTERS = {
 
 
 class TestLepageSampler:
-    @pytest.mark.parametrize("n_terms", [10, 200, 2000])
+    @pytest.mark.parametrize("n_terms", [10, 200, 2000, 5000])
     @pytest.mark.parametrize("kind", sorted(_SERIES_CLUSTERS))
     def test_blocks_match_per_replica_loop(self, kind, n_terms):
         # two blocks, the second partial, from a first index past 0
@@ -421,34 +421,6 @@ class TestLepageSampler:
         want = _lepage_per_replica(cluster, 0.5, 2.0, reps, n_terms, seed=11, first_index=17)
         for key in want:
             assert np.array_equal(got[key], want[key]), (key, np.flatnonzero(got[key] != want[key])[:5])
-
-    def test_forced_redraws_match_per_replica_loop(self, monkeypatch):
-        # rows flagged for a redraw take their indices from their own stream
-        # again, whatever the raw map gave them
-        def flagged(self, raw, count):
-            k, redo = draw_raw(self, raw, count)
-            k[[0, 5]] = 0
-            redo[[0, 5]] = True
-            return k, redo
-
-        draw_raw = ClusterAtoms.draw_raw
-        monkeypatch.setattr(ClusterAtoms, "draw_raw", flagged)
-        for kind in ("empirical", "iid"):
-            cluster = _SERIES_CLUSTERS[kind]()
-            got = sample_limit_lepage_batch(cluster, 0.5, 2.0, 40, 2000, seed=3, first_index=2)
-            want = _lepage_per_replica(cluster, 0.5, 2.0, 40, 2000, seed=3, first_index=2)
-            for key in want:
-                assert np.array_equal(got[key], want[key]), (kind, key)
-
-    def test_empirical_draw_of_several_chunks(self):
-        # more terms than one rng.integers call draws: the reference draws
-        # them in chunks, the sampler as one 32-bit sequence
-        cluster = _SERIES_CLUSTERS["empirical"]()
-        n_terms = cluster_law(cluster, (2.0,)).draw_chunk + 1013
-        got = sample_limit_lepage_batch(cluster, 0.5, 2.0, 7, n_terms, seed=9, first_index=4)
-        want = _lepage_per_replica(cluster, 0.5, 2.0, 7, n_terms, seed=9, first_index=4)
-        for key in want:
-            assert np.array_equal(got[key], want[key]), key
 
     @pytest.mark.parametrize("kind", sorted(_SERIES_CLUSTERS))
     def test_zeta_p_only_equals_full_call(self, kind):
@@ -509,74 +481,6 @@ class TestLepageSampler:
         d = sample_limit_lepage_batch(c, 0.5, 2.0, reps=20_000, n_terms=2_000, seed=29)
         terms = np.exp(-d["zeta_p"] ** 2)
         within_se(terms.mean(), math.exp(-gamma_fn(0.75)), terms.std(ddof=1) / math.sqrt(20_000), k=3)
-
-
-def _words_after_exponentials(seed, index, words):
-    rng = substream(seed, index)
-    rng.standard_exponential(17)
-    return rng.bit_generator.random_raw(words)
-
-
-def _position(rng):
-    state = rng.bit_generator.state
-    return state["state"]["counter"].tolist(), state["buffer_pos"], state["has_uint32"]
-
-
-@pytest.mark.parametrize("n, count", [(1968, 200), (1968, 201), (2**31 + 1, 1), (2**31 + 1, 3)])
-def test_raw_map_equals_integers(n, count):
-    # numpy resamples about half of the draws at n = 2^31 + 1, so both flags show
-    rows = 300
-    raw = np.stack([_words_after_exponentials(4, i, (count + 1) // 2) for i in range(rows)])
-    k, redo = _uniform_indices(raw, n, count)
-    for i in range(rows):
-        rng = substream(4, i)
-        rng.standard_exponential(17)
-        want = rng.integers(0, n, size=count)
-        # numpy resampled iff it read more 32-bit values than count
-        exact = substream(4, i)
-        exact.standard_exponential(17)
-        exact.integers(0, 2**32, size=count, dtype=np.uint32)
-        assert redo[i] == (_position(rng) != _position(exact)), i
-        if not redo[i]:
-            assert k[i].tobytes() == want.tobytes(), i
-    if n > 2**31:
-        assert 0 < redo.sum() < rows
-
-
-def test_raw_map_rejection_boundary():
-    # n = 2^31 + 1: numpy's threshold is 2^31 - 1, and an even u leaves
-    # u * n = u mod 2^32, so u = threshold - 1 resamples and u = threshold + 1
-    # does not; the odd u = 2^32 - 1 leaves exactly the threshold
-    n, threshold = 2**31 + 1, 2**31 - 1
-    halves = [threshold - 1, threshold + 1, 2**32 - 1]
-    raw = np.array([[u] for u in halves], dtype=np.uint64)
-    k, redo = _uniform_indices(raw, n, 1)
-    assert redo.tolist() == [True, False, False]
-    assert k[1:, 0].tolist() == [(u * n) >> 32 for u in halves[1:]]
-
-
-def test_raw_map_of_one_atom_reads_no_word():
-    rng = substream(4, 0)
-    before = _position(rng)
-    want = rng.integers(0, 1, size=5)
-    assert _position(rng) == before
-    k, redo = _uniform_indices(np.empty((3, 0), np.uint64), 1, 5)
-    assert k.tolist() == [want.tolist()] * 3 and not redo.any()
-
-
-@pytest.mark.parametrize("weights", [(0.3, 0.7), (0.2, 0.3, 0.5)])
-def test_raw_map_equals_random(weights):
-    w = np.asarray(weights)
-    one = np.ones(len(w))
-    law = ClusterAtoms(alpha=0.5, p=2.0, weights=w, sum_q=one, max_abs=one, norm_p_p=one, sum_abs=one,
-                       exact=True)
-    raw = np.stack([_words_after_exponentials(8, i, law.raw_words(50)) for i in range(40)])
-    k, redo = law.draw_raw(raw, 50)
-    assert not redo.any()
-    for i in range(40):
-        rng = substream(8, i)
-        rng.standard_exponential(17)
-        assert np.array_equal(k[i], law.draw(50, rng)), i
 
 
 class TestEmpiricalTransform:

@@ -1,6 +1,7 @@
 """The streaming path engine: time tiles against whole rows, streamed
 statistics against a whole-row reduction, worker counts and the memory
-bound; the series sampler's atom draws against the ``searchsorted`` formula.
+bound; the atom draws against the ``searchsorted`` formula and, on a
+uniform law, ``floor(u n)``.
 """
 
 from __future__ import annotations
@@ -317,9 +318,34 @@ def test_atom_draws_equal_searchsorted(weights):
     assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
+def _uniform_atoms(n):
+    # a zero-stride weight row: a uniform law's map reads only the number of atoms
+    w = np.broadcast_to(1.0 / n, (n,))
+    return ClusterAtoms(alpha=0.5, p=2.0, weights=w, sum_q=w, max_abs=w, norm_p_p=w, sum_abs=w, exact=False,
+                        uniform=True)
+
+
+@pytest.mark.parametrize("n", [1, 3, 1968, 2**31 + 1])
+def test_uniform_atom_draws_are_floor(n):
+    # rng.random gives u = g 2^-53: take the grid points at and next to each
+    # k/n, with 0 and 1 - 2^-53
+    first = {k: -(-k * 2**53 // n) for k in (1, 2, n // 2, n - 1) if 0 < k < n}
+    g = sorted({0, 2**53 - 1} | {f + d for f in first.values() for d in (-1, 0, 1) if 0 <= f + d < 2**53})
+    u = np.array(g, dtype=float) * 2.0**-53
+    got = _uniform_atoms(n).draw(len(u), _Uniforms(u))
+    assert got.dtype == np.intp and np.array_equal(got, np.floor(u * n))
+    # the rounded product never reaches n, and moves an index by at most one
+    # grid point: it is the exact floor, or one above it just below an integer
+    exact = np.array([x * n >> 53 for x in g])
+    assert got[-1] == n - 1 and np.all(np.diff(got) >= 0)
+    assert np.all((got == exact) | ((got == exact + 1) & np.isin(np.array(g) + 1, list(first.values()))))
+    assert all(got[g.index(f)] == k for k, f in first.items())
+
+
 def test_sole_atom():
     assert _atoms((1.0, 0.0)).sole_atom == 0 and _atoms((0.0, 1.0)).sole_atom == 1
     assert _atoms((0.5, 0.5)).sole_atom is None and _atoms((0.999, 0.0)).sole_atom is None
+    assert _uniform_atoms(1).sole_atom == 0 and _uniform_atoms(3).sole_atom is None
 
 
 @pytest.mark.parametrize("tail_balance", [(1.0, 0.0), (0.0, 1.0)])
