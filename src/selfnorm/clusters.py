@@ -51,7 +51,7 @@ import numpy as np
 from .errors import ConfigurationError, SamplingError, UnsupportedError
 from .processes import ProcessModel, _simulate_rows
 from .rng import substream
-from .stats import _integer
+from .stats import _integer, _z_score
 
 TRUNCATION_TARGET = 1e-10
 # empirical libraries kept by _shared_library: one per distinct cluster model
@@ -556,15 +556,11 @@ class ClusterAtoms:
         moves each boundary k/n by at most one such step, so each atom has
         probability within 2**-52 of 1/n; ``u n`` never rounds up to n.
         A weighted law takes the number of cumulative weights at most u, at
-        most n - 1; two atoms count by comparison, which equals
-        ``searchsorted`` on the same uniforms."""
+        most n - 1."""
         n = len(self.weights)
         if self.uniform:
             return (u * n).astype(np.intp)
-        cdf = np.cumsum(self.weights)
-        if n == 2:
-            return (u >= cdf[0]).astype(np.intp)
-        return np.minimum(np.searchsorted(cdf, u, side="right"), n - 1)
+        return np.minimum(np.searchsorted(np.cumsum(self.weights), u, side="right"), n - 1)
 
     @property
     def sole_atom(self) -> Optional[int]:
@@ -824,14 +820,7 @@ def verify_time_change(
         rhs = float(np.mean(wts * fvals) / wbar)
         resid = wts * (fvals - rhs)
         se_r = float(np.sqrt(np.mean(resid**2) / reps) / wbar)
-        se = math.hypot(se_l, se_r)
-        diff = lhs - rhs
-        scale = max(1.0, abs(lhs), abs(rhs))
-        if se < 1e-10 * scale:
-            # both sides degenerate (the functional is constant here): compare exactly
-            z = 0.0 if abs(diff) <= 1e-9 * scale else math.inf
-        else:
-            z = diff / se
+        z, se = _z_score(lhs, se_l, rhs, se_r)
         rows.append(TimeChangeRow(f.name, lhs, rhs, se, z, False))
     return TimeChangeReport(t, reps, tuple(rows))
 

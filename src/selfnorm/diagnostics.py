@@ -5,14 +5,16 @@ These are evidence, not proofs: every underlying condition is a double limit
 in n and k, so at any fixed budget the reports can only say "consistent with"
 the hypothesised decay.
 
-Each diagnostic has a submit step (``_submit_coupling``,
-``_submit_anticluster``, ``_submit_coupled_anticluster``) that checks its
-arguments, queues its replica blocks on a run's :class:`_pool.Pool` and
-returns a call that waits for the blocks and reduces them in the calling
-process, in replica order, so every series is identical for any worker
-count. A ``diagnose`` run submits all three to its one pool, which runs a
-submit too small to repay a worker in this process; each public estimator
-runs its own on a one-worker pool.
+Each diagnostic is a per-replica row function (``_coupling_rows``,
+``_anticluster_rows``, ``_coupled_anticluster_rows``) and a submit step
+(``_submit_coupling``, ``_submit_anticluster``,
+``_submit_coupled_anticluster``) that checks its arguments and queues
+:func:`_rows_block` on a run's :class:`_pool.Pool`, which cuts the replicas
+into blocks and joins the rows in replica order. The call returned waits for
+the rows and reduces them in the calling process with :func:`_series`, so
+every series is identical for any worker count. A ``diagnose`` run submits
+all three to its one pool, which runs a submit too small to repay a worker
+in this process; each public estimator runs its own on a one-worker pool.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, UnsupportedError
-from ._pool import Pool, partition
-from .processes import _TILE_ROWS, ProcessModel, _coupled_rows, _simulate_rows, normalizing_an, write_csv
+from ._pool import Pool
+from .processes import ProcessModel, _coupled_rows, _row_groups, _simulate_rows, normalizing_an, write_csv
 
 
 @dataclass(frozen=True)
@@ -70,54 +72,44 @@ def _check_q(model: ProcessModel, q: float) -> None:
         raise ConfigurationError("q must satisfy 0 < q < min(alpha, 1)")
 
 
-def _chunks(start: int, stop: int, chunk: int):
-    return (np.arange(lo, min(lo + chunk, stop)) for lo in range(start, stop, chunk))
+def _rows_block(start: int, stop: int, rows_fn, model: ProcessModel, seed: int, params: dict) -> np.ndarray:
+    """The rows of the replicas ``[start, stop)``, computed in the path
+    engine's row groups, which bound their memory. A replica's row does not
+    depend on the group it is computed in."""
+    indices = np.arange(start, stop)
+    return np.concatenate([rows_fn(model, seed, indices[rows], **params) for rows in _row_groups(stop - start)])
 
 
-def _coupling_block(task):
-    """Per chunk, the sums over its replicas of |X_t - X*_t|^q and of its square."""
-    model, seed, start, stop, q, t_max, chunk = task
-    out = []
-    for idx in _chunks(start, stop, chunk):
-        x, xs, _, _ = _coupled_rows(model, t_max, seed, idx)
-        # in place over the two paths, the same values as abs(x - xs) ** q and its square
-        d = np.abs(np.subtract(x, xs, out=x), out=x)
-        d **= q
-        out.append((d.sum(axis=0), np.square(d, out=xs).sum(axis=0)))
-    return out
+def _series(rows: np.ndarray, index: np.ndarray, scale: float) -> DecaySeries:
+    """``scale`` times the replica mean of ``rows`` per column, its sample
+    stderr and the fitted log-slope over ``index``."""
+    # C order whatever the blocks' layout, so that a reduction over replicas adds in one fixed order
+    rows = np.ascontiguousarray(rows)
+    mean = scale * rows.mean(axis=0)
+    se = scale * rows.std(axis=0, ddof=1) / math.sqrt(len(rows))
+    slope, r2 = _fit_log_slope(index, mean)
+    return DecaySeries(index, mean, se, slope, r2)
 
 
-def _coupling_series(blocks: list, reps: int, t_max: int) -> DecaySeries:
-    acc = np.zeros(t_max)
-    acc2 = np.zeros(t_max)
-    # added chunk by chunk in replica order: this order fixes the rounding of the recorded series
-    for s, s2 in (pair for block in blocks for pair in block):
-        acc += s
-        acc2 += s2
-    mean = acc / reps
-    var = np.maximum(acc2 / reps - mean**2, 0.0)
-    se = np.sqrt(var / reps)
-    idx = np.arange(1, t_max + 1)
-    slope, r2 = _fit_log_slope(idx, mean)
-    return DecaySeries(idx, mean, se, slope, r2)
+def _coupling_rows(model, seed, indices, t_max, q):
+    """Per replica, |X_t - X*_t|^q for t = 1..t_max."""
+    x, xs, _, _ = _coupled_rows(model, t_max, seed, indices)
+    # in place over the first path, the same values as abs(x - xs) ** q
+    d = np.abs(np.subtract(x, xs, out=x), out=x)
+    d **= q
+    return d
 
 
 def _submit_coupling(pool: Pool, model: ProcessModel, q: float, t_max: int, reps: int,
                      seed: int) -> Callable[[], DecaySeries]:
     """Check the arguments of :func:`coupling_decay`, then queue its replica
-    blocks on ``pool``; the call returned waits for them and reduces them.
-
-    The series adds fixed chunks of replicas together, so block edges fall on
-    multiples of the chunk: each chunk is added whole, in one place, whatever
-    the worker count."""
+    blocks on ``pool``; the call returned waits for them and reduces them."""
     _check_q(model, q)
     if t_max < 2 or reps < 2:
         raise ConfigurationError("need t_max >= 2 and reps >= 2")
-    chunk = max(1, 4_000_000 // (t_max + model.burn_in))
-    tasks = [(model, seed, lo * chunk, min(hi * chunk, reps), q, t_max, chunk)
-             for lo, hi in partition(-(-reps // chunk), pool.workers)]
-    handle = pool.submit(_coupling_block, tasks, reps, t_max + 2 * model.burn_in)
-    return lambda: _coupling_series(handle.result(), reps, t_max)
+    handle = pool.submit(_rows_block, reps, t_max + 2 * model.burn_in, _coupling_rows, model, seed,
+                         {"t_max": t_max, "q": q})
+    return lambda: _series(handle.result(), np.arange(1, t_max + 1), 1.0)
 
 
 def coupling_decay(model: ProcessModel, q: float, t_max: int, reps: int, seed: int = 0) -> DecaySeries:
@@ -136,20 +128,6 @@ def _suffix_rows(terms: np.ndarray, k_grid: np.ndarray) -> np.ndarray:
     return csum[:, k_grid - 1]
 
 
-def _suffix_block(task):
-    model, seed, start, stop, rows_fn, params = task
-    return np.concatenate([rows_fn(model, seed, idx, **params) for idx in _chunks(start, stop, _TILE_ROWS)])
-
-
-def _suffix_series(blocks: list, n: int, k_grid: np.ndarray) -> DecaySeries:
-    # C order whatever the blocks' layout, so that a reduction over replicas adds in one fixed order
-    sums = np.ascontiguousarray(np.concatenate(blocks))
-    mean = n * sums.mean(axis=0)
-    se = n * sums.std(axis=0, ddof=1) / math.sqrt(len(sums))
-    slope, r2 = _fit_log_slope(k_grid, mean)
-    return DecaySeries(k_grid, mean, se, slope, r2)
-
-
 def _submit_suffix(pool, rows_fn, params, burn_ins, model, n, r_n, k_grid, reps, seed,
                    a_n) -> Callable[[], DecaySeries]:
     """Queue on ``pool`` the replica blocks of n * sum_{j=k}^{r_n} E[term_j]
@@ -157,9 +135,7 @@ def _submit_suffix(pool, rows_fn, params, burn_ins, model, n, r_n, k_grid, reps,
     sums; the call returned waits for them and reduces them. Nested sums on
     one sample make the series non-increasing in k exactly. ``r_n`` defaults
     to ``floor(n^0.4)`` and ``a_n`` to ``normalizing_an(model, n)``. A
-    replica's row, a window of about r_n steps after ``burn_ins`` burn-ins,
-    does not depend on the block or chunk it is computed in, so blocks need
-    no alignment and chunks are the path engine's row groups."""
+    replica's row is a window of about r_n steps after ``burn_ins`` burn-ins."""
     if r_n is None:
         r_n = int(n**0.4)
     if reps < 2:
@@ -175,10 +151,8 @@ def _submit_suffix(pool, rows_fn, params, burn_ins, model, n, r_n, k_grid, reps,
     if a_n is None:
         a_n = normalizing_an(model, n)
     params = {**params, "r_n": r_n, "k_grid": k_grid, "a_n": a_n}
-    handle = pool.submit(_suffix_block, [(model, seed, lo, hi, rows_fn, params)
-                                         for lo, hi in partition(reps, pool.workers)],
-                         reps, r_n + 1 + burn_ins * model.burn_in)
-    return lambda: _suffix_series(handle.result(), n, k_grid)
+    handle = pool.submit(_rows_block, reps, r_n + 1 + burn_ins * model.burn_in, rows_fn, model, seed, params)
+    return lambda: _series(handle.result(), k_grid, n)
 
 
 def _anticluster_rows(model, seed, indices, r_n, k_grid, a_n, x):

@@ -24,13 +24,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import clusters, diagnostics, limits, oracles, processes, stats
-from ._pool import Handle, Pool, partition
+from ._pool import Handle, Pool
 from .clusters import ClusterModel, Estimate
 from .errors import ConfigurationError
 from .processes import (ProcessModel, check_keys, model_from_dict, model_to_dict, stationary_mean,
                         write_csv)
 from .rng import derive_seed
-from .stats import _integer, _parse_spec, _positive, _real, _ReductionPlan
+from .stats import _integer, _parse_spec, _positive, _real, _ReductionPlan, _z_score
 
 WORKERS_ENV = "SELFNORM_WORKERS"
 
@@ -308,15 +308,7 @@ class Report:
 
 def _mc_row(name: str, analytic: Estimate, mc_value: float, mc_se: float, z_bound: float) -> ReportRow:
     """One oracle-versus-Monte-Carlo row: z is the difference over the combined stderr."""
-    se = math.hypot(analytic.stderr, mc_se)
-    diff = mc_value - analytic.value
-    scale = max(1.0, abs(analytic.value), abs(mc_value))
-    if se < 1e-10 * scale:
-        # degenerate comparison (e.g. a deterministic cluster functional):
-        # fall back to exact agreement instead of dividing by ~0
-        z = 0.0 if abs(diff) <= 1e-9 * scale else math.inf
-    else:
-        z = diff / se
+    z, se = _z_score(mc_value, mc_se, analytic.value, analytic.stderr)
     return ReportRow(name, analytic.value, mc_value, se, z, abs(z) <= z_bound)
 
 
@@ -329,17 +321,17 @@ def _tol_row(name: str, reference: float, value: float, tol: float) -> ReportRow
 # batched path statistics
 
 
-def _stats_block_worker(args) -> dict:
+def _stats_block(start: int, stop: int, model: ProcessModel, n: int, seed: int, plan: _ReductionPlan,
+                 centering: str) -> dict:
     """Per-replica statistics of the replicas ``[start, stop)``, streamed.
 
     The replicas advance in groups of at most ``processes._TILE_ROWS``
     through :func:`processes._path_tiles`, ``processes._TILE_STEPS`` steps
     at a time, and each tile is folded into the plan's per-row accumulators
-    and dropped, so the worker holds a few tiles whatever n is. Empirical
+    and dropped, so the block holds a few tiles whatever n is. Empirical
     centering takes two passes over the same counter-based streams: the
     first accumulates the row sums, whose means center the second.
     """
-    model, n, start, stop, seed, plan, centering = args
     center = stationary_mean(model) if centering == "analytic" else 0.0
     indices = np.arange(start, stop)
 
@@ -376,7 +368,7 @@ def simulate_statistics(
     reduced from its tiles as they are made.
     """
     with Pool(workers) as pool:
-        return _gather(_submit_statistics(pool, model, n, reps, specs, centering, seed))
+        return _submit_statistics(pool, model, n, reps, specs, centering, seed).result()
 
 
 def _submit_statistics(pool: Pool, model: ProcessModel, n: int, reps: int, specs: Sequence[dict],
@@ -388,43 +380,30 @@ def _submit_statistics(pool: Pool, model: ProcessModel, n: int, reps: int, specs
     if n < 1 or reps < 1:
         raise ConfigurationError(f"n and reps must be >= 1, got n={n}, reps={reps}")
     plan = _ReductionPlan.build(specs, model.alpha, required=True)
-    tasks = [(model, n, start, stop, seed, plan, centering) for start, stop in partition(reps, pool.workers)]
     passes = 2 if centering == "empirical" else 1  # empirical centering simulates each path twice
-    return pool.submit(_stats_block_worker, tasks, reps, passes * (n + model.burn_in))
+    return pool.submit(_stats_block, reps, passes * (n + model.burn_in), model, n, seed, plan, centering)
 
 
-def _gather(handle: Handle, key: Optional[str] = None):
-    """The blocks' arrays joined in replica order, or only ``key``'s; waits
-    for the blocks that are still running."""
-    results = handle.result()
-    if key is not None:
-        return np.concatenate([r[key] for r in results])
-    return {k: np.concatenate([r[k] for r in results]) for k in results[0]}
-
-
-def _lepage_block_worker(args) -> dict:
-    cluster, alpha, p, n_terms, seed, start, stop, keys = args
-    return limits._lepage_series(cluster, alpha, p, stop - start, n_terms, seed, start, keys)
+def _lepage_block(start: int, stop: int, cluster: ClusterModel, p: float, n_terms: int, seed: int,
+                  keys) -> dict:
+    return limits._lepage_series(cluster, p, stop - start, n_terms, seed, start, keys)
 
 
 def sample_limit_batch_parallel(
-    cluster: ClusterModel, alpha: float, p: float, reps: int,
-    n_terms: int, seed: int, workers: int = 1,
+    cluster: ClusterModel, p: float, reps: int, n_terms: int, seed: int, workers: int = 1,
 ) -> dict:
     with Pool(workers) as pool:
-        return _gather(_submit_limit_batch(pool, cluster, alpha, p, reps, n_terms, seed))
+        return _submit_limit_batch(pool, cluster, p, reps, n_terms, seed).result()
 
 
-def _submit_limit_batch(pool: Pool, cluster: ClusterModel, alpha: float, p: float, reps: int,
-                        n_terms: int, seed: int, keys=limits._LEPAGE_KEYS) -> Handle:
+def _submit_limit_batch(pool: Pool, cluster: ClusterModel, p: float, reps: int, n_terms: int, seed: int,
+                        keys=limits._LEPAGE_KEYS) -> Handle:
     """Check the arguments of :func:`sample_limit_batch_parallel`, then queue
     its replica blocks on ``pool``; they compute only the arrays in ``keys``."""
-    limits._lepage_validate(cluster, alpha, p, reps, n_terms)
+    limits._lepage_validate(cluster, cluster.alpha, p, reps, n_terms)
     # workers get the driver's per-anchor table, not the library's blocks
     cluster = cluster.table_only((p,))
-    tasks = [(cluster, alpha, p, n_terms, seed, start, stop, keys)
-             for start, stop in partition(reps, pool.workers)]
-    return pool.submit(_lepage_block_worker, tasks, reps, n_terms)
+    return pool.submit(_lepage_block, reps, n_terms, cluster, p, n_terms, seed, keys)
 
 
 # ---------------------------------------------------------------------------
@@ -524,10 +503,8 @@ def _run_simulate(config: ExperimentConfig, workers: int):
 
 def _run_limit(config: ExperimentConfig, workers: int):
     cluster = config.cluster_model()
-    alpha = cluster.alpha
     draws = sample_limit_batch_parallel(
-        cluster, alpha, config.p, config.reps, config.n_terms,
-        _seed_for(config.seed, "series"), workers,
+        cluster, config.p, config.reps, config.n_terms, _seed_for(config.seed, "series"), workers,
     )
     # the joint limit is heavy-tailed (no mean below index alpha < 1), so the
     # informational summary reports medians
@@ -631,16 +608,16 @@ def _run_verify(config: ExperimentConfig, workers: int):
             groups.setdefault(centering or config.centering, {})[check] = spec(config.p)
     model = config.process_model()
     with Pool(workers) as pool:
-        pooled = {}  # check -> a call that returns what it reads from the pool
+        pooled = {}  # check -> (the handle of its pooled blocks, the key it reads)
         for centering, specs in groups.items():
             handle = _submit_statistics(pool, model, config.n, config.reps, list(specs.values()), centering,
                                         _seed_for(config.seed, "paths"))
             for check, spec in specs.items():
-                pooled[check] = functools.partial(_gather, handle, _parse_spec(spec)[0])
+                pooled[check] = (handle, _parse_spec(spec)[0])
         if "lepage_laplace" in config.checks:
-            handle = _submit_limit_batch(pool, cluster, cluster.alpha, config.p, config.reps, config.n_terms,
+            handle = _submit_limit_batch(pool, cluster, config.p, config.reps, config.n_terms,
                                          _seed_for(config.seed, "series"), ("zeta_p",))
-            pooled["lepage_laplace"] = functools.partial(_gather, handle, "zeta_p")
+            pooled["lepage_laplace"] = (handle, "zeta_p")
         rows = [row for check in config.checks for row in _CHECKS[check](config, cluster, pooled)]
     return rows, [("verify.csv", lambda fh, rows_=rows: Report(rows_, {}).rows_to_csv(fh))]
 
@@ -663,7 +640,8 @@ def _check_path(check, config, cluster, pooled):
     while the workers simulate, then the mean of its pooled statistic."""
     spec, _, oracle = _PATH_CHECKS[check]
     analytic = oracle(cluster, config.p)
-    vals = pooled[check]()
+    handle, key = pooled[check]
+    vals = handle.result()[key]
     mc, se = float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals)))
     return [_mc_row(_parse_spec(spec(config.p))[0], analytic, mc, se, config.z_bound)]
 
@@ -699,7 +677,8 @@ def _check_lepage_laplace(config, cluster, pooled):
     # one cluster moment for every lambda, the one each laplace_zeta call would compute
     moment = clusters.cluster_moment(cluster, config.p)
     closed = [limits.laplace_zeta(lam, cluster, p=config.p, moment=moment) for lam in lams]
-    zp = pooled["lepage_laplace"]() ** config.p
+    handle, key = pooled["lepage_laplace"]
+    zp = handle.result()[key] ** config.p
     rows = []
     for lam, oracle in zip(lams, closed):
         terms = np.exp(-lam * zp)

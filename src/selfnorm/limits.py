@@ -594,13 +594,15 @@ def sample_limit_lepage_batch(
     the weight (one-signed geometric clusters) the atom draws are skipped:
     they come last in the stream and would all return that atom."""
     _lepage_validate(cluster, alpha, p, reps, n_terms)
-    return _lepage_series(cluster, alpha, p, reps, n_terms, seed, first_index, _LEPAGE_KEYS)
+    return _lepage_series(cluster, p, reps, n_terms, seed, first_index, _LEPAGE_KEYS)
 
 
-def _lepage_series(cluster: ClusterModel, alpha: float, p: float, reps: int, n_terms: int, seed: int,
-                   first_index: int, keys) -> dict:
-    """:func:`sample_limit_lepage_batch`'s arrays named in ``keys``, unchecked;
-    each is computed only when asked for, and is the same either way."""
+def _lepage_series(cluster: ClusterModel, p: float, reps: int, n_terms: int, seed: int, first_index: int,
+                   keys) -> dict:
+    """:func:`sample_limit_lepage_batch`'s arrays named in ``keys``, unchecked,
+    at the cluster's alpha; each is computed only when asked for, and is the
+    same either way."""
+    alpha = cluster.alpha
     law = cluster_law(cluster, (p,))
     out = {k: np.empty(reps) for k in keys}
     rows = max(1, min(reps, _SERIES_BLOCK // n_terms))
@@ -615,7 +617,7 @@ def _lepage_series(cluster: ClusterModel, alpha: float, p: float, reps: int, n_t
         m = min(rows, reps - lo)
         for j in range(m):
             rng = next(streams)
-            rng.standard_exponential(n_terms, out=expo[j])
+            expo[j] = rng.standard_exponential(n_terms)
             if sole is None:
                 uniforms[j] = rng.random(n_terms)
         gam = np.cumsum(expo[:m], axis=1)

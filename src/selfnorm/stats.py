@@ -133,6 +133,19 @@ def _positive(value) -> bool:
     return _real(value) and 0 < value < math.inf
 
 
+def _z_score(value: float, value_se: float, reference: float, reference_se: float) -> tuple[float, float]:
+    """``(value - reference) / se`` and the combined stderr ``se``. A
+    degenerate comparison (se below 1e-10 of the larger magnitude, or of 1;
+    say a deterministic cluster functional) falls back to exact agreement
+    instead of dividing by about 0: z is 0 within 1e-9 of that scale, else inf."""
+    se = math.hypot(value_se, reference_se)
+    diff = value - reference
+    scale = max(1.0, abs(value), abs(reference))
+    if se < 1e-10 * scale:
+        return (0.0 if abs(diff) <= 1e-9 * scale else math.inf), se
+    return diff / se, se
+
+
 def _parse_spec(spec) -> tuple[str, str, dict]:
     """(label, name, parameters) of one statistic spec, or ConfigurationError."""
     if not isinstance(spec, dict):

@@ -103,7 +103,7 @@ def test_criterion_03_ar1_extremal_index():
 
 
 def test_criterion_04_lepage_laplace_oracle():
-    draws = sample_limit_batch_parallel(IID_CLUSTER, ALPHA, 2.0, reps=100_000,
+    draws = sample_limit_batch_parallel(IID_CLUSTER, 2.0, reps=100_000,
                                         n_terms=2000, seed=107, workers=WORKERS)
     zp = draws["zeta_p"] ** 2
     ok = True
@@ -186,7 +186,7 @@ def test_criterion_10_coupling_decay():
 
 
 def test_criterion_11_distributional_convergence(iid_ratio_5k):
-    draws = sample_limit_batch_parallel(IID_CLUSTER, ALPHA, 2.0, reps=5000,
+    draws = sample_limit_batch_parallel(IID_CLUSTER, 2.0, reps=5000,
                                         n_terms=4000, seed=110, workers=WORKERS)
     limit_ratio = draws["xi"] / draws["eta"]
     d = ks_distance(iid_ratio_5k["ratio_max"], limit_ratio)

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from selfnorm import ConfigurationError, NoiseSpec, SRELaw, UnsupportedError, ar1_model, sre_model
-from selfnorm._pool import Handle, Pool
+from selfnorm._pool import Pool, partition, repays_pool
 from selfnorm.diagnostics import (
     _anticluster_rows,
+    _coupling_rows,
+    _rows_block,
     _submit_anticluster,
     _submit_coupled_anticluster,
     _submit_coupling,
-    _suffix_block,
     anticluster_stat,
     coupled_anticluster_stat,
     coupling_decay,
@@ -47,6 +48,14 @@ class TestCouplingDecay:
     def test_q_domain(self, ar1_pos_half):
         with pytest.raises(ConfigurationError):
             coupling_decay(ar1_pos_half, q=0.6, t_max=5, reps=10)  # q >= alpha ^ 1
+
+    @pytest.mark.parametrize("reps", [20, 300])
+    def test_stderr_is_sample_stderr_of_rows(self, ar1_pos_half, reps):
+        # the stderr is the replicas' sample stderr (ddof = 1), not the population one
+        series = coupling_decay(ar1_pos_half, q=0.4, t_max=8, reps=reps, seed=4)
+        rows = _coupling_rows(ar1_pos_half, 4, np.arange(reps), 8, 0.4)
+        assert series.values.tobytes() == rows.mean(axis=0).tobytes()
+        assert series.stderr.tobytes() == (rows.std(axis=0, ddof=1) / math.sqrt(reps)).tobytes()
 
 
 class TestAnticluster:
@@ -135,31 +144,23 @@ class TestWorkers:
         self._same(_submit_coupled_anticluster, ar1_pos_half, 2000, None, None, 0.4, 47, 13, None)
 
     def test_coupling_blocks_hold_whole_chunks(self):
-        # t_max + burn-in = 80,000 makes chunks of 50 replicas: 120 replicas
-        # are three chunks, each summed whole in one block at any worker count
+        # t_max + two burn-ins = 159,990 steps per replica: 120 replicas repay
+        # a pool, which cuts them into blocks of whole replicas; joined in
+        # replica order, the blocks give the rows of one whole block
         model = ar1_model(0.5, NoiseSpec("pareto", 0.5, (1.0, 0.0)), burn_in=79_990)
-
-        class Recording:
-            """A one-process pool that records the replica range of each task."""
-
-            def __init__(self, workers):
-                self.workers = workers
-                self.edges = []
-
-            def submit(self, fn, tasks, reps, values):
-                self.edges += [task[2:4] for task in tasks]
-                return Handle(results=[fn(task) for task in tasks])
-
-        for workers, edges in ((3, [(0, 50), (50, 100), (100, 120)]), (2, [(0, 100), (100, 120)])):
-            pool = Recording(workers)
-            _submit_coupling(pool, model, 0.4, 10, 120, 15)
-            assert pool.edges == edges
+        params = {"t_max": 10, "q": 0.4}
+        assert repays_pool(120, 10 + 2 * model.burn_in)
+        whole = _rows_block(0, 120, _coupling_rows, model, 15, params)
+        for workers, edges in ((3, [(0, 40), (40, 80), (80, 120)]), (2, [(0, 60), (60, 120)])):
+            assert partition(120, workers) == edges
+            blocks = [_rows_block(lo, hi, _coupling_rows, model, 15, params) for lo, hi in edges]
+            assert np.concatenate(blocks).tobytes() == whole.tobytes()
         self._same(_submit_coupling, model, 0.4, 10, 120, 15)
 
     def test_suffix_rows_do_not_depend_on_their_chunk(self, ar1_pos_half):
         # 600 replicas make three chunks of the path engine's row groups
         params = {"r_n": 20, "k_grid": np.array([1, 5, 21]), "a_n": 1e4, "x": 1.0}
-        chunked = _suffix_block((ar1_pos_half, 16, 0, 600, _anticluster_rows, params))
+        chunked = _rows_block(0, 600, _anticluster_rows, ar1_pos_half, 16, params)
         whole = _anticluster_rows(ar1_pos_half, 16, np.arange(600), **params)
         assert chunked.tobytes() == whole.tobytes()
 

@@ -585,8 +585,8 @@ class TestParallel:
         from selfnorm.experiments import sample_limit_batch_parallel
 
         c = cluster_from_dict(cluster)
-        a = sample_limit_batch_parallel(c, 0.5, 2.0, reps=40, n_terms=200, seed=8, workers=1)
-        b = sample_limit_batch_parallel(c, 0.5, 2.0, reps=40, n_terms=200, seed=8, workers=4)
+        a = sample_limit_batch_parallel(c, 2.0, reps=40, n_terms=200, seed=8, workers=1)
+        b = sample_limit_batch_parallel(c, 2.0, reps=40, n_terms=200, seed=8, workers=4)
         for key in a:
             assert np.array_equal(a[key], b[key])
 
@@ -596,7 +596,7 @@ class TestParallel:
 
         c = cluster_from_dict({"kind": "iid", "alpha": 0.5, "q_plus": 1.0, "q_minus": 0.0})
         with pytest.raises(ConfigurationError, match="reps must be >= 1"):
-            sample_limit_batch_parallel(c, 0.5, 2.0, reps=reps, n_terms=100, seed=8, workers=2)
+            sample_limit_batch_parallel(c, 2.0, reps=reps, n_terms=100, seed=8, workers=2)
 
     def test_custom_sre_law(self):
         # a custom law has no config dict: its blocks get the model itself.
@@ -620,7 +620,7 @@ class TestParallel:
         a = sample_limit_lepage_batch(c, 0.5, 2.0, reps=5, n_terms=100, seed=9)
         from selfnorm.experiments import sample_limit_batch_parallel
 
-        b = sample_limit_batch_parallel(c, 0.5, 2.0, reps=5, n_terms=100, seed=9, workers=1)
+        b = sample_limit_batch_parallel(c, 2.0, reps=5, n_terms=100, seed=9, workers=1)
         assert np.array_equal(a["xi"], b["xi"])
 
 
@@ -706,8 +706,8 @@ class TestEmpiricalWorkers:
         assert all(np.array_equal(want[k], got[k]) for k in want)
 
 
-def _pid(_task):
-    return os.getpid()
+def _pid(start, stop):
+    return np.array([os.getpid()])
 
 
 @pytest.fixture
@@ -793,7 +793,7 @@ class TestOnePool:
         # at one worker a task runs in this process; at more, in a worker, alone in its submit too
         for workers in (1, 2):
             with Pool(workers) as pool:
-                (pid,) = pool.submit(_pid, [None], 1, 1).result()
+                (pid,) = pool.submit(_pid, 1, 1).result()
             assert (pid == os.getpid()) == (workers == 1)
 
 
@@ -841,7 +841,7 @@ class TestSmallSubmits:
 
     def test_small_submit_runs_in_the_driver(self, pools):
         with Pool(2) as pool:
-            (pid,) = pool.submit(_pid, [None], 4000, 200).result()
+            (pid,) = pool.submit(_pid, 4000, 200).result()
         assert pid == os.getpid() and pools == []
 
     @pytest.mark.parametrize("cfg", [

@@ -426,7 +426,7 @@ class TestLepageSampler:
     def test_zeta_p_only_equals_full_call(self, kind):
         cluster = _SERIES_CLUSTERS[kind]()
         full = sample_limit_lepage_batch(cluster, 0.5, 2.0, 300, 200, seed=6, first_index=8)
-        only = _lepage_series(cluster, 0.5, 2.0, 300, 200, 6, 8, ("zeta_p",))
+        only = _lepage_series(cluster, 2.0, 300, 200, 6, 8, ("zeta_p",))
         assert list(only) == ["zeta_p"]
         assert only["zeta_p"].tobytes() == full["zeta_p"].tobytes()
 

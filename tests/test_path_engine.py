@@ -15,7 +15,7 @@ import pytest
 from selfnorm import clusters, limits, processes
 from selfnorm.clusters import ClusterAtoms
 from selfnorm.errors import ConfigurationError
-from selfnorm.experiments import _stats_block_worker, simulate_statistics
+from selfnorm.experiments import _stats_block, simulate_statistics
 from selfnorm.processes import (NoiseSpec, SRELaw, ar1_model, ar1_recursion, iid_model, sre_model, sre_recursion,
                                 stationary_mean)
 from selfnorm.rng import derive_seed, substream
@@ -232,7 +232,7 @@ def test_any_worker_count(centering, forced_pool):
 def _worker_peak(model, n, rows, plan):
     tracemalloc.start()
     try:
-        _stats_block_worker((model, n, 0, rows, 5, plan, "none"))
+        _stats_block(0, rows, model, n, 5, plan, "none")
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
