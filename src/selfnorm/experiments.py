@@ -47,6 +47,15 @@ def _seed_for(seed: int, purpose: str) -> int:
 
 _DEFAULT_STATISTICS = ({"name": "ratio_max"}, {"name": "studentized", "p": 2.0})
 _CENTERINGS = ("none", "analytic", "empirical")
+# the tests each transform point must pass, in order: a transform grid reads
+# NaN (v != v) as an unused coordinate, x = +inf drops the max, and every
+# reader needs x > 0 and lambda >= 0. Comparisons, unlike math.isnan, take any int.
+_REAL, _FINITE = (lambda v: not _real(v), "a real number"), (lambda v: v != v or abs(v) == math.inf, "finite")
+_POINT_RULES = {
+    "u_points": (_REAL, _FINITE),
+    "x_points": (_REAL, (lambda v: v != v, "other than NaN"), (lambda v: v <= 0, "positive")),
+    "lambda_points": (_REAL, _FINITE, (lambda v: v < 0, ">= 0")),
+}
 
 
 @dataclass
@@ -103,20 +112,12 @@ class ExperimentConfig:
         bad = [c for c in self.checks or () if not isinstance(c, str)]
         if bad:
             problems.append(f"checks: every check must be a name, got {bad[0]!r}")
-        for key in ("u_points", "x_points", "lambda_points"):
-            points = getattr(self, key) or ()
-            bad = [v for v in points if not _real(v)]
-            if bad:
-                problems.append(f"{key}: every point must be a real number, got {bad[0]!r}")
-                continue
-            # a transform grid reads NaN (v != v) as an unused coordinate; x = +inf
-            # drops the max. Comparisons, unlike math.isnan, take any int.
-            if key == "x_points":
-                bad, kind = [v for v in points if v != v], "other than NaN"
-            else:
-                bad, kind = [v for v in points if v != v or abs(v) == math.inf], "finite"
-            if bad:
-                problems.append(f"{key}: every point must be {kind}, got {bad[0]!r}")
+        for key, rules in _POINT_RULES.items():
+            for test, kind in rules:
+                bad = [v for v in getattr(self, key) or () if test(v)]
+                if bad:
+                    problems.append(f"{key}: every point must be {kind}, got {bad[0]!r}")
+                    break
         if self.centering not in _CENTERINGS:
             problems.append("centering: must be none, analytic or empirical")
         try:
@@ -674,16 +675,14 @@ def _check_extremal_index(config, cluster, pooled):
 
 def _check_lepage_laplace(config, cluster, pooled):
     lams = config.lambda_points or (0.5, 1.0, 2.0)
-    # one cluster moment for every lambda, the one each laplace_zeta call would compute
-    moment = clusters.cluster_moment(cluster, config.p)
-    closed = [limits.laplace_zeta(lam, cluster, p=config.p, moment=moment) for lam in lams]
+    closed = limits.laplace_zeta(lams, cluster, p=config.p)
     handle, key = pooled["lepage_laplace"]
     zp = handle.result()[key] ** config.p
     rows = []
-    for lam, oracle in zip(lams, closed):
+    for lam, value, stderr in zip(lams, closed.value.tolist(), closed.stderr.tolist()):
         terms = np.exp(-lam * zp)
         mc, se = float(terms.mean()), float(terms.std(ddof=1) / math.sqrt(len(terms)))
-        analytic = Estimate(oracle.value.real, oracle.stderr, 0, oracle.method)
+        analytic = Estimate(value.real, stderr, 0, closed.method)
         rows.append(_mc_row(f"lepage_laplace_lam{lam:g}", analytic, mc, se, config.z_bound))
     return rows
 
@@ -717,14 +716,12 @@ def _check_self_decomposition(config, cluster, pooled):
     lam = (config.lambda_points or (1.0,))[0]
     c = 0.5
     alpha, p = cluster.alpha, config.p
-    kw = dict(p=p, quad_tol=config.quad_tol)
-    full = limits.joint_cf_laplace(u, math.inf, lam, cluster, **kw)
-    part = limits.joint_cf_laplace(c * u, math.inf, c**p * lam, cluster, **kw)
-    rhs = part.value * full.value ** (1.0 - c**alpha)
-    diff = abs(full.value - rhs)
+    both = limits.joint_cf_laplace([u, c * u], math.inf, [lam, c**p * lam], cluster, p=p, quad_tol=config.quad_tol)
+    full, part = both.value.tolist()
+    diff = abs(full - part * full ** (1.0 - c**alpha))
     return [ReportRow("self_decomposition", 0.0, diff, None, None, diff <= 1e-6,
-                      detail=f"u={u} lam={lam} c={c} fallbacks={full.fallbacks + part.fallbacks}"
-                             f" quad_warnings={full.quad_warnings + part.quad_warnings}")]
+                      detail=f"u={u} lam={lam} c={c} fallbacks={both.fallbacks.sum()}"
+                             f" quad_warnings={both.quad_warnings.sum()}")]
 
 
 _CHECKS = {

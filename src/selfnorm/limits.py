@@ -37,11 +37,10 @@ from typing import Optional
 import numpy as np
 
 from .clusters import (
-    ClusterAtoms, ClusterModel, Estimate, _weighted_estimate, cluster_atoms, cluster_law, cluster_moment,
-    tilted_atoms,
+    ClusterAtoms, ClusterModel, _weighted_estimate, cluster_atoms, cluster_law, cluster_moment, tilted_atoms,
 )
 from .errors import ConfigurationError, DegeneratePathError, NumericalError, UnsupportedError
-from .processes import gamma_fn, gammainc, gammaln, write_csv
+from .processes import _validate_alpha, gamma_fn, gammainc, gammaln, write_csv
 from .rng import substreams
 from .stats import _integer
 
@@ -58,18 +57,14 @@ class TransformValue:
     expectations (0 when they are exact, else the batch-means stderr over the
     library chains), the number of atoms whose damped integral fell back to
     adaptive quadrature, and the warnings that quadrature raised, each
-    fallback accepted above its tolerance counted as one more."""
+    fallback accepted above its tolerance counted as one more. Every field but
+    ``method`` is shaped like the points: a scalar for scalar points."""
 
     value: complex
     stderr: float = 0.0
     method: str = "closed_form"
     fallbacks: int = 0
     quad_warnings: int = 0
-
-
-def _validate_alpha_transform(alpha: float) -> None:
-    if not (0.0 < alpha < 2.0) or alpha == 1.0:
-        raise ConfigurationError("transforms require alpha in (0,1) or (1,2)")
 
 
 def stable_scale_const(alpha: float) -> float:
@@ -93,6 +88,10 @@ _TS_LEVELS = 6
 _TS_MIN_LEVEL = 2
 _TS_RIGHT = 3.5
 _TS_BLOCK = 1024
+# point x atom values per chunk of a transform's points, whatever their
+# number: 128 KB per complex temporary, which stay in cache (chunks of 2**16
+# ran a 2,000-point grid on 1,968 atoms a third slower, 20 MB higher)
+_CHUNK_VALUES = 2**13
 # E_{alpha+1}(-iw) is a power series for |w| <= _SERIES_RADIUS, where the
 # terms fall to 3^34/34! ~ 6e-23, and a continued fraction beyond, where it
 # needs at most 78 terms (91 at |w| = 2)
@@ -242,8 +241,8 @@ def _damped_rule(beta: np.ndarray, damp: np.ndarray, levels, tol_scaled: np.ndar
 def _damped_log(alpha: float, p: float, b, c, x_m, tol: float):
     """Per-atom values of
     ``int_0^inf [e^{iby - c y^p} 1(y <= x_m) - 1 - iby 1_{(1,2)}] d(-y^-alpha)``
-    for c > 0, with the number of atoms sent to quadrature and the warnings it
-    raised.
+    for c > 0, shaped like the broadcast arguments, with per atom whether it
+    was sent to quadrature and the warnings that raised.
 
     Cut at Y = min(x_m, (_DAMP_CUT / c)^(1/p)). With y = Y v the head is
     ``alpha Y^-alpha J(bY, cY^p)`` (see :func:`_damped_rule`) and the tail past
@@ -253,7 +252,8 @@ def _damped_log(alpha: float, p: float, b, c, x_m, tol: float):
     the smallest node) exceeds ``tol``, or whose value is not finite, goes to
     :func:`_atom_log_damped`.
     """
-    b, c, x_m = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (b, c, x_m)))
+    args = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (b, c, x_m)))
+    b, c, x_m = (a.ravel() for a in args)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         y_cut = np.minimum(x_m, (_DAMP_CUT / c) ** (1.0 / p))
         beta, damp, scale = b * y_cut, c * y_cut**p, alpha * y_cut ** (-alpha)
@@ -269,11 +269,13 @@ def _damped_log(alpha: float, p: float, b, c, x_m, tol: float):
         J, change = _damped_rule(beta[idx], damp[idx], levels, room[idx] / scale[idx])
         values[idx] = scale[idx] * J - scale[idx] / alpha * (1.0 + 1j * alpha * beta[idx] / (alpha - 1.0))
         settled[idx] = change * scale[idx] <= room[idx]
-    fallback = np.flatnonzero(~(settled & np.isfinite(values)))
-    warned: list = []
-    for i in fallback:
-        values[i] = _atom_log_damped(alpha, p, float(b[i]), float(c[i]), float(x_m[i]), tol, warned)
-    return values, fallback.size, len(warned)
+    fallback = ~(settled & np.isfinite(values))
+    warned = np.zeros(b.shape, dtype=int)
+    for i in np.flatnonzero(fallback):
+        seen: list = []
+        values[i] = _atom_log_damped(alpha, p, float(b[i]), float(c[i]), float(x_m[i]), tol, seen)
+        warned[i] = len(seen)
+    return tuple(a.reshape(args[0].shape) for a in (values, fallback, warned))
 
 
 def _quad_complex(f, lo, hi, tol: float, warned: list) -> complex:
@@ -362,16 +364,46 @@ def _atom_log_damped(alpha: float, p: float, b: float, c: float, x_m: float, tol
     return _quad_complex(f, lo, np.inf, tol, warned) + comp
 
 
-def _weighted_log(atoms: ClusterAtoms, per_atom: np.ndarray) -> tuple[complex, float]:
-    est = _weighted_estimate(atoms, 1.0, per_atom)
-    return complex(est.value), est.stderr
+def _transform_value(shape, method: str, value, stderr, fallbacks, quad_warnings) -> TransformValue:
+    """The fields in the points' shape: Python scalars for scalar points."""
+    fields = [np.reshape(a, shape) for a in (value, stderr, fallbacks, quad_warnings)]
+    value, stderr, fallbacks, quad_warnings = (a.item() for a in fields) if not shape else fields
+    return TransformValue(value, stderr, method, fallbacks, quad_warnings)
+
+
+def _per_point(atoms: ClusterAtoms, kernel, coords, method: str, log: bool = False) -> TransformValue:
+    """The estimate ``sum w g v / sum w g`` of :func:`_weighted_estimate` at
+    every point of the broadcast ``coords``, g and v from ``kernel``.
+
+    ``kernel`` takes a chunk of points, one (points, 1) array per coordinate,
+    and returns g and v per point and atom, and for a damped integral each
+    atom's quadrature fallbacks and warnings. A chunk holds at most about
+    ``_CHUNK_VALUES`` point x atom values. With ``log`` the estimate is a log
+    transform: the value is its exponential, the stderr scaled by it.
+    """
+    shape = np.broadcast_shapes(*(np.shape(c) for c in coords))
+    coords = [np.broadcast_to(np.asarray(c, dtype=float), shape).ravel() for c in coords]
+    size = math.prod(shape)
+    value, stderr, counts = np.empty(size, dtype=complex), np.empty(size), np.zeros((2, size), dtype=int)
+    step = max(1, _CHUNK_VALUES // len(atoms.weights))
+    for lo in range(0, size, step):
+        weight, per_atom, *atom_counts = kernel(*(c[lo:lo + step, None] for c in coords))
+        weight = np.broadcast_to(weight, per_atom.shape)
+        for j in range(len(per_atom)):
+            est = _weighted_estimate(atoms, weight[j], per_atom[j])
+            val = cmath.exp(est.value) if log else est.value
+            value[lo + j], stderr[lo + j] = val, abs(val) * est.stderr if log else est.stderr
+        for k, n in enumerate(atom_counts):
+            counts[k, lo:lo + step] = n.sum(axis=1)
+    return _transform_value(shape, method, value, stderr, *counts)
 
 
 # ---------------------------------------------------------------------------
-# transforms
+# transforms: each takes scalars or broadcastable arrays of points and
+# evaluates every point in one call
 
 
-def stable_cf(u: float, cluster: ClusterModel, *, atoms: Optional[ClusterAtoms] = None) -> TransformValue:
+def stable_cf(u, cluster: ClusterModel, *, atoms: Optional[ClusterAtoms] = None) -> TransformValue:
     """Characteristic function of the alpha-stable sum limit.
 
     ``exp(-c_alpha sigma^alpha(u) (1 - i beta(u) tan(alpha pi/2)))`` with
@@ -380,75 +412,52 @@ def stable_cf(u: float, cluster: ClusterModel, *, atoms: Optional[ClusterAtoms] 
     ``u sum Q_t``. Cluster expectations are exact for the analytic kinds and
     sums over the library anchors (with reported standard error) otherwise.
     """
-    alpha = cluster.alpha
-    _validate_alpha_transform(alpha)
+    alpha = _validate_alpha(cluster.alpha)
     if atoms is None:
         atoms = cluster_atoms(cluster)
-    log_val, se_log = _weighted_log(atoms, _stable_atom(u * atoms.sum_q, alpha))
-    val = cmath.exp(log_val)
-    if atoms.exact or u == 0:
-        return TransformValue(val, 0.0, "closed_form")
-    return TransformValue(val, abs(val) * se_log, "monte_carlo")
+    method = "closed_form" if atoms.exact or not np.any(u) else "monte_carlo"
+    return _per_point(atoms, lambda u: (1.0, _stable_atom(u * atoms.sum_q, alpha)), (u,), method, log=True)
 
 
-def hybrid_cf(u: float, x: float, cluster: ClusterModel, *,
-              atoms: Optional[ClusterAtoms] = None) -> TransformValue:
-    """Joint transform ``E[e^{iu xi} 1(eta <= x)]`` of the sum and max limits.
+def hybrid_cf(u, x, cluster: ClusterModel, *, atoms: Optional[ClusterAtoms] = None) -> TransformValue:
+    """Joint transform ``E[e^{iu xi} 1(eta <= x)]`` of the sum and max limits:
+    :func:`joint_cf_laplace` at ``lam = 0``.
 
     Evaluated as ``phi(u) exp(-E[int_{x/max|Q|}^inf e^{iyu sum Q} d(-y^-a)])``
     with the oscillatory tail computed exactly per atom; at ``u = 0`` this
     reduces to the Frechet law ``exp(-theta x^-alpha)``.
     """
-    alpha = cluster.alpha
-    _validate_alpha_transform(alpha)
-    if x <= 0:
-        raise ConfigurationError("x must be positive")
-    if atoms is None:
-        atoms = cluster_atoms(cluster)
-    b = u * atoms.sum_q
-    with np.errstate(divide="ignore"):
-        x_m = x / atoms.max_abs
-    log_val, se_log = _weighted_log(atoms, _stable_atom(b, alpha) - _tail_exp_integral(alpha, b, x_m))
-    val = cmath.exp(log_val)
-    method = "expint_exact" if atoms.exact else "expint_monte_carlo"
-    return TransformValue(val, abs(val) * se_log, method)
+    return joint_cf_laplace(u, x, 0.0, cluster, atoms=cluster_atoms(cluster) if atoms is None else atoms)
 
 
-def laplace_zeta(
-    lam: float,
-    cluster: ClusterModel,
-    *,
-    p: float = 2.0,
-    reps=None,
-    seed=None,
-    moment: Optional[Estimate] = None,
-) -> TransformValue:
+def laplace_zeta(lam, cluster: ClusterModel, *, p: float = 2.0, reps=None, seed=None) -> TransformValue:
     """Laplace transform ``E[e^{-lam zeta_p^p}]`` of the modulus limit:
     ``exp(-Gamma(1 - alpha/p) E[||Q||_p^alpha] lam^(alpha/p))``.
 
     The cluster-moment factor at most 1 quantifies extremal clustering: the
-    dependent value is always >= the iid value at every lam. ``moment``, when
-    given, is ``cluster_moment(cluster, p)`` computed once by the caller.
-    ``reps`` and ``seed`` are accepted for existing callers; no cluster kind
-    reads them.
+    dependent value is always >= the iid value at every lam. One cluster
+    moment serves every lam. ``reps`` and ``seed`` are accepted for existing
+    callers; no cluster kind reads them.
     """
     alpha = cluster.alpha
     if p <= alpha:
         raise ConfigurationError("the modulus order must satisfy p > alpha")
-    if lam < 0:
+    if np.less(lam, 0).any():
         raise ConfigurationError("lam must be >= 0")
-    if moment is None:
-        moment = cluster_moment(cluster, p)
+    moment = cluster_moment(cluster, p)
     g = gamma_fn(1.0 - alpha / p)
-    val = math.exp(-g * moment.value * lam ** (alpha / p))
-    se = val * g * lam ** (alpha / p) * moment.stderr
-    return TransformValue(complex(val), se, moment.method)
+    # libm's exp and pow per point, as a scalar call takes them
+    scale = [v ** (alpha / p) for v in np.ravel(lam).astype(float).tolist()]
+    val = [math.exp(-g * moment.value * s) for s in scale]
+    se = [v * g * s * moment.stderr for v, s in zip(val, scale)]
+    return _transform_value(np.shape(lam), moment.method, np.array(val, dtype=complex), se,
+                            *np.zeros((2, len(val)), dtype=int))
 
 
 def joint_cf_laplace(
-    u: float,
-    x: float,
-    lam: float,
+    u,
+    x,
+    lam,
     cluster: ClusterModel,
     *,
     p: float = 2.0,
@@ -457,33 +466,38 @@ def joint_cf_laplace(
 ) -> TransformValue:
     """Joint transform ``E[e^{iu xi} 1(eta <= x) e^{-lam zeta_p^p}]``.
 
-    Reduces to :func:`hybrid_cf` at ``lam = 0`` and to :func:`laplace_zeta` at
-    ``(u, x) = (0, inf)``. For ``alpha > 1`` the linear compensator is included
-    in the integrand.
+    At ``lam = 0`` it is :func:`hybrid_cf`, an exact exponential-integral tail
+    per atom; it reduces to :func:`laplace_zeta` at ``(u, x) = (0, inf)``. For
+    ``alpha > 1`` the linear compensator is included in the integrand. The
+    method is the hybrid one only when every point has ``lam = 0``.
     """
-    alpha = cluster.alpha
-    _validate_alpha_transform(alpha)
+    alpha = _validate_alpha(cluster.alpha)
     if p <= alpha:
         raise ConfigurationError("the modulus order must satisfy p > alpha")
-    if x <= 0:
+    if np.less_equal(x, 0).any():
         raise ConfigurationError("x must be positive (use math.inf to drop the max)")
-    if lam < 0:
+    if np.less(lam, 0).any():
         raise ConfigurationError("lam must be >= 0")
     if atoms is None:
         atoms = cluster_atoms(cluster, p=p)
-    if lam == 0.0:
-        return hybrid_cf(u, x, cluster, atoms=atoms)
-    with np.errstate(divide="ignore"):
-        x_m = x / atoms.max_abs
-    per_atom, fallbacks, quad_warnings = _damped_log(
-        alpha, p, u * atoms.sum_q, lam * atoms.norm_p_p, x_m, quad_tol)
-    log_val, se_log = _weighted_log(atoms, per_atom)
-    val = cmath.exp(log_val)
-    method = "quadrature" if atoms.exact else "quadrature_monte_carlo"
-    return TransformValue(val, abs(val) * se_log, method, fallbacks, quad_warnings)
+
+    def kernel(u, x, lam):
+        b = u * atoms.sum_q
+        with np.errstate(divide="ignore"):
+            x_m = x / atoms.max_abs
+        per_atom, counts = np.empty(b.shape, dtype=complex), np.zeros((2, *b.shape), dtype=int)
+        d = lam[:, 0] > 0
+        per_atom[~d] = _stable_atom(b[~d], alpha) - _tail_exp_integral(alpha, b[~d], x_m[~d])
+        if d.any():
+            per_atom[d], counts[0, d], counts[1, d] = _damped_log(
+                alpha, p, b[d], lam[d] * atoms.norm_p_p, x_m[d], quad_tol)
+        return 1.0, per_atom, *counts
+
+    methods = ("expint_exact", "expint_monte_carlo") if not np.any(lam) else ("quadrature", "quadrature_monte_carlo")
+    return _per_point(atoms, kernel, (u, x, lam), methods[not atoms.exact], log=True)
 
 
-def ratio_modulus_laplace(lam: float, cluster: ClusterModel, *, p: float = 2.0,
+def ratio_modulus_laplace(lam, cluster: ClusterModel, *, p: float = 2.0,
                           atoms: Optional[ClusterAtoms] = None) -> TransformValue:
     """Laplace transform of ``(zeta_p / eta)^p``, the p-th power of the
     modulus/max ratio limit.
@@ -498,20 +512,24 @@ def ratio_modulus_laplace(lam: float, cluster: ClusterModel, *, p: float = 2.0,
     alpha = cluster.alpha
     if p <= alpha:
         raise ConfigurationError("the modulus order must satisfy p > alpha")
-    if lam < 0:
+    if np.less(lam, 0).any():
         raise ConfigurationError("lam must be >= 0")
     if atoms is None:
         atoms = tilted_atoms(cluster, p=p)
-    c, a = lam * atoms.norm_p_p, alpha / p
-    num_terms = np.exp(-c)
-    # exactly 1 where c = 0
-    den_terms = num_terms + c**a * gammainc(1.0 - a, c) * gamma_fn(1.0 - a)
-    # the ratio of the two means is the den_terms-weighted mean of num/den
-    est = _weighted_estimate(atoms, den_terms, num_terms / den_terms)
-    return TransformValue(complex(est.value), est.stderr, "gammainc_exact" if atoms.exact else "gammainc_monte_carlo")
+    a = alpha / p
+
+    def kernel(lam):
+        c = lam * atoms.norm_p_p
+        num_terms = np.exp(-c)
+        # exactly 1 where c = 0
+        den_terms = num_terms + c**a * gammainc(1.0 - a, c) * gamma_fn(1.0 - a)
+        # the ratio of the two means is the den_terms-weighted mean of num/den
+        return den_terms, num_terms / den_terms
+
+    return _per_point(atoms, kernel, (lam,), "gammainc_exact" if atoms.exact else "gammainc_monte_carlo")
 
 
-def ratio_cf(u: float, cluster: ClusterModel, *, atoms: Optional[ClusterAtoms] = None) -> TransformValue:
+def ratio_cf(u, cluster: ClusterModel, *, atoms: Optional[ClusterAtoms] = None) -> TransformValue:
     """Characteristic function of the sum/max ratio limit xi/eta.
 
     A ratio of tilted-cluster expectations: the numerator is
@@ -520,8 +538,7 @@ def ratio_cf(u: float, cluster: ClusterModel, *, atoms: Optional[ClusterAtoms] =
     power-law measure, which reduces per atom to the stable atom plus an exact
     exponential-integral tail.
     """
-    alpha = cluster.alpha
-    _validate_alpha_transform(alpha)
+    alpha = _validate_alpha(cluster.alpha)
     if atoms is None:
         atoms = tilted_atoms(cluster)
     s = atoms.sum_q
@@ -530,12 +547,15 @@ def ratio_cf(u: float, cluster: ClusterModel, *, atoms: Optional[ClusterAtoms] =
             "sum of the tilted cluster vanishes a.s.; the sum limit is degenerate "
             "and the ratio law is trivial"
         )
-    num_terms = np.exp(1j * u * s)
-    den_terms = _tail_exp_integral(alpha, u * s, 1.0) - _stable_atom(u * s, alpha)
-    # the ratio of the two means is the den_terms-weighted mean of num/den;
-    # Re(den_terms) >= 1 on every atom
-    est = _weighted_estimate(atoms, den_terms, num_terms / den_terms)
-    return TransformValue(complex(est.value), est.stderr, "expint_exact" if atoms.exact else "expint_monte_carlo")
+
+    def kernel(u):
+        num_terms = np.exp(1j * u * s)
+        den_terms = _tail_exp_integral(alpha, u * s, 1.0) - _stable_atom(u * s, alpha)
+        # the ratio of the two means is the den_terms-weighted mean of num/den;
+        # Re(den_terms) >= 1 on every atom
+        return den_terms, num_terms / den_terms
+
+    return _per_point(atoms, kernel, (u,), "expint_exact" if atoms.exact else "expint_monte_carlo")
 
 
 # ---------------------------------------------------------------------------
@@ -708,34 +728,17 @@ def evaluate_transform_grid(
     p: float = 2.0,
     quad_tol: float = QUAD_TOL,
 ) -> TransformGrid:
-    """Evaluate one of the limit transforms on every row of a grid."""
-    out = TransformGrid.from_points(u=grid.u, x=grid.x, lam=grid.lam, method=kind)
-    if kind == "ratio_cf":
-        atoms = tilted_atoms(cluster, p=p)
-    elif kind == "laplace_zeta":
-        # reads only the cluster moment; a p <= alpha row raises before it is used
-        moment = cluster_moment(cluster, p) if p > cluster.alpha else None
-    else:
-        atoms = cluster_atoms(cluster, p=p)
-    for i in range(len(out)):
-        u = 0.0 if math.isnan(out.u[i]) else out.u[i]
-        x = math.inf if math.isnan(out.x[i]) else out.x[i]
-        lam = 0.0 if math.isnan(out.lam[i]) else out.lam[i]
-        if kind == "stable_cf":
-            tv = stable_cf(u, cluster, atoms=atoms)
-        elif kind == "hybrid_cf":
-            tv = hybrid_cf(u, x, cluster, atoms=atoms)
-        elif kind == "laplace_zeta":
-            tv = laplace_zeta(lam, cluster, p=p, moment=moment)
-        elif kind == "joint_cf_laplace":
-            tv = joint_cf_laplace(u, x, lam, cluster, p=p, quad_tol=quad_tol, atoms=atoms)
-        elif kind == "ratio_cf":
-            tv = ratio_cf(u, cluster, atoms=atoms)
-        else:
-            raise ConfigurationError(f"unknown transform kind {kind!r}")
-        out.values[i] = complex(tv.value)
-        out.stderr[i] = tv.stderr
-        out.method = tv.method
-        out.fallbacks[i] = tv.fallbacks
-        out.quad_warnings[i] = tv.quad_warnings
-    return out
+    """Evaluate one of the limit transforms on every point of a grid, in one
+    call; a NaN coordinate is unused (u = 0, x = inf, lam = 0)."""
+    u, x, lam = (np.where(np.isnan(c), unused, c) for c, unused in ((grid.u, 0.0), (grid.x, math.inf), (grid.lam, 0.0)))
+    calls = {
+        "stable_cf": lambda: stable_cf(u, cluster, atoms=cluster_atoms(cluster, p=p)),
+        "hybrid_cf": lambda: hybrid_cf(u, x, cluster, atoms=cluster_atoms(cluster, p=p)),
+        "laplace_zeta": lambda: laplace_zeta(lam, cluster, p=p),
+        "joint_cf_laplace": lambda: joint_cf_laplace(u, x, lam, cluster, p=p, quad_tol=quad_tol),
+        "ratio_cf": lambda: ratio_cf(u, cluster, atoms=tilted_atoms(cluster, p=p)),
+    }
+    if kind not in calls:
+        raise ConfigurationError(f"unknown transform kind {kind!r}")
+    tv = calls[kind]()
+    return TransformGrid(grid.u, grid.x, grid.lam, tv.value, tv.stderr, tv.method, tv.fallbacks, tv.quad_warnings)

@@ -500,6 +500,11 @@ BAD_FIELDS = [
     ({"quad_tol": "1e-8"}, "quad_tol: must be a positive number, got '1e-8'"),
     ({"u_points": ["a", 1.0]}, "u_points: every point must be a real number, got 'a'"),
     ({"lambda_points": [0.5, None]}, "lambda_points: every point must be a real number, got None"),
+    # every reader of a point needs x > 0 and lambda >= 0: refused before any
+    # cluster or library is built
+    ({"x_points": [1.0, 0.0]}, "x_points: every point must be positive, got 0.0"),
+    ({"x_points": [-2]}, "x_points: every point must be positive, got -2"),
+    ({"lambda_points": [0.5, -1.0]}, "lambda_points: every point must be >= 0, got -1.0"),
     # a YAML null where a list belongs
     ({"checks": None}, "checks: must be a list, got None"),
     ({"u_points": None}, "u_points: must be a list, got None"),
@@ -971,6 +976,24 @@ class TestRunExperiment:
         rows = run_experiment(cfg).rows
         assert [r.name for r in rows] == ["lepage_laplace_lam0.5", "lepage_laplace_lam1", "lepage_laplace_lam2"]
         assert len(calls) == 1
+
+    def test_laplace_checks_make_one_transform_call(self, monkeypatch):
+        # every lambda of lepage_laplace in one laplace_zeta call, both points
+        # of self_decomposition in one joint_cf_laplace call
+        from selfnorm import limits
+
+        calls = []
+        for name in ("laplace_zeta", "joint_cf_laplace"):
+            def counted(*args, _call=getattr(limits, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _call(*args, **kwargs)
+
+            monkeypatch.setattr(limits, name, counted)
+        cfg = ExperimentConfig.from_dict(dict(kind="verify", name="ll", model=IID_POS_HALF, n=100, reps=50, p=2.0,
+                                              checks=["lepage_laplace", "self_decomposition"], n_terms=100, seed=3))
+        rows = run_experiment(cfg).rows
+        assert [r.name for r in rows][-1] == "self_decomposition" and rows[-1].passed
+        assert sorted(calls) == ["joint_cf_laplace", "laplace_zeta"]
 
     def test_gamma_identity_rows_count_quad_warnings(self, warning_quad):
         cfg = ExperimentConfig.from_dict(dict(kind="verify", name="gi", model=IID_POS_HALF, n=100, reps=10,

@@ -205,7 +205,9 @@ def test_expint_vs_mpmath(alpha):
 def test_damped_rule_vs_quadrature(alpha, p, x_m):
     b, c = (a.ravel() for a in np.meshgrid([-2.3, -0.4, 0.0, 0.9, 3.1], [0.05, 0.7, 4.0]))
     got, fallbacks, warned = limits._damped_log(alpha, p, b, c, x_m, 1e-12)
-    assert (fallbacks, warned) == (0, 0)
+    # per-atom counts, shaped like the atoms
+    assert fallbacks.shape == warned.shape == b.shape
+    assert not fallbacks.any() and not warned.any()
     for i in range(b.size):
         want = limits._atom_log_damped(alpha, p, b[i], c[i], x_m, 1e-12)
         assert abs(got[i] - want) <= 1e-9, (b[i], c[i], got[i], want)
@@ -306,6 +308,123 @@ def test_laplace_zeta_grid_reads_one_cluster_moment(monkeypatch, name):
     assert len(calls) == 1
     got = [(complex(v).real.hex(), complex(v).imag.hex(), float(se).hex()) for v, se in zip(out.values, out.stderr)]
     assert got == LAPLACE_GRID[name]
+
+
+# ---------------------------------------------------------------------------
+# grids: every transform evaluates an array of points in one call
+
+GRID_CLUSTERS = {
+    "ar1_analytic": lambda: clusters.ar1_cluster(-0.6, 0.7, (0.3, 0.7)),
+    "iid": lambda: iid_cluster(1.5),
+    "library": lambda: cluster_from_dict(AR1_CLUSTER),
+}
+# each transform at points (u, x, lam), scalars or arrays
+GRID_CALLS = {
+    "stable_cf": lambda c, u, x, lam: limits.stable_cf(u, c),
+    "hybrid_cf": lambda c, u, x, lam: limits.hybrid_cf(u, x, c),
+    "laplace_zeta": lambda c, u, x, lam: limits.laplace_zeta(lam, c, p=2.0),
+    "joint_cf_laplace": lambda c, u, x, lam: limits.joint_cf_laplace(u, x, lam, c, p=2.0),
+    "ratio_cf": lambda c, u, x, lam: limits.ratio_cf(u, c),
+    "ratio_modulus_laplace": lambda c, u, x, lam: limits.ratio_modulus_laplace(lam, c, p=2.0),
+}
+GRID_KINDS = ("stable_cf", "hybrid_cf", "laplace_zeta", "joint_cf_laplace", "ratio_cf")
+
+
+def grid_points() -> tuple:
+    """45 points (u, x, lam), u = 0, x = inf and lam = 0 among them."""
+    rng = np.random.default_rng(5)
+    u = np.concatenate([[0.0, 0.0, 1.2], rng.uniform(-3.0, 3.0, 42)])
+    x = np.concatenate([[math.inf, 0.8, math.inf], np.exp(rng.normal(0.0, 1.0, 42))])
+    lam = np.concatenate([[0.0, 0.7, 0.0], rng.exponential(1.0, 42)])
+    return u, x, lam
+
+
+def _assert_same_points(got, want) -> None:
+    """Per point: value and stderr within 1e-13 relative, equal counts."""
+    for i, one in enumerate(want):
+        assert abs(got.value[i] - one.value) <= 1e-13 * abs(one.value), (i, got.value[i], one.value)
+        assert abs(got.stderr[i] - one.stderr) <= 1e-13 * one.stderr, (i, got.stderr[i], one.stderr)
+        assert (got.fallbacks[i], got.quad_warnings[i]) == (one.fallbacks, one.quad_warnings), i
+
+
+@pytest.mark.parametrize("cluster", sorted(GRID_CLUSTERS))
+@pytest.mark.parametrize("kind", sorted(GRID_CALLS))
+def test_grid_call_equals_scalar_calls(kind, cluster):
+    c, call, (u, x, lam) = GRID_CLUSTERS[cluster](), GRID_CALLS[kind], grid_points()
+    got = call(c, u, x, lam)
+    assert got.value.shape == got.stderr.shape == got.fallbacks.shape == got.quad_warnings.shape == u.shape
+    want = [call(c, float(u[i]), float(x[i]), float(lam[i])) for i in range(len(u))]
+    # a scalar call returns scalars
+    assert all(isinstance(one.value, complex) and isinstance(one.stderr, float) for one in want)
+    _assert_same_points(got, want)
+
+
+def test_points_broadcast():
+    # a column of (u, x) against a row of lam: fields shaped like the points
+    c, (u, x, lam) = GRID_CLUSTERS["library"](), grid_points()
+    got = limits.joint_cf_laplace(u[:3, None], x[:3, None], lam[None, :4], c, p=2.0)
+    assert got.value.shape == got.stderr.shape == got.fallbacks.shape == (3, 4)
+    flat = limits.TransformValue(got.value.ravel(), got.stderr.ravel(), got.method, got.fallbacks.ravel(),
+                                 got.quad_warnings.ravel())
+    _assert_same_points(flat, [limits.joint_cf_laplace(float(a), float(b), float(v), c, p=2.0)
+                               for a, b in zip(u[:3], x[:3]) for v in lam[:4]])
+
+
+@pytest.mark.parametrize("cluster", sorted(GRID_CLUSTERS))
+@pytest.mark.parametrize("kind", GRID_KINDS)
+def test_nan_coordinates_are_unused(kind, cluster):
+    # NaN reads as u = 0, x = inf, lam = 0
+    c, (u, x, lam) = GRID_CLUSTERS[cluster](), grid_points()
+    nan = np.arange(len(u)) % 3 == 1
+    got = limits.evaluate_transform_grid(kind, limits.TransformGrid.from_points(
+        u=np.where(nan, np.nan, u), x=np.where(nan, np.nan, x), lam=np.where(nan, np.nan, lam)), c)
+    want = limits.evaluate_transform_grid(kind, limits.TransformGrid.from_points(
+        u=np.where(nan, 0.0, u), x=np.where(nan, math.inf, x), lam=np.where(nan, 0.0, lam)), c)
+    assert np.isnan(got.u[nan]).all() and np.isnan(got.lam[nan]).all()
+    assert got.method == want.method
+    for field in ("values", "stderr", "fallbacks", "quad_warnings"):
+        np.testing.assert_allclose(getattr(got, field), getattr(want, field), rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("cluster", sorted(GRID_CLUSTERS))
+@pytest.mark.parametrize("kind", sorted(GRID_CALLS))
+def test_one_point_chunks_give_the_same_values(monkeypatch, kind, cluster):
+    c, call, (u, x, lam) = GRID_CLUSTERS[cluster](), GRID_CALLS[kind], grid_points()
+    whole = call(c, u, x, lam)
+    shapes = []
+    stable_atom = limits._stable_atom
+
+    def recorded(b, alpha):
+        shapes.append(np.shape(b))
+        return stable_atom(b, alpha)
+
+    monkeypatch.setattr(limits, "_stable_atom", recorded)
+    monkeypatch.setattr(limits, "_CHUNK_VALUES", 1)
+    one = call(c, u, x, lam)
+    # every per-atom array holds at most one point
+    assert all(len(shape) == 2 and shape[0] <= 1 for shape in shapes), shapes
+    _assert_same_points(one, [limits.TransformValue(*f) for f in zip(
+        whole.value, whole.stderr, [whole.method] * len(u), whole.fallbacks, whole.quad_warnings)])
+    assert one.method == whole.method
+
+
+def test_grid_method_follows_kind_and_atoms():
+    # not the last point's: point 0 of the first grid is a library estimate
+    lib, exact = cluster_from_dict(AR1_CLUSTER), clusters.ar1_cluster(-0.6, 0.7, (0.3, 0.7))
+    grid = limits.TransformGrid.from_points
+
+    def method(kind, c, **points):
+        return limits.evaluate_transform_grid(kind, grid(**points), c)
+
+    out = method("stable_cf", lib, u=[1.0, 0.0])
+    assert out.method == "monte_carlo" and out.stderr[0] > 0.0 and out.stderr[1] == 0.0
+    assert method("stable_cf", lib, u=[0.0, 0.0]).method == "closed_form"
+    assert method("stable_cf", exact, u=[1.0, 0.0]).method == "closed_form"
+    # the expint method only when every point has lam = 0
+    for c, damped, undamped in ((lib, "quadrature_monte_carlo", "expint_monte_carlo"),
+                                (exact, "quadrature", "expint_exact")):
+        assert method("joint_cf_laplace", c, u=[1.0, 1.0], x=[2.0], lam=[0.5, 0.0]).method == damped
+        assert method("joint_cf_laplace", c, u=[1.0, 1.0], x=[2.0], lam=[0.0, math.nan]).method == undamped
 
 
 def _fresh(code: str) -> None:
